@@ -44,7 +44,7 @@ from .reasoner import AttackGraph, build_attack_graph, saturate
 from .rules import CompiledSystem, compile_system, render_program, render_system_facts
 from .synth import synth_document, synthesize
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AnalysisResult",

@@ -214,7 +214,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     from .metrics import render_report
 
     result = _run_analysis(args)
-    print(render_report(result.graph), end="")
+    print(render_report(result.graph, result.evidence, result.goal_results), end="")
     return EXIT_OK
 
 

@@ -12,11 +12,16 @@ Four queries, all driven by the AND/OR structure:
 * ``blast_radius``: everything an attacker can reach using one single CVE.
 * ``patch_set``: a small set of CVEs whose removal disconnects a goal,
   chosen greedily over the goal's evidence.
+
+``pipeline.analyze`` runs the depth, evidence, trace and patch queries once
+and keeps their results; ``render_report`` only formats them, computing
+nothing but the blast radii, which no other output needs.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .logic import Atom
@@ -287,30 +292,37 @@ def patch_set(graph: AttackGraph, evidence: Evidence, goal: Atom) -> PatchPlan:
 # Report
 
 
-def render_report(graph: AttackGraph) -> str:
-    """Human-readable metrics over every configured goal."""
+@dataclass(frozen=True)
+class GoalResult:
+    goal: Atom
+    reachable: bool
+    depth: int | None
+    trace: Trace | None
+    patch: PatchPlan
 
-    depths = node_depths(graph)
-    evidence = attack_evidence(graph)
+
+def render_report(
+    graph: AttackGraph, evidence: Evidence, goal_results: Sequence[GoalResult]
+) -> str:
+    """Human-readable report of the per-goal metrics ``analyze`` computed.
+
+    Only the blast radius of each CVE in the universe is computed here.
+    """
+
     lines = [
         f"nodes: {len(graph.nodes)} "
         f"({len(graph.fact_nodes())} facts, {len(graph.rule_nodes())} rules, "
         f"{len(graph.derivation_nodes())} derived)",
         f"cve universe: {', '.join(evidence.universe) or '(none)'}",
     ]
-    for goal in graph.goals:
+    for r in goal_results:
         lines.append("")
-        if not graph.reachable.get(goal, False):
-            lines.append(f"goal {goal.render()}: unreachable")
+        if r.trace is None:
+            lines.append(f"goal {r.goal.render()}: unreachable")
             continue
-        trace = shortest_trace(graph, goal, depths)
-        if trace is None:
-            lines.append(f"goal {goal.render()}: unreachable")
-            continue
-        lines.append(trace.render())
-        node_id = graph.goal_nodes[goal]
-        lines.append(f"  evidence: {evidence.render_tags(node_id)}")
-        lines.append("  " + patch_set(graph, evidence, goal).render())
+        lines.append(r.trace.render())
+        lines.append(f"  evidence: {evidence.render_tags(graph.goal_nodes[r.goal])}")
+        lines.append("  " + r.patch.render())
     for cve in evidence.universe:
         lines.append("")
         atoms = blast_radius(graph, evidence, cve)

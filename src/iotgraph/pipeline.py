@@ -4,6 +4,9 @@ The stages are deliberately separable (each is importable and testable on
 its own): scan device names against the CVE store, classify hits into
 exploit models, parse and bind app descriptions, compile the ground Horn
 program, saturate, slice the attack graph, and evaluate metrics per goal.
+
+``analyze`` computes every result once and holds it in ``AnalysisResult``;
+``write_outputs`` and ``render_summary`` only render what it holds.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from .apps import AppBindError, AppParseError, BoundApp, bind_app, parse_app_des
 from .cvestore import CveRecord, CveStore
 from .exploits import ExploitModel, KeywordTables, models_for
 from .logic import Atom
+from .metrics import GoalResult
 from .model import SystemConfig
 from .reasoner import AttackGraph, build_attack_graph, default_goals, saturate
 from .rules import CompiledSystem, compile_system, render_program
@@ -31,15 +35,6 @@ class DeviceFinding:
     device: str  # atom
     device_name: str
     records: tuple[CveRecord, ...]
-
-
-@dataclass(frozen=True)
-class GoalResult:
-    goal: Atom
-    reachable: bool
-    depth: int | None
-    trace: metrics_mod.Trace | None
-    patch: metrics_mod.PatchPlan
 
 
 @dataclass
@@ -194,7 +189,9 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str
     written.append(graph_path)
 
     report_path = out / "metrics_report.txt"
-    report_path.write_text(metrics_mod.render_report(result.graph))
+    report_path.write_text(
+        metrics_mod.render_report(result.graph, result.evidence, result.goal_results)
+    )
     written.append(report_path)
 
     manifest = {

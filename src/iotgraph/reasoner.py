@@ -39,13 +39,6 @@ class AttackGraph:
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id - 1]
 
-    def children(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {n.node_id: [] for n in self.nodes}
-        for child, ps in self.parents.items():
-            for p in ps:
-                out[p].append(child)
-        return out
-
     def fact_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == FACT]
 

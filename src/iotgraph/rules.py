@@ -11,13 +11,14 @@ voice commands) for variables the facts cannot bind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from itertools import product
 
 from .apps import BoundApp
 from .exploits import ExploitModel, exploit_rule_parts
 from .logic import Atom, HornRule, LogicError, LogicProgram, render_fact
-from .model import DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, SystemConfig
+from .model import DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
 
 # Predicates that appear in the fact base (as opposed to derived conditions).
 STATIC_FACT_PREDS = frozenset(
@@ -37,10 +38,8 @@ def _var(name: str) -> str:
 # Configuration facts
 
 
-def device_fact_block(config: SystemConfig, atom: str) -> list[Atom]:
-    d = config.device(atom)
-    info = d.info
-    block = [Atom(info.predicate, (d.atom,))]
+def device_fact_block(d: DeviceSpec) -> list[Atom]:
+    block = [Atom(d.info.predicate, (d.atom,))]
     for net in d.networks:
         block.append(Atom("inNetwork", (d.atom, net)))
     if d.physically_exposed:
@@ -61,7 +60,7 @@ def network_fact_block(config: SystemConfig) -> list[Atom]:
 
 
 def config_fact_blocks(config: SystemConfig) -> list[list[Atom]]:
-    blocks = [device_fact_block(config, d.atom) for d in config.devices]
+    blocks = [device_fact_block(d) for d in config.devices]
     net_block = network_fact_block(config)
     if net_block:
         blocks.append(net_block)
@@ -79,11 +78,14 @@ def attacker_facts(config: SystemConfig) -> list[Atom]:
     return out
 
 
+def _render_blocks(blocks: Sequence[Sequence[Atom]]) -> str:
+    return "\n\n".join("\n".join(render_fact(a) for a in block) for block in blocks)
+
+
 def render_system_facts(config: SystemConfig) -> str:
     """Device and network facts as clause text, one blank line per block."""
 
-    blocks = config_fact_blocks(config)
-    return "\n\n".join("\n".join(render_fact(a) for a in block) for block in blocks) + "\n"
+    return _render_blocks(config_fact_blocks(config)) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -428,20 +430,16 @@ def ground_static_rules(
 
 @dataclass
 class CompiledSystem:
-    """Everything the reasoner and the report writers need."""
+    """The ground program and goals, with the parts ``render_program`` lists."""
 
-    config: SystemConfig
     program: LogicProgram
     goals: tuple[Atom, ...]
-    models: tuple[ExploitModel, ...]
-    schemas: tuple[HornRule, ...]
     static_rules: tuple[HornRule, ...]
     exploit_rules: tuple[HornRule, ...]
     app_rules: tuple[HornRule, ...]
-    fact_blocks: tuple[tuple[Atom, ...], ...] = field(default=())
-    attacker: tuple[Atom, ...] = field(default=())
-    vul_facts: tuple[Atom, ...] = field(default=())
-    alphabet: tuple[str, ...] = field(default=())
+    fact_blocks: tuple[tuple[Atom, ...], ...]
+    attacker: tuple[Atom, ...]
+    vul_facts: tuple[Atom, ...]
 
 
 def compile_system(
@@ -508,18 +506,14 @@ def compile_system(
         rules=tuple(exploit_rules) + tuple(static_ground) + tuple(app_rules),
     )
     return CompiledSystem(
-        config=config,
         program=program,
         goals=tuple(goals),
-        models=tuple(models),
-        schemas=tuple(build_exploit_schemas()),
         static_rules=tuple(static_ground),
         exploit_rules=tuple(exploit_rules),
         app_rules=tuple(app_rules),
         fact_blocks=tuple(tuple(b) for b in blocks),
         attacker=tuple(atk_facts),
         vul_facts=tuple(vul_facts),
-        alphabet=tuple(alphabet),
     )
 
 
@@ -534,7 +528,7 @@ def render_program(compiled: CompiledSystem) -> str:
         lines.append(f"% ==== {title} ====")
 
     section("exploit rule schemas (reference)")
-    for rule in compiled.schemas:
+    for rule in build_exploit_schemas():
         lines.append(f"% {rule.label}")
         lines.append(rule.render())
     section("attack rules instantiated from CVEs")
@@ -550,7 +544,7 @@ def render_program(compiled: CompiledSystem) -> str:
         lines.append(f"% app: {rule.label}")
         lines.append(rule.render())
     section("facts: system configuration")
-    lines.append(render_system_facts(compiled.config).rstrip("\n"))
+    lines.append(_render_blocks(compiled.fact_blocks))
     section("facts: attacker")
     for fact in compiled.attacker:
         lines.append(render_fact(fact))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from iotgraph.logic import HornRule, LogicProgram, parse_atom
 from iotgraph.metrics import (
+    GoalResult,
     attack_evidence,
     blast_radius,
     merge_ae_and,
@@ -281,7 +282,15 @@ def test_patch_set_unreachable_goal():
 
 def test_render_report_covers_goals_and_blast():
     graph = diamond_graph()
-    text = render_report(graph)
+    depths = node_depths(graph)
+    evidence = attack_evidence(graph)
+    results = []
+    for goal in graph.goals:
+        trace = shortest_trace(graph, goal, depths)
+        depth = trace.depth if trace else None
+        patch = patch_set(graph, evidence, goal)
+        results.append(GoalResult(goal, trace is not None, depth, trace, patch))
+    text = render_report(graph, evidence, results)
     assert "cve universe: CVE-2001-1000, CVE-2001-1001" in text
     assert "goal p(x) (depth" in text
     assert "blast radius of CVE-2001-1001 alone: 2 conditions" in text

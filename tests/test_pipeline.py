@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from iotgraph import metrics
 from iotgraph.logic import parse_atom
-from iotgraph.model import parse_config
+from iotgraph.model import SystemConfig, parse_config
 from iotgraph.pipeline import (
     analyze,
     bind_apps,
@@ -164,6 +165,24 @@ def test_write_outputs_dot_format(fig2_result, tmp_path):
     assert set(manifest["timings"]) == set(fig2_result.timings)
     doc = json.loads((tmp_path / "attack_graph.json").read_text())
     assert doc == fig2_result.graph.to_document()
+
+
+def test_analyze_and_write_compute_each_metric_once(fig2_config, store, tmp_path, monkeypatch):
+    calls = {"attack_evidence": 0, "node_depths": 0, "device": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("attack_evidence", "node_depths"):
+        monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
+    result = analyze(fig2_config, store)
+    monkeypatch.setattr(SystemConfig, "device", counted("device", SystemConfig.device))
+    write_outputs(result, tmp_path)
+    assert calls == {"attack_evidence": 1, "node_depths": 1, "device": 0}
 
 
 def test_write_outputs_text_format(fig2_result, tmp_path):

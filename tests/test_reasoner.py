@@ -160,14 +160,6 @@ def test_to_text_lists_nodes_and_goal_status():
     assert "goal g(x): reachable" in text
 
 
-def test_children_inverts_parents():
-    graph = two_path_graph()
-    children = graph.children()
-    assert children[1] == [3]
-    assert children[3] == [5]
-    assert children[5] == []
-
-
 def test_default_goals_pick_attacker_privileges_sorted():
     program = LogicProgram(
         facts=(atom("seed(x)"),),

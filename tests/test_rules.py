@@ -5,7 +5,7 @@ import pytest
 from iotgraph.apps import bind_app, parse_app_description
 from iotgraph.exploits import models_for
 from iotgraph.logic import Atom, HornRule, LogicError
-from iotgraph.model import parse_config
+from iotgraph.model import SystemConfig, parse_config
 from iotgraph.rules import (
     attacker_facts,
     build_capability_rules,
@@ -187,7 +187,20 @@ def compile_fig2(store_like=None):
 def test_compile_system_collects_goals_and_alphabet():
     cfg, compiled = compile_fig2()
     assert [g.render() for g in compiled.goals] == ["unlock(yaleDoorlock)"]
-    assert compiled.alphabet == ("unlockTheFrontDoor", "preheatTheOven")
+    for pred in ("voiceCommand", "speakerHears"):
+        commands = {r.head.args[0] for r in compiled.program.rules if r.head.pred == pred}
+        assert commands == {"preheatTheOven", "unlockTheFrontDoor"}, pred
+
+
+def test_compile_and_render_program_look_up_no_device(monkeypatch):
+    cfg = load_fixture_config("fig2")
+    bound = [bind_app(app, parse_app_description(app.description), cfg) for app in cfg.apps]
+
+    def device(self, key):
+        raise AssertionError(f"device({key!r}) looked up")
+
+    monkeypatch.setattr(SystemConfig, "device", device)
+    assert "% ==== attack goals ====" in render_program(compile_system(cfg, [], bound))
 
 
 def test_render_program_sections_are_labelled():
