@@ -13,6 +13,14 @@ Four queries, all driven by the AND/OR structure:
 * ``patch_set``: a small set of CVEs whose removal disconnects a goal,
   chosen greedily over the goal's evidence.
 
+Depths and evidence are fixpoints, found by sweeping ``graph.nodes`` in
+order until a pass changes nothing. A sweep re-evaluates only the nodes one
+of whose inputs changed since their last evaluation; any other node would
+compute the value it already holds. The order itself stays pinned: the
+graph can have cycles, capped evidence nodes lie on them, and truncation is
+not monotone, so evaluating in another order (by strongly connected
+component, say) could settle on different tags.
+
 ``pipeline.analyze`` runs the depth, evidence, trace and patch queries once
 and keeps their results; ``render_report`` only formats them, computing
 nothing but the blast radii, which no other output needs.
@@ -21,15 +29,18 @@ nothing but the blast radii, which no other output needs.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .logic import Atom
-from .reasoner import DERIVATION, FACT, RULE, AttackGraph
+from .reasoner import DERIVATION, FACT, RULE, AttackGraph, Node
 
 CatSet = frozenset[int]
 
 EVIDENCE_CAP = 4096
+
+# The evidence of a node that needs no CVE; the identity of the AND merge.
+NO_CVE: CatSet = frozenset({0})
 
 
 def merge_ae_or(a: CatSet, b: CatSet) -> CatSet:
@@ -41,14 +52,74 @@ def merge_ae_or(a: CatSet, b: CatSet) -> CatSet:
 def merge_ae_and(a: CatSet, b: CatSet) -> CatSet:
     """Joint requirements: one combination from each side, unioned."""
 
+    if a == NO_CVE:
+        return b
+    if b == NO_CVE:
+        return a
     return frozenset(x | y for x in a for y in b)
 
 
 def _truncate(tags: CatSet) -> CatSet:
-    if len(tags) <= EVIDENCE_CAP:
+    """The ``EVIDENCE_CAP`` smallest masks by (CVE count, value).
+
+    Masks are grouped by CVE count; only the group that crosses the cap is
+    sorted.
+    """
+
+    cap = EVIDENCE_CAP
+    if len(tags) <= cap:
         return tags
-    kept = sorted(tags, key=lambda t: (t.bit_count(), t))[:EVIDENCE_CAP]
+    by_count: list[list[int]] = [[] for _ in range(max(tags).bit_length() + 1)]
+    for t in tags:
+        by_count[t.bit_count()].append(t)
+    kept: list[int] = []
+    for group in by_count:
+        room = cap - len(kept)
+        if len(group) > room:
+            group = sorted(group)[:room]
+        kept += group
+        if len(kept) == cap:
+            break
     return frozenset(kept)
+
+
+def _sweep(
+    graph: AttackGraph, vals: dict, evaluate: Callable[[Node, tuple[int, ...]], object]
+) -> None:
+    """Update ``vals`` to the fixpoint of ``evaluate`` over the graph.
+
+    Each pass walks ``graph.nodes`` in order and stops after a pass that
+    changes nothing. Facts and nodes without inputs keep their start value.
+    A node is evaluated on the first pass and afterwards only when one of
+    its inputs changed since: a change marks the node's children dirty, so a
+    later child is evaluated in the same pass and an earlier one in the next.
+    Skipped nodes would have computed the value they hold, so the result is
+    that of evaluating every node on every pass.
+    """
+
+    work = [
+        (n, graph.parents[n.node_id])
+        for n in graph.nodes
+        if n.kind != FACT and graph.parents.get(n.node_id)
+    ]
+    children: dict[int, list[int]] = {}
+    for n, ps in work:
+        for p in ps:
+            children.setdefault(p, []).append(n.node_id)
+    dirty = {n.node_id for n, _ in work}
+    changed = True
+    while changed:
+        changed = False
+        for n, ps in work:
+            nid = n.node_id
+            if nid not in dirty:
+                continue
+            dirty.discard(nid)
+            new = evaluate(n, ps)
+            if new != vals[nid]:
+                vals[nid] = new
+                dirty.update(children.get(nid, ()))
+                changed = True
 
 
 # ---------------------------------------------------------------------------
@@ -56,28 +127,27 @@ def _truncate(tags: CatSet) -> CatSet:
 
 
 def node_depths(graph: AttackGraph) -> dict[int, float]:
-    """Minimum proof-tree height per node; ``inf`` if underivable."""
+    """Minimum proof-tree height per node; ``inf`` if underivable.
+
+    Facts have height 0; a rule is one higher than its deepest input, a
+    derivation one higher than its shallowest, and a node keeps its height
+    unless that is lower. The fixpoint comes from ``_sweep``, which
+    re-evaluates only the nodes whose inputs changed, in the pinned node
+    order.
+    """
 
     vals: dict[int, float] = {}
     for n in graph.nodes:
         vals[n.node_id] = 0.0 if n.kind == FACT else math.inf
-    changed = True
-    while changed:
-        changed = False
-        for n in graph.nodes:
-            if n.kind == FACT:
-                continue
-            ps = graph.parents.get(n.node_id, ())
-            if not ps:
-                continue
-            if n.kind == RULE:
-                best = max(vals[p] for p in ps)
-            else:
-                best = min(vals[p] for p in ps)
-            cand = best + 1.0
-            if cand < vals[n.node_id]:
-                vals[n.node_id] = cand
-                changed = True
+
+    def evaluate(n: Node, ps: tuple[int, ...]) -> float:
+        if n.kind == RULE:
+            best = max(vals[p] for p in ps)
+        else:
+            best = min(vals[p] for p in ps)
+        return min(best + 1.0, vals[n.node_id])
+
+    _sweep(graph, vals, evaluate)
     return vals
 
 
@@ -163,7 +233,14 @@ class Evidence:
             return None
 
     def cves_in(self, tag: int) -> tuple[str, ...]:
-        return tuple(cve for i, cve in enumerate(self.universe) if tag & (1 << i))
+        """The CVEs of a combination, in universe order; visits set bits only."""
+
+        names = []
+        while tag:
+            low = tag & -tag
+            names.append(self.universe[low.bit_length() - 1])
+            tag ^= low
+        return tuple(names)
 
     def render_tags(self, node_id: int) -> str:
         tags = sorted(self.tags.get(node_id, frozenset()))
@@ -181,6 +258,10 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
     ``{0}`` otherwise; rule nodes fold their inputs with the AND merge,
     derivations with the OR merge. Oversized tag sets are truncated to the
     smallest combinations to keep cyclic graphs bounded.
+
+    ``_sweep`` re-evaluates only the nodes whose inputs changed and keeps
+    the pinned node order: truncation is not monotone and capped nodes lie
+    on cycles, so another order could reach other tags.
     """
 
     universe: list[str] = []
@@ -197,31 +278,22 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
             if n.atom is not None and n.atom.pred == "vulExists":
                 tags[n.node_id] = frozenset({bit[n.atom.args[1]]})
             else:
-                tags[n.node_id] = frozenset({0})
+                tags[n.node_id] = NO_CVE
         else:
             tags[n.node_id] = frozenset()
 
-    changed = True
-    while changed:
-        changed = False
-        for n in graph.nodes:
-            if n.kind == FACT:
-                continue
-            ps = graph.parents.get(n.node_id, ())
-            if not ps:
-                continue
-            if n.kind == RULE:
-                acc: CatSet = frozenset({0})
-                for p in ps:
-                    acc = merge_ae_and(acc, tags[p])
-            else:
-                acc = frozenset()
-                for p in ps:
-                    acc = merge_ae_or(acc, tags[p])
-            acc = _truncate(acc)
-            if acc != tags[n.node_id]:
-                tags[n.node_id] = acc
-                changed = True
+    def evaluate(n: Node, ps: tuple[int, ...]) -> CatSet:
+        if n.kind == RULE:
+            acc = NO_CVE
+            for p in ps:
+                acc = merge_ae_and(acc, tags[p])
+        else:
+            acc = frozenset()
+            for p in ps:
+                acc = merge_ae_or(acc, tags[p])
+        return _truncate(acc)
+
+    _sweep(graph, tags, evaluate)
     return Evidence(universe=tuple(universe), tags=tags)
 
 
@@ -272,19 +344,18 @@ def patch_set(graph: AttackGraph, evidence: Evidence, goal: Atom) -> PatchPlan:
     if 0 in remaining:
         return PatchPlan(goal=goal, verdict="unpatchable", cves=())
 
+    bits = [(cve, evidence.bit(cve)) for cve in sorted(evidence.universe)]
     picked: list[str] = []
     while remaining:
-        best_cve, best_cover = None, -1
-        for cve in sorted(evidence.universe):
-            b = evidence.bit(cve)
+        best_cve, best_bit, best_cover = None, 0, -1
+        for cve, b in bits:
             cover = sum(1 for t in remaining if t & b)
             if cover > best_cover:
-                best_cve, best_cover = cve, cover
+                best_cve, best_bit, best_cover = cve, b, cover
         if best_cve is None or best_cover <= 0:
             return PatchPlan(goal=goal, verdict="unpatchable", cves=())
         picked.append(best_cve)
-        b = evidence.bit(best_cve)
-        remaining = {t for t in remaining if not t & b}
+        remaining = {t for t in remaining if not t & best_bit}
     return PatchPlan(goal=goal, verdict="blocked", cves=tuple(picked))
 
 

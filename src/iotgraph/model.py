@@ -263,12 +263,16 @@ class SystemConfig:
         raise ConfigError(f"unknown network: {key!r}")
 
     def device_index(self) -> dict[str, DeviceSpec]:
-        """Index devices by both display name and normalized atom."""
+        """Index devices by both display name and normalized atom.
+
+        A key maps to the device ``device()`` returns for it: the first
+        match in list order.
+        """
 
         out: dict[str, DeviceSpec] = {}
         for d in self.devices:
-            out[d.name] = d
-            out[d.atom] = d
+            out.setdefault(d.atom, d)
+            out.setdefault(d.name, d)
         return out
 
     def to_document(self) -> str:

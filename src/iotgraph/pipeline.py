@@ -75,9 +75,10 @@ def build_models(
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> list[ExploitModel]:
     networks = {n.atom: n for n in config.networks}
+    devices = config.device_index()
     out: list[ExploitModel] = []
     for finding in findings:
-        device = config.device(finding.device)
+        device = devices[finding.device]
         for record in finding.records:
             override = None
             if overrides and record.cve_id in overrides:

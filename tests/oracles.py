@@ -1,17 +1,27 @@
 """Independent reference implementations used to cross-check the engine.
 
-Everything here evaluates attack graphs by explicit enumeration over proof
-trees or trace subgraphs, deliberately avoiding the fixpoint algorithms the
-package uses. Agreement between the two strategies on randomized inputs is
-the correctness argument for the fast path.
+Most of what is here evaluates attack graphs by explicit enumeration over
+proof trees or trace subgraphs, deliberately avoiding the fixpoint
+algorithms the package uses. Agreement between the two strategies on
+randomized inputs is the correctness argument for the fast path.
+
+Enumeration only covers small acyclic graphs. For cyclic graphs, where
+evidence truncation can change the fixpoint, the reference is the plain
+full sweep (``full_sweep_node_depths`` and ``full_sweep_attack_evidence``):
+every node evaluated on every pass, in node order, which the package's
+incremental sweep must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
 from iotgraph.logic import Atom
+from iotgraph.metrics import Evidence
 from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, Node
+
+CatSet = frozenset[int]
 
 
 def evidence_universe(graph: AttackGraph) -> tuple[str, ...]:
@@ -202,4 +212,156 @@ def random_attack_dag(rng: random.Random) -> AttackGraph:
         goals=(goal,),
         goal_nodes={goal: goal_id},
         reachable={goal: True},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Full-sweep fixpoints: every node evaluated on every pass
+
+
+def merge_ae_or(a: CatSet, b: CatSet) -> CatSet:
+    """Alternative routes: either side's combinations work."""
+
+    return a | b
+
+
+def merge_ae_and(a: CatSet, b: CatSet) -> CatSet:
+    """Joint requirements: one combination from each side, unioned."""
+
+    return frozenset(x | y for x in a for y in b)
+
+
+def _truncate(tags: CatSet, cap: int) -> CatSet:
+    if len(tags) <= cap:
+        return tags
+    kept = sorted(tags, key=lambda t: (t.bit_count(), t))[:cap]
+    return frozenset(kept)
+
+
+def full_sweep_node_depths(graph: AttackGraph) -> dict[int, float]:
+    """Minimum proof-tree height per node; ``inf`` if underivable."""
+
+    vals: dict[int, float] = {}
+    for n in graph.nodes:
+        vals[n.node_id] = 0.0 if n.kind == FACT else math.inf
+    changed = True
+    while changed:
+        changed = False
+        for n in graph.nodes:
+            if n.kind == FACT:
+                continue
+            ps = graph.parents.get(n.node_id, ())
+            if not ps:
+                continue
+            if n.kind == RULE:
+                best = max(vals[p] for p in ps)
+            else:
+                best = min(vals[p] for p in ps)
+            cand = best + 1.0
+            if cand < vals[n.node_id]:
+                vals[n.node_id] = cand
+                changed = True
+    return vals
+
+
+def full_sweep_attack_evidence(graph: AttackGraph, cap: int) -> Evidence:
+    """Fixpoint of the evidence lattice over the graph.
+
+    Facts carry ``{their CVE bit}`` if they assert a vulnerability and
+    ``{0}`` otherwise; rule nodes fold their inputs with the AND merge,
+    derivations with the OR merge. Oversized tag sets are truncated to the
+    smallest combinations to keep cyclic graphs bounded.
+    """
+
+    universe: list[str] = []
+    for n in graph.fact_nodes():
+        if n.atom is not None and n.atom.pred == "vulExists":
+            cve = n.atom.args[1]
+            if cve not in universe:
+                universe.append(cve)
+    bit = {cve: 1 << i for i, cve in enumerate(universe)}
+
+    tags: dict[int, CatSet] = {}
+    for n in graph.nodes:
+        if n.kind == FACT:
+            if n.atom is not None and n.atom.pred == "vulExists":
+                tags[n.node_id] = frozenset({bit[n.atom.args[1]]})
+            else:
+                tags[n.node_id] = frozenset({0})
+        else:
+            tags[n.node_id] = frozenset()
+
+    changed = True
+    while changed:
+        changed = False
+        for n in graph.nodes:
+            if n.kind == FACT:
+                continue
+            ps = graph.parents.get(n.node_id, ())
+            if not ps:
+                continue
+            if n.kind == RULE:
+                acc: CatSet = frozenset({0})
+                for p in ps:
+                    acc = merge_ae_and(acc, tags[p])
+            else:
+                acc = frozenset()
+                for p in ps:
+                    acc = merge_ae_or(acc, tags[p])
+            acc = _truncate(acc, cap)
+            if acc != tags[n.node_id]:
+                tags[n.node_id] = acc
+                changed = True
+    return Evidence(universe=tuple(universe), tags=tags)
+
+
+def random_cyclic_attack_graph(rng: random.Random) -> AttackGraph:
+    """A random AND/OR graph with cycles, in ``build_attack_graph`` order.
+
+    Nodes come as facts, then rules, then derivations. Every rule heads one
+    derivation and takes its body from the facts and from any derivation,
+    so rule-to-derivation edges point forward and derivation-to-rule edges
+    often point back, closing cycles. A derivation that heads no rule has no
+    parents. Up to 7 vulnerability facts, so sets outgrow a small cap.
+    """
+
+    n_vuln = rng.randint(3, 7)
+    n_plain = rng.randint(0, 1)
+    n_rules = rng.randint(4, 14)
+    n_derivs = rng.randint(2, 4)
+    nodes: list[Node] = []
+    for k in range(n_vuln):
+        atom = Atom("vulExists", (f"dev{k}", f"CVE-2001-{1000 + rng.randrange(n_vuln + 1)}"))
+        nodes.append(Node(len(nodes) + 1, FACT, atom.render() + ".", atom=atom))
+    for k in range(n_plain):
+        atom = Atom("configured", (f"item{k}",))
+        nodes.append(Node(len(nodes) + 1, FACT, atom.render() + ".", atom=atom))
+    fact_ids = [n.node_id for n in nodes]
+    rule_ids = [len(nodes) + 1 + k for k in range(n_rules)]
+    deriv_ids = [rule_ids[-1] + 1 + k for k in range(n_derivs)]
+    for rid in rule_ids:
+        nodes.append(Node(rid, RULE, f"step rule {rid}"))
+    goals = []
+    for did in deriv_ids:
+        atom = Atom(f"stage{did}", ("sys",))
+        nodes.append(Node(did, DERIVATION, atom.render(), atom=atom))
+        goals.append(atom)
+
+    parents: dict[int, tuple[int, ...]] = {}
+    heads: dict[int, list[int]] = {}
+    for rid in rule_ids:
+        body = rng.sample(fact_ids, rng.randint(1, 2))
+        body += rng.sample(deriv_ids, rng.randint(0, 2))
+        rng.shuffle(body)
+        parents[rid] = tuple(body)
+        heads.setdefault(rng.choice(deriv_ids), []).append(rid)
+    for did, rids in heads.items():
+        parents[did] = tuple(sorted(rids))
+
+    return AttackGraph(
+        nodes=nodes,
+        parents=parents,
+        goals=tuple(goals),
+        goal_nodes={atom: did for atom, did in zip(goals, deriv_ids)},
+        reachable={atom: True for atom in goals},
     )

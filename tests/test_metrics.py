@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from iotgraph.logic import HornRule, LogicProgram, parse_atom
 from iotgraph.metrics import (
+    Evidence,
     GoalResult,
     attack_evidence,
     blast_radius,
@@ -212,6 +213,13 @@ def test_attack_evidence_universe_in_node_order():
     assert evidence.cves_in(3) == ("CVE-2001-1000", "CVE-2001-1001")
 
 
+@given(st.integers(min_value=0, max_value=(1 << 12) - 1))
+def test_cves_in_lists_set_bits_in_universe_order(tag):
+    evidence = Evidence(universe=tuple(f"CVE-2001-{1000 + i}" for i in range(12)), tags={})
+    expected = tuple(cve for i, cve in enumerate(evidence.universe) if tag & (1 << i))
+    assert evidence.cves_in(tag) == expected
+
+
 def test_attack_evidence_merges_and_or():
     graph = diamond_graph()
     evidence = attack_evidence(graph)
@@ -249,6 +257,17 @@ def test_patch_set_greedy_lexicographic_on_ties():
     plan = patch_set(graph, evidence, parse_atom("p(x)"))
     assert plan.verdict == "blocked"
     assert plan.cves == ("CVE-2001-1000", "CVE-2001-1001")
+
+
+def test_patch_set_looks_each_bit_up_once(monkeypatch):
+    graph = diamond_graph()
+    evidence = attack_evidence(graph)
+    calls = []
+    bit = Evidence.bit
+    monkeypatch.setattr(Evidence, "bit", lambda self, cve: calls.append(cve) or bit(self, cve))
+    plan = patch_set(graph, evidence, parse_atom("p(x)"))
+    assert len(plan.cves) == 2
+    assert sorted(calls) == sorted(evidence.universe)
 
 
 def test_patch_set_unpatchable_when_no_cve_needed():

@@ -4,7 +4,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iotgraph.model import DEVICE_TYPES, ConfigError, normalize_name, parse_config
+from iotgraph.model import (
+    DEVICE_TYPES,
+    ConfigError,
+    DeviceSpec,
+    SystemConfig,
+    normalize_name,
+    parse_config,
+)
 
 
 def minimal_doc() -> dict:
@@ -50,6 +57,23 @@ def test_parse_config_basic_shape():
     assert router.networks == ("wifi1",)
     hub = cfg.device("Smartthings Hub")
     assert hub.networks == ("wifi1", "zigbee1")
+
+
+def test_device_index_returns_what_device_returns():
+    # Built directly, so keys collide: "b" is the first device's atom and the
+    # second device's name; "c" is the second's atom and the third's name.
+    cfg = SystemConfig(
+        devices=(
+            DeviceSpec(name="a", atom="b", device_type="router"),
+            DeviceSpec(name="b", atom="c", device_type="gateway"),
+            DeviceSpec(name="c", atom="d", device_type="camera"),
+        ),
+        networks=(),
+    )
+    index = cfg.device_index()
+    assert set(index) == {"a", "b", "c", "d"}
+    for key, spec in index.items():
+        assert spec is cfg.device(key), key
 
 
 def test_parse_config_network_protocols():

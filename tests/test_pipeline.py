@@ -179,8 +179,9 @@ def test_analyze_and_write_compute_each_metric_once(fig2_config, store, tmp_path
 
     for name in ("attack_evidence", "node_depths"):
         monkeypatch.setattr(metrics, name, counted(name, getattr(metrics, name)))
-    result = analyze(fig2_config, store)
     monkeypatch.setattr(SystemConfig, "device", counted("device", SystemConfig.device))
+    result = analyze(fig2_config, store)
+    assert result.models
     write_outputs(result, tmp_path)
     assert calls == {"attack_evidence": 1, "node_depths": 1, "device": 0}
 
