@@ -8,16 +8,17 @@ the phrases against a device-role lexicon, then bind the matched roles to
 concrete devices through the app's device map and emit one Horn rule per
 (action, trigger-alternative) pair.
 
-The role lexicon and the part-of-speech table live in ``data/lexicon.json``.
+The role lexicon and the part-of-speech table live in ``data/lexicon.json``;
+edit that file to change them.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .logic import Atom, HornRule
 from .model import DEVICE_TYPES, EVENT_ATOMS, AppSpec, SystemConfig, normalize_name
@@ -75,11 +76,9 @@ class Lexicon:
     actions: tuple[LexiconRole, ...]
 
 
-def load_lexicon(path: str | Path | None = None) -> Lexicon:
-    if path is not None:
-        raw = json.loads(Path(path).read_text())
-    else:
-        raw = json.loads(resources.files("iotgraph.data").joinpath("lexicon.json").read_text())
+@functools.cache
+def load_lexicon() -> Lexicon:
+    raw = json.loads(resources.files("iotgraph.data").joinpath("lexicon.json").read_text())
     triggers, actions = [], []
     for entry in raw["roles"]:
         role = LexiconRole(
@@ -95,16 +94,6 @@ def load_lexicon(path: str | Path | None = None) -> Lexicon:
             raise ValueError(f"lexicon role {role.role!r} names unknown type {role.device_type!r}")
         (triggers if role.side == "trigger" else actions).append(role)
     return Lexicon(pos=dict(raw["pos"]), triggers=tuple(triggers), actions=tuple(actions))
-
-
-_DEFAULT_LEXICON: Lexicon | None = None
-
-
-def default_lexicon() -> Lexicon:
-    global _DEFAULT_LEXICON
-    if _DEFAULT_LEXICON is None:
-        _DEFAULT_LEXICON = load_lexicon()
-    return _DEFAULT_LEXICON
 
 
 def split_clauses(description: str) -> ClauseSplit:
@@ -156,7 +145,7 @@ def split_conjuncts(clause: str) -> tuple[str, list[str]]:
     return conn, sentences
 
 
-def extract_phrases(sentence: str, lexicon: Lexicon | None = None) -> PhrasePair:
+def extract_phrases(sentence: str) -> PhrasePair:
     """Chunk a simple sentence into noun phrases and verb phrases.
 
     Noun phrases follow determiner + adjectives + nouns; verb phrases are a
@@ -164,9 +153,9 @@ def extract_phrases(sentence: str, lexicon: Lexicon | None = None) -> PhrasePair
     nouns, which suits device vocabulary.
     """
 
-    lexicon = lexicon or default_lexicon()
+    pos = load_lexicon().pos
     tokens = _TOKEN.findall(sentence)
-    tags = [lexicon.pos.get(t.lower(), "NN") for t in tokens]
+    tags = [pos.get(t.lower(), "NN") for t in tokens]
     n = len(tokens)
     nps, vps = [], []
     i = 0
@@ -237,13 +226,10 @@ def _resolve_verb(role: LexiconRole, phrases: PhrasePair) -> str | None:
     return None
 
 
-def match_trigger(
-    sentence: str, phrases: PhrasePair, lexicon: Lexicon | None = None
-) -> TriggerMatch:
-    lexicon = lexicon or default_lexicon()
+def match_trigger(sentence: str, phrases: PhrasePair) -> TriggerMatch:
     np_sets = _np_token_sets(phrases)
     best: tuple[int, LexiconRole] | None = None
-    for role in lexicon.triggers:
+    for role in load_lexicon().triggers:
         score = _score(role, np_sets)
         if score > 0 and (best is None or score > best[0]):
             best = (score, role)
@@ -262,11 +248,10 @@ def match_trigger(
     return TriggerMatch(role.role, role.device_type, event)
 
 
-def match_action(sentence: str, phrases: PhrasePair, lexicon: Lexicon | None = None) -> ActionMatch:
-    lexicon = lexicon or default_lexicon()
+def match_action(sentence: str, phrases: PhrasePair) -> ActionMatch:
     np_sets = _np_token_sets(phrases)
     best: tuple[int, LexiconRole, str] | None = None
-    for role in lexicon.actions:
+    for role in load_lexicon().actions:
         state = _resolve_verb(role, phrases)
         if state is None:
             continue
@@ -314,10 +299,9 @@ class AppSemantics:
         return f"conditional clause: {cond!r}\nmain clause: {main!r}"
 
 
-def parse_app_description(description: str, lexicon: Lexicon | None = None) -> AppSemantics:
+def parse_app_description(description: str) -> AppSemantics:
     """Run the full description pipeline: split, chunk, match."""
 
-    lexicon = lexicon or default_lexicon()
     if _NEGATION.search(description):
         raise AppParseError(f"negated conditions are not supported: {description!r}")
     split = split_clauses(description)
@@ -325,12 +309,10 @@ def parse_app_description(description: str, lexicon: Lexicon | None = None) -> A
     action_conn, action_sentences = split_conjuncts(split.main)
     if action_conn == "OR":
         raise AppParseError(f"alternative actions are ambiguous: {split.main!r}")
-    trigger_phrases = [extract_phrases(s, lexicon) for s in trigger_sentences]
-    action_phrases = [extract_phrases(s, lexicon) for s in action_sentences]
-    triggers = [
-        match_trigger(s, p, lexicon) for s, p in zip(trigger_sentences, trigger_phrases)
-    ]
-    actions = [match_action(s, p, lexicon) for s, p in zip(action_sentences, action_phrases)]
+    trigger_phrases = [extract_phrases(s) for s in trigger_sentences]
+    action_phrases = [extract_phrases(s) for s in action_sentences]
+    triggers = [match_trigger(s, p) for s, p in zip(trigger_sentences, trigger_phrases)]
+    actions = [match_action(s, p) for s, p in zip(action_sentences, action_phrases)]
     return AppSemantics(
         split=split,
         trigger_conn=trigger_conn,

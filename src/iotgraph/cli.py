@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .apps import AppBindError, AppParseError, bind_app, parse_app_description
 from .cvestore import CveStore, StoreError
+from .exploits import EFFECT_KINDS, PRECONDITION_KINDS
 from .logic import LogicError, parse_atom
 from .model import ConfigError, parse_config
 from .pipeline import analyze, render_summary, write_outputs
@@ -82,12 +83,20 @@ def _load_overrides(path: str | None) -> dict | None:
         raise CliError(f"cannot read overrides {path}: {exc}", EXIT_CONFIG) from exc
     if not isinstance(data, dict):
         raise CliError(f"overrides {path} must be a JSON object keyed by CVE id", EXIT_CONFIG)
+    kinds = {"precondition": PRECONDITION_KINDS, "effect": EFFECT_KINDS}
     for cve, entry in data.items():
-        if not isinstance(entry, dict) or not set(entry) <= {"precondition", "effect"}:
+        if not isinstance(entry, dict) or not set(entry) <= set(kinds):
             raise CliError(
                 f"override for {cve} must be an object with precondition/effect keys",
                 EXIT_CONFIG,
             )
+        for key, value in entry.items():
+            if value not in kinds[key]:
+                raise CliError(
+                    f"override for {cve}: {key} must be one of {', '.join(kinds[key])}, "
+                    f"not {value!r}",
+                    EXIT_CONFIG,
+                )
     return data
 
 

@@ -200,6 +200,3 @@ class LogicProgram:
         for fact in self.facts:
             if not fact.is_ground():
                 raise LogicError(f"fact is not ground: {fact.render()}")
-
-    def is_ground(self) -> bool:
-        return all(r.is_ground() for r in self.rules)

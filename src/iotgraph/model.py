@@ -15,13 +15,12 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
+from .logic import LogicError, parse_atom
+
 
 class ConfigError(ValueError):
     """Invalid configuration document."""
 
-
-# The six physical channels devices can sense or tamper with.
-CHANNELS = ("temperature", "humidity", "illuminance", "voice", "smoke", "water")
 
 SCALAR_CHANNELS = ("temperature", "humidity", "illuminance")
 
@@ -55,7 +54,6 @@ class DeviceTypeInfo:
     sensor: bool = False
     actuator: bool = False
     voice_emitter: bool = False
-    voice_receiver: bool = False
     senses: frozenset[str] = frozenset()
     # (channel, level) pairs this type drives when switched on.
     affect_states: tuple[tuple[str, str], ...] = ()
@@ -64,13 +62,6 @@ class DeviceTypeInfo:
     events: tuple[str, ...] = ()
     # States an attacker with command injection can set.
     settable: tuple[str, ...] = ()
-
-    @property
-    def affects(self) -> frozenset[str]:
-        out = {channel for channel, _ in self.affect_states}
-        if self.voice_emitter:
-            out.add("voice")
-        return frozenset(out)
 
 
 def _t(name: str, predicate: str, **kw: Any) -> DeviceTypeInfo:
@@ -85,14 +76,7 @@ DEVICE_TYPES: dict[str, DeviceTypeInfo] = {
         _t("router", "router"),
         _t("gateway", "gateway"),
         _t("camera", "camera", actuator=True, voice_emitter=True, settable=_ON_OFF),
-        _t(
-            "speaker",
-            "speaker",
-            actuator=True,
-            voice_emitter=True,
-            voice_receiver=True,
-            settable=_ON_OFF,
-        ),
+        _t("speaker", "speaker", actuator=True, voice_emitter=True, settable=_ON_OFF),
         _t("bulb", "bulb", actuator=True, affect_states=(("illuminance", "high"),), settable=_ON_OFF),
         _t("outlet", "outlet", actuator=True, settable=_ON_OFF),
         _t("lock", "lock", actuator=True, settable=("unlock", "locked")),
@@ -168,15 +152,6 @@ assert len(DEVICE_TYPES) == 26
 OPENER_TYPES = frozenset({"door-opener", "window-opener"})
 
 
-def role_flags(device_type: str) -> DeviceTypeInfo:
-    """Look up the fixed role table entry for a device type."""
-
-    try:
-        return DEVICE_TYPES[device_type]
-    except KeyError:
-        raise ConfigError(f"unknown device type: {device_type!r}") from None
-
-
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
 
 
@@ -203,10 +178,6 @@ class NetworkSpec:
     name: str
     atom: str
     protocol: str
-
-    @property
-    def low_power(self) -> bool:
-        return self.protocol in LOW_POWER_PROTOCOLS
 
 
 @dataclass(frozen=True)
@@ -274,51 +245,6 @@ class SystemConfig:
             out.setdefault(d.atom, d)
             out.setdefault(d.name, d)
         return out
-
-    def to_document(self) -> str:
-        """Serialize back to canonical JSON text.
-
-        parse_config(config.to_document()) reproduces the config, and the
-        text is byte-stable for identical configs.
-        """
-
-        display = {n.atom: n.name for n in self.networks}
-        display.update({d.atom: d.name for d in self.devices})
-        doc: dict[str, Any] = {"devices": [], "networks": []}
-        for d in self.devices:
-            item: dict[str, Any] = {
-                "name": d.name,
-                "type": d.device_type,
-                "network": [display[n] for n in d.networks],
-            }
-            if d.physically_exposed:
-                item["physically_exposed"] = True
-            if d.plugs_into:
-                item["plugs_into"] = display[d.plugs_into]
-            if d.locked_by:
-                item["locked_by"] = display[d.locked_by]
-            if d.supplied_by:
-                item["supplied_by"] = display[d.supplied_by]
-            doc["devices"].append(item)
-        for n in self.networks:
-            doc["networks"].append({"name": n.name, "type": n.protocol})
-        if self.apps:
-            doc["apps"] = [
-                {
-                    "App name": a.name,
-                    "description": a.description,
-                    "device map": dict(a.device_map),
-                }
-                for a in self.apps
-            ]
-        doc["attacker"] = {
-            "has_internet": self.attacker.has_internet,
-            "radio_adjacent": [display[n] for n in self.attacker.radio_adjacent],
-            "physical_access": [display[d] for d in self.attacker.physical_access],
-        }
-        if self.goals:
-            doc["goals"] = list(self.goals)
-        return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
 def _require(cond: bool, message: str) -> None:
@@ -485,6 +411,10 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     goals = []
     for g in goals_raw:
         _require(isinstance(g, str) and g.strip() != "", f"{source}: goals must be atom strings")
+        try:
+            parse_atom(g)
+        except LogicError as exc:
+            raise ConfigError(f"{source}: bad goal: {exc}") from None
         goals.append(g.strip())
 
     return SystemConfig(

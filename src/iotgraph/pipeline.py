@@ -20,7 +20,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .apps import AppBindError, AppParseError, BoundApp, bind_app, parse_app_description
 from .cvestore import CveRecord, CveStore
-from .exploits import ExploitModel, KeywordTables, models_for
+from .exploits import ExploitModel, models_for
 from .logic import Atom
 from .metrics import GoalResult
 from .model import SystemConfig
@@ -71,7 +71,6 @@ def scan_devices(config: SystemConfig, store: CveStore) -> list[DeviceFinding]:
 def build_models(
     config: SystemConfig,
     findings: list[DeviceFinding],
-    tables: KeywordTables | None = None,
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> list[ExploitModel]:
     networks = {n.atom: n for n in config.networks}
@@ -84,7 +83,7 @@ def build_models(
             if overrides and record.cve_id in overrides:
                 entry = overrides[record.cve_id]
                 override = (entry.get("precondition"), entry.get("effect"))
-            out.extend(models_for(device, record, networks, tables, override=override))
+            out.extend(models_for(device, record, networks, override=override))
     return out
 
 
@@ -106,7 +105,6 @@ def analyze(
     config: SystemConfig,
     store: CveStore,
     extra_goals: tuple[Atom, ...] = (),
-    tables: KeywordTables | None = None,
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> AnalysisResult:
     timings: dict[str, float] = {}
@@ -116,7 +114,7 @@ def analyze(
     timings["scan"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    models = build_models(config, findings, tables, overrides)
+    models = build_models(config, findings, overrides)
     timings["classify"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -104,7 +104,7 @@ class AttackGraph:
 @dataclass
 class SaturationResult:
     derived: set[Atom]
-    fired: list[tuple[int, HornRule]]
+    fired: list[HornRule]
     fired_by_head: dict[Atom, list[int]]
 
 
@@ -121,15 +121,14 @@ def saturate(program: LogicProgram) -> SaturationResult:
     rules = list(program.rules)
     counts: list[int] = []
     watchers: dict[Atom, list[int]] = {}
-    fired: list[tuple[int, HornRule]] = []
+    fired: list[HornRule] = []
     fired_by_head: dict[Atom, list[int]] = {}
     queue: list[Atom] = []
     derived: set[Atom] = set()
 
-    def fire(index: int) -> None:
-        rule = rules[index]
+    def fire(rule: HornRule) -> None:
         firing_id = len(fired)
-        fired.append((index, rule))
+        fired.append(rule)
         fired_by_head.setdefault(rule.head, []).append(firing_id)
         if rule.head not in known and rule.head not in derived:
             derived.add(rule.head)
@@ -142,7 +141,7 @@ def saturate(program: LogicProgram) -> SaturationResult:
         for atom in missing:
             watchers.setdefault(atom, []).append(i)
         if not missing:
-            fire(i)
+            fire(rule)
 
     while queue:
         atom = queue.pop()
@@ -150,7 +149,7 @@ def saturate(program: LogicProgram) -> SaturationResult:
         for i in watchers.pop(atom, []):
             counts[i] -= 1
             if counts[i] == 0:
-                fire(i)
+                fire(rules[i])
 
     return SaturationResult(derived=derived, fired=fired, fired_by_head=fired_by_head)
 
@@ -190,7 +189,7 @@ def build_attack_graph(
             if firing_id in needed_firings:
                 continue
             needed_firings.add(firing_id)
-            _, rule = result.fired[firing_id]
+            rule = result.fired[firing_id]
             for body_atom in rule.body:
                 if body_atom not in needed_atoms:
                     needed_atoms.add(body_atom)
@@ -202,9 +201,9 @@ def build_attack_graph(
     firing_order = sorted(
         needed_firings,
         key=lambda fid: (
-            result.fired[fid][1].label,
-            result.fired[fid][1].head.render(),
-            tuple(a.render() for a in result.fired[fid][1].body),
+            result.fired[fid].label,
+            result.fired[fid].head.render(),
+            tuple(a.render() for a in result.fired[fid].body),
             fid,
         ),
     )
@@ -222,14 +221,14 @@ def build_attack_graph(
         atom_node[atom] = add(FACT, render_fact(atom), atom=atom)
     firing_node: dict[int, int] = {}
     for fid in firing_order:
-        _, rule = result.fired[fid]
+        rule = result.fired[fid]
         text = rule.label or rule.head.render()
         firing_node[fid] = add(RULE, text, rule=rule)
     for atom in derived_atoms:
         atom_node[atom] = add(DERIVATION, atom.render(), atom=atom)
 
     for fid in firing_order:
-        _, rule = result.fired[fid]
+        rule = result.fired[fid]
         body_parents = []
         for body_atom in rule.body:
             pid = atom_node[body_atom]
@@ -238,7 +237,7 @@ def build_attack_graph(
         parents[firing_node[fid]] = tuple(body_parents)
     derivation_parents: dict[int, list[int]] = {}
     for fid in firing_order:
-        _, rule = result.fired[fid]
+        rule = result.fired[fid]
         derivation_parents.setdefault(atom_node[rule.head], []).append(firing_node[fid])
     for nid, ps in derivation_parents.items():
         parents[nid] = tuple(sorted(ps))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .apps import BoundApp
-from .exploits import ExploitModel, exploit_rule_parts
+from .exploits import EFFECTS, PRECONDITIONS, ExploitModel
 from .logic import Atom, HornRule, LogicError, LogicProgram, render_fact
 from .model import DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
 
@@ -299,53 +299,24 @@ def build_capability_rules() -> list[HornRule]:
     return rules
 
 
-_SCHEMA_PRE = {
-    "network": ("network", (Atom("attackerOnInternet"),)),
-    "adjacentPhysically": (
-        "adjacentPhysically(N)",
-        (Atom("inNetwork", ("D", "N")), Atom("attackerAdjacentPhysically", ("N",))),
-    ),
-    "adjacentLogically": (
-        "adjacentLogically(N)",
-        (Atom("inNetwork", ("D", "N")), Atom("attackerAdjacentLogically", ("N",))),
-    ),
-    "local": ("local(D)", (Atom("attackerLocal", ("D",)),)),
-    "physical": ("physical(D)", (Atom("attackerPhysicalAccess", ("D",)),)),
-}
-
-_SCHEMA_EFFECT = {
-    "root": ("rootPrivilege(D)", Atom("attackerRoot", ("D",))),
-    "deviceControl": ("deviceControl(D)", Atom("attackerDeviceControl", ("D",))),
-    "commandInjection": ("commandInjection(D)", Atom("attackerCommandInjection", ("D",))),
-    "eventAccess": ("eventAccess(D)", Atom("attackerEventAccess", ("D",))),
-    "wifiAccess": ("wifiAccess(N2)", Atom("attackerInNetwork", ("N2",))),
-    "dos": ("dos(D)", Atom("dos", ("D",))),
-}
-
-
 def build_exploit_schemas() -> list[HornRule]:
     """The thirty generic exploit rules, one per (precondition, effect).
 
     These document the semantics; the reasoner works on rules instantiated
-    per classified CVE, whose vulProperty terms carry concrete protocol
-    prefixes and network scopes.
+    per classified CVE (``ExploitModel.rule``), whose vulProperty terms carry
+    concrete protocol prefixes and network scopes.
     """
 
     out = []
-    for pre_kind, (pre_term, pre_atoms) in _SCHEMA_PRE.items():
-        for effect, (effect_term, head) in _SCHEMA_EFFECT.items():
-            body = [
+    for pre_kind, (pre_term, pre_atoms) in PRECONDITIONS.items():
+        for effect, (functor, head) in EFFECTS.items():
+            effect_term = f"{functor}({head.args[0]})"
+            body = (
                 Atom("vulExists", ("D", "V")),
                 Atom("vulProperty", ("V", pre_term, effect_term)),
                 *pre_atoms,
-            ]
-            out.append(
-                HornRule(
-                    head,
-                    tuple(body),
-                    label=f"exploit schema: {effect} via {pre_kind}",
-                )
             )
+            out.append(HornRule(head, body, label=f"exploit schema: {effect} via {pre_kind}"))
     return out
 
 
@@ -486,11 +457,11 @@ def compile_system(
     exploit_rules = []
     seen_rules: set[tuple] = set()
     for model in models:
-        head, body, label = exploit_rule_parts(model)
-        key = (head, tuple(body))
+        rule = model.rule()
+        key = (rule.head, rule.body)
         if key not in seen_rules:
             seen_rules.add(key)
-            exploit_rules.append(HornRule(head, tuple(body), label=label))
+            exploit_rules.append(rule)
 
     app_rules = [rule for bound in bound_apps for rule in bound.rules]
 

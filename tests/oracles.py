@@ -10,15 +10,21 @@ evidence truncation can change the fixpoint, the reference is the plain
 full sweep (``full_sweep_node_depths`` and ``full_sweep_attack_evidence``):
 every node evaluated on every pass, in node order, which the package's
 incremental sweep must reproduce exactly.
+
+Exploit rules and their vulProperty terms are checked against a case-by-case
+construction (``exploit_rule_parts``, ``pre_term``, ``effect_term``) that
+does not read the package's ``PRECONDITIONS`` and ``EFFECTS`` tables.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 
 from iotgraph.logic import Atom
 from iotgraph.metrics import Evidence
+from iotgraph.model import NetworkSpec
 from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, Node
 
 CatSet = frozenset[int]
@@ -365,3 +371,75 @@ def random_cyclic_attack_graph(rng: random.Random) -> AttackGraph:
         goal_nodes={atom: did for atom, did in zip(goals, deriv_ids)},
         reachable={atom: True for atom in goals},
     )
+
+
+# ---------------------------------------------------------------------------
+# Exploit rules built case by case, without the precondition/effect tables.
+# ``exploit_rule_parts`` reads ``model.network``: the granted network when the
+# effect grants one, else the adjacency network.
+
+_EFFECT_HEAD_PRED = {
+    "root": "attackerRoot",
+    "deviceControl": "attackerDeviceControl",
+    "commandInjection": "attackerCommandInjection",
+    "eventAccess": "attackerEventAccess",
+    "wifiAccess": "attackerInNetwork",
+    "dos": "dos",
+}
+
+_EFFECT_TERM_FUNCTOR = {
+    "root": "rootPrivilege",
+    "deviceControl": "deviceControl",
+    "commandInjection": "commandInjection",
+    "eventAccess": "eventAccess",
+    "dos": "dos",
+}
+
+
+def pre_term(kind: str, device: str, network: NetworkSpec | None) -> str:
+    if kind == "network":
+        return "network"
+    if kind == "local":
+        return f"local({device})"
+    if kind == "physical":
+        return f"physical({device})"
+    assert network is not None
+    suffix = "AdjacentPhysically" if kind == "adjacentPhysically" else "AdjacentLogically"
+    return f"{network.protocol}{suffix}({network.atom})"
+
+
+def effect_term(effect: str, device: str, grant: NetworkSpec | None) -> str:
+    if effect == "wifiAccess":
+        assert grant is not None
+        return f"{'wifi' if grant.protocol == 'wifi' else 'network'}Access({grant.atom})"
+    return f"{_EFFECT_TERM_FUNCTOR[effect]}({device})"
+
+
+def exploit_rule_parts(model) -> tuple[Atom, list[Atom], str]:
+    """Ground head, body, and label for one exploit model's attack rule."""
+
+    body = list(model.facts())
+    if model.precondition == "network":
+        body.append(Atom("attackerOnInternet"))
+    elif model.precondition == "local":
+        body.append(Atom("attackerLocal", (model.device,)))
+    elif model.precondition == "physical":
+        body.append(Atom("attackerPhysicalAccess", (model.device,)))
+    else:
+        assert model.network is not None
+        scope = re.search(r"\(([A-Za-z0-9_]+)\)$", model.pre_term).group(1)
+        body.append(Atom("inNetwork", (model.device, scope)))
+        pred = (
+            "attackerAdjacentPhysically"
+            if model.precondition == "adjacentPhysically"
+            else "attackerAdjacentLogically"
+        )
+        body.append(Atom(pred, (scope,)))
+
+    if model.effect == "wifiAccess":
+        head = Atom("attackerInNetwork", (model.network,))
+    else:
+        head_pred = _EFFECT_HEAD_PRED[model.effect]
+        head = Atom(head_pred, (model.device,))
+    label = f"exploit {model.cve_id} @ {model.device}"
+    return head, body, label

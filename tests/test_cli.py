@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 import pytest
 
@@ -113,6 +114,39 @@ def test_model_rejects_malformed_overrides(store_path, tmp_path, capsys):
         ]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["analyze", "model"])
+@pytest.mark.parametrize(
+    "entry",
+    [{"effect": "explode"}, {"precondition": "teleport"}, {"effect": 5}, {"precondition": None}],
+    ids=["unknown-effect", "unknown-precondition", "number", "null"],
+)
+def test_invalid_override_kind_exits_2(store_path, tmp_path, capsys, command, entry):
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text(json.dumps({"CVE-2020-6007": entry}))
+    argv = [command, "--store", store_path, "--config", fixture_path("fig2")]
+    if command == "analyze":
+        argv += ["--out", str(tmp_path / "run")]
+    code = main(argv + ["--overrides", str(overrides)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: override for CVE-2020-6007:")
+    assert not (tmp_path / "run").exists()
+
+
+def test_malformed_goal_in_config_exits_2(store_path, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(fixture_path("fig2")).read_text())
+    doc["goals"] = ["unlock(frontLock"]
+    cfg = tmp_path / "home.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(
+        ["analyze", "--store", store_path, "--config", str(cfg), "--out", str(tmp_path / "run")]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: invalid config")
+    assert "unlock(frontLock" in err
 
 
 def test_missing_config_exits_2(store_path, capsys):

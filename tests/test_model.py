@@ -79,9 +79,7 @@ def test_device_index_returns_what_device_returns():
 def test_parse_config_network_protocols():
     cfg = parse_config(minimal_doc(), source="test")
     assert cfg.network("wifi1").protocol == "wifi"
-    assert not cfg.network("wifi1").low_power
     assert cfg.network("zigbee1").protocol == "zigbee"
-    assert cfg.network("zigbee1").low_power
 
 
 def test_parse_config_accepts_json_text():
@@ -175,6 +173,13 @@ def test_goals_parsed_and_kept():
     assert cfg.goals == ("attackerRoot(dLinkRouter)",)
 
 
+def test_malformed_goal_rejected():
+    doc = minimal_doc()
+    doc["goals"] = ["unlock(frontLock"]
+    with pytest.raises(ConfigError, match="unlock\\(frontLock"):
+        parse_config(doc, source="test")
+
+
 def test_apps_parsed():
     doc = minimal_doc()
     doc["devices"].append({"name": "Hue Wifi Bulb", "type": "bulb", "network": ["wifi1"]})
@@ -188,16 +193,6 @@ def test_apps_parsed():
     cfg = parse_config(doc, source="test")
     assert cfg.apps[0].name == "Night Light"
     assert cfg.apps[0].device_map == (("bulb", "Hue Wifi Bulb"),)
-
-
-def test_to_document_round_trips():
-    doc = minimal_doc()
-    doc["goals"] = ["attackerRoot(dLinkRouter)"]
-    cfg = parse_config(doc, source="test")
-    again = parse_config(cfg.to_document(), source="round-trip")
-    assert [d.atom for d in again.devices] == [d.atom for d in cfg.devices]
-    assert again.goals == cfg.goals
-    assert again.attacker == cfg.attacker
 
 
 def test_device_catalog_is_complete():
