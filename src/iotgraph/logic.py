@@ -1,11 +1,11 @@
 """Horn-clause representation and the clause text syntax.
 
-Atoms are ``predicate(arg, ...)`` with string arguments. An argument whose
-first character is an uppercase letter is a variable; the static rule
-libraries carry variables, everything the reasoner consumes is ground.
-Arguments may themselves be term-shaped strings (``wifiAdjacentLogically(wifi1)``)
-which render bare, while arguments with other punctuation (CVE ids) render
-single-quoted.
+Atoms are ``predicate(arg, ...)`` with string arguments. Predicates and
+constants are identifiers (``[a-z][A-Za-z0-9_]*``), variables the same with
+an uppercase first letter; a term-shaped argument (``dos(D)``) may hold
+variables and renders bare like them, other arguments (CVE ids) render
+single-quoted. Static rule libraries carry variables, everything the reasoner
+consumes is ground; range restriction is checked where a head has variables.
 """
 
 from __future__ import annotations
@@ -18,38 +18,46 @@ class LogicError(ValueError):
     """Malformed atom, rule, or program."""
 
 
-_BARE_ARG = re.compile(r"^[a-z][A-Za-z0-9_]*$")
-_TERM_ARG = re.compile(r"^[a-z][A-Za-z0-9_]*\([A-Za-z0-9_, ]*\)$")
-_VARIABLE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
+_IDENT = r"[a-z][A-Za-z0-9_]*"
+_VAR = r"[A-Z][A-Za-z0-9_]*"
+_IDENTIFIER = re.compile(rf"^{_IDENT}$")
+_INNER_VARIABLE = re.compile(rf"\b{_VAR}\b")
+# What renders bare: a variable, a term or an identifier. ``_shape`` gives
+# "var" or "term" for the first two and None for anything else.
+_BARE_ARG = re.compile(rf"^(?:(?P<var>{_VAR})|(?P<term>{_IDENT}\([A-Za-z0-9_, ]*\))|{_IDENT})$")
+
+
+def _shape(arg: str) -> str | None:
+    m = _BARE_ARG.match(arg)
+    return m and m.lastgroup
 
 
 def is_variable(arg: str) -> bool:
-    return bool(_VARIABLE.match(arg))
-
-
-_INNER_VARIABLE = re.compile(r"\b[A-Z][A-Za-z0-9_]*\b")
+    return _shape(arg) == "var"
 
 
 def arg_variables(arg: str) -> set[str]:
     """Variables in an argument, looking inside term-shaped arguments."""
 
-    if is_variable(arg):
+    shape = _shape(arg)
+    if shape == "var":
         return {arg}
-    if _TERM_ARG.match(arg):
+    if shape == "term":
         return set(_INNER_VARIABLE.findall(arg))
     return set()
 
 
 def substitute_arg(arg: str, binding: dict[str, str]) -> str:
-    if is_variable(arg):
+    shape = _shape(arg)
+    if shape == "var":
         return binding.get(arg, arg)
-    if _TERM_ARG.match(arg) and _INNER_VARIABLE.search(arg):
+    if shape == "term":
         return _INNER_VARIABLE.sub(lambda m: binding.get(m.group(0), m.group(0)), arg)
     return arg
 
 
 def render_arg(arg: str) -> str:
-    if is_variable(arg) or _BARE_ARG.match(arg) or _TERM_ARG.match(arg):
+    if _BARE_ARG.match(arg):
         return arg
     return "'" + arg.replace("'", "\\'") + "'"
 
@@ -62,7 +70,7 @@ class Atom:
     args: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not self.pred or not re.match(r"^[a-z][A-Za-z0-9_]*$", self.pred):
+        if not _IDENTIFIER.match(self.pred):
             raise LogicError(f"bad predicate name: {self.pred!r}")
         object.__setattr__(self, "args", tuple(self.args))
 
@@ -106,6 +114,8 @@ class HornRule:
         if not self.body:
             raise LogicError(f"rule {self.label or self.head.render()!r} has an empty body")
         head_vars = self.head.variables()
+        if not head_vars:
+            return
         body_vars = set().union(*(a.variables() for a in self.body))
         domain_vars = {name for name, _ in self.var_domains}
         loose = head_vars - body_vars - domain_vars
@@ -114,9 +124,6 @@ class HornRule:
                 f"rule {self.label or self.head.render()!r} is not range-restricted: "
                 f"head variables {sorted(loose)} missing from the body"
             )
-
-    def is_ground(self) -> bool:
-        return self.head.is_ground() and all(a.is_ground() for a in self.body)
 
     def variables(self) -> set[str]:
         out = self.head.variables()
@@ -143,7 +150,7 @@ def render_fact(atom: Atom) -> str:
     return atom.render() + "."
 
 
-_ATOM_TEXT = re.compile(r"^\s*([a-z][A-Za-z0-9_]*)\s*(?:\((.*)\))?\s*\.?\s*$", re.S)
+_ATOM_TEXT = re.compile(rf"^\s*({_IDENT})\s*(?:\((.*)\))?\s*\.?\s*$", re.S)
 
 
 def _split_args(text: str) -> list[str]:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Any
 
-from .logic import LogicError, parse_atom
+from .logic import Atom, LogicError, parse_atom
 
 
 class ConfigError(ValueError):
@@ -219,7 +219,7 @@ class SystemConfig:
     networks: tuple[NetworkSpec, ...]
     apps: tuple[AppSpec, ...] = ()
     attacker: AttackerProfile = field(default_factory=AttackerProfile)
-    goals: tuple[str, ...] = ()
+    goals: tuple[Atom, ...] = ()
 
     def device(self, key: str) -> DeviceSpec:
         for d in self.devices:
@@ -412,10 +412,9 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     for g in goals_raw:
         _require(isinstance(g, str) and g.strip() != "", f"{source}: goals must be atom strings")
         try:
-            parse_atom(g)
+            goals.append(parse_atom(g))
         except LogicError as exc:
             raise ConfigError(f"{source}: bad goal: {exc}") from None
-        goals.append(g.strip())
 
     return SystemConfig(
         devices=tuple(resolved),

@@ -84,6 +84,9 @@ def build_models(
                 entry = overrides[record.cve_id]
                 override = (entry.get("precondition"), entry.get("effect"))
             out.extend(models_for(device, record, networks, override=override))
+    found = {record.cve_id for finding in findings for record in finding.records}
+    for cve_id in sorted((overrides or {}).keys() - found):
+        log.warning("override for %s matches no CVE found on a device; ignored", cve_id)
     return out
 
 

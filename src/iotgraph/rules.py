@@ -17,7 +17,7 @@ from itertools import product
 
 from .apps import BoundApp
 from .exploits import EFFECTS, PRECONDITIONS, ExploitModel
-from .logic import Atom, HornRule, LogicError, LogicProgram, render_fact
+from .logic import Atom, HornRule, LogicError, LogicProgram, is_variable, render_fact
 from .model import DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
 
 # Predicates that appear in the fact base (as opposed to derived conditions).
@@ -324,12 +324,12 @@ def build_exploit_schemas() -> list[HornRule]:
 # Grounding
 
 
-def _unify(atom: Atom, fact: Atom, binding: dict[str, str]) -> dict[str, str] | None:
-    if atom.pred != fact.pred or len(atom.args) != len(fact.args):
+def _unify(atom: Atom, var_at: tuple[bool, ...], fact: Atom, binding: dict) -> dict | None:
+    if len(atom.args) != len(fact.args):
         return None
     out = dict(binding)
-    for a, f in zip(atom.args, fact.args):
-        if a[0].isupper() and a.isidentifier():
+    for a, is_var, f in zip(atom.args, var_at, fact.args):
+        if is_var:
             bound = out.get(a)
             if bound is None:
                 out[a] = f
@@ -347,7 +347,8 @@ def ground_static_rules(
 
     Body atoms whose predicate lives in the fact base bind variables by
     joining; variables left over take values from the rule's declared
-    fallback domains.
+    fallback domains. Every binding a join yields binds the same variables,
+    so the leftover variables and their pools are worked out once per rule.
     """
 
     fact_index: dict[str, list[Atom]] = {}
@@ -357,41 +358,33 @@ def ground_static_rules(
     out: list[HornRule] = []
     seen: set[tuple] = set()
     for rule in rules:
-        bindings = [dict()]
+        bindings = [{}]
         for atom in rule.body:
-            if atom.pred not in STATIC_FACT_PREDS or not atom.variables():
-                continue
-            next_bindings = []
-            for binding in bindings:
-                for f in fact_index.get(atom.pred, []):
-                    extended = _unify(atom, f, binding)
-                    if extended is not None:
-                        next_bindings.append(extended)
-            bindings = next_bindings
-            if not bindings:
-                break
+            if atom.pred in STATIC_FACT_PREDS and atom.variables():
+                var_at = tuple(map(is_variable, atom.args))
+                bindings = [
+                    b
+                    for binding in bindings
+                    for f in fact_index.get(atom.pred, [])
+                    if (b := _unify(atom, var_at, f, binding)) is not None
+                ]
+        if not bindings:
+            continue
+        free = sorted(rule.variables() - set(bindings[0]))
         fallback = dict(rule.var_domains)
-        for binding in bindings:
-            free = sorted(rule.variables() - set(binding))
-            pools = []
-            for var in free:
-                domain = fallback.get(var)
-                if domain is None:
-                    raise LogicError(
-                        f"rule {rule.label!r}: variable {var} has neither a fact "
-                        f"binding nor a fallback domain"
-                    )
-                pools.append(domains.get(domain, []))
-            for combo in product(*pools):
-                full = dict(binding)
-                full.update(zip(free, combo))
-                ground = rule.substitute(full)
-                if not ground.is_ground():
-                    raise LogicError(f"rule {rule.label!r} did not ground fully: {ground.render()}")
-                key = (ground.head, ground.body)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(ground)
+        for var in free:
+            if var not in fallback:
+                raise LogicError(
+                    f"rule {rule.label!r}: variable {var} has neither a fact "
+                    f"binding nor a fallback domain"
+                )
+        pools = [domains.get(fallback[var], []) for var in free]
+        for binding, combo in product(bindings, product(*pools)):
+            ground = rule.substitute(binding | dict(zip(free, combo)))
+            key = (ground.head, ground.body)
+            if key not in seen:
+                seen.add(key)
+                out.append(ground)
     return out
 
 
@@ -419,8 +412,6 @@ def compile_system(
     bound_apps: list[BoundApp],
     extra_goals: tuple[Atom, ...] = (),
 ) -> CompiledSystem:
-    from .logic import parse_atom
-
     blocks = config_fact_blocks(config)
     config_facts = [a for block in blocks for a in block]
     atk_facts = attacker_facts(config)
@@ -465,9 +456,7 @@ def compile_system(
 
     app_rules = [rule for bound in bound_apps for rule in bound.rules]
 
-    goals: list[Atom] = []
-    for text in config.goals:
-        goals.append(parse_atom(text))
+    goals = list(config.goals)
     for atom in extra_goals:
         if atom not in goals:
             goals.append(atom)

@@ -14,6 +14,11 @@ incremental sweep must reproduce exactly.
 Exploit rules and their vulProperty terms are checked against a case-by-case
 construction (``exploit_rule_parts``, ``pre_term``, ``effect_term``) that
 does not read the package's ``PRECONDITIONS`` and ``EFFECTS`` tables.
+
+Grounding is checked against verbatim copies of the earlier grounder and of
+the argument syntax functions it used (``ground_static_rules``,
+``render_arg``, ``arg_variables``, ``substitute_arg``), which classify each
+argument with separate regular expressions.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ from __future__ import annotations
 import math
 import random
 import re
+from itertools import product
 
-from iotgraph.logic import Atom
+from iotgraph.logic import Atom, HornRule, LogicError
 from iotgraph.metrics import Evidence
 from iotgraph.model import NetworkSpec
 from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, Node
+from iotgraph.rules import STATIC_FACT_PREDS
 
 CatSet = frozenset[int]
 
@@ -443,3 +450,143 @@ def exploit_rule_parts(model) -> tuple[Atom, list[Atom], str]:
         head = Atom(head_pred, (model.device,))
     label = f"exploit {model.cve_id} @ {model.device}"
     return head, body, label
+
+
+# ---------------------------------------------------------------------------
+# Grounding as it was before each library rule's joins and fallback pools
+# were worked out once per rule: the argument syntax functions verbatim, and
+# ``ground_static_rules`` verbatim except that the ``variables``,
+# ``substitute`` and ``is_ground`` methods it called are replaced by the
+# helpers below, which use the copied argument functions.
+
+_BARE_ARG = re.compile(r"^[a-z][A-Za-z0-9_]*$")
+_TERM_ARG = re.compile(r"^[a-z][A-Za-z0-9_]*\([A-Za-z0-9_, ]*\)$")
+_VARIABLE = re.compile(r"^[A-Z][A-Za-z0-9_]*$")
+
+
+def is_variable(arg: str) -> bool:
+    return bool(_VARIABLE.match(arg))
+
+
+_INNER_VARIABLE = re.compile(r"\b[A-Z][A-Za-z0-9_]*\b")
+
+
+def arg_variables(arg: str) -> set[str]:
+    """Variables in an argument, looking inside term-shaped arguments."""
+
+    if is_variable(arg):
+        return {arg}
+    if _TERM_ARG.match(arg):
+        return set(_INNER_VARIABLE.findall(arg))
+    return set()
+
+
+def substitute_arg(arg: str, binding: dict[str, str]) -> str:
+    if is_variable(arg):
+        return binding.get(arg, arg)
+    if _TERM_ARG.match(arg) and _INNER_VARIABLE.search(arg):
+        return _INNER_VARIABLE.sub(lambda m: binding.get(m.group(0), m.group(0)), arg)
+    return arg
+
+
+def render_arg(arg: str) -> str:
+    if is_variable(arg) or _BARE_ARG.match(arg) or _TERM_ARG.match(arg):
+        return arg
+    return "'" + arg.replace("'", "\\'") + "'"
+
+
+def atom_variables(atom: Atom) -> set[str]:
+    out: set[str] = set()
+    for a in atom.args:
+        out |= arg_variables(a)
+    return out
+
+
+def rule_variables(rule: HornRule) -> set[str]:
+    out = atom_variables(rule.head)
+    for a in rule.body:
+        out |= atom_variables(a)
+    return out
+
+
+def _substitute_atom(atom: Atom, binding: dict[str, str]) -> Atom:
+    return Atom(atom.pred, tuple(substitute_arg(a, binding) for a in atom.args))
+
+
+def _substitute_rule(rule: HornRule, binding: dict[str, str]) -> HornRule:
+    return HornRule(
+        _substitute_atom(rule.head, binding),
+        tuple(_substitute_atom(a, binding) for a in rule.body),
+        rule.label,
+    )
+
+
+def _unify(atom: Atom, fact: Atom, binding: dict[str, str]) -> dict[str, str] | None:
+    if atom.pred != fact.pred or len(atom.args) != len(fact.args):
+        return None
+    out = dict(binding)
+    for a, f in zip(atom.args, fact.args):
+        if a[0].isupper() and a.isidentifier():
+            bound = out.get(a)
+            if bound is None:
+                out[a] = f
+            elif bound != f:
+                return None
+        elif a != f:
+            return None
+    return out
+
+
+def ground_static_rules(
+    rules: list[HornRule], facts: list[Atom], domains: dict[str, list[str]]
+) -> list[HornRule]:
+    """Instantiate variable rules against the fact base.
+
+    Body atoms whose predicate lives in the fact base bind variables by
+    joining; variables left over take values from the rule's declared
+    fallback domains.
+    """
+
+    fact_index: dict[str, list[Atom]] = {}
+    for f in facts:
+        fact_index.setdefault(f.pred, []).append(f)
+
+    out: list[HornRule] = []
+    seen: set[tuple] = set()
+    for rule in rules:
+        bindings = [dict()]
+        for atom in rule.body:
+            if atom.pred not in STATIC_FACT_PREDS or not atom_variables(atom):
+                continue
+            next_bindings = []
+            for binding in bindings:
+                for f in fact_index.get(atom.pred, []):
+                    extended = _unify(atom, f, binding)
+                    if extended is not None:
+                        next_bindings.append(extended)
+            bindings = next_bindings
+            if not bindings:
+                break
+        fallback = dict(rule.var_domains)
+        for binding in bindings:
+            free = sorted(rule_variables(rule) - set(binding))
+            pools = []
+            for var in free:
+                domain = fallback.get(var)
+                if domain is None:
+                    raise LogicError(
+                        f"rule {rule.label!r}: variable {var} has neither a fact "
+                        f"binding nor a fallback domain"
+                    )
+                pools.append(domains.get(domain, []))
+            for combo in product(*pools):
+                full = dict(binding)
+                full.update(zip(free, combo))
+                ground = _substitute_rule(rule, full)
+                if rule_variables(ground):
+                    raise LogicError(f"rule {rule.label!r} did not ground fully: {ground.render()}")
+                key = (ground.head, ground.body)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(ground)
+    return out

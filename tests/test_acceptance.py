@@ -288,11 +288,16 @@ def test_criterion_08_patch_soundness(capsys, store):
 
 
 def test_criterion_09_scaling(capsys, store):
-    tracemalloc.start()
+    def run_50():
+        return analyze(synthesize(50, seed=SEED), store)
+
+    # Time and peak memory in separate passes: tracemalloc slows Python
+    # allocation several-fold.
     t0 = time.perf_counter()
-    cfg = synthesize(50, seed=SEED)
-    result = analyze(cfg, store)
+    result = run_50()
     wall = time.perf_counter() - t0
+    tracemalloc.start()
+    run_50()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert len(result.graph.nodes) > 0 or not result.any_reachable

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -133,6 +136,30 @@ def test_invalid_override_kind_exits_2(store_path, tmp_path, capsys, command, en
     assert code == 2
     assert err.startswith("error: override for CVE-2020-6007:")
     assert not (tmp_path / "run").exists()
+
+
+def test_unmatched_override_id_warns_on_stderr(store_path, tmp_path):
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text(
+        json.dumps({"CVE-9999-0001": {"effect": "dos"}, "CVE-2020-6007": {"effect": "dos"}})
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env.pop("IOTGRAPH_STORE", None)
+    argv = ["model", "--store", store_path, "--config", fixture_path("fig2")]
+    proc = subprocess.run(
+        [sys.executable, "-m", "iotgraph.cli", *argv, "--overrides", str(overrides)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        "WARNING iotgraph.pipeline: override for CVE-9999-0001 matches no CVE found "
+        "on a device; ignored"
+    ]
+    assert "CVE-2020-6007 @ hueBridge: precondition=adjacentPhysically effect=dos" in proc.stdout
 
 
 def test_malformed_goal_in_config_exits_2(store_path, tmp_path, capsys):

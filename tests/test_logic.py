@@ -95,7 +95,7 @@ def test_rule_substitute_and_render():
         label="vent",
     )
     ground = rule.substitute({"Door": "d1"})
-    assert ground.is_ground()
+    assert not ground.variables()
     assert ground.render() == "open(d1) :-\n    doorOpener(d1),\n    smoke."
 
 

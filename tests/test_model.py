@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from iotgraph.logic import Atom
 from iotgraph.model import (
     DEVICE_TYPES,
     ConfigError,
@@ -170,7 +171,7 @@ def test_goals_parsed_and_kept():
     doc = minimal_doc()
     doc["goals"] = ["attackerRoot(dLinkRouter)"]
     cfg = parse_config(doc, source="test")
-    assert cfg.goals == ("attackerRoot(dLinkRouter)",)
+    assert cfg.goals == (Atom("attackerRoot", ("dLinkRouter",)),)
 
 
 def test_malformed_goal_rejected():
