@@ -6,20 +6,35 @@ Four queries, all driven by the AND/OR structure:
   value iteration (facts cost 0, an AND step costs one more than its
   deepest input, an OR picks its cheapest option) and read back as an
   executable step list.
-* ``attack_evidence``: for every node, the set of CVE combinations that
-  suffice to reach it. Combinations are bitmasks over the graph's CVE
-  universe; AND merges by pairwise union, OR by set union.
-* ``blast_radius``: everything an attacker can reach using one single CVE.
-* ``patch_set``: a small set of CVEs whose removal disconnects a goal,
-  chosen greedily over the goal's evidence.
+* ``attack_evidence``: for every node, its minimal CVE combinations: the
+  sets of CVEs that suffice to reach it and have no sufficient proper
+  subset. Combinations are bitmasks over the graph's CVE universe, and a
+  node's tags form an antichain (no mask contains another), the
+  minimal-cut-set view of AND/OR attack graphs. AND merges by pairwise
+  union, OR by set union, each followed by dropping every mask that
+  contains another.
+* ``blast_radius``: the derived conditions for which one CVE alone is a
+  minimal way in.
+* ``patch_set``: a minimum set of CVEs whose removal disconnects a goal,
+  i.e. a minimum hitting set of the goal's combinations, found by branch
+  and bound. A search that exceeds ``PATCH_SEARCH_BUDGET`` falls back to
+  a greedy cover, and the plan says so (``kind == "greedy"``).
 
-Depths and evidence are fixpoints, found by sweeping ``graph.nodes`` in
-order until a pass changes nothing. A sweep re-evaluates only the nodes one
-of whose inputs changed since their last evaluation; any other node would
-compute the value it already holds. The order itself stays pinned: the
-graph can have cycles, capped evidence nodes lie on them, and truncation is
-not monotone, so evaluating in another order (by strongly connected
-component, say) could settle on different tags.
+Depths and evidence are fixpoints, found by sweeping ``graph.nodes`` until
+a pass changes nothing. A sweep re-evaluates only the nodes one of whose
+inputs changed since their last evaluation; any other node would compute
+the value it already holds. Both merges are monotone on a finite lattice
+(the up-sets of CVE combinations), so the sweep reaches the least fixpoint
+whatever order it visits the nodes in, and on a cyclic graph too.
+
+One safety valve bounds the work: a node whose antichain would exceed
+``EVIDENCE_CAP`` masks keeps its ``EVIDENCE_CAP - 1`` smallest masks plus
+the intersection of the rest, joined with its previous value. That replaces
+masks by subsets, so every real combination still contains a stored mask
+and a blocking patch plan stays blocking; each node's up-set only grows, so
+the sweep still terminates. The nodes it touched, and everything derived
+from them, are listed in ``Evidence.approximate`` and their goals are
+reported as approximate.
 
 ``pipeline.analyze`` runs the depth, evidence, trace and patch queries once
 and keeps their results; ``render_report`` only formats them, computing
@@ -29,7 +44,7 @@ nothing but the blast radii, which no other output needs.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 
 from .logic import Atom
@@ -37,50 +52,72 @@ from .reasoner import DERIVATION, FACT, RULE, AttackGraph, Node
 
 CatSet = frozenset[int]
 
+# Largest antichain a node stores before the safety valve over-approximates.
 EVIDENCE_CAP = 4096
+
+# Masks the exact patch planner may examine before it falls back to greedy.
+PATCH_SEARCH_BUDGET = 100_000
 
 # The evidence of a node that needs no CVE; the identity of the AND merge.
 NO_CVE: CatSet = frozenset({0})
 
 
-def merge_ae_or(a: CatSet, b: CatSet) -> CatSet:
-    """Alternative routes: either side's combinations work."""
+def _set_bits(mask: int) -> Iterator[int]:
+    """The single-bit masks of the bits set in ``mask``, lowest first."""
 
-    return a | b
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def minimal_masks(masks: Iterable[int]) -> CatSet:
+    """The masks that contain no other mask of the collection."""
+
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        # Only a mask with fewer CVEs can be a proper subset.
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return frozenset(kept)
+
+
+def merge_ae_or(a: CatSet, b: CatSet) -> CatSet:
+    """Alternative routes: the minimal combinations of either side."""
+
+    if not a or a == b:
+        return b
+    if not b:
+        return a
+    return minimal_masks(a | b)
 
 
 def merge_ae_and(a: CatSet, b: CatSet) -> CatSet:
-    """Joint requirements: one combination from each side, unioned."""
+    """Joint requirements: one combination from each side, unioned, minimal."""
 
     if a == NO_CVE:
         return b
     if b == NO_CVE:
         return a
-    return frozenset(x | y for x in a for y in b)
+    return minimal_masks(x | y for x in a for y in b)
 
 
-def _truncate(tags: CatSet) -> CatSet:
-    """The ``EVIDENCE_CAP`` smallest masks by (CVE count, value).
+def _valve(tags: CatSet) -> CatSet:
+    """At most ``EVIDENCE_CAP`` masks whose up-set contains that of ``tags``.
 
-    Masks are grouped by CVE count; only the group that crosses the cap is
-    sorted.
+    Keeps the ``EVIDENCE_CAP - 1`` smallest masks by (CVE count, value) and
+    replaces the rest by their intersection, a subset of each of them.
     """
 
-    cap = EVIDENCE_CAP
-    if len(tags) <= cap:
-        return tags
-    by_count: list[list[int]] = [[] for _ in range(max(tags).bit_length() + 1)]
-    for t in tags:
-        by_count[t.bit_count()].append(t)
-    kept: list[int] = []
-    for group in by_count:
-        room = cap - len(kept)
-        if len(group) > room:
-            group = sorted(group)[:room]
-        kept += group
-        if len(kept) == cap:
-            break
-    return frozenset(kept)
+    ordered = sorted(tags, key=lambda t: (t.bit_count(), t))
+    keep = EVIDENCE_CAP - 1
+    rest = -1
+    for t in ordered[keep:]:
+        rest &= t
+    return minimal_masks(ordered[:keep] + [rest])
 
 
 def _sweep(
@@ -94,7 +131,10 @@ def _sweep(
     its inputs changed since: a change marks the node's children dirty, so a
     later child is evaluated in the same pass and an earlier one in the next.
     Skipped nodes would have computed the value they hold, so the result is
-    that of evaluating every node on every pass.
+    that of evaluating every node on every pass. When ``evaluate`` is
+    monotone and every value can only grow finitely often, as for depths
+    and evidence, the result is the least fixpoint and does not depend on
+    the order of ``graph.nodes``.
     """
 
     work = [
@@ -223,8 +263,15 @@ def shortest_trace(
 
 @dataclass
 class Evidence:
+    """Minimal CVE combinations per node, as masks over ``universe``.
+
+    ``approximate`` holds the nodes whose tags the safety valve
+    over-approximated, directly or through an input.
+    """
+
     universe: tuple[str, ...]
     tags: dict[int, CatSet]
+    approximate: frozenset[int] = frozenset()
 
     def bit(self, cve_id: str) -> int | None:
         try:
@@ -235,12 +282,7 @@ class Evidence:
     def cves_in(self, tag: int) -> tuple[str, ...]:
         """The CVEs of a combination, in universe order; visits set bits only."""
 
-        names = []
-        while tag:
-            low = tag & -tag
-            names.append(self.universe[low.bit_length() - 1])
-            tag ^= low
-        return tuple(names)
+        return tuple(self.universe[b.bit_length() - 1] for b in _set_bits(tag))
 
     def render_tags(self, node_id: int) -> str:
         tags = sorted(self.tags.get(node_id, frozenset()))
@@ -252,16 +294,18 @@ class Evidence:
 
 
 def attack_evidence(graph: AttackGraph) -> Evidence:
-    """Fixpoint of the evidence lattice over the graph.
+    """Least fixpoint of the minimal-combination lattice over the graph.
 
     Facts carry ``{their CVE bit}`` if they assert a vulnerability and
     ``{0}`` otherwise; rule nodes fold their inputs with the AND merge,
-    derivations with the OR merge. Oversized tag sets are truncated to the
-    smallest combinations to keep cyclic graphs bounded.
+    derivations with the OR merge. Every node's tags are an antichain, and
+    the result does not depend on the order ``_sweep`` visits nodes in.
 
-    ``_sweep`` re-evaluates only the nodes whose inputs changed and keeps
-    the pinned node order: truncation is not monotone and capped nodes lie
-    on cycles, so another order could reach other tags.
+    A node whose antichain would exceed ``EVIDENCE_CAP`` goes through the
+    safety valve (``_valve``) after joining its previous value, so its
+    up-set only grows and the sweep terminates. The valve's nodes and all
+    nodes derived from them make up ``Evidence.approximate``; no valve
+    firing means every tag set is exact.
     """
 
     universe: list[str] = []
@@ -282,6 +326,8 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
         else:
             tags[n.node_id] = frozenset()
 
+    valved: set[int] = set()
+
     def evaluate(n: Node, ps: tuple[int, ...]) -> CatSet:
         if n.kind == RULE:
             acc = NO_CVE
@@ -291,14 +337,44 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
             acc = frozenset()
             for p in ps:
                 acc = merge_ae_or(acc, tags[p])
-        return _truncate(acc)
+        nid = n.node_id
+        if nid in valved or len(acc) > EVIDENCE_CAP:
+            # The valve is not monotone; joining the previous value keeps
+            # this node's up-set growing.
+            acc = merge_ae_or(acc, tags[nid])
+            if len(acc) > EVIDENCE_CAP:
+                valved.add(nid)
+                acc = _valve(acc)
+        return acc
 
     _sweep(graph, tags, evaluate)
-    return Evidence(universe=tuple(universe), tags=tags)
+    return Evidence(universe=tuple(universe), tags=tags, approximate=_downstream(graph, valved))
+
+
+def _downstream(graph: AttackGraph, start: set[int]) -> frozenset[int]:
+    """``start`` and every node with an input in it, transitively."""
+
+    if not start:
+        return frozenset()
+    children: dict[int, list[int]] = {}
+    for nid, ps in graph.parents.items():
+        for p in ps:
+            children.setdefault(p, []).append(nid)
+    seen = set(start)
+    stack = list(start)
+    while stack:
+        for c in children.get(stack.pop(), ()):
+            if c not in seen:
+                seen.add(c)
+                stack.append(c)
+    return frozenset(seen)
 
 
 def blast_radius(graph: AttackGraph, evidence: Evidence, cve_id: str) -> tuple[Atom, ...]:
-    """Derived conditions reachable with this CVE and nothing else."""
+    """Derived conditions for which this CVE alone is a minimal way in.
+
+    A condition that needs no CVE at all is not in any CVE's blast radius.
+    """
 
     b = evidence.bit(cve_id)
     if b is None:
@@ -319,44 +395,117 @@ class PatchPlan:
     goal: Atom
     verdict: str  # "unreachable" | "unpatchable" | "blocked"
     cves: tuple[str, ...]
+    kind: str = "minimum"  # "minimum" | "greedy": whether ``cves`` is a proven minimum
 
     def render(self) -> str:
         if self.verdict == "unreachable":
             return f"goal {self.goal.render()}: already unreachable"
         if self.verdict == "unpatchable":
             return f"goal {self.goal.render()}: reachable without any CVE, patching cannot block it"
-        return f"goal {self.goal.render()}: blocked by patching " + ", ".join(self.cves)
+        text = f"goal {self.goal.render()}: blocked by patching " + ", ".join(self.cves)
+        return text + " (greedy)" if self.kind == "greedy" else text
+
+
+class _OverBudget(Exception):
+    pass
+
+
+def _greedy_cover(masks: list[int], bits: list[int]) -> list[int]:
+    """An irredundant hitting set: greedy by cover, then redundant picks dropped.
+
+    Each round picks the bit hitting the most masks not yet hit, the first
+    in ``bits`` on ties. Covers are counted once and decremented as masks
+    get hit. Afterwards picks are dropped, latest first, while every mask
+    stays hit.
+    """
+
+    cover = dict.fromkeys(bits, 0)
+    for t in masks:
+        for b in _set_bits(t):
+            cover[b] += 1
+    remaining = set(masks)
+    picked: list[int] = []
+    while remaining:
+        best = max(bits, key=cover.__getitem__)
+        picked.append(best)
+        for t in [t for t in remaining if t & best]:
+            remaining.discard(t)
+            for b in _set_bits(t):
+                cover[b] -= 1
+    for b in reversed(picked[:]):
+        rest = sum(picked) - b
+        if all(t & rest for t in masks):
+            picked.remove(b)
+    return picked
+
+
+def _minimum_cover(masks: list[int], bits: list[int], upper: list[int]) -> list[int]:
+    """A minimum hitting set of ``masks`` by branch and bound.
+
+    Starts from the hitting set ``upper`` and replaces it only by a smaller
+    one. Branches on the bits of the unhit mask with the fewest bits and
+    prunes with the number of pairwise disjoint unhit masks, a lower bound
+    on the bits still needed. Raises ``_OverBudget`` once the search has
+    examined more than ``PATCH_SEARCH_BUDGET`` masks.
+    """
+
+    best = upper
+    examined = 0
+
+    def search(unhit: list[int], chosen: list[int]) -> None:
+        nonlocal best, examined
+        examined += len(unhit)
+        if examined > PATCH_SEARCH_BUDGET:
+            raise _OverBudget
+        if not unhit:
+            best = chosen
+            return
+        disjoint, used = 0, 0
+        for t in unhit:
+            if not t & used:
+                used |= t
+                disjoint += 1
+        if len(chosen) + disjoint >= len(best):
+            return
+        pivot = unhit[0]
+        for b in bits:
+            if pivot & b:
+                search([t for t in unhit if not t & b], chosen + [b])
+
+    search(sorted(masks, key=lambda t: (t.bit_count(), t)), [])
+    return best
 
 
 def patch_set(graph: AttackGraph, evidence: Evidence, goal: Atom) -> PatchPlan:
-    """Greedy minimum hitting set over the goal's evidence tags.
+    """A minimum set of CVEs whose patching breaks every way to the goal.
 
-    Every tag is one way in; a patch breaks a tag when it removes at least
-    one CVE the tag needs. Ties go to the lexicographically first CVE id.
+    Each of the goal's minimal combinations is one way in; patching breaks
+    it when it removes at least one CVE the combination needs, so a plan is
+    a hitting set of the combinations. The greedy cover is the first upper
+    bound of an exact branch-and-bound search; a search past
+    ``PATCH_SEARCH_BUDGET`` keeps the greedy cover and marks the plan
+    ``greedy``. Either way the plan is irredundant, and its CVEs are listed
+    in id order.
     """
 
     node_id = graph.goal_nodes.get(goal)
     if node_id is None:
         return PatchPlan(goal=goal, verdict="unreachable", cves=())
-    remaining = set(evidence.tags.get(node_id, frozenset()))
-    if not remaining:
+    masks = list(evidence.tags.get(node_id, frozenset()))
+    if not masks:
         return PatchPlan(goal=goal, verdict="unreachable", cves=())
-    if 0 in remaining:
+    if 0 in masks:
         return PatchPlan(goal=goal, verdict="unpatchable", cves=())
 
-    bits = [(cve, evidence.bit(cve)) for cve in sorted(evidence.universe)]
-    picked: list[str] = []
-    while remaining:
-        best_cve, best_bit, best_cover = None, 0, -1
-        for cve, b in bits:
-            cover = sum(1 for t in remaining if t & b)
-            if cover > best_cover:
-                best_cve, best_bit, best_cover = cve, b, cover
-        if best_cve is None or best_cover <= 0:
-            return PatchPlan(goal=goal, verdict="unpatchable", cves=())
-        picked.append(best_cve)
-        remaining = {t for t in remaining if not t & best_bit}
-    return PatchPlan(goal=goal, verdict="blocked", cves=tuple(picked))
+    name = {evidence.bit(cve): cve for cve in sorted(evidence.universe)}
+    bits = list(name)
+    greedy = _greedy_cover(masks, bits)
+    try:
+        picked, kind = _minimum_cover(masks, bits, greedy), "minimum"
+    except _OverBudget:
+        picked, kind = greedy, "greedy"
+    cves = tuple(sorted(name[b] for b in picked))
+    return PatchPlan(goal=goal, verdict="blocked", cves=cves, kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +519,7 @@ class GoalResult:
     depth: int | None
     trace: Trace | None
     patch: PatchPlan
+    exact: bool  # False when the evidence safety valve touched the goal's tags
 
 
 def render_report(
@@ -392,7 +542,8 @@ def render_report(
             lines.append(f"goal {r.goal.render()}: unreachable")
             continue
         lines.append(r.trace.render())
-        lines.append(f"  evidence: {evidence.render_tags(graph.goal_nodes[r.goal])}")
+        approximate = "" if r.exact else " (approximate)"
+        lines.append(f"  evidence: {evidence.render_tags(graph.goal_nodes[r.goal])}{approximate}")
         lines.append("  " + r.patch.render())
     for cve in evidence.universe:
         lines.append("")

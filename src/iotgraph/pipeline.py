@@ -149,6 +149,7 @@ def analyze(
                 depth=trace.depth if trace else None,
                 trace=trace,
                 patch=patch,
+                exact=graph.goal_nodes.get(goal) not in evidence.approximate,
             )
         )
     timings["metrics"] = time.perf_counter() - t0
@@ -238,8 +239,9 @@ def render_summary(result: AnalysisResult) -> str:
     ]
     for r in result.goal_results:
         if r.reachable:
+            approximate = "" if r.exact else " (approximate)"
             lines.append(
-                f"goal {r.goal.render()}: REACHABLE depth {r.depth}; {r.patch.render()}"
+                f"goal {r.goal.render()}: REACHABLE depth {r.depth}; {r.patch.render()}{approximate}"
             )
         else:
             lines.append(f"goal {r.goal.render()}: unreachable")

@@ -5,11 +5,13 @@ proof trees or trace subgraphs, deliberately avoiding the fixpoint
 algorithms the package uses. Agreement between the two strategies on
 randomized inputs is the correctness argument for the fast path.
 
-Enumeration only covers small acyclic graphs. For cyclic graphs, where
-evidence truncation can change the fixpoint, the reference is the plain
-full sweep (``full_sweep_node_depths`` and ``full_sweep_attack_evidence``):
-every node evaluated on every pass, in node order, which the package's
-incremental sweep must reproduce exactly.
+Enumeration only covers small acyclic graphs. For cyclic graphs the
+reference is the plain full sweep (``full_sweep_node_depths`` and
+``full_sweep_attack_evidence``): every node evaluated on every pass, in node
+order, over full combination sets with no reduction. The package keeps only
+the minimal combinations, so its evidence must equal ``minimal_subset`` of
+the reference's (with a cap large enough that the reference never
+truncates), and of ``proof_masks`` on acyclic graphs.
 
 Exploit rules and their vulProperty terms are checked against a case-by-case
 construction (``exploit_rule_parts``, ``pre_term``, ``effect_term``) that
@@ -96,6 +98,13 @@ def proof_summaries(graph: AttackGraph, node_id: int) -> set[tuple[int, int]]:
         return {(h + 1, m) for h, m in combos}
 
     return walk(node_id, frozenset())
+
+
+def minimal_subset(masks) -> frozenset[int]:
+    """The masks no other mask of the collection is a proper subset of."""
+
+    masks = frozenset(masks)
+    return frozenset(m for m in masks if not any(o != m and o & m == o for o in masks))
 
 
 def min_proof_height(graph: AttackGraph, node_id: int) -> int | None:

@@ -39,6 +39,7 @@ from oracles import (
     count_attack_traces,
     evidence_universe,
     min_proof_height,
+    minimal_subset,
     proof_masks,
     random_attack_dag,
 )
@@ -194,7 +195,7 @@ def test_criterion_06_randomized_metric_equivalence(capsys):
             continue
         bad = False
         for node in graph.derivation_nodes():
-            if evidence.tags[node.node_id] != proof_masks(graph, node.node_id):
+            if evidence.tags[node.node_id] != minimal_subset(proof_masks(graph, node.node_id)):
                 bad = True
                 break
         if not bad:
@@ -203,7 +204,7 @@ def test_criterion_06_randomized_metric_equivalence(capsys):
                 expected = {
                     n.atom
                     for n in graph.derivation_nodes()
-                    if bit in proof_masks(graph, n.node_id)
+                    if bit in minimal_subset(proof_masks(graph, n.node_id))
                 }
                 if set(blast_radius(graph, evidence, cve)) != expected:
                     bad = True
@@ -221,25 +222,34 @@ def test_criterion_06_randomized_metric_equivalence(capsys):
     assert mismatches == 0
 
 
+def _is_antichain(tags: frozenset[int]) -> bool:
+    return all(a == b or a & b != a for a in tags for b in tags)
+
+
 def test_criterion_07_evidence_algebra(capsys):
     rng = random.Random(SEED + 7)
     zero = frozenset({0})
 
     def rand_set():
-        return frozenset(rng.randint(0, 63) for _ in range(rng.randint(0, 4)))
+        return minimal_subset(rng.randint(0, 63) for _ in range(rng.randint(0, 4)))
 
     n_triples = 10000
     failures = 0
     for _ in range(n_triples):
         a, b, c = rand_set(), rand_set(), rand_set()
+        either, both = merge_ae_or(a, b), merge_ae_and(a, b)
         checks = (
             merge_ae_or(a, a) == a,
-            merge_ae_or(a, b) == merge_ae_or(b, a),
-            merge_ae_or(merge_ae_or(a, b), c) == merge_ae_or(a, merge_ae_or(b, c)),
-            merge_ae_and(a, b) == merge_ae_and(b, a),
-            merge_ae_and(merge_ae_and(a, b), c) == merge_ae_and(a, merge_ae_and(b, c)),
+            either == merge_ae_or(b, a),
+            merge_ae_or(either, c) == merge_ae_or(a, merge_ae_or(b, c)),
+            both == merge_ae_and(b, a),
+            merge_ae_and(both, c) == merge_ae_and(a, merge_ae_and(b, c)),
             merge_ae_and(a, zero) == a,
             merge_ae_and(zero, a) == a,
+            _is_antichain(either),
+            _is_antichain(both),
+            either == minimal_subset(a | b),
+            both == minimal_subset(x | y for x in a for y in b),
         )
         if not all(checks):
             failures += 1
@@ -255,27 +265,28 @@ def test_criterion_07_evidence_algebra(capsys):
 
 
 def test_criterion_08_patch_soundness(capsys, store):
-    fixtures = ("listing10", "hall_light", "fig2", "system28", "system37")
+    configs = [
+        (name, load_fixture_config(name))
+        for name in ("listing10", "hall_light", "fig2", "system28", "system37")
+    ]
+    configs += [(f"synth{n}", synthesize(n, seed=SEED + n)) for n in (40, 80, 120)]
     checked = 0
     unsound = []
-    for name in fixtures:
-        cfg = load_fixture_config(name)
+    for name, cfg in configs:
         result = analyze(cfg, store)
         program = result.compiled.program
+        blocked: dict[tuple[str, ...], list] = {}
         for gr in result.goal_results:
-            if not gr.reachable or gr.patch.verdict != "blocked":
-                continue
-            checked += 1
-            patched = set(gr.patch.cves)
+            if gr.reachable and gr.patch.verdict == "blocked":
+                blocked.setdefault(gr.patch.cves, []).append(gr.goal)
+        # Goals that share a plan share one re-saturation.
+        for cves, goals in blocked.items():
             kept = tuple(
-                f
-                for f in program.facts
-                if not (f.pred == "vulExists" and f.args[1] in patched)
+                f for f in program.facts if not (f.pred == "vulExists" and f.args[1] in cves)
             )
-            residual = LogicProgram(facts=kept, rules=program.rules)
-            sat = saturate(residual)
-            if gr.goal in set(kept) | sat.derived:
-                unsound.append((name, gr.goal.render()))
+            reached = set(kept) | saturate(LogicProgram(facts=kept, rules=program.rules)).derived
+            checked += len(goals)
+            unsound += [(name, goal.render()) for goal in goals if goal in reached]
     ok = checked > 0 and not unsound
     report(
         capsys,

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
-from hypothesis import given
+import pytest
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from iotgraph.logic import HornRule, LogicProgram, parse_atom
+from iotgraph import metrics
 from iotgraph.metrics import (
     Evidence,
     GoalResult,
@@ -13,6 +16,7 @@ from iotgraph.metrics import (
     blast_radius,
     merge_ae_and,
     merge_ae_or,
+    minimal_masks,
     node_depths,
     patch_set,
     render_report,
@@ -20,9 +24,33 @@ from iotgraph.metrics import (
 )
 from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, Node, build_attack_graph
 
-cat_sets = st.frozensets(st.integers(min_value=0, max_value=63), max_size=5)
+from oracles import minimal_subset
+
+# Node tags are antichains: reduce each drawn set to its minimal masks.
+cat_sets = st.frozensets(st.integers(min_value=0, max_value=63), max_size=5).map(minimal_subset)
 
 ZERO = frozenset({0})
+
+
+def is_antichain(tags: frozenset[int]) -> bool:
+    return all(a == b or a & b != a for a in tags for b in tags)
+
+
+@given(st.frozensets(st.integers(min_value=0, max_value=255), max_size=12))
+def test_minimal_masks_keeps_exactly_the_minimal_ones(masks):
+    assert minimal_masks(masks) == minimal_subset(masks)
+
+
+@given(cat_sets, cat_sets)
+def test_merges_return_antichains(a, b):
+    assert is_antichain(merge_ae_or(a, b))
+    assert is_antichain(merge_ae_and(a, b))
+
+
+@given(cat_sets, cat_sets)
+def test_reduced_merges_equal_reduced_full_merges(a, b):
+    assert merge_ae_or(a, b) == minimal_subset(a | b)
+    assert merge_ae_and(a, b) == minimal_subset(x | y for x in a for y in b)
 
 
 @given(cat_sets)
@@ -226,10 +254,10 @@ def test_attack_evidence_merges_and_or():
     p_node = graph.goal_nodes[parse_atom("p(x)")]
     q_node = graph.goal_nodes[parse_atom("q(x)")]
     assert evidence.tags[p_node] == frozenset({1, 2})
-    assert evidence.tags[q_node] == frozenset({2, 3})
-    assert evidence.render_tags(q_node) == (
-        "[{CVE-2001-1001}, {CVE-2001-1000, CVE-2001-1001}]"
-    )
+    # {A, B} also reaches q, but it contains {B}: only minimal ways are kept.
+    assert evidence.tags[q_node] == frozenset({2})
+    assert evidence.render_tags(q_node) == "[{CVE-2001-1001}]"
+    assert evidence.approximate == frozenset()
 
 
 def test_blast_radius_single_cve_membership():
@@ -256,7 +284,91 @@ def test_patch_set_greedy_lexicographic_on_ties():
     evidence = attack_evidence(graph)
     plan = patch_set(graph, evidence, parse_atom("p(x)"))
     assert plan.verdict == "blocked"
+    assert plan.kind == "minimum"
     assert plan.cves == ("CVE-2001-1000", "CVE-2001-1001")
+    assert "(greedy)" not in plan.render()
+
+
+# ---------------------------------------------------------------------------
+# Patch plans over given combinations
+
+
+def plan_for(masks: frozenset[int], n_cves: int):
+    """The plan ``patch_set`` makes for a goal whose tags are ``masks``."""
+
+    goal = parse_atom("g(x)")
+    graph = AttackGraph(
+        nodes=[Node(1, DERIVATION, "g(x)", atom=goal)],
+        parents={},
+        goals=(goal,),
+        goal_nodes={goal: 1},
+        reachable={goal: True},
+    )
+    universe = tuple(f"CVE-2001-{1000 + i}" for i in range(n_cves))
+    evidence = Evidence(universe=universe, tags={1: masks})
+    plan = patch_set(graph, evidence, goal)
+    return plan, [evidence.bit(cve) for cve in plan.cves]
+
+
+def blocks(patched, masks) -> bool:
+    return all(t & sum(patched) for t in masks)
+
+
+def brute_force_minimum(masks, n_cves: int) -> int:
+    for size in range(n_cves + 1):
+        for picked in combinations([1 << i for i in range(n_cves)], size):
+            if blocks(picked, masks):
+                return size
+    raise AssertionError("no hitting set")
+
+
+def ways_in(max_cves: int):
+    """(antichain of nonzero masks, universe size), universe at most ``max_cves``."""
+
+    return st.integers(min_value=1, max_value=max_cves).flatmap(
+        lambda n: st.tuples(
+            st.frozensets(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=10)
+            .map(minimal_subset),
+            st.just(n),
+        )
+    )
+
+
+@given(ways_in(10))
+def test_minimum_plans_match_brute_force(case):
+    masks, n = case
+    plan, patched = plan_for(masks, n)
+    assert plan.verdict == "blocked" and plan.kind == "minimum"
+    assert blocks(patched, masks)
+    assert len(plan.cves) == brute_force_minimum(masks, n)
+    assert list(plan.cves) == sorted(plan.cves)
+
+
+@pytest.mark.parametrize("budget", [0, metrics.PATCH_SEARCH_BUDGET])
+@given(case=ways_in(12))
+# Greedy picks the first CVE, then the second and third, which make it redundant.
+@example(case=(frozenset({0b00011, 0b00101, 0b01010, 0b10100}), 5))
+def test_plans_are_irredundant(budget, case):
+    masks, n = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "PATCH_SEARCH_BUDGET", budget)
+        plan, patched = plan_for(masks, n)
+    assert plan.kind == ("greedy" if budget == 0 else "minimum")
+    assert blocks(patched, masks)
+    for b in patched:
+        assert not blocks([p for p in patched if p != b], masks)
+
+
+def test_search_past_the_budget_falls_back_to_greedy():
+    # Every three of fifteen CVEs: any thirteen CVEs block it, and proving
+    # that twelve cannot takes a search far past the budget.
+    n = 15
+    masks = frozenset(a | b | c for a, b, c in combinations([1 << i for i in range(n)], 3))
+    plan, patched = plan_for(masks, n)
+    assert plan.verdict == "blocked" and plan.kind == "greedy"
+    assert len(plan.cves) == n - 2
+    assert blocks(patched, masks)
+    assert plan.render().endswith(" (greedy)")
 
 
 def test_patch_set_looks_each_bit_up_once(monkeypatch):
@@ -308,7 +420,7 @@ def test_render_report_covers_goals_and_blast():
         trace = shortest_trace(graph, goal, depths)
         depth = trace.depth if trace else None
         patch = patch_set(graph, evidence, goal)
-        results.append(GoalResult(goal, trace is not None, depth, trace, patch))
+        results.append(GoalResult(goal, trace is not None, depth, trace, patch, exact=True))
     text = render_report(graph, evidence, results)
     assert "cve universe: CVE-2001-1000, CVE-2001-1001" in text
     assert "goal p(x) (depth" in text

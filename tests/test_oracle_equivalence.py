@@ -2,8 +2,10 @@
 
 The metrics module computes depths, evidence, and blast radii by value
 iteration over the whole graph. The oracle recomputes the same quantities by
-enumerating every acyclic proof tree. On small random graphs the two must
-agree exactly; any divergence is a bug in one of them.
+enumerating every acyclic proof tree; the engine keeps only the minimal CVE
+combinations, so its evidence is compared with the minimal subset of the
+enumerated ones. On small random graphs the two must agree exactly; any
+divergence is a bug in one of them.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from iotgraph.reasoner import DERIVATION, FACT, RULE
 from oracles import (
     evidence_universe,
     min_proof_height,
+    minimal_subset,
     proof_masks,
     random_attack_dag,
 )
@@ -51,7 +54,7 @@ def test_evidence_tags_match_proof_masks():
         evidence = attack_evidence(graph)
         assert evidence.universe == evidence_universe(graph), f"graph {i}"
         for node in graph.derivation_nodes():
-            expected = proof_masks(graph, node.node_id)
+            expected = minimal_subset(proof_masks(graph, node.node_id))
             got = evidence.tags[node.node_id]
             assert got == expected, f"graph {i} node {node.node_id}"
 
@@ -66,7 +69,7 @@ def test_blast_radius_matches_single_bit_proofs():
             expected = {
                 n.atom
                 for n in graph.derivation_nodes()
-                if bit in proof_masks(graph, n.node_id)
+                if bit in minimal_subset(proof_masks(graph, n.node_id))
             }
             got = set(blast_radius(graph, evidence, cve))
             assert got == expected, f"graph {i} cve {cve}"

@@ -28,7 +28,7 @@ PINS = {
         "program.pl": "d3a66cf519f9b09501dc13b06a13fcbb49c36b114573ab0eae10486b5454e188",
         "attack_graph.json": "d83f4e309aab9b96e73a63b8e33b171748953246d75e68162f9ec0a05057c3bc",
         "attack_graph.dot": "b0a19031a0a6f6340433da4070ee780dae892d5ebeda4653629c13174fe1feaf",
-        "metrics_report.txt": "a3308dc9aebcfe2f67818737740843c45d1c2a38a01a29cdb019a5c7b479f8d1",
+        "metrics_report.txt": "22fbe69d9c2e2375ed2ec3a16a08022bf94166890aa552319a9190ad9d0c1457",
         "run_manifest.json": "57dda0ad0d92d03398822bf6e6775c4f98a948b66f0f3f1d1d9a83e4ae779dd9",
         "summary": "03a5f27ecafdcd7318bdc97af5e3e9d409a917247ec402935875f7d6a2e3d7d9",
     },
@@ -44,23 +44,23 @@ PINS = {
         "program.pl": "ed6a00056505f57ff69ecdb6934173af43d2e58c35142097bdc20bc98b5721b8",
         "attack_graph.json": "835243a1af06754120f5c4cfe70d75034cd5f2b3b3d3cbed2922bb1afe0da636",
         "attack_graph.dot": "a9cf441e2f02b5519e449987fd43d8be14c197e74e2ea1c13c1f95b13dc55638",
-        "metrics_report.txt": "ca800066e9161258839e067e61508480e116c054ca852cb8075bbad62d535834",
-        "run_manifest.json": "9e246c3bc26b3511281546bba9e291aef7e7ecebd6128280806b4da7d1370345",
-        "summary": "be59b0139479adb18ad93da7937f42ab1861fe9bd05f90c719b5c2f61804450f",
+        "metrics_report.txt": "bf9e529dd7320c7f610790a563c1ce51672814b95facec7ff7a38ac2d96c726a",
+        "run_manifest.json": "4b0a3300a83904e05e4f21216f7115e6a4ec840fb9eb52de1a317a83da0d04fc",
+        "summary": "eb872e5d534f59d29319565e1f682222a491c6abc4200dc76a3ce6be689ce5d5",
     },
     "synth": {
         "program.pl": "8afa875091e3c1ba1dde081969588d9a06b8d0876a496a0cb1f1837d18fa9791",
         "attack_graph.json": "372af9e2823fcbfdaef46bf9031aabc47da662c43ad9a14cd2b103c3eeb8e230",
         "attack_graph.dot": "73c2f9e47044f133b66be1c7fdc9b04f6ed4a26b085c9e08a55245cb976d9573",
-        "metrics_report.txt": "d87a2291d6a8fcb8a8487d31a051d2a6577c1c926bd50172e09fa6bf0b10b4d0",
-        "run_manifest.json": "44e048b1ed2c82e5330f56587fc01bc24b53ab8ad654019ea907bc67579e454b",
-        "summary": "4d6f6246d3747f1557e18da589330ab4d6ddcbd9f726dbc4049d5685b29c7687",
+        "metrics_report.txt": "27f46f59b282ff0418b873424aa6a0ebe5c51cace92ad55217a928aaf994f805",
+        "run_manifest.json": "37a0779260d2707c201529049027979e57baba27393884807b43eb5c5db4d557",
+        "summary": "7f632c4a57b1b60489b0d49a2ac2a7dedbe6715e0a10fe1890709f70b582d844",
     },
     "system28": {
         "program.pl": "2d44e46f0f5f677c7ac6e576d8427d5b0d0831c8e85553562e6e2acb241d5813",
         "attack_graph.json": "6cc5846dbd51753d7c49594ff3c24daba8ac9610b1f635bde69ab78ca2d07f69",
         "attack_graph.dot": "dfc4d810e6a0e89b897e3cf3c45ee6b9c093e91bfdca0b3934d15c626b6d2a1b",
-        "metrics_report.txt": "165b28fd4d71e404855771c49bfb194fc8f2de5d25aa0000f0fc6bea90292a1b",
+        "metrics_report.txt": "430b1fc1325c79edc67f1f2e041c78d7ae29f6f8814ce6d1547e8ae5842479ba",
         "run_manifest.json": "bebf46b3141fe6d3d56fd9dc1b94411e350f35b8d703411b97ffad4cf01482b9",
         "summary": "df679f413119f857ced3bc69ba4e63a538486e9c2526c8a4c0953d849e599ad4",
     },

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from iotgraph import metrics
-from iotgraph.logic import parse_atom
+from iotgraph.logic import LogicProgram, parse_atom
 from iotgraph.model import SystemConfig, parse_config
 from iotgraph.pipeline import (
     analyze,
@@ -14,6 +14,9 @@ from iotgraph.pipeline import (
     scan_devices,
     write_outputs,
 )
+from iotgraph.reasoner import saturate
+
+from conftest import load_fixture_config
 
 
 @pytest.fixture(scope="module")
@@ -206,3 +209,38 @@ def test_render_summary_marks_unreachable(system28_config, store):
     summary = render_summary(result)
     assert "goal open(windowOpener): REACHABLE" in summary
     assert "goal unlock(ghostLock): unreachable" in summary
+
+
+# system28's antichains never hold more than one mask, so the valve cannot
+# fire there; fig2 at cap 1 and listing10 at caps 1 and 2 make it fire.
+@pytest.mark.parametrize(("name", "cap"), [("fig2", 1), ("listing10", 1), ("listing10", 2)])
+def test_evidence_valve_marks_goals_and_keeps_plans_sound(name, cap, store, monkeypatch):
+    config = load_fixture_config(name)
+    exact = analyze(config, store)
+    monkeypatch.setattr(metrics, "EVIDENCE_CAP", cap)
+    result = analyze(config, store)
+    assert result.evidence.approximate
+    assert all(len(tags) <= cap for tags in result.evidence.tags.values())
+    assert not all(r.exact for r in result.goal_results)
+
+    program = result.compiled.program
+    blocked = 0
+    for r, ref in zip(result.goal_results, exact.goal_results):
+        node = result.graph.goal_nodes[r.goal]
+        if r.exact:
+            assert result.evidence.tags[node] == exact.evidence.tags[node]
+        # Every real combination still contains a stored one.
+        stored = result.evidence.tags[node]
+        assert all(any(s & t == s for s in stored) for t in exact.evidence.tags[node])
+        if r.patch.verdict == "blocked":
+            blocked += 1
+            kept = tuple(
+                f for f in program.facts if not (f.pred == "vulExists" and f.args[1] in r.patch.cves)
+            )
+            assert r.goal not in saturate(LogicProgram(facts=kept, rules=program.rules)).derived
+    assert blocked
+
+    for run, marked in ((result, True), (exact, False)):
+        report = metrics.render_report(run.graph, run.evidence, run.goal_results)
+        assert ("(approximate)" in report) == marked
+        assert ("(approximate)" in render_summary(run)) == marked

@@ -1,10 +1,12 @@
-"""The incremental sweep against the full sweep it replaces.
+"""The incremental minimal-set sweep against the full-set full sweep.
 
 ``metrics.node_depths`` and ``metrics.attack_evidence`` re-evaluate a node
 only when one of its inputs changed. The full-sweep copies in ``oracles``
-evaluate every node on every pass. On cyclic graphs with a cap small enough
-that truncation fires inside cycles, the two must agree exactly; and the
-incremental sweep must do less work.
+evaluate every node on every pass, and the evidence copy keeps every
+combination, not only the minimal ones. On cyclic graphs the engine's tags
+must equal the minimal subset of the copy's, whatever order the nodes are
+visited in; with a small cap the safety valve must still terminate and only
+over-approximate; and the incremental sweep must do less work.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import pytest
 
 import oracles
 from iotgraph import metrics
-from iotgraph.metrics import attack_evidence, node_depths
+from iotgraph.metrics import Evidence, attack_evidence, node_depths
 from iotgraph.pipeline import analyze
 from iotgraph.reasoner import RULE, AttackGraph
 
@@ -23,12 +25,15 @@ from conftest import load_fixture_config
 from oracles import (
     full_sweep_attack_evidence,
     full_sweep_node_depths,
+    minimal_subset,
     random_attack_dag,
     random_cyclic_attack_graph,
 )
 
 N_GRAPHS = 400
 SEED = 52117
+# Larger than any full combination set over seven CVEs: the copy never truncates.
+UNBOUNDED = 1 << 8
 
 
 def _on_cycle(graph: AttackGraph, node_id: int) -> bool:
@@ -44,39 +49,86 @@ def _on_cycle(graph: AttackGraph, node_id: int) -> bool:
     return False
 
 
-def _truncated_on_cycle(graph: AttackGraph, tags: dict[int, frozenset[int]], cap: int) -> bool:
-    """Whether some node on a cycle is truncated at the fixpoint."""
-
-    for n in graph.nodes:
-        ps = graph.parents.get(n.node_id, ())
-        if not ps or not _on_cycle(graph, n.node_id):
-            continue
-        if n.kind == RULE:
-            acc = frozenset({0})
-            for p in ps:
-                acc = oracles.merge_ae_and(acc, tags[p])
-        else:
-            acc = frozenset().union(*(tags[p] for p in ps))
-        if len(acc) > cap:
-            return True
-    return False
+def minimal_tags(expected: Evidence) -> dict[int, frozenset[int]]:
+    return {nid: minimal_subset(tags) for nid, tags in expected.tags.items()}
 
 
-def test_incremental_sweep_matches_full_sweep_on_cyclic_graphs(monkeypatch):
+def named(evidence: Evidence) -> dict[int, frozenset[frozenset[str]]]:
+    """Tags as sets of CVE-id sets, independent of the universe order."""
+
+    return {
+        nid: frozenset(frozenset(evidence.cves_in(t)) for t in tags)
+        for nid, tags in evidence.tags.items()
+    }
+
+
+def shuffled(graph: AttackGraph, rng: random.Random) -> AttackGraph:
+    nodes = list(graph.nodes)
+    rng.shuffle(nodes)
+    return AttackGraph(nodes, graph.parents, graph.goals, graph.goal_nodes, graph.reachable)
+
+
+def test_incremental_sweep_matches_full_sweep_on_cyclic_graphs():
     rng = random.Random(SEED)
-    truncated_on_cycle = 0
     for i in range(N_GRAPHS):
         graph = random_cyclic_attack_graph(rng)
-        cap = 2 + i % 5
-        monkeypatch.setattr(metrics, "EVIDENCE_CAP", cap)
         evidence = attack_evidence(graph)
-        expected = full_sweep_attack_evidence(graph, cap)
+        expected = full_sweep_attack_evidence(graph, UNBOUNDED)
         assert evidence.universe == expected.universe, f"graph {i}"
-        assert evidence.tags == expected.tags, f"graph {i}"
+        assert evidence.tags == minimal_tags(expected), f"graph {i}"
+        assert evidence.approximate == frozenset(), f"graph {i}"
         assert node_depths(graph) == full_sweep_node_depths(graph), f"graph {i}"
-        truncated_on_cycle += _truncated_on_cycle(graph, expected.tags, cap)
-    # The comparison only means something if truncation fires inside cycles.
-    assert truncated_on_cycle >= N_GRAPHS // 4
+        for _ in range(3):
+            other = shuffled(graph, rng)
+            assert named(attack_evidence(other)) == named(evidence), f"graph {i}"
+            assert node_depths(other) == node_depths(graph), f"graph {i}"
+
+
+def _up_set_only_grows(monkeypatch) -> None:
+    """Make ``_sweep`` check that no node's up-set shrinks: the termination argument."""
+
+    sweep = metrics._sweep
+
+    def checked(graph, vals, evaluate):
+        def evaluate_growing(n, ps):
+            new = evaluate(n, ps)
+            for t in vals[n.node_id]:
+                assert any(s & t == s for s in new), f"node {n.node_id} lost {t}"
+            return new
+
+        sweep(graph, vals, evaluate_growing)
+
+    monkeypatch.setattr(metrics, "_sweep", checked)
+
+
+def test_valve_terminates_and_over_approximates_on_cyclic_graphs(monkeypatch):
+    _up_set_only_grows(monkeypatch)
+    rng = random.Random(SEED)
+    fired = {1: 0, 2: 0, 3: 0}
+    on_cycle = 0
+    for i in range(N_GRAPHS):
+        graph = random_cyclic_attack_graph(rng)
+        exact = minimal_tags(full_sweep_attack_evidence(graph, UNBOUNDED))
+        for cap in fired:
+            monkeypatch.setattr(metrics, "EVIDENCE_CAP", cap)
+            evidence = attack_evidence(graph)
+            for nid, tags in evidence.tags.items():
+                assert tags == minimal_subset(tags), f"graph {i} cap {cap} node {nid}"
+                assert len(tags) <= cap, f"graph {i} cap {cap} node {nid}"
+                if nid not in evidence.approximate:
+                    assert tags == exact[nid], f"graph {i} cap {cap} node {nid}"
+                    continue
+                # Every real combination still contains a stored one.
+                for t in exact[nid]:
+                    assert any(s & t == s for s in tags), f"graph {i} cap {cap} node {nid}"
+            fired[cap] += bool(evidence.approximate)
+            on_cycle += any(
+                len(exact[nid]) > cap and _on_cycle(graph, nid) for nid in evidence.approximate
+            )
+    # The check only means something if the valve fires at every cap and
+    # changes nodes on cycles.
+    assert all(fired.values()) and sum(fired.values()) >= N_GRAPHS // 2
+    assert on_cycle >= N_GRAPHS // 10
 
 
 @pytest.mark.parametrize("name", ["listing10", "hall_light", "fig2", "system28", "system37"])
@@ -84,30 +136,47 @@ def test_incremental_sweep_matches_full_sweep_on_fixtures(name, store):
     graph = analyze(load_fixture_config(name), store).graph
     assert node_depths(graph) == full_sweep_node_depths(graph)
     expected = full_sweep_attack_evidence(graph, metrics.EVIDENCE_CAP)
-    assert attack_evidence(graph).tags == expected.tags
+    assert attack_evidence(graph).tags == minimal_tags(expected)
 
 
-def _reference_truncate(tags: frozenset[int], cap: int) -> frozenset[int]:
-    return frozenset(sorted(tags, key=lambda t: (t.bit_count(), t))[:cap])
+def _check_valve(tags: frozenset[int], cap: int) -> None:
+    """The valve keeps the cap - 1 smallest masks and the intersection of the rest.
+
+    ``tags`` is an antichain larger than the cap, so no kept mask lies inside
+    the intersection; kept masks that contain it are dropped.
+    """
+
+    ordered = sorted(tags, key=lambda t: (t.bit_count(), t))
+    rest = -1
+    for t in ordered[cap - 1 :]:
+        rest &= t
+    expected = {rest} | {k for k in ordered[: cap - 1] if k & rest != rest}
+    out = metrics._valve(tags)
+    assert out == expected
+    assert len(out) <= cap
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 64])
-def test_truncate_keeps_the_smallest_masks(cap, monkeypatch):
+def test_valve_over_approximates_within_the_cap(cap, monkeypatch):
     monkeypatch.setattr(metrics, "EVIDENCE_CAP", cap)
     rng = random.Random(SEED + cap)
-    for _ in range(50):
-        for size in (cap - 1, cap, cap + 1, 2 * cap):
-            # Eight bits: many masks share a CVE count.
-            tags = frozenset(rng.sample(range(256), size))
-            assert metrics._truncate(tags) == _reference_truncate(tags, cap)
+    # Twelve-bit masks with four to six CVEs: many share a CVE count.
+    pool = [m for m in range(1 << 12) if 4 <= m.bit_count() <= 6]
+    checked = 0
+    while checked < 100:
+        tags = minimal_subset(rng.sample(pool, rng.choice((cap + 1, 2 * cap, 4 * cap))))
+        if len(tags) > cap:
+            _check_valve(tags, cap)
+            checked += 1
 
 
-def test_truncate_at_the_default_cap():
+def test_valve_at_the_default_cap():
     cap = metrics.EVIDENCE_CAP
     rng = random.Random(SEED)
-    for size in (cap - 1, cap, cap + 1, 2 * cap):
-        tags = frozenset(rng.sample(range(1 << 14), size))
-        assert metrics._truncate(tags) == _reference_truncate(tags, cap)
+    # Masks with eight of sixteen bits: an antichain larger than the cap.
+    pool = [m for m in range(1 << 16) if m.bit_count() == 8]
+    for size in (cap + 1, 2 * cap):
+        _check_valve(frozenset(rng.sample(pool, size)), cap)
 
 
 def _count_and_merges(monkeypatch, module) -> dict[str, int]:
