@@ -6,12 +6,19 @@ an uppercase first letter; a term-shaped argument (``dos(D)``) may hold
 variables and renders bare like them, other arguments (CVE ids) render
 single-quoted. Static rule libraries carry variables, everything the reasoner
 consumes is ground; range restriction is checked where a head has variables.
+
+A library rule is checked once, when it is built. Its ground instances are
+built from argument templates (``args_template``) with ``Atom.instance``
+and ``HornRule.instance``, which do not check them again. An atom computes its
+hash when it is built and its text on the first ``render()``, and keeps both.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 
 class LogicError(ValueError):
@@ -56,23 +63,69 @@ def substitute_arg(arg: str, binding: dict[str, str]) -> str:
     return arg
 
 
+def args_template(
+    args: tuple[str, ...], slots: dict[str, int]
+) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
+    """A function from slot values to ``args`` with every variable filled in.
+
+    ``slots`` numbers the variables of ``args`` from 0 in insertion order,
+    and a variable takes the value at its number. Where every argument is a
+    variable the values are picked out by number, with no substitution.
+    """
+
+    if args and all(map(is_variable, args)):
+        keys = [slots[a] for a in args]
+        # One key would give the bare item; a one-item slice gives a tuple.
+        return itemgetter(*keys) if len(keys) > 1 else itemgetter(slice(keys[0], keys[0] + 1))
+    names = list(slots)
+
+    def fill(values: tuple[str, ...]) -> tuple[str, ...]:
+        binding = dict(zip(names, values))
+        return tuple([substitute_arg(a, binding) for a in args])
+
+    return fill
+
+
+# The frozen classes below set their fields through these.
+_new, _set = object.__new__, object.__setattr__
+
+
 def render_arg(arg: str) -> str:
     if _BARE_ARG.match(arg):
         return arg
     return "'" + arg.replace("'", "\\'") + "'"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A predicate applied to zero or more constant or variable arguments."""
 
     pred: str
     args: tuple[str, ...] = ()
+    # Worked out once per atom; equality and repr leave them out.
+    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    _text: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not _IDENTIFIER.match(self.pred):
             raise LogicError(f"bad predicate name: {self.pred!r}")
-        object.__setattr__(self, "args", tuple(self.args))
+        args = tuple(self.args)
+        _set(self, "args", args)
+        _set(self, "_hash", hash((self.pred, args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @classmethod
+    def instance(cls, pred: str, args: tuple[str, ...]) -> "Atom":
+        """An atom over a checked predicate name, built without checking it again."""
+
+        atom = _new(cls)
+        _set(atom, "pred", pred)
+        _set(atom, "args", args)
+        _set(atom, "_hash", hash((pred, args)))
+        _set(atom, "_text", None)
+        return atom
 
     def is_ground(self) -> bool:
         return not self.variables()
@@ -87,15 +140,18 @@ class Atom:
         return Atom(self.pred, tuple(substitute_arg(a, binding) for a in self.args))
 
     def render(self) -> str:
-        if not self.args:
-            return self.pred
-        return f"{self.pred}({', '.join(render_arg(a) for a in self.args)})"
+        if self._text is None:
+            text = self.pred
+            if self.args:
+                text = f"{text}({', '.join(map(render_arg, self.args))})"
+            _set(self, "_text", text)
+        return self._text
 
     def __str__(self) -> str:  # pragma: no cover - convenience
         return self.render()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HornRule:
     """``head :- body`` with a human-readable label for provenance display.
 
@@ -110,7 +166,7 @@ class HornRule:
     var_domains: tuple[tuple[str, str], ...] = field(default=())
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "body", tuple(self.body))
+        _set(self, "body", tuple(self.body))
         if not self.body:
             raise LogicError(f"rule {self.label or self.head.render()!r} has an empty body")
         head_vars = self.head.variables()
@@ -137,6 +193,20 @@ class HornRule:
             tuple(a.substitute(binding) for a in self.body),
             self.label,
         )
+
+    @classmethod
+    def instance(cls, head: Atom, body: tuple[Atom, ...], label: str) -> "HornRule":
+        """A ground instance of a checked rule, built without checking it again.
+
+        Equal to what ``substitute`` returns for the same atoms.
+        """
+
+        rule = _new(cls)
+        _set(rule, "head", head)
+        _set(rule, "body", body)
+        _set(rule, "label", label)
+        _set(rule, "var_domains", ())
+        return rule
 
     def render(self) -> str:
         lines = [f"{self.head.render()} :-"]

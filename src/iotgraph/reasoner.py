@@ -19,7 +19,7 @@ RULE = "rule"
 DERIVATION = "derivation"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     node_id: int
     kind: str

@@ -17,7 +17,15 @@ from itertools import product
 
 from .apps import BoundApp
 from .exploits import EFFECTS, PRECONDITIONS, ExploitModel
-from .logic import Atom, HornRule, LogicError, LogicProgram, is_variable, render_fact
+from .logic import (
+    Atom,
+    HornRule,
+    LogicError,
+    LogicProgram,
+    args_template,
+    is_variable,
+    render_fact,
+)
 from .model import DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
 
 # Predicates that appear in the fact base (as opposed to derived conditions).
@@ -324,20 +332,27 @@ def build_exploit_schemas() -> list[HornRule]:
 # Grounding
 
 
-def _unify(atom: Atom, var_at: tuple[bool, ...], fact: Atom, binding: dict) -> dict | None:
-    if len(atom.args) != len(fact.args):
-        return None
-    out = dict(binding)
-    for a, is_var, f in zip(atom.args, var_at, fact.args):
-        if is_var:
-            bound = out.get(a)
-            if bound is None:
-                out[a] = f
-            elif bound != f:
-                return None
-        elif a != f:
-            return None
-    return out
+def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
+    """How a body atom joins against facts, giving its new variables slots.
+
+    A fact of the right arity matches when each checked position holds the
+    constant or the slot value its check names; the slots of the atom's new
+    variables take the fact's values at their first positions. The lookup key
+    is the first check whose value is known before the atom is joined.
+    """
+
+    bound_before = len(slots)
+    new, checks = [], []
+    for pos, arg in enumerate(atom.args):
+        if not is_variable(arg):
+            checks.append((pos, arg))
+        elif arg in slots:
+            checks.append((pos, slots[arg]))
+        else:
+            slots[arg] = len(slots)
+            new.append(pos)
+    lookup = next(((pos, c) for pos, c in checks if c.__class__ is str or c < bound_before), None)
+    return atom.pred, len(atom.args), new, checks, lookup
 
 
 def ground_static_rules(
@@ -347,30 +362,55 @@ def ground_static_rules(
 
     Body atoms whose predicate lives in the fact base bind variables by
     joining; variables left over take values from the rule's declared
-    fallback domains. Every binding a join yields binds the same variables,
-    so the leftover variables and their pools are worked out once per rule.
+    fallback domains. Each rule is compiled once: its variables get slots
+    (join variables in the order the join binds them, then the leftover
+    ones sorted), a binding is the tuple of slot values, and each atom of the
+    rule becomes a template that a binding fills. A join atom takes its
+    candidate facts from an index on its first known argument, kept in fact
+    order, so bindings come out in the order a scan of all facts gives.
+    Ground atoms are interned by predicate and arguments, starting from the
+    facts, so each distinct one is built once per call.
     """
 
-    fact_index: dict[str, list[Atom]] = {}
+    by_pred, by_position, interned = {}, {}, {}
     for f in facts:
-        fact_index.setdefault(f.pred, []).append(f)
+        by_pred.setdefault(f.pred, []).append(f)
+        for pos, arg in enumerate(f.args):
+            by_position.setdefault((f.pred, pos, arg), []).append(f)
+        interned.setdefault(f.pred, {}).setdefault(f.args, f)
 
     out: list[HornRule] = []
     seen: set[tuple] = set()
     for rule in rules:
-        bindings = [{}]
-        for atom in rule.body:
-            if atom.pred in STATIC_FACT_PREDS and atom.variables():
-                var_at = tuple(map(is_variable, atom.args))
-                bindings = [
-                    b
-                    for binding in bindings
-                    for f in fact_index.get(atom.pred, [])
-                    if (b := _unify(atom, var_at, f, binding)) is not None
-                ]
+        slots: dict[str, int] = {}
+        joins = [
+            _join_plan(atom, slots)
+            for atom in rule.body
+            if atom.pred in STATIC_FACT_PREDS and atom.variables()
+        ]
+        bindings = [()]
+        for pred, arity, new, checks, lookup in joins:
+            extended = []
+            for b in bindings:
+                if lookup is None:
+                    pool = by_pred.get(pred, [])
+                else:
+                    pos, want = lookup
+                    value = want if want.__class__ is str else b[want]
+                    pool = by_position.get((pred, pos, value), [])
+                for f in pool:
+                    fa = f.args
+                    if len(fa) != arity:
+                        continue
+                    nb = b + tuple([fa[pos] for pos in new])
+                    if all(fa[pos] == (c if c.__class__ is str else nb[c]) for pos, c in checks):
+                        extended.append(nb)
+            bindings = extended
+            if not bindings:
+                break
         if not bindings:
             continue
-        free = sorted(rule.variables() - set(bindings[0]))
+        free = sorted(rule.variables() - slots.keys())
         fallback = dict(rule.var_domains)
         for var in free:
             if var not in fallback:
@@ -378,13 +418,25 @@ def ground_static_rules(
                     f"rule {rule.label!r}: variable {var} has neither a fact "
                     f"binding nor a fallback domain"
                 )
+            slots[var] = len(slots)
         pools = [domains.get(fallback[var], []) for var in free]
+        templates = [
+            (interned.setdefault(a.pred, {}), a.pred, args_template(a.args, slots))
+            for a in (rule.head, *rule.body)
+        ]
         for binding, combo in product(bindings, product(*pools)):
-            ground = rule.substitute(binding | dict(zip(free, combo)))
-            key = (ground.head, ground.body)
+            values = binding + combo
+            atoms = []
+            for table, pred, fill in templates:
+                args = fill(values)
+                atom = table.get(args)
+                if atom is None:
+                    atom = table[args] = Atom.instance(pred, args)
+                atoms.append(atom)
+            key = tuple(atoms)
             if key not in seen:
                 seen.add(key)
-                out.append(ground)
+                out.append(HornRule.instance(key[0], key[1:], rule.label))
     return out
 
 
@@ -394,16 +446,21 @@ def ground_static_rules(
 
 @dataclass
 class CompiledSystem:
-    """The ground program and goals, with the parts ``render_program`` lists."""
+    """The ground program and goals, with where each part of the program starts.
+
+    ``program.rules`` holds the exploit rules, then the ground static rules
+    from ``static_start``, then the app rules from ``app_start``.
+    ``program.facts`` holds the configuration facts in blocks of
+    ``block_sizes`` facts, then the attacker facts, then the vulnerability
+    facts from ``vul_start``.
+    """
 
     program: LogicProgram
     goals: tuple[Atom, ...]
-    static_rules: tuple[HornRule, ...]
-    exploit_rules: tuple[HornRule, ...]
-    app_rules: tuple[HornRule, ...]
-    fact_blocks: tuple[tuple[Atom, ...], ...]
-    attacker: tuple[Atom, ...]
-    vul_facts: tuple[Atom, ...]
+    static_start: int
+    app_start: int
+    block_sizes: tuple[int, ...]
+    vul_start: int
 
 
 def compile_system(
@@ -416,19 +473,8 @@ def compile_system(
     config_facts = [a for block in blocks for a in block]
     atk_facts = attacker_facts(config)
 
-    vul_facts: list[Atom] = []
-    seen_facts: set[Atom] = set()
-    for model in models:
-        for fact in model.facts():
-            if fact not in seen_facts:
-                seen_facts.add(fact)
-                vul_facts.append(fact)
-
-    alphabet: list[str] = []
-    for bound in bound_apps:
-        for cmd in bound.voice_commands:
-            if cmd not in alphabet:
-                alphabet.append(cmd)
+    vul_facts = list(dict.fromkeys(fact for model in models for fact in model.facts()))
+    alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
 
     facts = config_facts + atk_facts + vul_facts
     domains = {
@@ -445,14 +491,11 @@ def compile_system(
     )
     static_ground = ground_static_rules(static_library, facts, domains)
 
-    exploit_rules = []
-    seen_rules: set[tuple] = set()
+    first_rules: dict[tuple, HornRule] = {}
     for model in models:
         rule = model.rule()
-        key = (rule.head, rule.body)
-        if key not in seen_rules:
-            seen_rules.add(key)
-            exploit_rules.append(rule)
+        first_rules.setdefault((rule.head, rule.body), rule)
+    exploit_rules = list(first_rules.values())
 
     app_rules = [rule for bound in bound_apps for rule in bound.rules]
 
@@ -468,50 +511,41 @@ def compile_system(
     return CompiledSystem(
         program=program,
         goals=tuple(goals),
-        static_rules=tuple(static_ground),
-        exploit_rules=tuple(exploit_rules),
-        app_rules=tuple(app_rules),
-        fact_blocks=tuple(tuple(b) for b in blocks),
-        attacker=tuple(atk_facts),
-        vul_facts=tuple(vul_facts),
+        static_start=len(exploit_rules),
+        app_start=len(exploit_rules) + len(static_ground),
+        block_sizes=tuple(map(len, blocks)),
+        vul_start=len(config_facts) + len(atk_facts),
     )
 
 
 def render_program(compiled: CompiledSystem) -> str:
     """Readable clause file: schemas, ground rules, facts, goals."""
 
-    lines: list[str] = []
-
-    def section(title: str) -> None:
-        if lines:
-            lines.append("")
-        lines.append(f"% ==== {title} ====")
-
-    section("exploit rule schemas (reference)")
-    for rule in build_exploit_schemas():
-        lines.append(f"% {rule.label}")
-        lines.append(rule.render())
-    section("attack rules instantiated from CVEs")
-    for rule in compiled.exploit_rules:
-        lines.append(f"% {rule.label}")
-        lines.append(rule.render())
-    section("propagation, dependency, and capability rules (ground)")
-    for rule in compiled.static_rules:
-        lines.append(f"% {rule.label}")
-        lines.append(rule.render())
-    section("app rules")
-    for rule in compiled.app_rules:
-        lines.append(f"% app: {rule.label}")
-        lines.append(rule.render())
-    section("facts: system configuration")
-    lines.append(_render_blocks(compiled.fact_blocks))
-    section("facts: attacker")
-    for fact in compiled.attacker:
-        lines.append(render_fact(fact))
-    section("facts: vulnerabilities")
-    for fact in compiled.vul_facts:
-        lines.append(render_fact(fact))
-    section("attack goals")
-    for goal in compiled.goals:
-        lines.append(render_fact(Atom("attackGoal", (goal.render(),))))
-    return "\n".join(lines) + "\n"
+    rules, facts = compiled.program.rules, compiled.program.facts
+    blocks, start = [], 0
+    for size in compiled.block_sizes:
+        blocks.append(facts[start : start + size])
+        start += size
+    rule_sections = (
+        ("exploit rule schemas (reference)", "", build_exploit_schemas()),
+        ("attack rules instantiated from CVEs", "", rules[: compiled.static_start]),
+        (
+            "propagation, dependency, and capability rules (ground)",
+            "",
+            rules[compiled.static_start : compiled.app_start],
+        ),
+        ("app rules", "app: ", rules[compiled.app_start :]),
+    )
+    fact_sections = (
+        ("facts: attacker", facts[start : compiled.vul_start]),
+        ("facts: vulnerabilities", facts[compiled.vul_start :]),
+        ("attack goals", [Atom("attackGoal", (goal.render(),)) for goal in compiled.goals]),
+    )
+    parts = []
+    for title, tag, group in rule_sections:
+        texts = (f"% {tag}{rule.label}\n{rule.render()}" for rule in group)
+        parts.append("\n".join([f"% ==== {title} ====", *texts]))
+    parts.append(f"% ==== facts: system configuration ====\n{_render_blocks(blocks)}")
+    for title, group in fact_sections:
+        parts.append("\n".join([f"% ==== {title} ====", *map(render_fact, group)]))
+    return "\n\n".join(parts) + "\n"

@@ -4,10 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from iotgraph.logic import Atom, HornRule, LogicError, LogicProgram, parse_atom, render_fact
+from iotgraph.logic import (
+    Atom,
+    HornRule,
+    LogicError,
+    LogicProgram,
+    parse_atom,
+    render_arg,
+    render_fact,
+)
 
 lower_names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,8}", fullmatch=True)
 upper_names = st.from_regex(r"[A-Z][a-zA-Z0-9_]{0,8}", fullmatch=True)
+cve_ids = st.from_regex(r"CVE-[0-9]{4}-[0-9]{4,5}", fullmatch=True)
+terms = st.builds(
+    lambda functor, inner: f"{functor}({', '.join(inner)})",
+    lower_names,
+    st.lists(st.one_of(lower_names, upper_names, cve_ids), max_size=3),
+)
+atom_args = st.lists(st.one_of(lower_names, upper_names, terms, cve_ids), max_size=4).map(tuple)
 
 
 def test_parse_atom_basic():
@@ -108,3 +123,51 @@ def test_program_holds_facts_and_rules():
     program = LogicProgram(facts=(Atom("a", ("x",)),), rules=(rule,))
     assert len(program.facts) == 1
     assert len(program.rules) == 1
+
+
+@given(pred=lower_names, args=atom_args)
+def test_atoms_hash_equal_whether_fresh_or_interned(pred, args):
+    fresh, again, interned = Atom(pred, args), Atom(pred, list(args)), Atom.instance(pred, args)
+    assert fresh == again == interned
+    assert hash(fresh) == hash(again) == hash(interned) == hash((pred, args))
+
+
+@given(pred=lower_names, args=atom_args)
+def test_render_is_cached_and_equals_uncached_text(pred, args):
+    uncached = f"{pred}({', '.join(render_arg(a) for a in args)})" if args else pred
+    for atom in (Atom(pred, args), Atom.instance(pred, args)):
+        first = atom.render()
+        assert first == uncached
+        assert atom.render() is first
+
+
+@given(pred=lower_names, args=atom_args)
+def test_equality_and_repr_ignore_cache_fields(pred, args):
+    rendered, fresh = Atom(pred, args), Atom(pred, args)
+    rendered.render()
+    assert rendered == fresh
+    assert repr(rendered) == repr(fresh) == f"Atom(pred={pred!r}, args={args!r})"
+
+
+@given(pred=lower_names, args=atom_args)
+def test_fresh_atoms_find_interned_ones(pred, args):
+    interned = Atom.instance(pred, args)
+    interned.render()
+    table = {interned: "interned"}
+    assert table[Atom(pred, args)] == "interned"
+    assert Atom(pred, args) in {interned}
+    assert Atom(pred, args + ("extra",)) not in table
+
+
+def test_rule_instance_equals_substituted_rule():
+    rule = HornRule(
+        Atom("open", ("Door",)),
+        (Atom("doorOpener", ("Door",)), Atom("smoke")),
+        label="vent",
+        var_domains=(("Door", "devices"),),
+    )
+    head, body = Atom.instance("open", ("d1",)), (Atom("doorOpener", ("d1",)), Atom("smoke"))
+    instance = HornRule.instance(head, body, "vent")
+    assert instance == rule.substitute({"Door": "d1"})
+    assert instance.var_domains == ()
+    assert hash(instance) == hash(rule.substitute({"Door": "d1"}))

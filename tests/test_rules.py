@@ -229,6 +229,9 @@ def test_compile_system_dedupes_exploit_rules(store):
             models.extend(models_for(d, rec, nets))
     doubled = models + models
     compiled = compile_system(cfg, doubled, [])
-    labels = [r.label for r in compiled.exploit_rules]
+    labels = [r.label for r in compiled.program.rules[: compiled.static_start]]
+    assert labels and all(label.startswith("exploit ") for label in labels)
     assert len(labels) == len(set(labels))
-    assert len(compiled.vul_facts) == len(set(compiled.vul_facts))
+    vul_facts = compiled.program.facts[compiled.vul_start :]
+    assert vul_facts and all(f.pred in ("vulExists", "vulProperty") for f in vul_facts)
+    assert len(vul_facts) == len(set(vul_facts))
