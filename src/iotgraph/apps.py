@@ -268,7 +268,6 @@ def match_action(sentence: str, phrases: PhrasePair) -> ActionMatch:
 class AppSemantics:
     """Parsed trigger-action structure of one app description."""
 
-    split: ClauseSplit
     trigger_conn: str
     trigger_sentences: tuple[str, ...]
     trigger_phrases: tuple[PhrasePair, ...]
@@ -314,7 +313,6 @@ def parse_app_description(description: str) -> AppSemantics:
     triggers = [match_trigger(s, p) for s, p in zip(trigger_sentences, trigger_phrases)]
     actions = [match_action(s, p) for s, p in zip(action_sentences, action_phrases)]
     return AppSemantics(
-        split=split,
         trigger_conn=trigger_conn,
         trigger_sentences=tuple(trigger_sentences),
         trigger_phrases=tuple(trigger_phrases),
@@ -331,7 +329,6 @@ class BoundApp:
     """An app whose roles are bound to devices, with its emitted rules."""
 
     app: AppSpec
-    semantics: AppSemantics
     rules: tuple[HornRule, ...]
     voice_commands: tuple[str, ...]
 
@@ -409,7 +406,6 @@ def bind_app(app: AppSpec, semantics: AppSemantics, config: SystemConfig) -> Bou
             rules.append(HornRule(head, tuple(body), label=app.name))
     return BoundApp(
         app=app,
-        semantics=semantics,
         rules=tuple(rules),
         voice_commands=tuple(voice_commands),
     )

@@ -18,7 +18,7 @@ from .apps import AppBindError, AppParseError, bind_app, parse_app_description
 from .cvestore import CveStore, StoreError
 from .exploits import EFFECT_KINDS, PRECONDITION_KINDS
 from .logic import LogicError, parse_atom
-from .model import ConfigError, parse_config
+from .model import ConfigError, SystemConfig, parse_config
 from .pipeline import analyze, render_summary, write_outputs
 from .rules import compile_system, render_program
 from .synth import render_synth
@@ -100,6 +100,14 @@ def _load_overrides(path: str | None) -> dict | None:
     return data
 
 
+def _inputs(args: argparse.Namespace) -> tuple[SystemConfig, dict | None, CveStore]:
+    """The config, overrides and open store of a command, checked in that order."""
+
+    config = _load_config(args.config)
+    overrides = _load_overrides(args.overrides)
+    return config, overrides, _open_store(args)
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     path = _store_path(args)
     with CveStore(path) as store:
@@ -129,9 +137,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_model(args: argparse.Namespace) -> int:
     from .pipeline import build_models, scan_devices
 
-    config = _load_config(args.config)
-    overrides = _load_overrides(args.overrides)
-    with _open_store(args) as store:
+    config, overrides, store = _inputs(args)
+    with store:
         findings = scan_devices(config, store)
         models = build_models(config, findings, overrides=overrides)
     for m in models:
@@ -172,9 +179,8 @@ def cmd_extract_apps(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     from .pipeline import bind_apps, build_models, scan_devices
 
-    config = _load_config(args.config)
-    overrides = _load_overrides(args.overrides)
-    with _open_store(args) as store:
+    config, overrides, store = _inputs(args)
+    with store:
         findings = scan_devices(config, store)
         models = build_models(config, findings, overrides=overrides)
     bound, _skipped = bind_apps(config)
@@ -194,9 +200,8 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _run_analysis(args: argparse.Namespace):
-    config = _load_config(args.config)
-    overrides = _load_overrides(args.overrides)
-    with _open_store(args) as store:
+    config, overrides, store = _inputs(args)
+    with store:
         try:
             return analyze(
                 config,
@@ -248,45 +253,40 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("-v", "--verbose", action="store_true", help="log progress to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_store(p):
-        p.add_argument("--store", help="CVE store path (default: $IOTGRAPH_STORE)")
+    store = argparse.ArgumentParser(add_help=False)
+    store.add_argument("--store", help="CVE store path (default: $IOTGRAPH_STORE)")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="deployment configuration (JSON)")
+    # What ``_inputs`` reads.
+    inputs = argparse.ArgumentParser(add_help=False, parents=[store, config])
+    inputs.add_argument("--overrides", help="JSON file overriding classifications per CVE")
+    goals = argparse.ArgumentParser(add_help=False)
+    goals.add_argument("--goals", nargs="*", default=[], help="extra goal atoms")
 
-    p = sub.add_parser("ingest", help="load NVD-style JSON feeds into the CVE store")
-    add_store(p)
+    p = sub.add_parser("ingest", parents=[store], help="load NVD-style JSON feeds into the CVE store")
     p.add_argument("feeds", nargs="+", help="feed files (.json or .json.gz)")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("scan", help="search the store for device names")
-    add_store(p)
+    p = sub.add_parser("scan", parents=[store], help="search the store for device names")
     p.add_argument("names", nargs="+", help="device display names")
     p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("model", help="show exploit models for a configuration")
-    add_store(p)
-    p.add_argument("--config", required=True)
-    p.add_argument("--overrides", help="JSON file overriding classifications per CVE")
+    p = sub.add_parser("model", parents=[inputs], help="show exploit models for a configuration")
     p.set_defaults(func=cmd_model)
 
-    p = sub.add_parser("extract-apps", help="parse and bind app descriptions")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("extract-apps", parents=[config], help="parse and bind app descriptions")
     p.add_argument("--strict", action="store_true", help="exit 4 if any app fails")
     p.set_defaults(func=cmd_extract_apps)
 
-    p = sub.add_parser("compile", help="compile the ground Horn program")
-    add_store(p)
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("compile", parents=[inputs, goals], help="compile the ground Horn program")
     p.add_argument("--out", help="write the program here instead of stdout")
-    p.add_argument("--goals", nargs="*", default=[], help="extra goal atoms")
-    p.add_argument("--overrides")
     p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("analyze", help="full analysis: graph, metrics, manifest")
-    add_store(p)
-    p.add_argument("--config", required=True)
+    p = sub.add_parser(
+        "analyze", parents=[inputs, goals], help="full analysis: graph, metrics, manifest"
+    )
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--goals", nargs="*", default=[])
     p.add_argument("--format", choices=("dot", "text"), default="dot")
-    p.add_argument("--overrides")
     p.add_argument(
         "--fail-on-reachable",
         action="store_true",
@@ -294,11 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("metrics", help="print the metrics report")
-    add_store(p)
-    p.add_argument("--config", required=True)
-    p.add_argument("--goals", nargs="*", default=[])
-    p.add_argument("--overrides")
+    p = sub.add_parser("metrics", parents=[inputs, goals], help="print the metrics report")
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("synth", help="generate a synthetic deployment")

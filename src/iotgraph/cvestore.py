@@ -5,7 +5,8 @@ database and answers device-name searches. A search tokenizes the device
 name, drops marketing noise (colors, sizes, the word "smart", bare numbers),
 and returns the records whose description contains every remaining keyword
 as a whole token. Records without CVSS metrics are skipped at ingest time
-because the downstream exploit classifier needs the subscores.
+because the downstream exploit classifier needs the subscores; so are items
+with a field of the wrong JSON type.
 """
 
 from __future__ import annotations
@@ -75,6 +76,8 @@ class CveRecord:
     year: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.description, str):
+            raise StoreError(f"{self.cve_id}: description is not text")
         if self.attack_vector not in _VECTORS:
             raise StoreError(f"{self.cve_id}: bad attack vector {self.attack_vector!r}")
         for name in ("conf_impact", "integ_impact", "avail_impact"):
@@ -193,7 +196,8 @@ class CveStore:
         """Load an NVD 1.1 JSON feed. Returns (ingested, skipped) counts.
 
         Re-ingesting a feed is idempotent: records are replaced, not
-        duplicated. Items without CVSS metrics are skipped.
+        duplicated. Items without CVSS metrics, or with a field of the wrong
+        JSON type, are skipped.
         """
 
         added = skipped = 0
@@ -218,6 +222,8 @@ def _read_feed_items(feed_path: str | Path) -> list[dict]:
         doc = json.loads(blob)
     except json.JSONDecodeError as exc:
         raise StoreError(f"feed {path} is not valid JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        raise StoreError(f"feed {path}: top level must be an object")
     items = doc.get("CVE_Items")
     if not isinstance(items, list):
         raise StoreError(f"feed {path} has no CVE_Items array")
@@ -231,11 +237,22 @@ def _english_description(cve: dict) -> str:
     return ""
 
 
-def _record_from_item(item: dict) -> CveRecord | None:
+def _record_from_item(item: object) -> CveRecord | None:
+    """The record of one feed item, or None if the item is unusable.
+
+    Feed items are untyped JSON: a field of the wrong type (a number where
+    an object or a string belongs, say) makes the item unusable, like a
+    missing id or missing CVSS metrics.
+    """
+
     try:
-        cve_id = item["cve"]["CVE_data_meta"]["ID"]
-    except (KeyError, TypeError):
+        return _parse_item(item)
+    except (AttributeError, KeyError, TypeError, ValueError, StoreError):
         return None
+
+
+def _parse_item(item: dict) -> CveRecord | None:
+    cve_id = item["cve"]["CVE_data_meta"]["ID"]
     m = _CVE_YEAR.match(cve_id)
     if not m:
         return None
@@ -267,18 +284,14 @@ def _record_from_item(item: dict) -> CveRecord | None:
         return None
     if vector not in _VECTORS or any(level not in _IMPACT_LEVELS for level in levels):
         return None
-    try:
-        record = CveRecord(
-            cve_id=cve_id,
-            description=description,
-            attack_vector=vector,
-            conf_impact=levels[0],
-            integ_impact=levels[1],
-            avail_impact=levels[2],
-            impact_score=float(metric.get("impactScore", 0.0)),
-            exploitability_score=float(metric.get("exploitabilityScore", 0.0)),
-            year=int(m.group(1)),
-        )
-    except (StoreError, ValueError):
-        return None
-    return record
+    return CveRecord(
+        cve_id=cve_id,
+        description=description,
+        attack_vector=vector,
+        conf_impact=levels[0],
+        integ_impact=levels[1],
+        avail_impact=levels[2],
+        impact_score=float(metric.get("impactScore", 0.0)),
+        exploitability_score=float(metric.get("exploitabilityScore", 0.0)),
+        year=int(m.group(1)),
+    )

@@ -128,8 +128,9 @@ def _sweep(
     Each pass walks ``graph.nodes`` in order and stops after a pass that
     changes nothing. Facts and nodes without inputs keep their start value.
     A node is evaluated on the first pass and afterwards only when one of
-    its inputs changed since: a change marks the node's children dirty, so a
-    later child is evaluated in the same pass and an earlier one in the next.
+    its inputs changed since: a change marks the node's children (read from
+    ``graph.children``) dirty, so a later child is evaluated in the same
+    pass and an earlier one in the next.
     Skipped nodes would have computed the value they hold, so the result is
     that of evaluating every node on every pass. When ``evaluate`` is
     monotone and every value can only grow finitely often, as for depths
@@ -142,10 +143,7 @@ def _sweep(
         for n in graph.nodes
         if n.kind != FACT and graph.parents.get(n.node_id)
     ]
-    children: dict[int, list[int]] = {}
-    for n, ps in work:
-        for p in ps:
-            children.setdefault(p, []).append(n.node_id)
+    children = graph.children
     dirty = {n.node_id for n, _ in work}
     changed = True
     while changed:
@@ -354,16 +352,10 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
 def _downstream(graph: AttackGraph, start: set[int]) -> frozenset[int]:
     """``start`` and every node with an input in it, transitively."""
 
-    if not start:
-        return frozenset()
-    children: dict[int, list[int]] = {}
-    for nid, ps in graph.parents.items():
-        for p in ps:
-            children.setdefault(p, []).append(nid)
     seen = set(start)
     stack = list(start)
     while stack:
-        for c in children.get(stack.pop(), ()):
+        for c in graph.children.get(stack.pop(), ()):
             if c not in seen:
                 seen.add(c)
                 stack.append(c)

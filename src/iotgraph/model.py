@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Any, TypeVar
 
 from .logic import Atom, LogicError, parse_atom
 
@@ -213,6 +214,27 @@ class AttackerProfile:
     physical_access: tuple[str, ...] = ()
 
 
+Spec = TypeVar("Spec", DeviceSpec, NetworkSpec)
+
+
+def _by_key(specs: Iterable[Spec]) -> dict[str, Spec]:
+    """Specs by atom and by display name; a key maps to its first match in order."""
+
+    out: dict[str, Spec] = {}
+    for spec in specs:
+        out.setdefault(spec.atom, spec)
+        out.setdefault(spec.name, spec)
+    return out
+
+
+def _lookup(index: dict[str, Spec], key: object, message: str) -> Spec:
+    """The spec under ``key``; ``ConfigError(message)`` if none or not a string."""
+
+    spec = index.get(key) if isinstance(key, str) else None
+    _require(spec is not None, message)
+    return spec
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     devices: tuple[DeviceSpec, ...]
@@ -220,31 +242,28 @@ class SystemConfig:
     apps: tuple[AppSpec, ...] = ()
     attacker: AttackerProfile = field(default_factory=AttackerProfile)
     goals: tuple[Atom, ...] = ()
+    _devices_by_key: dict[str, DeviceSpec] = field(init=False, repr=False, compare=False)
+    _networks_by_key: dict[str, NetworkSpec] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_devices_by_key", _by_key(self.devices))
+        object.__setattr__(self, "_networks_by_key", _by_key(self.networks))
 
     def device(self, key: str) -> DeviceSpec:
-        for d in self.devices:
-            if key in (d.atom, d.name):
-                return d
-        raise ConfigError(f"unknown device: {key!r}")
+        return _lookup(self._devices_by_key, key, f"unknown device: {key!r}")
 
     def network(self, key: str) -> NetworkSpec:
-        for n in self.networks:
-            if key in (n.atom, n.name):
-                return n
-        raise ConfigError(f"unknown network: {key!r}")
+        return _lookup(self._networks_by_key, key, f"unknown network: {key!r}")
 
-    def device_index(self) -> dict[str, DeviceSpec]:
-        """Index devices by both display name and normalized atom.
+    def device_index(self) -> Mapping[str, DeviceSpec]:
+        """Devices by display name and by atom, as ``device()`` finds them."""
 
-        A key maps to the device ``device()`` returns for it: the first
-        match in list order.
-        """
+        return self._devices_by_key
 
-        out: dict[str, DeviceSpec] = {}
-        for d in self.devices:
-            out.setdefault(d.atom, d)
-            out.setdefault(d.name, d)
-        return out
+    def network_index(self) -> Mapping[str, NetworkSpec]:
+        """Networks by display name and by atom, as ``network()`` finds them."""
+
+        return self._networks_by_key
 
 
 def _require(cond: bool, message: str) -> None:
@@ -255,6 +274,12 @@ def _require(cond: bool, message: str) -> None:
 def _string_field(stanza: dict, key: str, where: str) -> str:
     value = stanza.get(key)
     _require(isinstance(value, str) and value.strip() != "", f"{where}: missing or empty {key!r}")
+    return value
+
+
+def _list_field(stanza: dict, key: str, where: str) -> list:
+    value = stanza.get(key, [])
+    _require(isinstance(value, list), f"{where}: {key} must be a list")
     return value
 
 
@@ -288,17 +313,16 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         return atom
 
     networks: list[NetworkSpec] = []
-    for stanza in raw.get("networks", []):
+    for stanza in _list_field(raw, "networks", source):
         _require(isinstance(stanza, dict), f"{source}: network stanza must be an object")
         name = _string_field(stanza, "name", f"{source}: network")
         proto = _string_field(stanza, "type", f"{source}: network {name!r}").lower()
         _require(proto in PROTOCOLS, f"{source}: network {name!r}: unknown protocol {proto!r}")
         networks.append(NetworkSpec(name, claim(name, "network"), proto))
-    net_by_name = {n.name: n for n in networks}
-    net_by_name.update({n.atom: n for n in networks})
+    net_by_name = _by_key(networks)
 
     devices: list[DeviceSpec] = []
-    for stanza in raw.get("devices", []):
+    for stanza in _list_field(raw, "devices", source):
         _require(isinstance(stanza, dict), f"{source}: device stanza must be an object")
         name = _string_field(stanza, "name", f"{source}: device")
         where = f"{source}: device {name!r}"
@@ -308,10 +332,9 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         if isinstance(nets, str):
             nets = [nets]
         _require(isinstance(nets, list), f"{where}: network must be a list")
-        net_atoms = []
-        for net in nets:
-            _require(net in net_by_name, f"{where}: unknown network {net!r}")
-            net_atoms.append(net_by_name[net].atom)
+        net_atoms = [
+            _lookup(net_by_name, net, f"{where}: unknown network {net!r}").atom for net in nets
+        ]
         _require(len(set(net_atoms)) == len(net_atoms), f"{where}: duplicate network entries")
         exposed = stanza.get("physically_exposed", False)
         _require(isinstance(exposed, bool), f"{where}: physically_exposed must be a boolean")
@@ -328,15 +351,15 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
             )
         )
 
-    dev_by_name = {d.name: d for d in devices}
-    dev_by_name.update({d.atom: d for d in devices})
+    dev_by_name = _by_key(devices)
 
     def resolve_wiring(d: DeviceSpec, key: str, target: str | None, want: str) -> str | None:
         if target is None:
             return None
         _require(isinstance(target, str), f"{source}: device {d.name!r}: {key} must be a string")
-        ref = dev_by_name.get(target)
-        _require(ref is not None, f"{source}: device {d.name!r}: {key} names unknown device {target!r}")
+        ref = _lookup(
+            dev_by_name, target, f"{source}: device {d.name!r}: {key} names unknown device {target!r}"
+        )
         _require(
             ref.device_type == want,
             f"{source}: device {d.name!r}: {key} target {target!r} must be a {want}, "
@@ -347,12 +370,8 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     resolved: list[DeviceSpec] = []
     for d in devices:
         resolved.append(
-            DeviceSpec(
-                name=d.name,
-                atom=d.atom,
-                device_type=d.device_type,
-                networks=d.networks,
-                physically_exposed=d.physically_exposed,
+            replace(
+                d,
                 plugs_into=resolve_wiring(d, "plugs_into", d.plugs_into, "outlet"),
                 locked_by=resolve_wiring(d, "locked_by", d.locked_by, "lock"),
                 supplied_by=resolve_wiring(d, "supplied_by", d.supplied_by, "valve"),
@@ -365,7 +384,7 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
             )
 
     apps: list[AppSpec] = []
-    for stanza in raw.get("apps", []):
+    for stanza in _list_field(raw, "apps", source):
         _require(isinstance(stanza, dict), f"{source}: app stanza must be an object")
         name = _string_field(stanza, "App name", f"{source}: app")
         where = f"{source}: app {name!r}"
@@ -374,9 +393,8 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         _require(isinstance(device_map, dict), f"{where}: device map must be an object")
         for role, target in device_map.items():
             _require(isinstance(role, str) and role.strip() != "", f"{where}: empty role key")
-            _require(
-                isinstance(target, str) and target in dev_by_name,
-                f"{where}: device map role {role!r} names unknown device {target!r}",
+            _lookup(
+                dev_by_name, target, f"{where}: device map role {role!r} names unknown device {target!r}"
             )
         apps.append(AppSpec(name, description, tuple(device_map.items())))
 
@@ -388,9 +406,8 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     _require(isinstance(has_internet, bool), f"{source}: attacker: has_internet must be a boolean")
     if "radio_adjacent" in attacker_raw:
         radio = []
-        for net in attacker_raw["radio_adjacent"]:
-            _require(net in net_by_name, f"{source}: attacker: unknown network {net!r}")
-            spec = net_by_name[net]
+        for net in _list_field(attacker_raw, "radio_adjacent", f"{source}: attacker"):
+            spec = _lookup(net_by_name, net, f"{source}: attacker: unknown network {net!r}")
             _require(
                 spec.protocol != "ethernet",
                 f"{source}: attacker: radio adjacency to wired network {net!r} is meaningless",
@@ -399,17 +416,15 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     else:
         radio = [n.atom for n in networks if n.protocol != "ethernet"]
     if "physical_access" in attacker_raw:
-        touch = []
-        for dev in attacker_raw["physical_access"]:
-            _require(dev in dev_by_name, f"{source}: attacker: unknown device {dev!r}")
-            touch.append(dev_by_name[dev].atom)
+        touch = [
+            _lookup(dev_by_name, dev, f"{source}: attacker: unknown device {dev!r}").atom
+            for dev in _list_field(attacker_raw, "physical_access", f"{source}: attacker")
+        ]
     else:
         touch = [d.atom for d in resolved if d.physically_exposed]
 
-    goals_raw = raw.get("goals", [])
-    _require(isinstance(goals_raw, list), f"{source}: goals must be a list")
     goals = []
-    for g in goals_raw:
+    for g in _list_field(raw, "goals", source):
         _require(isinstance(g, str) and g.strip() != "", f"{source}: goals must be atom strings")
         try:
             goals.append(parse_atom(g))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import json
 import logging
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,7 +35,6 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class DeviceFinding:
     device: str  # atom
-    device_name: str
     records: tuple[CveRecord, ...]
 
 
@@ -62,9 +63,7 @@ def scan_devices(config: SystemConfig, store: CveStore) -> list[DeviceFinding]:
     for d in config.devices:
         records = store.search(d.name)
         if records:
-            findings.append(
-                DeviceFinding(device=d.atom, device_name=d.name, records=tuple(records))
-            )
+            findings.append(DeviceFinding(device=d.atom, records=tuple(records)))
     return findings
 
 
@@ -73,7 +72,7 @@ def build_models(
     findings: list[DeviceFinding],
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> list[ExploitModel]:
-    networks = {n.atom: n for n in config.networks}
+    networks = config.network_index()
     devices = config.device_index()
     out: list[ExploitModel] = []
     for finding in findings:
@@ -112,47 +111,42 @@ def analyze(
 ) -> AnalysisResult:
     timings: dict[str, float] = {}
 
-    t0 = time.perf_counter()
-    findings = scan_devices(config, store)
-    timings["scan"] = time.perf_counter() - t0
+    @contextmanager
+    def stage(name: str) -> Iterator[None]:
+        t0 = time.perf_counter()
+        yield
+        timings[name] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    models = build_models(config, findings, overrides)
-    timings["classify"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bound, skipped = bind_apps(config)
-    timings["apps"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    compiled = compile_system(config, models, bound, extra_goals=extra_goals)
-    timings["compile"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sat = saturate(compiled.program)
-    goals = compiled.goals or default_goals(compiled.program, sat)
-    graph = build_attack_graph(compiled.program, goals, sat)
-    timings["reason"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    depths = metrics_mod.node_depths(graph)
-    evidence = metrics_mod.attack_evidence(graph)
-    goal_results = []
-    for goal in goals:
-        reachable = graph.reachable.get(goal, False)
-        trace = metrics_mod.shortest_trace(graph, goal, depths) if reachable else None
-        patch = metrics_mod.patch_set(graph, evidence, goal)
-        goal_results.append(
-            GoalResult(
-                goal=goal,
-                reachable=reachable,
-                depth=trace.depth if trace else None,
-                trace=trace,
-                patch=patch,
-                exact=graph.goal_nodes.get(goal) not in evidence.approximate,
+    with stage("scan"):
+        findings = scan_devices(config, store)
+    with stage("classify"):
+        models = build_models(config, findings, overrides)
+    with stage("apps"):
+        bound, skipped = bind_apps(config)
+    with stage("compile"):
+        compiled = compile_system(config, models, bound, extra_goals=extra_goals)
+    with stage("reason"):
+        sat = saturate(compiled.program)
+        goals = compiled.goals or default_goals(sat)
+        graph = build_attack_graph(compiled.program, goals, sat)
+    with stage("metrics"):
+        depths = metrics_mod.node_depths(graph)
+        evidence = metrics_mod.attack_evidence(graph)
+        goal_results = []
+        for goal in goals:
+            reachable = goal in graph.goal_nodes
+            trace = metrics_mod.shortest_trace(graph, goal, depths) if reachable else None
+            patch = metrics_mod.patch_set(graph, evidence, goal)
+            goal_results.append(
+                GoalResult(
+                    goal=goal,
+                    reachable=reachable,
+                    depth=trace.depth if trace else None,
+                    trace=trace,
+                    patch=patch,
+                    exact=graph.goal_nodes.get(goal) not in evidence.approximate,
+                )
             )
-        )
-    timings["metrics"] = time.perf_counter() - t0
 
     return AnalysisResult(
         config=config,

@@ -5,6 +5,11 @@ rule firings are AND nodes (every body atom must hold), and derived atoms
 are OR nodes (any one firing suffices). Node ids are assigned in a pinned
 order so identical inputs always serialize identically: facts sorted by
 clause text, then rule firings, then derived atoms.
+
+A goal is reachable exactly when it has a node: the slice starts from every
+goal the saturation reached, so ``goal_nodes`` holds those goals and no
+others. Edges are given as ``parents``; the graph inverts them once, in node
+order, into ``children`` for the metrics that walk forward.
 """
 
 from __future__ import annotations
@@ -34,7 +39,15 @@ class AttackGraph:
     parents: dict[int, tuple[int, ...]]
     goals: tuple[Atom, ...]
     goal_nodes: dict[Atom, int]
-    reachable: dict[Atom, bool] = field(default_factory=dict)
+    children: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        children: dict[int, list[int]] = {}
+        for n in self.nodes:
+            for p in self.parents.get(n.node_id, ()):
+                children.setdefault(p, []).append(n.node_id)
+        # Tuples, like ``parents``: the graph keeps them through output writing.
+        self.children = {p: tuple(cs) for p, cs in children.items()}
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id - 1]
@@ -63,7 +76,7 @@ class AttackGraph:
                 {
                     "atom": g.render(),
                     "node": self.goal_nodes.get(g),
-                    "reachable": self.reachable.get(g, False),
+                    "reachable": g in self.goal_nodes,
                 }
                 for g in self.goals
             ],
@@ -75,9 +88,7 @@ class AttackGraph:
     def to_dot(self) -> str:
         shape = {FACT: "box", RULE: "ellipse", DERIVATION: "diamond"}
         lines = ["digraph attack_graph {", "  rankdir=LR;"]
-        goal_ids = {
-            self.goal_nodes[g] for g in self.goals if g in self.goal_nodes
-        }
+        goal_ids = set(self.goal_nodes.values())
         for n in self.nodes:
             style = ', style=filled, fillcolor="#ffdddd"' if n.node_id in goal_ids else ""
             label = n.text.replace("\\", "\\\\").replace('"', '\\"')
@@ -96,7 +107,7 @@ class AttackGraph:
             src = f"  <- {', '.join(str(p) for p in ps)}" if ps else ""
             lines.append(f"[{n.node_id:>4}] {kind_tag[n.kind]} {n.text}{src}")
         for g in self.goals:
-            status = "reachable" if self.reachable.get(g, False) else "unreachable"
+            status = "reachable" if g in self.goal_nodes else "unreachable"
             lines.append(f"goal {g.render()}: {status}")
         return "\n".join(lines) + "\n"
 
@@ -239,21 +250,19 @@ def build_attack_graph(
     for fid in firing_order:
         rule = result.fired[fid]
         derivation_parents.setdefault(atom_node[rule.head], []).append(firing_node[fid])
+    # Firing nodes are numbered in ``firing_order``, so each list ascends.
     for nid, ps in derivation_parents.items():
-        parents[nid] = tuple(sorted(ps))
+        parents[nid] = tuple(ps)
 
-    goal_nodes = {g: atom_node[g] for g in reachable_goals if g in atom_node}
-    reachable = {g: g in known for g in goals}
     return AttackGraph(
         nodes=nodes,
         parents=parents,
         goals=tuple(goals),
-        goal_nodes=goal_nodes,
-        reachable=reachable,
+        goal_nodes={g: atom_node[g] for g in reachable_goals},
     )
 
 
-def default_goals(program: LogicProgram, result: SaturationResult) -> tuple[Atom, ...]:
+def default_goals(result: SaturationResult) -> tuple[Atom, ...]:
     """When no goals are configured: every derived attacker privilege."""
 
     privilege_preds = {

@@ -26,12 +26,14 @@ from .logic import (
     is_variable,
     render_fact,
 )
-from .model import DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
+from .model import (
+    DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, PROTOCOLS, SCALAR_CHANNELS, DeviceSpec, SystemConfig
+)
 
 # Predicates that appear in the fact base (as opposed to derived conditions).
 STATIC_FACT_PREDS = frozenset(
     {info.predicate for info in DEVICE_TYPES.values()}
-    | {"wifi", "zigbee", "zwave", "ble", "ethernet"}
+    | set(PROTOCOLS)
     | {"inNetwork", "plugInto", "lockedBy", "suppliedBy", "physicallyExposed", "lockFree"}
     | {"vulExists", "vulProperty"}
     | {"attackerOnInternet", "attackerRadioAdjacent", "attackerPhysicalAccess"}

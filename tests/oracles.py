@@ -233,7 +233,6 @@ def random_attack_dag(rng: random.Random) -> AttackGraph:
         parents=parents,
         goals=(goal,),
         goal_nodes={goal: goal_id},
-        reachable={goal: True},
     )
 
 
@@ -385,7 +384,6 @@ def random_cyclic_attack_graph(rng: random.Random) -> AttackGraph:
         parents=parents,
         goals=tuple(goals),
         goal_nodes={atom: did for atom, did in zip(goals, deriv_ids)},
-        reachable={atom: True for atom in goals},
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import pathlib
@@ -8,7 +9,7 @@ import sys
 
 import pytest
 
-from iotgraph.cli import main
+from iotgraph.cli import build_parser, main
 
 from conftest import FEED_PATH, FIXTURES
 
@@ -20,6 +21,25 @@ def fixture_path(name: str) -> str:
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("IOTGRAPH_STORE", raising=False)
+
+
+def test_subcommand_options_are_pinned():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: sorted(s for a in parser._actions for s in a.option_strings)
+        for name, parser in sub.choices.items()
+    }
+    inputs = ["--config", "--help", "--overrides", "--store", "-h"]
+    assert options == {
+        "ingest": ["--help", "--store", "-h"],
+        "scan": ["--help", "--store", "-h"],
+        "model": inputs,
+        "extract-apps": ["--config", "--help", "--strict", "-h"],
+        "compile": sorted([*inputs, "--goals", "--out"]),
+        "analyze": sorted([*inputs, "--fail-on-reachable", "--format", "--goals", "--out"]),
+        "metrics": sorted([*inputs, "--goals"]),
+        "synth": ["--devices", "--help", "--out", "--seed", "-h"],
+    }
 
 
 def test_ingest_reports_counts(tmp_path, capsys):
@@ -39,6 +59,16 @@ def test_ingest_bad_feed_exits_4(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert err.startswith("error:")
+
+
+def test_ingest_feed_list_exits_4(tmp_path, capsys):
+    store = str(tmp_path / "store.db")
+    feed = tmp_path / "list.json"
+    feed.write_text("[]")
+    code = main(["ingest", "--store", store, str(feed)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith("error: ingest failed")
 
 
 def test_scan_lists_matches(store_path, capsys):
@@ -190,6 +220,46 @@ def test_invalid_config_exits_2(store_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "invalid config" in err
+
+
+NETS = [{"name": "wifi1", "type": "wifi"}]
+HUB = [{"name": "Hub", "type": "gateway", "network": ["wifi1"]}]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"devices": 5},
+        {"networks": 7},
+        {"apps": 3},
+        {"goals": {"g": 1}},
+        {"attacker": {"radio_adjacent": None}},
+        {"attacker": {"physical_access": 4}},
+        {"networks": NETS, "devices": [{"name": "Hub", "type": "gateway", "network": [["x"]]}]},
+        {"networks": NETS, "attacker": {"radio_adjacent": [["wifi1"]]}},
+        {"networks": NETS, "devices": HUB, "attacker": {"physical_access": [{"d": "Hub"}]}},
+        {"networks": NETS, "devices": [*HUB, {"name": "Lamp", "type": "bulb", "plugs_into": [1]}]},
+    ],
+    ids=[
+        "devices-number",
+        "networks-number",
+        "apps-number",
+        "goals-object",
+        "radio-null",
+        "physical-number",
+        "device-network-list",
+        "radio-entry-list",
+        "physical-entry-object",
+        "wiring-list",
+    ],
+)
+def test_mistyped_config_exits_2(tmp_path, capsys, doc):
+    cfg = tmp_path / "home.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["extract-apps", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: invalid config")
 
 
 def test_extract_apps_prints_semantics(capsys):

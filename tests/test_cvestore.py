@@ -144,6 +144,38 @@ def test_ingest_rejects_malformed_feed(tmp_path):
         s.ingest_feed(str(empty))
 
 
+def test_ingest_rejects_feed_that_is_not_an_object(tmp_path):
+    feed = tmp_path / "list.json"
+    feed.write_text(json.dumps([item("CVE-2021-0001", "a router bug")]))
+    with pytest.raises(StoreError, match="top level must be an object"):
+        CveStore(tmp_path / "s.db").ingest_feed(str(feed))
+
+
+@pytest.mark.parametrize(
+    "v2, path, value",
+    [
+        (False, ("impact",), 5),
+        (False, ("cve", "description"), 5),
+        (False, ("cve", "description", "description_data", 0, "value"), 5),
+        (False, ("impact", "baseMetricV3", "cvssV3", "attackVector"), 5),
+        (True, ("impact", "baseMetricV2", "cvssV2", "integrityImpact"), ["NONE"]),
+    ],
+)
+def test_ingest_skips_mistyped_items_and_keeps_the_rest(tmp_path, v2, path, value):
+    bad = item("CVE-2021-0002", "a camera bug", v2=v2)
+    target = bad
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    feed = write_feed(
+        tmp_path / "feed.json",
+        [item("CVE-2021-0001", "a router bug"), bad, item("CVE-2021-0003", "a lock bug")],
+    )
+    s = CveStore(tmp_path / "s.db")
+    assert s.ingest_feed(str(feed)) == (2, 1)
+    assert [r.cve_id for r in s.all_records()] == ["CVE-2021-0001", "CVE-2021-0003"]
+
+
 def test_reingest_same_feed_updates_not_duplicates(tmp_path):
     s = CveStore(tmp_path / "s.db")
     s.ingest_feed(str(FEED_PATH))

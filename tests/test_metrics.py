@@ -154,7 +154,6 @@ def test_node_depths_unsupported_node_is_infinite():
         parents={3: (1, 2), 4: (3,)},
         goals=(goal,),
         goal_nodes={goal: 4},
-        reachable={goal: False},
     )
     depths = node_depths(graph)
     assert depths[1] == 0.0
@@ -302,7 +301,6 @@ def plan_for(masks: frozenset[int], n_cves: int):
         parents={},
         goals=(goal,),
         goal_nodes={goal: 1},
-        reachable={goal: True},
     )
     universe = tuple(f"CVE-2001-{1000 + i}" for i in range(n_cves))
     evidence = Evidence(universe=universe, tags={1: masks})

@@ -9,6 +9,7 @@ from iotgraph.model import (
     DEVICE_TYPES,
     ConfigError,
     DeviceSpec,
+    NetworkSpec,
     SystemConfig,
     normalize_name,
     parse_config,
@@ -60,21 +61,48 @@ def test_parse_config_basic_shape():
     assert hub.networks == ("wifi1", "zigbee1")
 
 
+def first_by_scan(specs, key):
+    """The lookup ``device()`` and ``network()`` made before they had indexes."""
+
+    for spec in specs:
+        if key in (spec.atom, spec.name):
+            return spec
+    return None
+
+
 def test_device_index_returns_what_device_returns():
     # Built directly, so keys collide: "b" is the first device's atom and the
     # second device's name; "c" is the second's atom and the third's name.
+    # The networks collide the same way.
     cfg = SystemConfig(
         devices=(
             DeviceSpec(name="a", atom="b", device_type="router"),
             DeviceSpec(name="b", atom="c", device_type="gateway"),
             DeviceSpec(name="c", atom="d", device_type="camera"),
         ),
-        networks=(),
+        networks=(
+            NetworkSpec(name="n", atom="m", protocol="wifi"),
+            NetworkSpec(name="m", atom="k", protocol="zigbee"),
+        ),
     )
-    index = cfg.device_index()
-    assert set(index) == {"a", "b", "c", "d"}
-    for key, spec in index.items():
-        assert spec is cfg.device(key), key
+    for specs, index, find in (
+        (cfg.devices, cfg.device_index(), cfg.device),
+        (cfg.networks, cfg.network_index(), cfg.network),
+    ):
+        assert set(index) == {s.atom for s in specs} | {s.name for s in specs}
+        for key, spec in index.items():
+            assert spec is find(key) is first_by_scan(specs, key), key
+        for unknown in ("zz", "", "B"):
+            assert first_by_scan(specs, unknown) is None
+            with pytest.raises(ConfigError):
+                find(unknown)
+
+
+def test_config_indexes_are_not_compared():
+    doc = minimal_doc()
+    assert parse_config(doc) == parse_config(doc)
+    assert hash(parse_config(doc)) == hash(parse_config(doc))
+    assert "_by_key" not in repr(parse_config(doc))
 
 
 def test_parse_config_network_protocols():

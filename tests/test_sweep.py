@@ -65,7 +65,31 @@ def named(evidence: Evidence) -> dict[int, frozenset[frozenset[str]]]:
 def shuffled(graph: AttackGraph, rng: random.Random) -> AttackGraph:
     nodes = list(graph.nodes)
     rng.shuffle(nodes)
-    return AttackGraph(nodes, graph.parents, graph.goals, graph.goal_nodes, graph.reachable)
+    return AttackGraph(nodes, graph.parents, graph.goals, graph.goal_nodes)
+
+
+def assert_children_invert_parents(graph: AttackGraph) -> None:
+    """Each node's children are the nodes with it as a parent, in node order."""
+
+    expected = {
+        p: tuple(n.node_id for n in graph.nodes if p in graph.parents.get(n.node_id, ()))
+        for ps in graph.parents.values()
+        for p in ps
+    }
+    assert graph.children == expected
+
+
+@pytest.mark.parametrize("name", ["listing10", "hall_light", "fig2", "system28", "system37"])
+def test_children_invert_parents_on_fixtures(name, store):
+    assert_children_invert_parents(analyze(load_fixture_config(name), store).graph)
+
+
+def test_children_invert_parents_on_cyclic_graphs():
+    rng = random.Random(SEED)
+    for _ in range(100):
+        graph = random_cyclic_attack_graph(rng)
+        assert_children_invert_parents(graph)
+        assert_children_invert_parents(shuffled(graph, rng))
 
 
 def test_incremental_sweep_matches_full_sweep_on_cyclic_graphs():
