@@ -214,6 +214,14 @@ def _run_analysis(args: argparse.Namespace):
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    # The output directory is made only after the analysis; refuse a path
+    # it cannot be made at before spending the analysis on it.
+    out = Path(args.out)
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise CliError(
+            f"cannot write outputs to {out}: {existing} is not a directory", EXIT_CONFIG
+        )
     result = _run_analysis(args)
     written = write_outputs(result, args.out, graph_format=args.format)
     print(render_summary(result))

@@ -117,7 +117,11 @@ class CveStore:
     def __init__(self, path: str | Path = ":memory:"):
         self.path = str(path)
         self._conn = sqlite3.connect(self.path)
-        self._conn.executescript(_SCHEMA)
+        try:
+            self._conn.executescript(_SCHEMA)
+        except sqlite3.DatabaseError:
+            self._conn.close()
+            raise
 
     def __enter__(self) -> "CveStore":
         return self
@@ -132,7 +136,11 @@ class CveStore:
     def open_existing(path: str | Path) -> "CveStore":
         if str(path) != ":memory:" and not Path(path).exists():
             raise StoreError(f"vulnerability store not found: {path}")
-        return CveStore(path)
+        try:
+            return CveStore(path)
+        except sqlite3.DatabaseError as exc:
+            # A directory, or a file that is not an SQLite database.
+            raise StoreError(f"cannot open vulnerability store {path}: {exc}") from None
 
     def count(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]

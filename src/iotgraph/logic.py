@@ -209,11 +209,8 @@ class HornRule:
         return rule
 
     def render(self) -> str:
-        lines = [f"{self.head.render()} :-"]
-        for i, atom in enumerate(self.body):
-            tail = "," if i < len(self.body) - 1 else "."
-            lines.append(f"    {atom.render()}{tail}")
-        return "\n".join(lines)
+        body = ",\n    ".join([atom.render() for atom in self.body])
+        return f"{self.head.render()} :-\n    {body}."
 
 
 def render_fact(atom: Atom) -> str:

@@ -21,8 +21,8 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .apps import AppBindError, AppParseError, BoundApp, bind_app, parse_app_description
-from .cvestore import CveRecord, CveStore
-from .exploits import ExploitModel, models_for
+from .cvestore import CveRecord, CveStore, query_tokens
+from .exploits import ExploitModel, classify_effect, classify_precondition, models_for
 from .logic import Atom
 from .metrics import GoalResult
 from .model import SystemConfig
@@ -57,13 +57,22 @@ class AnalysisResult:
 
 
 def scan_devices(config: SystemConfig, store: CveStore) -> list[DeviceFinding]:
-    """Look every device name up in the CVE store."""
+    """Look every device name up in the CVE store.
 
+    A search depends only on the name's keywords, so each distinct keyword
+    tuple is searched once per call and its devices share the records. A
+    name with no keywords is passed to the store on its own, which warns
+    once per such device.
+    """
+
+    searched: dict[tuple[str, ...], tuple[CveRecord, ...]] = {}
     findings = []
     for d in config.devices:
-        records = store.search(d.name)
-        if records:
-            findings.append(DeviceFinding(device=d.atom, records=tuple(records)))
+        keywords = tuple(query_tokens(d.name))
+        if not keywords or keywords not in searched:
+            searched[keywords] = tuple(store.search(d.name))
+        if searched[keywords]:
+            findings.append(DeviceFinding(device=d.atom, records=searched[keywords]))
     return findings
 
 
@@ -72,19 +81,34 @@ def build_models(
     findings: list[DeviceFinding],
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> list[ExploitModel]:
+    """Exploit models for every CVE found on a device, in finding order.
+
+    A CVE's kinds depend only on its record and the protocols of the
+    device's networks, so each such pair is classified once per call, with
+    the CVE's override applied on top, and passed to ``models_for`` as its
+    override.
+    """
+
     networks = config.network_index()
     devices = config.device_index()
+    overrides = overrides or {}
+    kinds: dict[tuple[CveRecord, tuple[str, ...]], tuple[str, str]] = {}
     out: list[ExploitModel] = []
     for finding in findings:
         device = devices[finding.device]
+        protocols = tuple(networks[n].protocol for n in device.networks)
         for record in finding.records:
-            override = None
-            if overrides and record.cve_id in overrides:
-                entry = overrides[record.cve_id]
-                override = (entry.get("precondition"), entry.get("effect"))
-            out.extend(models_for(device, record, networks, override=override))
+            key = (record, protocols)
+            if key not in kinds:
+                entry = overrides.get(record.cve_id, {})
+                pre, effect = entry.get("precondition"), entry.get("effect")
+                kinds[key] = (
+                    pre if pre is not None else classify_precondition(record, protocols),
+                    effect if effect is not None else classify_effect(record),
+                )
+            out.extend(models_for(device, record, networks, override=kinds[key]))
     found = {record.cve_id for finding in findings for record in finding.records}
-    for cve_id in sorted((overrides or {}).keys() - found):
+    for cve_id in sorted(overrides.keys() - found):
         log.warning("override for %s matches no CVE found on a device; ignored", cve_id)
     return out
 

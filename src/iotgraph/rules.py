@@ -493,10 +493,15 @@ def compile_system(
     )
     static_ground = ground_static_rules(static_library, facts, domains)
 
+    # Exploit rule bodies use the fact objects, not the copies that
+    # ``ExploitModel.rule`` builds.
+    shared = {fact: fact for fact in vul_facts}
     first_rules: dict[tuple, HornRule] = {}
     for model in models:
         rule = model.rule()
-        first_rules.setdefault((rule.head, rule.body), rule)
+        if (rule.head, rule.body) not in first_rules:
+            body = tuple(shared.get(atom, atom) for atom in rule.body)
+            first_rules[rule.head, rule.body] = HornRule.instance(rule.head, body, rule.label)
     exploit_rules = list(first_rules.values())
 
     app_rules = [rule for bound in bound_apps for rule in bound.rules]

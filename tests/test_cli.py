@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from iotgraph import cli
 from iotgraph.cli import build_parser, main
 
 from conftest import FEED_PATH, FIXTURES
@@ -99,6 +100,19 @@ def test_missing_store_file_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("kind", ["directory", "text file"])
+def test_unreadable_store_exits_3(tmp_path, capsys, kind):
+    path = tmp_path / "store.db"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_text("not a database\n")
+    code = main(["scan", "--store", str(path), "D-Link Router"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: cannot open vulnerability store {path}:")
 
 
 def test_model_prints_classification(store_path, capsys):
@@ -362,6 +376,26 @@ def test_analyze_writes_outputs(store_path, tmp_path, capsys):
     for name in ("program.pl", "attack_graph.json", "attack_graph.dot",
                  "metrics_report.txt", "run_manifest.json"):
         assert (out_dir / name).exists(), name
+
+
+@pytest.mark.parametrize("out", ["file", "file/run"])
+def test_analyze_out_under_a_file_exits_2_before_analysing(
+    store_path, tmp_path, capsys, monkeypatch, out
+):
+    (tmp_path / "file").write_text("kept\n")
+
+    def analyze(*args, **kwargs):
+        raise AssertionError("analysis ran")
+
+    monkeypatch.setattr(cli, "analyze", analyze)
+    code = main(
+        ["analyze", "--store", store_path, "--config", fixture_path("fig2"),
+         "--out", str(tmp_path / out)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{tmp_path / 'file'} is not a directory" in err
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_analyze_fail_on_reachable(store_path, tmp_path, capsys):

@@ -112,6 +112,7 @@ def test_rule_substitute_and_render():
     ground = rule.substitute({"Door": "d1"})
     assert not ground.variables()
     assert ground.render() == "open(d1) :-\n    doorOpener(d1),\n    smoke."
+    assert HornRule(Atom("smoke"), (Atom("fire"),)).render() == "smoke :-\n    fire."
 
 
 def test_render_fact_appends_period():

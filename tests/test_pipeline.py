@@ -1,20 +1,26 @@
 from __future__ import annotations
 
 import json
+import logging
 
 import pytest
 
-from iotgraph import metrics
+from iotgraph import exploits, metrics, pipeline
+from iotgraph.cvestore import CveStore, query_tokens
+from iotgraph.exploits import models_for
 from iotgraph.logic import LogicProgram, parse_atom
 from iotgraph.model import SystemConfig, parse_config
 from iotgraph.pipeline import (
+    DeviceFinding,
     analyze,
     bind_apps,
+    build_models,
     render_summary,
     scan_devices,
     write_outputs,
 )
 from iotgraph.reasoner import saturate
+from iotgraph.synth import synth_document
 
 from conftest import load_fixture_config
 
@@ -244,3 +250,150 @@ def test_evidence_valve_marks_goals_and_keeps_plans_sound(name, cap, store, monk
         report = metrics.render_report(run.graph, run.evidence, run.goal_results)
         assert ("(approximate)" in report) == marked
         assert ("(approximate)" in render_summary(run)) == marked
+
+
+# Per-device scan and classify as they were before each keyword tuple was
+# searched once and each (record, protocols) pair classified once; the
+# memoized stages must give the same findings and models in the same order.
+def reference_scan_devices(config, store):
+    findings = []
+    for d in config.devices:
+        records = store.search(d.name)
+        if records:
+            findings.append(DeviceFinding(device=d.atom, records=tuple(records)))
+    return findings
+
+
+def reference_build_models(config, findings, overrides=None):
+    networks = config.network_index()
+    devices = config.device_index()
+    out = []
+    for finding in findings:
+        device = devices[finding.device]
+        for record in finding.records:
+            override = None
+            if overrides and record.cve_id in overrides:
+                entry = overrides[record.cve_id]
+                override = (entry.get("precondition"), entry.get("effect"))
+            out.extend(models_for(device, record, networks, override=override))
+    found = {record.cve_id for finding in findings for record in finding.records}
+    for cve_id in sorted((overrides or {}).keys() - found):
+        logging.getLogger("iotgraph.pipeline").warning(
+            "override for %s matches no CVE found on a device; ignored", cve_id
+        )
+    return out
+
+
+class CountingStore(CveStore):
+    """The store with every ``search`` argument recorded."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.searched: list[str] = []
+
+    def search(self, device_name):
+        self.searched.append(device_name)
+        return super().search(device_name)
+
+
+def some_overrides(findings):
+    """Overrides for a spread of the found CVEs plus one id nothing matches."""
+
+    ids = sorted({r.cve_id for f in findings for r in f.records})
+    entries = (
+        {"precondition": "physical"},
+        {"effect": "wifiAccess"},
+        {"precondition": "adjacentLogically", "effect": "dos"},
+        {},
+    )
+    overrides = {cve: entries[i % len(entries)] for i, cve in enumerate(ids[::2])}
+    overrides["CVE-1999-0001"] = {"effect": "root"}
+    return overrides
+
+
+MEMO_HOMES = [
+    *(("fixture", name) for name in ("fig2", "system28", "system37", "hall_light", "listing10")),
+    *(("synth", (n, seed)) for n, seed in ((20, 1), (64, 2), (150, 3), (320, 4))),
+]
+
+
+def memo_home(kind, spec):
+    if kind == "fixture":
+        return load_fixture_config(spec)
+    return parse_config(synth_document(*spec), source="synth")
+
+
+@pytest.mark.parametrize("with_overrides", [False, True])
+@pytest.mark.parametrize(("kind", "spec"), MEMO_HOMES)
+def test_memoized_scan_and_classify_match_per_device_reference(
+    kind, spec, with_overrides, store, caplog
+):
+    config = memo_home(kind, spec)
+    findings = scan_devices(config, store)
+    assert findings == reference_scan_devices(config, store)
+    overrides = some_overrides(findings) if with_overrides else None
+
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        expected = reference_build_models(config, findings, overrides)
+    expected_warnings = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+    with caplog.at_level(logging.WARNING):
+        models = build_models(config, findings, overrides)
+    assert [r.getMessage() for r in caplog.records] == expected_warnings
+    assert models == expected
+    if kind == "synth" and spec[0] >= 150:
+        # Homes this large repeat products, so the memos are hit.
+        assert len(findings) > len({f.records for f in findings})
+
+
+def test_scan_searches_each_keyword_tuple_once(store, caplog):
+    doc = synth_document(320, 5)
+    network = doc["networks"][0]["name"]
+    doc["devices"] = doc["devices"] + [
+        {"name": name, "type": "bulb", "network": [network]}
+        for name in ("Smart Mini", "White 2 Bulb", "Small White Device")
+    ]
+    config = parse_config(doc, source="synth")
+    counting = CountingStore(store.path)
+    with caplog.at_level(logging.WARNING):
+        findings = scan_devices(config, counting)
+    warned = [r.getMessage() for r in caplog.records if "no searchable keywords" in r.getMessage()]
+    assert findings == reference_scan_devices(config, store)
+
+    keys = [tuple(query_tokens(d.name)) for d in config.devices]
+    empty = [d.name for d, key in zip(config.devices, keys) if not key]
+    assert empty == ["Smart Mini", "Small White Device"]
+    assert len(counting.searched) == len({k for k in keys if k}) + len(empty)
+    assert len(counting.searched) < len(config.devices)
+    assert [n for n in counting.searched if not query_tokens(n)] == empty
+    assert warned == [f"device name {name!r} has no searchable keywords" for name in empty]
+
+
+def test_build_models_classifies_each_record_and_protocol_set_once(store, monkeypatch):
+    config = parse_config(synth_document(320, 6), source="synth")
+    findings = scan_devices(config, store)
+    calls = {"precondition": [], "effect": []}
+    for module in (pipeline, exploits):
+        for kind, fn in (
+            ("precondition", exploits.classify_precondition),
+            ("effect", exploits.classify_effect),
+        ):
+            def counted(record, *args, _kind=kind, _fn=fn):
+                calls[_kind].append((record, *args))
+                return _fn(record, *args)
+
+            monkeypatch.setattr(module, f"classify_{kind}", counted)
+    models = build_models(config, findings)
+    assert models
+
+    devices = config.device_index()
+    networks = config.network_index()
+    pairs = {
+        (r, tuple(networks[n].protocol for n in devices[f.device].networks))
+        for f in findings
+        for r in f.records
+    }
+    assert sorted(map(repr, calls["precondition"])) == sorted(map(repr, pairs))
+    assert len(calls["effect"]) == len(pairs)
+    assert len(pairs) < sum(len(f.records) for f in findings)

@@ -19,6 +19,9 @@ from iotgraph.rules import (
     render_system_facts,
 )
 
+from iotgraph.pipeline import build_models, scan_devices
+from iotgraph.synth import synth_document
+
 from conftest import load_fixture_config
 
 
@@ -235,3 +238,21 @@ def test_compile_system_dedupes_exploit_rules(store):
     vul_facts = compiled.program.facts[compiled.vul_start :]
     assert vul_facts and all(f.pred in ("vulExists", "vulProperty") for f in vul_facts)
     assert len(vul_facts) == len(set(vul_facts))
+
+
+@pytest.mark.parametrize("home", ["fig2", 64])
+def test_exploit_rules_share_the_vulnerability_fact_objects(home, store):
+    if home == "fig2":
+        cfg = load_fixture_config("fig2")
+    else:
+        cfg = parse_config(synth_document(home, 1), source="synth")
+    models = build_models(cfg, scan_devices(cfg, store))
+    compiled = compile_system(cfg, models, [])
+    facts = compiled.program.facts[compiled.vul_start :]
+    by_value = {fact: fact for fact in facts}
+    rules = compiled.program.rules[: compiled.static_start]
+    assert rules
+    for rule in rules:
+        vul_atoms = [a for a in rule.body if a.pred in ("vulExists", "vulProperty")]
+        assert len(vul_atoms) == 2
+        assert all(a is by_value[a] for a in vul_atoms)
