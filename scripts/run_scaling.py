@@ -3,7 +3,9 @@
 
 Builds one CVE store from the bundled feed, then times the full pipeline on
 seed-fixed synthetic homes of increasing size and fits a log-log line to the
-measured cost. Prints one row per size plus the fitted growth exponent.
+measured cost. Prints one row per size, with the seconds each stage of
+``analyze`` took in the fastest run (``AnalysisResult.timings``), then the
+fitted growth exponent, then all of it as one JSON line.
 Times are the best of ``--repeats`` plain runs; peak traced memory comes
 from one further run under ``tracemalloc``, which is not timed.
 
@@ -14,6 +16,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import statistics
 import sys
@@ -27,6 +30,8 @@ from iotgraph.cvestore import CveStore
 from iotgraph.pipeline import analyze
 from iotgraph.synth import synthesize
 
+STAGES = ("scan", "classify", "apps", "compile", "reason", "metrics")
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -37,36 +42,55 @@ def main(argv: list[str] | None = None) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s]
 
     feed = resources.files("iotgraph") / "fixtures" / "mini_feed.json"
+    rows = []
     with tempfile.TemporaryDirectory() as tmp:
         store = CveStore(Path(tmp) / "store.db")
         store.ingest_feed(str(feed))
 
-        print(f"{'devices':>8} {'best wall (s)':>14} {'peak MB':>8} {'graph nodes':>12} {'reachable goals':>16}")
-        costs = []
+        stage_heads = " ".join(f"{name:>9}" for name in STAGES)
+        print(
+            f"{'devices':>8} {'best wall (s)':>14} {'peak MB':>8} {'graph nodes':>12} "
+            f"{'reachable goals':>16} {stage_heads}"
+        )
         for n in sizes:
             cfg = synthesize(n, seed=args.seed)
-            best = math.inf
+            best, timings = math.inf, {}
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
-                analyze(cfg, store)
-                best = min(best, time.perf_counter() - t0)
+                result = analyze(cfg, store)
+                took = time.perf_counter() - t0
+                if took < best:
+                    best, timings = took, result.timings
             # Peak memory in a pass of its own: tracemalloc slows allocation
             # several-fold, so the timed passes run without it.
             tracemalloc.start()
             result = analyze(cfg, store)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            nodes = len(result.graph.nodes)
-            reachable = sum(1 for r in result.goal_results if r.reachable)
-            costs.append(max(best, 1e-6))
-            print(f"{n:>8} {best:>14.4f} {peak / 1e6:>8.1f} {nodes:>12} {reachable:>16}")
+            row = {
+                "devices": n,
+                "best_s": best,
+                "peak_mb": peak / 1e6,
+                "graph_nodes": len(result.graph.nodes),
+                "reachable_goals": sum(1 for r in result.goal_results if r.reachable),
+                "stages_s": {name: timings[name] for name in STAGES},
+            }
+            rows.append(row)
+            stage_cells = " ".join(f"{timings[name]:>9.4f}" for name in STAGES)
+            print(
+                f"{n:>8} {best:>14.4f} {row['peak_mb']:>8.1f} {row['graph_nodes']:>12} "
+                f"{row['reachable_goals']:>16} {stage_cells}"
+            )
 
+        slope = None
         if len(sizes) >= 2:
             slope, intercept = statistics.linear_regression(
-                [math.log(n) for n in sizes], [math.log(c) for c in costs]
+                [math.log(n) for n in sizes], [math.log(max(r["best_s"], 1e-6)) for r in rows]
             )
             print(f"\nfitted growth: cost ~ n^{slope:.2f} (intercept {intercept:.2f})")
         store.close()
+    summary = {"seed": args.seed, "repeats": args.repeats, "rows": rows, "growth_exponent": slope}
+    print(json.dumps(summary))
     return 0
 
 

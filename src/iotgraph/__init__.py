@@ -2,7 +2,7 @@
 
 Feed the analyzer a deployment description (devices, networks, installed
 automation apps) and a CVE corpus; it compiles the whole system into a
-ground Horn program, saturates it against an attacker model, and answers
+Horn program, evaluates it against an attacker model, and answers
 quantitative questions over the resulting AND/OR attack graph: shortest
 attack traces, which CVE combinations evidence each condition, single-CVE
 blast radius, and minimal patch sets.

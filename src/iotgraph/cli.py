@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true", help="exit 4 if any app fails")
     p.set_defaults(func=cmd_extract_apps)
 
-    p = sub.add_parser("compile", parents=[inputs, goals], help="compile the ground Horn program")
+    p = sub.add_parser("compile", parents=[inputs, goals], help="compile the Horn program")
     p.add_argument("--out", help="write the program here instead of stdout")
     p.set_defaults(func=cmd_compile)
 

@@ -134,13 +134,32 @@ class CveStore:
 
     @staticmethod
     def open_existing(path: str | Path) -> "CveStore":
-        if str(path) != ":memory:" and not Path(path).exists():
+        """Open a store that ``ingest`` built, read-only: the file is not written.
+
+        A missing path, a file SQLite cannot read, and a database without
+        the store's tables all raise ``StoreError``.
+        """
+
+        if not Path(path).exists():
             raise StoreError(f"vulnerability store not found: {path}")
+        # A directory, or a file that is not an SQLite database, fails here.
         try:
-            return CveStore(path)
+            conn = sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
         except sqlite3.DatabaseError as exc:
-            # A directory, or a file that is not an SQLite database.
             raise StoreError(f"cannot open vulnerability store {path}: {exc}") from None
+        try:
+            rows = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall()
+        except sqlite3.DatabaseError as exc:
+            conn.close()
+            raise StoreError(f"cannot open vulnerability store {path}: {exc}") from None
+        if not {"records", "tokens"} <= {name for (name,) in rows}:
+            conn.close()
+            raise StoreError(
+                f"{path} is not a vulnerability store: it has no records and tokens tables"
+            )
+        store = CveStore.__new__(CveStore)
+        store.path, store._conn = str(path), conn
+        return store
 
     def count(self) -> int:
         return self._conn.execute("SELECT COUNT(*) FROM records").fetchone()[0]

@@ -155,9 +155,10 @@ class Atom:
 class HornRule:
     """``head :- body`` with a human-readable label for provenance display.
 
-    ``var_domains`` names fallback constant pools ("devices", "networks",
-    "commands") for variables the grounder cannot bind from static body
-    atoms alone.
+    ``var_domains`` names a constant pool for each variable that no body
+    atom binds; the evaluator gives such a variable every value of its pool.
+    In the static library only the voice rules' ``Cmd`` has one, over
+    "commands", the phrases the bound apps listen for.
     """
 
     head: Atom

@@ -2,8 +2,9 @@
 
 The stages are deliberately separable (each is importable and testable on
 its own): scan device names against the CVE store, classify hits into
-exploit models, parse and bind app descriptions, compile the ground Horn
-program, saturate, slice the attack graph, and evaluate metrics per goal.
+exploit models, parse and bind app descriptions, compile the Horn program
+(evaluating its rule library down to the ground instances that fire),
+saturate, slice the attack graph, and evaluate metrics per goal.
 
 ``analyze`` computes every result once and holds it in ``AnalysisResult``;
 ``write_outputs`` and ``render_summary`` only render what it holds.

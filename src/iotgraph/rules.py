@@ -1,12 +1,15 @@
-"""Compile a deployment into a ground Horn program.
+"""Compile a deployment into a Horn program and evaluate its library rules.
 
 Three ingredients meet here: facts translated from the system configuration,
-exploit rules instantiated from classified CVEs, and the static rule
-libraries (attacker privilege propagation, physical dependencies, attacker
-capabilities over actuators/sensors/voice). Static libraries are written
-with variables for readability; grounding joins their body atoms against
-the fact base and falls back on named constant pools (devices, networks,
-voice commands) for variables the facts cannot bind.
+exploit rules instantiated from classified CVEs and app rules, both ground,
+and the static rule libraries (attacker privilege propagation, physical
+dependencies, attacker capabilities over actuators/sensors/voice), which are
+written with variables. ``ground_static_rules`` evaluates the library
+semi-naively over the facts and the ground rules and builds only the library
+instances whose bodies hold; the compiled program is the ground rules plus
+those instances, so its least model is the analysis's answer. The one
+variable no body atom binds, the voice rules' ``Cmd``, ranges over the
+commands the apps listen for.
 """
 
 from __future__ import annotations
@@ -27,18 +30,8 @@ from .logic import (
     render_fact,
 )
 from .model import (
-    DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, PROTOCOLS, SCALAR_CHANNELS, DeviceSpec, SystemConfig
+    DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
 )
-
-# Predicates that appear in the fact base (as opposed to derived conditions).
-STATIC_FACT_PREDS = frozenset(
-    {info.predicate for info in DEVICE_TYPES.values()}
-    | set(PROTOCOLS)
-    | {"inNetwork", "plugInto", "lockedBy", "suppliedBy", "physicallyExposed", "lockFree"}
-    | {"vulExists", "vulProperty"}
-    | {"attackerOnInternet", "attackerRadioAdjacent", "attackerPhysicalAccess"}
-)
-
 
 def _var(name: str) -> str:
     return name[0].upper() + name[1:]
@@ -111,7 +104,6 @@ def build_propagation_rules() -> list[HornRule]:
             Atom("attackerDeviceControl", (d,)),
             (Atom("attackerRoot", (d,)),),
             label="root grants device control",
-            var_domains=(("D", "devices"),),
         ),
         HornRule(
             Atom("attackerInNetwork", (n,)),
@@ -122,19 +114,16 @@ def build_propagation_rules() -> list[HornRule]:
             Atom("attackerCommandInjection", (d,)),
             (Atom("attackerDeviceControl", (d,)),),
             label="device control grants command injection",
-            var_domains=(("D", "devices"),),
         ),
         HornRule(
             Atom("attackerEventAccess", (d,)),
             (Atom("attackerDeviceControl", (d,)),),
             label="device control grants event access",
-            var_domains=(("D", "devices"),),
         ),
         HornRule(
             Atom("attackerLocal", (d,)),
             (Atom("attackerRoot", (d,)),),
             label="root grants local access",
-            var_domains=(("D", "devices"),),
         ),
         HornRule(
             Atom("attackerAdjacentPhysically", (n,)),
@@ -145,19 +134,16 @@ def build_propagation_rules() -> list[HornRule]:
             Atom("attackerAdjacentLogically", (n,)),
             (Atom("attackerInNetwork", (n,)),),
             label="network membership grants logical adjacency",
-            var_domains=(("N", "networks"),),
         ),
         HornRule(
             Atom("attackerAdjacentPhysically", (n,)),
             (Atom("attackerAdjacentLogically", (n,)),),
             label="logical adjacency implies physical adjacency",
-            var_domains=(("N", "networks"),),
         ),
         HornRule(
             Atom("off", (d,)),
             (Atom("dos", (d,)),),
             label="denial of service turns the device off",
-            var_domains=(("D", "devices"),),
         ),
     ]
     return rules
@@ -251,7 +237,6 @@ def build_voice_rules() -> list[HornRule]:
             Atom("speakerHears", ("Cmd",)),
             (Atom("voiceCommand", ("Cmd",)), Atom("speaker", ("S",))),
             label="a speaker hears played commands",
-            var_domains=(("Cmd", "commands"),),
         )
     )
     return rules
@@ -331,16 +316,37 @@ def build_exploit_schemas() -> list[HornRule]:
 
 
 # ---------------------------------------------------------------------------
-# Grounding
+# Semi-naive evaluation of the library
+
+
+def static_library() -> list[HornRule]:
+    """Every static library rule, in the order that decides a shared instance's label."""
+
+    return (
+        build_propagation_rules()
+        + build_dependency_rules()
+        + build_voice_rules()
+        + build_capability_rules()
+    )
+
+
+AtomTable = dict[str, dict[tuple[str, ...], Atom]]
+
+
+def intern(atoms: AtomTable, atom: Atom) -> Atom:
+    """The atom of ``atoms`` equal to ``atom``, entering ``atom`` if there is none."""
+
+    return atoms.setdefault(atom.pred, {}).setdefault(atom.args, atom)
 
 
 def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
-    """How a body atom joins against facts, giving its new variables slots.
+    """How a body atom joins against known atoms, giving its new variables slots.
 
-    A fact of the right arity matches when each checked position holds the
-    constant or the slot value its check names; the slots of the atom's new
-    variables take the fact's values at their first positions. The lookup key
-    is the first check whose value is known before the atom is joined.
+    A known atom of the right arity matches when each checked position holds
+    the constant or the slot value its check names; the slots of the atom's
+    new variables take the atom's values at their first positions. The
+    lookup key is the first check whose value is known before the atom is
+    joined.
     """
 
     bound_before = len(slots)
@@ -357,89 +363,207 @@ def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
     return atom.pred, len(atom.args), new, checks, lookup
 
 
-def ground_static_rules(
-    rules: list[HornRule], facts: list[Atom], domains: dict[str, list[str]]
-) -> list[HornRule]:
-    """Instantiate variable rules against the fact base.
+def _rule_plan(rule: HornRule, domains: dict[str, list[str]]) -> tuple:
+    """How one library rule joins its body, in body order, and fills its pools.
 
-    Body atoms whose predicate lives in the fact base bind variables by
-    joining; variables left over take values from the rule's declared
-    fallback domains. Each rule is compiled once: its variables get slots
-    (join variables in the order the join binds them, then the leftover
-    ones sorted), a binding is the tuple of slot values, and each atom of the
-    rule becomes a template that a binding fills. A join atom takes its
-    candidate facts from an index on its first known argument, kept in fact
-    order, so bindings come out in the order a scan of all facts gives.
-    Ground atoms are interned by predicate and arguments, starting from the
-    facts, so each distinct one is built once per call.
+    Every body variable gets a slot in the order the join binds it; the
+    variables no body atom binds follow, sorted, and take every value of
+    their pool.
     """
 
-    by_pred, by_position, interned = {}, {}, {}
-    for f in facts:
-        by_pred.setdefault(f.pred, []).append(f)
-        for pos, arg in enumerate(f.args):
-            by_position.setdefault((f.pred, pos, arg), []).append(f)
-        interned.setdefault(f.pred, {}).setdefault(f.args, f)
+    slots: dict[str, int] = {}
+    joins = [_join_plan(atom, slots) for atom in rule.body]
+    fallback = dict(rule.var_domains)
+    pools = []
+    for var in sorted(rule.variables() - slots.keys()):
+        if var not in fallback:
+            raise LogicError(
+                f"rule {rule.label!r}: variable {var} has neither a fact "
+                f"binding nor a fallback domain"
+            )
+        slots[var] = len(slots)
+        pools.append(domains.get(fallback[var], []))
+    return joins, slots, pools
 
-    out: list[HornRule] = []
-    seen: set[tuple] = set()
-    for rule in rules:
-        slots: dict[str, int] = {}
-        joins = [
-            _join_plan(atom, slots)
-            for atom in rule.body
-            if atom.pred in STATIC_FACT_PREDS and atom.variables()
-        ]
-        bindings = [()]
-        for pred, arity, new, checks, lookup in joins:
-            extended = []
-            for b in bindings:
-                if lookup is None:
-                    pool = by_pred.get(pred, [])
-                else:
-                    pos, want = lookup
-                    value = want if want.__class__ is str else b[want]
-                    pool = by_position.get((pred, pos, value), [])
-                for f in pool:
-                    fa = f.args
-                    if len(fa) != arity:
-                        continue
-                    nb = b + tuple([fa[pos] for pos in new])
-                    if all(fa[pos] == (c if c.__class__ is str else nb[c]) for pos, c in checks):
-                        extended.append(nb)
-            bindings = extended
-            if not bindings:
-                break
+
+def _seed_plan(rule: HornRule, seed: int, slots: dict[str, int]) -> tuple:
+    """How ``rule`` joins when body atom ``seed`` is matched first.
+
+    The seed binds its variables first and the rest of the body joins in
+    body order; ``guard`` is the index key of the first lookup after the
+    seed, and ``order`` puts the bound values back in the order of the
+    rule's own ``slots`` (None where they already are).
+    """
+
+    seeded: dict[str, int] = {}
+    _, arity, new, checks, _ = _join_plan(rule.body[seed], seeded)
+    rest = [_join_plan(atom, seeded) for i, atom in enumerate(rule.body) if i != seed]
+    # The index key the next body atom looks up, if any: most seeds of a
+    # library rule fail there, on the device type of the seed's device.
+    guard = (rest[0][0], *rest[0][4]) if rest and rest[0][4] is not None else None
+    order = [seeded[var] for var in slots if var in seeded]
+    return arity, new, checks, guard, rest, None if order == sorted(order) else order
+
+
+def _extend(
+    bindings: list[tuple], joins: list[tuple], by_pred: dict, by_position: dict
+) -> list[tuple]:
+    """The bindings that also match each of ``joins`` against the known atoms."""
+
+    for pred, arity, new, checks, lookup in joins:
+        extended = []
+        for b in bindings:
+            if lookup is None:
+                pool = by_pred.get(pred, ())
+            else:
+                pos, want = lookup
+                pool = by_position.get((pred, pos, want if want.__class__ is str else b[want]), ())
+            for f in pool:
+                fa = f.args
+                if len(fa) != arity:
+                    continue
+                nb = b + tuple([fa[pos] for pos in new])
+                if all(fa[pos] == (c if c.__class__ is str else nb[c]) for pos, c in checks):
+                    extended.append(nb)
+        bindings = extended
         if not bindings:
-            continue
-        free = sorted(rule.variables() - slots.keys())
-        fallback = dict(rule.var_domains)
-        for var in free:
-            if var not in fallback:
-                raise LogicError(
-                    f"rule {rule.label!r}: variable {var} has neither a fact "
-                    f"binding nor a fallback domain"
-                )
-            slots[var] = len(slots)
-        pools = [domains.get(fallback[var], []) for var in free]
-        templates = [
-            (interned.setdefault(a.pred, {}), a.pred, args_template(a.args, slots))
-            for a in (rule.head, *rule.body)
-        ]
-        for binding, combo in product(bindings, product(*pools)):
-            values = binding + combo
-            atoms = []
-            for table, pred, fill in templates:
-                args = fill(values)
-                atom = table.get(args)
-                if atom is None:
-                    atom = table[args] = Atom.instance(pred, args)
-                atoms.append(atom)
-            key = tuple(atoms)
-            if key not in seen:
-                seen.add(key)
-                out.append(HornRule.instance(key[0], key[1:], rule.label))
-    return out
+            break
+    return bindings
+
+
+def ground_static_rules(
+    rules: list[HornRule],
+    facts: list[Atom],
+    domains: dict[str, list[str]],
+    ground: Sequence[HornRule] = (),
+    atoms: AtomTable | None = None,
+) -> list[HornRule]:
+    """The instances of the library ``rules`` that fire, by semi-naive evaluation.
+
+    Known atoms, the facts first, are indexed by predicate and by
+    ``(pred, position, value)``. Each rule's body is joined once over the
+    facts. After that, each atom that becomes known is the seed of every
+    body atom with its predicate: the rest of that body joins against the
+    known atoms, and each binding fills the rule's templates into an
+    instance whose body holds, so its head becomes known in turn. The
+    already-ground rules of ``ground`` (exploit and app rules) keep a count
+    of body atoms not yet known and make their head known when it reaches
+    zero. Each ``(head, body)`` is built once, by the first rule in
+    ``rules`` order that gives it: rules that give the same instance find it
+    when the same atom becomes known, and seeds are tried in rule order.
+
+    Every atom is interned in ``atoms`` (predicate, then arguments), which
+    starts from the facts unless the caller passes a table already holding
+    them and the atoms of ``ground``. Plans are compiled per call: each
+    rule's join plan up front, which checks that every variable is bound by
+    a body atom or has a pool in ``domains``; its templates when it first
+    fires; its seed plans when an atom of the seed's predicate first becomes
+    known.
+    """
+
+    if atoms is None:
+        atoms = {}
+    known: set[Atom] = set()
+    by_pred: dict[str, list[Atom]] = {}
+    by_position: dict[tuple, list[Atom]] = {}
+
+    def learn(atom: Atom) -> None:
+        known.add(atom)
+        by_pred.setdefault(atom.pred, []).append(atom)
+        for pos, arg in enumerate(atom.args):
+            by_position.setdefault((atom.pred, pos, arg), []).append(atom)
+
+    for fact in facts:
+        fact = intern(atoms, fact)
+        if fact not in known:
+            learn(fact)
+
+    queue: list[Atom] = []
+    queued: set[Atom] = set()
+
+    def derive(head: Atom) -> None:
+        if head not in known and head not in queued:
+            queued.add(head)
+            queue.append(head)
+
+    counts: list[int] = []
+    watchers: dict[Atom, list[int]] = {}
+    for i, rule in enumerate(ground):
+        missing = {a for a in rule.body if a not in known}
+        counts.append(len(missing))
+        for a in missing:
+            watchers.setdefault(a, []).append(i)
+        if not missing:
+            derive(rule.head)
+
+    plans = [_rule_plan(rule, domains) for rule in rules]
+    templates: list[list | None] = [None] * len(rules)
+    # Instance atoms, head first, -> the rule that gave them.
+    instances: dict[tuple[Atom, ...], int] = {}
+
+    def emit(index: int, bindings: list[tuple], order: list[int] | None = None) -> None:
+        _, slots, pools = plans[index]
+        fills = templates[index]
+        if fills is None:
+            fills = templates[index] = [
+                (atoms.setdefault(a.pred, {}), a.pred, args_template(a.args, slots))
+                for a in (rules[index].head, *rules[index].body)
+            ]
+        for b in bindings:
+            if order is not None:
+                b = tuple([b[i] for i in order])
+            for combo in product(*pools):
+                values = b + combo
+                key = []
+                for table, pred, fill in fills:
+                    args = fill(values)
+                    atom = table.get(args)
+                    if atom is None:
+                        atom = table[args] = Atom.instance(pred, args)
+                    key.append(atom)
+                key = tuple(key)
+                if key not in instances:
+                    instances[key] = index
+                    derive(key[0])
+
+    seats: dict[str, list[tuple[int, int]]] = {}
+    for index, rule in enumerate(rules):
+        for pos, atom in enumerate(rule.body):
+            seats.setdefault(atom.pred, []).append((index, pos))
+        bindings = _extend([()], plans[index][0], by_pred, by_position)
+        if bindings:
+            emit(index, bindings)
+
+    seeded: dict[str, list[tuple]] = {}
+    while queue:
+        atom = queue.pop()
+        learn(atom)
+        for i in watchers.pop(atom, ()):
+            counts[i] -= 1
+            if not counts[i]:
+                derive(ground[i].head)
+        seeds = seeded.get(atom.pred)
+        if seeds is None:
+            seeds = seeded[atom.pred] = [
+                (index, *_seed_plan(rules[index], pos, plans[index][1]))
+                for index, pos in seats.get(atom.pred, ())
+            ]
+        fa = atom.args
+        for index, arity, new, checks, guard, rest, order in seeds:
+            if len(fa) != arity:
+                continue
+            b = tuple([fa[pos] for pos in new])
+            if checks and not all(fa[pos] == (c if c.__class__ is str else b[c]) for pos, c in checks):
+                continue
+            if guard is not None:
+                pred, pos, want = guard
+                if (pred, pos, want if want.__class__ is str else b[want]) not in by_position:
+                    continue
+            bindings = _extend([b], rest, by_pred, by_position) if rest else [b]
+            if bindings:
+                emit(index, bindings, order)
+
+    return [HornRule.instance(key[0], key[1:], rules[index].label) for key, index in instances.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -448,10 +572,11 @@ def ground_static_rules(
 
 @dataclass
 class CompiledSystem:
-    """The ground program and goals, with where each part of the program starts.
+    """The compiled program and goals, with where each part of the program starts.
 
-    ``program.rules`` holds the exploit rules, then the ground static rules
-    from ``static_start``, then the app rules from ``app_start``.
+    ``program.rules`` holds the exploit rules, then the instances of
+    ``library`` that fire from ``static_start``, then the app rules from
+    ``app_start``; every atom in it is one object per distinct atom.
     ``program.facts`` holds the configuration facts in blocks of
     ``block_sizes`` facts, then the attacker facts, then the vulnerability
     facts from ``vul_start``.
@@ -459,6 +584,7 @@ class CompiledSystem:
 
     program: LogicProgram
     goals: tuple[Atom, ...]
+    library: tuple[HornRule, ...]
     static_start: int
     app_start: int
     block_sizes: tuple[int, ...]
@@ -474,59 +600,56 @@ def compile_system(
     blocks = config_fact_blocks(config)
     config_facts = [a for block in blocks for a in block]
     atk_facts = attacker_facts(config)
-
     vul_facts = list(dict.fromkeys(fact for model in models for fact in model.facts()))
-    alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
-
     facts = config_facts + atk_facts + vul_facts
-    domains = {
-        "devices": [d.atom for d in config.devices],
-        "networks": [n.atom for n in config.networks],
-        "commands": alphabet,
-    }
 
-    static_library = (
-        build_propagation_rules()
-        + build_dependency_rules()
-        + build_voice_rules()
-        + build_capability_rules()
-    )
-    static_ground = ground_static_rules(static_library, facts, domains)
+    # One table for every atom of the program, starting from the facts.
+    atoms: AtomTable = {}
+    for fact in facts:
+        intern(atoms, fact)
 
-    # Exploit rule bodies use the fact objects, not the copies that
-    # ``ExploitModel.rule`` builds.
-    shared = {fact: fact for fact in vul_facts}
+    def interned(rule: HornRule) -> HornRule:
+        body = tuple([intern(atoms, a) for a in rule.body])
+        return HornRule.instance(intern(atoms, rule.head), body, rule.label)
+
     first_rules: dict[tuple, HornRule] = {}
     for model in models:
         rule = model.rule()
         if (rule.head, rule.body) not in first_rules:
-            body = tuple(shared.get(atom, atom) for atom in rule.body)
-            first_rules[rule.head, rule.body] = HornRule.instance(rule.head, body, rule.label)
+            first_rules[rule.head, rule.body] = interned(rule)
     exploit_rules = list(first_rules.values())
+    app_rules = [interned(rule) for bound in bound_apps for rule in bound.rules]
 
-    app_rules = [rule for bound in bound_apps for rule in bound.rules]
+    alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
+    library = static_library()
+    fired = ground_static_rules(
+        library, facts, {"commands": alphabet}, exploit_rules + app_rules, atoms
+    )
 
     goals = list(config.goals)
     for atom in extra_goals:
         if atom not in goals:
             goals.append(atom)
 
-    program = LogicProgram(
-        facts=tuple(facts),
-        rules=tuple(exploit_rules) + tuple(static_ground) + tuple(app_rules),
-    )
+    program = LogicProgram(facts=tuple(facts), rules=(*exploit_rules, *fired, *app_rules))
     return CompiledSystem(
         program=program,
         goals=tuple(goals),
+        library=tuple(library),
         static_start=len(exploit_rules),
-        app_start=len(exploit_rules) + len(static_ground),
+        app_start=len(exploit_rules) + len(fired),
         block_sizes=tuple(map(len, blocks)),
         vul_start=len(config_facts) + len(atk_facts),
     )
 
 
+def _rule_text(rule: HornRule, tag: str) -> str:
+    pools = "".join(f"; {var} ranges over the {domain}" for var, domain in rule.var_domains)
+    return f"% {tag}{rule.label}{pools}\n{rule.render()}"
+
+
 def render_program(compiled: CompiledSystem) -> str:
-    """Readable clause file: schemas, ground rules, facts, goals."""
+    """Readable clause file: schemas, exploit rules, the library, app rules, facts, goals."""
 
     rules, facts = compiled.program.rules, compiled.program.facts
     blocks, start = [], 0
@@ -536,11 +659,7 @@ def render_program(compiled: CompiledSystem) -> str:
     rule_sections = (
         ("exploit rule schemas (reference)", "", build_exploit_schemas()),
         ("attack rules instantiated from CVEs", "", rules[: compiled.static_start]),
-        (
-            "propagation, dependency, and capability rules (ground)",
-            "",
-            rules[compiled.static_start : compiled.app_start],
-        ),
+        ("propagation, dependency, voice, and capability rules", "", compiled.library),
         ("app rules", "app: ", rules[compiled.app_start :]),
     )
     fact_sections = (
@@ -550,7 +669,7 @@ def render_program(compiled: CompiledSystem) -> str:
     )
     parts = []
     for title, tag, group in rule_sections:
-        texts = (f"% {tag}{rule.label}\n{rule.render()}" for rule in group)
+        texts = (_rule_text(rule, tag) for rule in group)
         parts.append("\n".join([f"% ==== {title} ====", *texts]))
     parts.append(f"% ==== facts: system configuration ====\n{_render_blocks(blocks)}")
     for title, group in fact_sections:

@@ -17,10 +17,13 @@ Exploit rules and their vulProperty terms are checked against a case-by-case
 construction (``exploit_rule_parts``, ``pre_term``, ``effect_term``) that
 does not read the package's ``PRECONDITIONS`` and ``EFFECTS`` tables.
 
-Grounding is checked against verbatim copies of the earlier grounder and of
-the argument syntax functions it used (``ground_static_rules``,
-``render_arg``, ``arg_variables``, ``substitute_arg``), which classify each
-argument with separate regular expressions.
+Library evaluation is checked against verbatim copies of the earlier
+grounder and of the argument syntax functions it used
+(``ground_static_rules``, ``render_arg``, ``arg_variables``,
+``substitute_arg``), which classify each argument with separate regular
+expressions. ``fired_library_instances`` grounds the library with that
+grounder over the active domain and saturates naively, so the instances that
+fire and the atoms derived come out of plain enumeration.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ from itertools import product
 
 from iotgraph.logic import Atom, HornRule, LogicError
 from iotgraph.metrics import Evidence
-from iotgraph.model import NetworkSpec
+from iotgraph.model import DEVICE_TYPES, PROTOCOLS, NetworkSpec
 from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, Node
-from iotgraph.rules import STATIC_FACT_PREDS
 
 CatSet = frozenset[int]
 
@@ -464,7 +466,17 @@ def exploit_rule_parts(model) -> tuple[Atom, list[Atom], str]:
 # were worked out once per rule: the argument syntax functions verbatim, and
 # ``ground_static_rules`` verbatim except that the ``variables``,
 # ``substitute`` and ``is_ground`` methods it called are replaced by the
-# helpers below, which use the copied argument functions.
+# helpers below, which use the copied argument functions. It joins only the
+# body atoms whose predicate is in its copy of the fact predicates; every
+# other variable takes the values of a named pool.
+
+STATIC_FACT_PREDS = frozenset(
+    {info.predicate for info in DEVICE_TYPES.values()}
+    | set(PROTOCOLS)
+    | {"inNetwork", "plugInto", "lockedBy", "suppliedBy", "physicallyExposed", "lockFree"}
+    | {"vulExists", "vulProperty"}
+    | {"attackerOnInternet", "attackerRadioAdjacent", "attackerPhysicalAccess"}
+)
 
 _BARE_ARG = re.compile(r"^[a-z][A-Za-z0-9_]*$")
 _TERM_ARG = re.compile(r"^[a-z][A-Za-z0-9_]*\([A-Za-z0-9_, ]*\)$")
@@ -597,3 +609,67 @@ def ground_static_rules(
                     seen.add(key)
                     out.append(ground)
     return out
+
+
+# ---------------------------------------------------------------------------
+# The library instances that fire, by grounding everything and saturating
+
+ACTIVE = "active domain"
+
+
+def _with_active_pools(rule: HornRule) -> HornRule:
+    """``rule`` with every variable that a non-fact body atom binds, and no
+    fact atom does, ranging over the active domain."""
+
+    def bound(atoms) -> set[str]:
+        return {a for atom in atoms for a in atom.args if is_variable(a)}
+
+    fact_bound = bound(a for a in rule.body if a.pred in STATIC_FACT_PREDS)
+    pools = dict(rule.var_domains)
+    pools.update((var, ACTIVE) for var in bound(rule.body) - fact_bound)
+    return HornRule(rule.head, rule.body, rule.label, var_domains=tuple(sorted(pools.items())))
+
+
+def least_model(facts, rules) -> set[Atom]:
+    """Every atom the rules derive from the facts, sweeping until nothing changes."""
+
+    known = set(facts)
+    changed = True
+    while changed:
+        changed = False
+        for rule in rules:
+            if rule.head not in known and all(a in known for a in rule.body):
+                known.add(rule.head)
+                changed = True
+    return known
+
+
+def fired_library_instances(library, facts, ground, domains):
+    """The ``(head, body, label)`` of each library instance that fires, and
+    the derived atoms.
+
+    The library is grounded by ``ground_static_rules`` with each variable
+    that a derived atom binds ranging over the active domain: every argument
+    of a fact, of an atom of the ``ground`` rules, of a domain pool, or of an
+    atom derived so far. Grounding and saturation repeat until the derived
+    atoms bring no new argument.
+    """
+
+    facts = list(facts)
+    active = {arg for pool in domains.values() for arg in pool}
+    active.update(arg for fact in facts for arg in fact.args)
+    active.update(arg for rule in ground for atom in (rule.head, *rule.body) for arg in atom.args)
+    pooled = [_with_active_pools(rule) for rule in library]
+    while True:
+        grounded = ground_static_rules(pooled, facts, {**domains, ACTIVE: sorted(active)})
+        known = least_model(facts, [*ground, *grounded])
+        grown = active | {arg for atom in known for arg in atom.args}
+        if grown == active:
+            break
+        active = grown
+    fired = {
+        (rule.head, rule.body, rule.label)
+        for rule in grounded
+        if all(atom in known for atom in rule.body)
+    }
+    return fired, known - set(facts)

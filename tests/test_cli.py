@@ -4,6 +4,7 @@ import argparse
 import json
 import os
 import pathlib
+import sqlite3
 import subprocess
 import sys
 
@@ -113,6 +114,38 @@ def test_unreadable_store_exits_3(tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith(f"error: cannot open vulnerability store {path}:")
+
+
+@pytest.mark.parametrize("kind", ["empty file", "other database"])
+def test_file_without_store_tables_exits_3_and_is_left_alone(tmp_path, capsys, kind):
+    path = tmp_path / "store.db"
+    if kind == "empty file":
+        path.touch()
+    else:
+        with sqlite3.connect(path) as conn:
+            conn.execute("CREATE TABLE notes (body TEXT)")
+        conn.close()
+    before = path.read_bytes()
+    code = main(["scan", "--store", str(path), "D-Link Router"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"error: {path} is not a vulnerability store")
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["store.db"]
+
+
+def test_scan_and_analyze_leave_the_store_file_unchanged(tmp_path, capsys):
+    path = tmp_path / "store.db"
+    assert main(["ingest", "--store", str(path), str(FEED_PATH)]) == 0
+    os.utime(path, ns=(1_000_000_000, 1_000_000_000))
+    before = path.read_bytes()
+    assert main(["scan", "--store", str(path), "D-Link Router"]) == 0
+    code = main(["analyze", "--store", str(path), "--config", fixture_path("fig2"),
+                 "--out", str(tmp_path / "run")])
+    assert code in (0, 1)
+    assert path.read_bytes() == before
+    assert path.stat().st_mtime_ns == 1_000_000_000
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run", "store.db"]
 
 
 def test_model_prints_classification(store_path, capsys):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -97,6 +98,24 @@ def test_open_existing_reads_back(tmp_path):
     s.ingest_feed(str(FEED_PATH))
     again = CveStore.open_existing(tmp_path / "s.db")
     assert again.count() == 20
+
+
+def test_open_existing_is_read_only(tmp_path):
+    s = CveStore(tmp_path / "s.db")
+    s.ingest_feed(str(FEED_PATH))
+    s.close()
+    with CveStore.open_existing(tmp_path / "s.db") as again:
+        with pytest.raises(sqlite3.OperationalError, match="readonly"):
+            again.add(again.get("CVE-2020-8864"))
+        assert again.count() == 20
+
+
+def test_open_existing_needs_the_store_tables(tmp_path):
+    empty = tmp_path / "empty.db"
+    empty.touch()
+    with pytest.raises(StoreError, match="no records and tokens tables"):
+        CveStore.open_existing(empty)
+    assert empty.stat().st_size == 0
 
 
 def test_ingest_skips_items_without_cvss(tmp_path):

@@ -1,11 +1,12 @@
-"""Grounding and the argument syntax against the earlier implementation.
+"""Library evaluation and the argument syntax against the earlier implementation.
 
-``oracles.ground_static_rules`` and the argument functions next to it are
-copies of the grounder that re-derived each rule's variables per binding and
-classified arguments with separate regular expressions. The package fills
-per-rule templates instead and must produce the same ground rules in the
-same order, and the same text, variables and substitutions for any argument
-string.
+``oracles.fired_library_instances`` grounds the library with a copy of the
+earlier grounder, which joins fact atoms and gives every other variable a
+pool, and saturates naively. The package evaluates the library semi-naively
+and builds only the instances that fire; it must fire the same
+``(head, body, label)`` set and derive the same atoms. The argument
+functions must give the same text, variables and substitutions as the
+copies for any argument string.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import oracles
 from iotgraph import logic, rules
 from iotgraph.logic import Atom, HornRule, LogicError
 from iotgraph.pipeline import analyze
+from iotgraph.reasoner import saturate
 from iotgraph.synth import synthesize
 
 from conftest import load_fixture_config
@@ -41,16 +43,17 @@ def _home_id(home):
     return name if seed is None else f"synth{name}-{seed}"
 
 
-def _analyze_recording_grounding(home, store, monkeypatch):
-    """Analyse ``home`` and return the result and what grounding was given."""
+def _analyze_recording_evaluation(home, store, monkeypatch):
+    """Analyse ``home`` and return the result, the evaluator's arguments and
+    the instances it returned."""
 
     calls = []
     real = rules.ground_static_rules
 
-    def recording(library, facts, domains):
-        grounded = real(library, facts, domains)
-        calls.append((library, facts, domains, grounded))
-        return grounded
+    def recording(*args):
+        fired = real(*args)
+        calls.append((args, fired))
+        return fired
 
     monkeypatch.setattr(rules, "ground_static_rules", recording)
     result = analyze(_config(home), store)
@@ -58,18 +61,35 @@ def _analyze_recording_grounding(home, store, monkeypatch):
     return result, calls[0]
 
 
+def _fired_set(instances):
+    return {(rule.head, rule.body, rule.label) for rule in instances}
+
+
+def _assert_one_object_per_atom(atoms, facts=()):
+    """Equal atoms are one object, and an atom equal to a fact is the fact."""
+
+    objects = {}
+    for fact in facts:
+        objects.setdefault(fact, fact)
+    for atom in atoms:
+        assert objects.setdefault(atom, atom) is atom, atom.render()
+
+
 @pytest.mark.parametrize("home", HOMES, ids=_home_id)
 def test_ground_rules_match_earlier_grounder(home, store, monkeypatch):
-    _, (library, facts, domains, grounded) = _analyze_recording_grounding(
+    result, ((library, facts, domains, ground, _), fired) = _analyze_recording_evaluation(
         home, store, monkeypatch
     )
-    assert grounded
-    assert grounded == oracles.ground_static_rules(library, facts, domains)
+    assert fired
+    want_fired, want_derived = oracles.fired_library_instances(library, facts, ground, domains)
+    assert _fired_set(fired) == want_fired
+    assert len(fired) == len(want_fired)
+    assert saturate(result.compiled.program).derived == want_derived
 
 
 @pytest.mark.parametrize("home", HOMES, ids=_home_id)
 def test_compiled_rules_are_variable_free(home, store, monkeypatch):
-    result, _ = _analyze_recording_grounding(home, store, monkeypatch)
+    result, _ = _analyze_recording_evaluation(home, store, monkeypatch)
     program = result.compiled.program
     assert program.rules
     for rule in program.rules:
@@ -87,22 +107,22 @@ def test_grounding_fills_templates_and_interns_atoms(home, store, monkeypatch):
         return real_substitute(rule, binding)
 
     monkeypatch.setattr(HornRule, "substitute", counting)
-    _, (_, facts, _, grounded) = _analyze_recording_grounding(home, store, monkeypatch)
-    assert grounded
+    result, (_, fired) = _analyze_recording_evaluation(home, store, monkeypatch)
+    assert fired
     assert substitutions == []
-    objects: dict[Atom, set[int]] = {}
-    for rule in grounded:
-        for atom in (rule.head, *rule.body):
-            objects.setdefault(atom, set()).add(id(atom))
-    assert all(len(ids) == 1 for ids in objects.values())
-    # Ground atoms that are facts are the fact objects themselves.
-    fact_ids = {f: id(f) for f in reversed(facts)}
-    assert all(ids == {fact_ids[a]} for a, ids in objects.items() if a in fact_ids)
+    # One table for the whole program: exploit, library and app rule atoms
+    # alike are the fact objects or one shared object per derived atom.
+    program = result.compiled.program
+    atoms = [atom for rule in program.rules for atom in (rule.head, *rule.body)]
+    _assert_one_object_per_atom(atoms, program.facts)
+    assert set(fired) <= set(program.rules)
 
 
 # Join shapes the static libraries do not have: a lookup on a later
 # position, a variable repeated in one atom, constants and terms in join
-# atoms, and head terms whose variables' names sort against their slots.
+# atoms, head terms whose variables' names sort against their slots, bodies
+# that mix fact and derived atoms, a derived atom repeated in one body, a
+# derivation that feeds itself, and the voice rules' command pool.
 JOIN_RULES = (
     HornRule(
         Atom("probe", ("D",)),
@@ -128,45 +148,125 @@ JOIN_RULES = (
         label="term compared as written",
         var_domains=(("X", "devices"),),
     ),
+    HornRule(
+        Atom("attackerInNetwork", ("N",)),
+        (Atom("attackerRoot", ("D",)), Atom("inNetwork", ("D", "N"))),
+        label="derived atom, then a fact",
+    ),
+    HornRule(
+        Atom("attackerRoot", ("D",)),
+        (
+            Atom("inNetwork", ("D", "N")),
+            Atom("attackerInNetwork", ("N",)),
+            Atom("plugInto", ("D", "E")),
+        ),
+        label="fact, derived atom, fact: feeds the rule above",
+    ),
+    HornRule(
+        Atom("pair", ("D", "E")),
+        (Atom("attackerRoot", ("D",)), Atom("probe", ("E",)), Atom("attackerRoot", ("D",))),
+        label="a derived atom twice",
+    ),
+    HornRule(
+        Atom("voiceCommand", ("Cmd",)),
+        (Atom("attackerRoot", ("V",)), Atom("speaker", ("V",))),
+        label="controlled speaker plays voice commands",
+        var_domains=(("Cmd", "commands"),),
+    ),
+    HornRule(
+        Atom("speakerHears", ("Cmd",)),
+        (Atom("voiceCommand", ("Cmd",)), Atom("speaker", ("S",))),
+        label="a speaker hears played commands",
+    ),
 )
 FACT_ARITIES = {
     "wifi": 1, "outlet": 1, "lock": 1, "speaker": 1,
     "inNetwork": 2, "plugInto": 2, "lockedBy": 2, "vulProperty": 3,
 }
+CONSTANTS = ["d1", "w1", "dos(d1)"]
+
+
+def _atoms_over(preds, arities):
+    """Atoms over few constants, so joins meet; one in four is one argument short."""
+
+    @st.composite
+    def draw_atom(draw):
+        pred = draw(st.sampled_from(preds))
+        arity = arities[pred] - (arities[pred] > 0 and draw(st.integers(0, 3)) == 0)
+        args = draw(st.lists(st.sampled_from(CONSTANTS), min_size=arity, max_size=arity))
+        return Atom(pred, tuple(args))
+
+    return draw_atom()
+
+
+DERIVED_ARITIES = {"attackerRoot": 1, "attackerInNetwork": 1, "probe": 1, "speakerHears": 1}
 
 
 @st.composite
-def join_facts(draw):
-    """Facts over few constants, so joins meet; one in four is one argument short."""
+def join_inputs(draw):
+    """Facts, and ground rules in the exploit and app rules' place.
 
-    facts = []
-    for pred in draw(st.lists(st.sampled_from(sorted(FACT_ARITIES)), min_size=3, max_size=16)):
-        arity = FACT_ARITIES[pred] - (draw(st.integers(0, 3)) == 0)
-        constants = st.sampled_from(["d1", "w1", "dos(d1)"])
-        args = draw(st.lists(constants, min_size=arity, max_size=arity))
-        facts.append(Atom(pred, tuple(args)))
-    return facts
+    Each ground rule makes the attacker root somewhere or plays a command.
+    Its body mixes drawn facts, so it often holds, with atoms that only the
+    library can derive.
+    """
+
+    facts = draw(st.lists(_atoms_over(sorted(FACT_ARITIES), FACT_ARITIES), min_size=3, max_size=16))
+    heads = _atoms_over(["attackerRoot", "voiceCommand"], {"attackerRoot": 1, "voiceCommand": 1})
+    derived = _atoms_over(sorted(DERIVED_ARITIES), DERIVED_ARITIES)
+    body_atoms = st.one_of(st.sampled_from(facts), derived)
+    ground = draw(
+        st.lists(
+            st.builds(
+                lambda head, body: HornRule(head, tuple(body), label="ground"),
+                heads,
+                st.lists(body_atoms, min_size=1, max_size=3),
+            ),
+            max_size=4,
+        )
+    )
+    return facts, ground
 
 
 @settings(max_examples=150)
 @given(
-    facts=join_facts(),
+    inputs=join_inputs(),
     commands=st.lists(st.sampled_from(["c1", "c2"]), max_size=2, unique=True),
 )
-def test_join_shapes_match_earlier_grounder(facts, commands):
+def test_join_shapes_match_earlier_grounder(inputs, commands):
+    facts, ground = inputs
     domains = {"devices": ["d1", "d2"], "commands": commands}
-    grounded = rules.ground_static_rules(list(JOIN_RULES), facts, domains)
-    assert grounded == oracles.ground_static_rules(list(JOIN_RULES), facts, domains)
-    objects = {}
-    for rule in grounded:
-        for atom in (rule.head, *rule.body):
-            assert objects.setdefault(atom, atom) is atom
+    fired = rules.ground_static_rules(list(JOIN_RULES), facts, domains, ground)
+    want_fired, want_derived = oracles.fired_library_instances(JOIN_RULES, facts, ground, domains)
+    assert _fired_set(fired) == want_fired
+    assert len(fired) == len(want_fired)
+    assert oracles.least_model(facts, [*ground, *fired]) - set(facts) == want_derived
+    _assert_one_object_per_atom(atom for rule in fired for atom in (rule.head, *rule.body))
+
+
+@pytest.mark.parametrize("seed", ["fact", "derived"])
+def test_shared_instance_keeps_the_first_rules_label(seed):
+    body = (Atom("attackerRoot", ("D",)), Atom("speaker", ("D",)))
+    library = [
+        HornRule(Atom("on", ("D",)), body, label="first"),
+        HornRule(Atom("on", ("X",)), tuple(a.substitute({"D": "X"}) for a in body), label="second"),
+    ]
+    facts = [Atom("speaker", ("s1",)), Atom("attackerOnInternet")]
+    if seed == "fact":
+        facts.append(Atom("attackerRoot", ("s1",)))
+        ground = []
+    else:
+        ground = [HornRule(Atom("attackerRoot", ("s1",)), (Atom("attackerOnInternet"),), label="g")]
+    for order in (library, library[::-1]):
+        fired = rules.ground_static_rules(order, facts, {}, ground)
+        assert [(r.head.render(), r.label) for r in fired] == [("on(s1)", order[0].label)]
 
 
 def test_unbound_variable_fails_as_before():
+    # X is only inside a term, which joins compare as written.
     rule = HornRule(
         Atom("mystery", ("X", "D")),
-        (Atom("inNetwork", ("D", "N")), Atom("probe", ("X",))),
+        (Atom("inNetwork", ("D", "N")), Atom("probe", ("f(X)",))),
         label="unbindable",
     )
     facts = [Atom("inNetwork", ("lamp", "wifi1"))]
@@ -175,8 +275,10 @@ def test_unbound_variable_fails_as_before():
     with pytest.raises(LogicError) as old:
         oracles.ground_static_rules([rule], facts, {})
     assert str(new.value) == str(old.value)
-    # Without a binding from the join, neither grounder reaches the check.
-    assert rules.ground_static_rules([rule], [], {}) == []
+    # The evaluator checks each rule when it compiles its plan, before any
+    # join; the earlier grounder only checked a rule that had a binding.
+    with pytest.raises(LogicError):
+        rules.ground_static_rules([rule], [], {})
     assert oracles.ground_static_rules([rule], [], {}) == []
 
 

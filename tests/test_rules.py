@@ -28,12 +28,7 @@ from conftest import load_fixture_config
 def facts_and_domains(cfg):
     facts = [a for block in config_fact_blocks(cfg) for a in block]
     facts += attacker_facts(cfg)
-    domains = {
-        "devices": [d.atom for d in cfg.devices],
-        "networks": [n.atom for n in cfg.networks],
-        "commands": [],
-    }
-    return facts, domains
+    return facts, {"commands": []}
 
 TWO_DEVICE_FACTS = """router(dLinkRouter).
 inNetwork(dLinkRouter, wifi1).
@@ -115,18 +110,36 @@ def test_ground_static_rules_joins_config_facts():
 
 def test_ground_static_rules_uses_domain_fallback():
     cfg = load_fixture_config("listing10")
-    facts, domains = facts_and_domains(cfg)
+    facts, _ = facts_and_domains(cfg)
     rule = HornRule(
-        Atom("candidate", ("D",)),
+        Atom("voiceCommand", ("Cmd",)),
         (Atom("attackerOnInternet"),),
-        label="every device is a candidate",
-        var_domains=(("D", "devices"),),
+        label="every command is played",
+        var_domains=(("Cmd", "commands"),),
     )
-    grounded = ground_static_rules([rule], facts, domains)
-    assert {g.head.render() for g in grounded} == {
-        "candidate(dLinkRouter)",
-        "candidate(smartthingsHub)",
-    }
+    grounded = ground_static_rules([rule], facts, {"commands": ["openUp", "lightsOff"]})
+    assert [g.head.render() for g in grounded] == ["voiceCommand(openUp)", "voiceCommand(lightsOff)"]
+    assert ground_static_rules([rule], facts, {"commands": []}) == []
+
+
+def test_ground_static_rules_builds_only_instances_that_fire():
+    cfg = load_fixture_config("listing10")
+    facts, domains = facts_and_domains(cfg)
+    # The router's exploit, in the exploit rules' place, roots it; nothing
+    # roots the hub.
+    exploit = HornRule(
+        Atom("attackerRoot", ("dLinkRouter",)), (Atom("attackerOnInternet"),), label="exploit"
+    )
+    fired = ground_static_rules(build_propagation_rules(), facts, domains, [exploit])
+    rendered = {(g.label, g.head.render()) for g in fired}
+    assert ("root grants device control", "attackerDeviceControl(dLinkRouter)") in rendered
+    assert ("rooted device joins its networks", "attackerInNetwork(wifi1)") in rendered
+    assert (
+        "network membership grants logical adjacency", "attackerAdjacentLogically(wifi1)"
+    ) in rendered
+    assert not any("smartthingsHub" in head for _, head in rendered)
+    unexploited = ground_static_rules(build_propagation_rules(), facts, domains)
+    assert {g.label for g in unexploited} == {"radio range grants physical adjacency"}
 
 
 def test_ground_static_rules_rejects_unbound_variable():
@@ -134,10 +147,10 @@ def test_ground_static_rules_rejects_unbound_variable():
     facts, domains = facts_and_domains(cfg)
     rule = HornRule(
         Atom("mystery", ("X",)),
-        (Atom("attackerOnInternet"), Atom("probe", ("X",))),
+        (Atom("attackerOnInternet"), Atom("probe", ("f(X)",))),
         label="unbindable",
     )
-    with pytest.raises(LogicError):
+    with pytest.raises(LogicError, match="variable X has neither"):
         ground_static_rules([rule], facts, domains)
 
 
@@ -155,8 +168,15 @@ def test_capability_rules_split_locked_and_lock_free_openers():
         source="test",
     )
     facts, domains = facts_and_domains(cfg)
+    # Exploits, in the exploit rules' place, give command injection on all three.
+    exploits = [
+        HornRule(
+            Atom("attackerCommandInjection", (d.atom,)), (Atom("attackerOnInternet"),), label="exploit"
+        )
+        for d in cfg.devices
+    ]
     rules = build_capability_rules()
-    grounded = ground_static_rules(rules, facts, domains)
+    grounded = ground_static_rules(rules, facts, domains, exploits)
     free = [g for g in grounded if g.head.render() == "open(garageOpener)"]
     locked = [g for g in grounded if g.head.render() == "open(frontDoorOpener)"]
     free_bodies = {tuple(a.render() for a in g.body) for g in free}
@@ -187,9 +207,12 @@ def compile_fig2(store_like=None):
     return cfg, compile_system(cfg, models, bound)
 
 
-def test_compile_system_collects_goals_and_alphabet():
-    cfg, compiled = compile_fig2()
+def test_compile_system_collects_goals_and_alphabet(store):
+    cfg, _ = compile_fig2()
+    bound = [bind_app(app, parse_app_description(app.description), cfg) for app in cfg.apps]
+    compiled = compile_system(cfg, build_models(cfg, scan_devices(cfg, store)), bound)
     assert [g.render() for g in compiled.goals] == ["unlock(yaleDoorlock)"]
+    # A controlled emitter plays every command the apps listen for.
     for pred in ("voiceCommand", "speakerHears"):
         commands = {r.head.args[0] for r in compiled.program.rules if r.head.pred == pred}
         assert commands == {"preheatTheOven", "unlockTheFrontDoor"}, pred
@@ -212,7 +235,7 @@ def test_render_program_sections_are_labelled():
     for title in (
         "exploit rule schemas (reference)",
         "attack rules instantiated from CVEs",
-        "propagation, dependency, and capability rules (ground)",
+        "propagation, dependency, voice, and capability rules",
         "app rules",
         "facts: system configuration",
         "facts: attacker",
@@ -221,6 +244,20 @@ def test_render_program_sections_are_labelled():
     ):
         assert f"% ==== {title} ====" in text, title
     assert "attackGoal(unlock(yaleDoorlock))." in text
+
+
+def test_render_program_prints_the_library_once_with_variables():
+    _, compiled = compile_fig2()
+    text = render_program(compiled)
+    assert text.count("% root grants device control\n") == 1
+    assert "attackerDeviceControl(D) :-\n    attackerRoot(D)." in text
+    assert (
+        "% controlled speaker plays voice commands; Cmd ranges over the commands\n"
+        "voiceCommand(Cmd) :-\n    attackerDeviceControl(Speaker),\n    speaker(Speaker)."
+    ) in text
+    # The instances that fired are in the program, not in the file.
+    assert "attackerDeviceControl(" + "yale" not in text
+    assert compiled.library and all(rule.variables() for rule in compiled.library)
 
 
 def test_compile_system_dedupes_exploit_rules(store):

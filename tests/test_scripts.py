@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
@@ -28,5 +29,10 @@ def test_run_case_studies_prints_each_fixture(capsys):
 def test_run_scaling_prints_one_row_per_size(capsys):
     script = load_script("run_scaling")
     assert script.main(["--sizes", "40,80", "--repeats", "1"]) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    lines = capsys.readouterr().out.splitlines()
+    rows = [line.split() for line in lines]
     assert [row[0] for row in rows if row and row[0].isdigit()] == ["40", "80"]
+    assert all(len(row) == 5 + len(script.STAGES) for row in rows if row and row[0].isdigit())
+    summary = json.loads(lines[-1])
+    assert [row["devices"] for row in summary["rows"]] == [40, 80]
+    assert all(set(row["stages_s"]) == set(script.STAGES) for row in summary["rows"])
