@@ -3,9 +3,11 @@
 
 Builds one CVE store from the bundled feed, then times the full pipeline on
 seed-fixed synthetic homes of increasing size and fits a log-log line to the
-measured cost. Prints one row per size, with the seconds each stage of
-``analyze`` took in the fastest run (``AnalysisResult.timings``), then the
-fitted growth exponent, then all of it as one JSON line.
+measured cost. Prints one row per size, with the seconds ``write_outputs``
+took to write the fastest run's result into a temporary directory and the
+seconds each stage of ``analyze`` took in that run
+(``AnalysisResult.timings``), then the fitted growth exponent of ``analyze``,
+then all of it as one JSON line.
 Times are the best of ``--repeats`` plain runs; peak traced memory comes
 from one further run under ``tracemalloc``, which is not timed.
 
@@ -27,7 +29,7 @@ from importlib import resources
 from pathlib import Path
 
 from iotgraph.cvestore import CveStore
-from iotgraph.pipeline import analyze
+from iotgraph.pipeline import analyze, write_outputs
 from iotgraph.synth import synthesize
 
 STAGES = ("scan", "classify", "apps", "compile", "reason", "metrics")
@@ -49,18 +51,25 @@ def main(argv: list[str] | None = None) -> int:
 
         stage_heads = " ".join(f"{name:>9}" for name in STAGES)
         print(
-            f"{'devices':>8} {'best wall (s)':>14} {'peak MB':>8} {'graph nodes':>12} "
-            f"{'reachable goals':>16} {stage_heads}"
+            f"{'devices':>8} {'best wall (s)':>14} {'write':>9} {'peak MB':>8} "
+            f"{'graph nodes':>12} {'reachable goals':>16} {stage_heads}"
         )
         for n in sizes:
             cfg = synthesize(n, seed=args.seed)
-            best, timings = math.inf, {}
+            best, fastest = math.inf, None
             for _ in range(args.repeats):
                 t0 = time.perf_counter()
                 result = analyze(cfg, store)
                 took = time.perf_counter() - t0
                 if took < best:
-                    best, timings = took, result.timings
+                    best, fastest = took, result
+            timings = fastest.timings
+            write = math.inf
+            for _ in range(args.repeats):
+                with tempfile.TemporaryDirectory(dir=tmp) as out:
+                    t0 = time.perf_counter()
+                    write_outputs(fastest, out)
+                    write = min(write, time.perf_counter() - t0)
             # Peak memory in a pass of its own: tracemalloc slows allocation
             # several-fold, so the timed passes run without it.
             tracemalloc.start()
@@ -70,6 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             row = {
                 "devices": n,
                 "best_s": best,
+                "write_s": write,
                 "peak_mb": peak / 1e6,
                 "graph_nodes": len(result.graph.nodes),
                 "reachable_goals": sum(1 for r in result.goal_results if r.reachable),
@@ -78,8 +88,8 @@ def main(argv: list[str] | None = None) -> int:
             rows.append(row)
             stage_cells = " ".join(f"{timings[name]:>9.4f}" for name in STAGES)
             print(
-                f"{n:>8} {best:>14.4f} {row['peak_mb']:>8.1f} {row['graph_nodes']:>12} "
-                f"{row['reachable_goals']:>16} {stage_cells}"
+                f"{n:>8} {best:>14.4f} {write:>9.4f} {row['peak_mb']:>8.1f} "
+                f"{row['graph_nodes']:>12} {row['reachable_goals']:>16} {stage_cells}"
             )
 
         slope = None

@@ -128,7 +128,12 @@ class Atom:
         return atom
 
     def is_ground(self) -> bool:
-        return not self.variables()
+        # Only a variable (uppercase first letter) or a term (with "(") can
+        # hold a variable; any other argument is ground, so skip the regex.
+        for a in self.args:
+            if (a[:1].isupper() or "(" in a) and arg_variables(a):
+                return False
+        return True
 
     def variables(self) -> set[str]:
         out: set[str] = set()

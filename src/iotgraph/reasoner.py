@@ -14,14 +14,20 @@ order, into ``children`` for the metrics that walk forward.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 
 from .logic import Atom, HornRule, LogicProgram, render_fact
 
 FACT = "fact"
 RULE = "rule"
 DERIVATION = "derivation"
+
+
+def _json_list(items: list[str]) -> str:
+    """A list of rendered items at the second level of an ``indent=2`` document."""
+
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
 @dataclass(frozen=True, slots=True)
@@ -61,29 +67,33 @@ class AttackGraph:
     def derivation_nodes(self) -> list[Node]:
         return [n for n in self.nodes if n.kind == DERIVATION]
 
-    def to_document(self) -> dict:
-        return {
-            "nodes": [
-                {
-                    "id": n.node_id,
-                    "kind": n.kind,
-                    "text": n.text,
-                    "parents": list(self.parents.get(n.node_id, ())),
-                }
-                for n in self.nodes
-            ],
-            "goals": [
-                {
-                    "atom": g.render(),
-                    "node": self.goal_nodes.get(g),
-                    "reachable": g in self.goal_nodes,
-                }
-                for g in self.goals
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2) + "\n"
+        """The graph document as ``json.dumps(doc, indent=2)`` prints it, plus a newline.
+
+        The document is ``{"nodes": [{"id", "kind", "text", "parents"}, ...],
+        "goals": [{"atom", "node", "reachable"}, ...]}``. Its layout is fixed,
+        so each node and goal is one f-string, and every string goes through
+        the C escaper that ``json.dumps`` uses by default (``ensure_ascii``).
+        """
+
+        parents, goal_nodes = self.parents, self.goal_nodes
+        nodes = []
+        for n in self.nodes:
+            ps = parents.get(n.node_id)
+            ps_text = "[\n        " + ",\n        ".join(map(str, ps)) + "\n      ]" if ps else "[]"
+            nodes.append(
+                f'    {{\n      "id": {n.node_id},\n      "kind": {_json_str(n.kind)},\n'
+                f'      "text": {_json_str(n.text)},\n      "parents": {ps_text}\n    }}'
+            )
+        goals = []
+        for g in self.goals:
+            nid = goal_nodes.get(g)
+            goals.append(
+                f'    {{\n      "atom": {_json_str(g.render())},\n'
+                f'      "node": {"null" if nid is None else nid},\n'
+                f'      "reachable": {"true" if g in goal_nodes else "false"}\n    }}'
+            )
+        return f'{{\n  "nodes": {_json_list(nodes)},\n  "goals": {_json_list(goals)}\n}}\n'
 
     def to_dot(self) -> str:
         shape = {FACT: "box", RULE: "ellipse", DERIVATION: "diamond"}

@@ -42,24 +42,27 @@ def _var(name: str) -> str:
 
 
 def device_fact_block(d: DeviceSpec) -> list[Atom]:
-    block = [Atom(d.info.predicate, (d.atom,))]
+    # Every predicate is a fixed name or a DEVICE_TYPES predicate, so the
+    # facts are built without checking the name again.
+    block = [Atom.instance(d.info.predicate, (d.atom,))]
     for net in d.networks:
-        block.append(Atom("inNetwork", (d.atom, net)))
+        block.append(Atom.instance("inNetwork", (d.atom, net)))
     if d.physically_exposed:
-        block.append(Atom("physicallyExposed", (d.atom,)))
+        block.append(Atom.instance("physicallyExposed", (d.atom,)))
     if d.plugs_into:
-        block.append(Atom("plugInto", (d.atom, d.plugs_into)))
+        block.append(Atom.instance("plugInto", (d.atom, d.plugs_into)))
     if d.locked_by:
-        block.append(Atom("lockedBy", (d.atom, d.locked_by)))
+        block.append(Atom.instance("lockedBy", (d.atom, d.locked_by)))
     elif d.device_type in OPENER_TYPES:
-        block.append(Atom("lockFree", (d.atom,)))
+        block.append(Atom.instance("lockFree", (d.atom,)))
     if d.supplied_by:
-        block.append(Atom("suppliedBy", (d.atom, d.supplied_by)))
+        block.append(Atom.instance("suppliedBy", (d.atom, d.supplied_by)))
     return block
 
 
 def network_fact_block(config: SystemConfig) -> list[Atom]:
-    return [Atom(n.protocol, (n.atom,)) for n in config.networks]
+    # ``parse_config`` admits only PROTOCOLS names.
+    return [Atom.instance(n.protocol, (n.atom,)) for n in config.networks]
 
 
 def config_fact_blocks(config: SystemConfig) -> list[list[Atom]]:
@@ -73,11 +76,11 @@ def config_fact_blocks(config: SystemConfig) -> list[list[Atom]]:
 def attacker_facts(config: SystemConfig) -> list[Atom]:
     out = []
     if config.attacker.has_internet:
-        out.append(Atom("attackerOnInternet"))
+        out.append(Atom.instance("attackerOnInternet", ()))
     for net in config.attacker.radio_adjacent:
-        out.append(Atom("attackerRadioAdjacent", (net,)))
+        out.append(Atom.instance("attackerRadioAdjacent", (net,)))
     for dev in config.attacker.physical_access:
-        out.append(Atom("attackerPhysicalAccess", (dev,)))
+        out.append(Atom.instance("attackerPhysicalAccess", (dev,)))
     return out
 
 

@@ -10,6 +10,9 @@ from iotgraph.model import SystemConfig, parse_config
 
 FIXTURES = resources.files("iotgraph") / "fixtures"
 FEED_PATH = FIXTURES / "mini_feed.json"
+FIXTURE_NAMES = ("fig2", "hall_light", "listing10", "system28", "system37")
+# (devices, seed) of the synthetic homes that tests compare engines on.
+SYNTH_HOMES = ((12, 1), (60, 7), (60, 20260816), (200, 3))
 
 
 def load_fixture_config(name: str) -> SystemConfig:

@@ -24,6 +24,10 @@ grounder and of the argument syntax functions it used
 expressions. ``fired_library_instances`` grounds the library with that
 grounder over the active domain and saturates naively, so the instances that
 fire and the atoms derived come out of plain enumeration.
+
+The attack-graph document is described once here, as the dict that
+``graph_document`` builds: ``AttackGraph.to_json`` writes its text directly
+and must equal ``json.dumps(graph_document(graph), indent=2) + "\n"``.
 """
 
 from __future__ import annotations
@@ -39,6 +43,30 @@ from iotgraph.model import DEVICE_TYPES, PROTOCOLS, NetworkSpec
 from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, Node
 
 CatSet = frozenset[int]
+
+
+def graph_document(graph: AttackGraph) -> dict:
+    """The ``attack_graph.json`` document as a dict, for ``json.dumps``."""
+
+    return {
+        "nodes": [
+            {
+                "id": n.node_id,
+                "kind": n.kind,
+                "text": n.text,
+                "parents": list(graph.parents.get(n.node_id, ())),
+            }
+            for n in graph.nodes
+        ],
+        "goals": [
+            {
+                "atom": g.render(),
+                "node": graph.goal_nodes.get(g),
+                "reachable": g in graph.goal_nodes,
+            }
+            for g in graph.goals
+        ],
+    }
 
 
 def evidence_universe(graph: AttackGraph) -> tuple[str, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -24,11 +24,9 @@ from iotgraph.pipeline import analyze
 from iotgraph.reasoner import saturate
 from iotgraph.synth import synthesize
 
-from conftest import load_fixture_config
+from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
 
-FIXTURES = ("fig2", "hall_light", "listing10", "system28", "system37")
-SYNTH_HOMES = ((12, 1), (60, 7), (60, 20260816), (200, 3))
-HOMES = [(name, None) for name in FIXTURES] + list(SYNTH_HOMES)
+HOMES = [(name, None) for name in FIXTURE_NAMES] + list(SYNTH_HOMES)
 
 
 def _config(home):
@@ -305,6 +303,17 @@ def test_render_arg_and_variables_agree(arg):
     assert logic.render_arg(arg) == oracles.render_arg(arg)
     assert logic.arg_variables(arg) == oracles.arg_variables(arg)
     assert logic.is_variable(arg) == oracles.is_variable(arg)
+
+
+@settings(max_examples=200)
+@given(args=st.lists(arguments, max_size=4).map(tuple))
+@example(args=("CVE-2019-1",))
+@example(args=("X1",))
+@example(args=("dos(D)", "cam1"))
+@example(args=("dos(cam1)", "CVE-2019-1", "Cam"))
+def test_is_ground_agrees_with_variables(args):
+    atom = Atom("p", args)
+    assert atom.is_ground() == (not atom.variables())
 
 
 @settings(max_examples=200)

@@ -115,6 +115,13 @@ def test_rule_substitute_and_render():
     assert HornRule(Atom("smoke"), (Atom("fire"),)).render() == "smoke :-\n    fire."
 
 
+def test_program_rejects_fact_that_is_not_ground():
+    with pytest.raises(LogicError, match="fact is not ground: on"):
+        LogicProgram(facts=(Atom("on", ("D",)),), rules=())
+    with pytest.raises(LogicError, match="fact is not ground"):
+        LogicProgram(facts=(Atom("vulProperty", ("CVE-2019-1", "dos(D)")),), rules=())
+
+
 def test_render_fact_appends_period():
     assert render_fact(Atom("wifi", ("wifi1",))) == "wifi(wifi1)."
 

@@ -5,6 +5,7 @@ import logging
 
 import pytest
 
+import oracles
 from iotgraph import exploits, metrics, pipeline
 from iotgraph.cvestore import CveStore, query_tokens
 from iotgraph.exploits import models_for
@@ -20,9 +21,9 @@ from iotgraph.pipeline import (
     write_outputs,
 )
 from iotgraph.reasoner import saturate
-from iotgraph.synth import synth_document
+from iotgraph.synth import synth_document, synthesize
 
-from conftest import load_fixture_config
+from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +174,14 @@ def test_write_outputs_dot_format(fig2_result, tmp_path):
     assert manifest["goals"][0]["reachable"] is True
     assert set(manifest["timings"]) == set(fig2_result.timings)
     doc = json.loads((tmp_path / "attack_graph.json").read_text())
-    assert doc == fig2_result.graph.to_document()
+    assert doc == oracles.graph_document(fig2_result.graph)
+
+
+@pytest.mark.parametrize("home", [*FIXTURE_NAMES, *SYNTH_HOMES], ids=str)
+def test_attack_graph_json_is_what_json_dumps_prints(home, store):
+    config = load_fixture_config(home) if isinstance(home, str) else synthesize(*home)
+    graph = analyze(config, store).graph
+    assert graph.to_json() == json.dumps(oracles.graph_document(graph), indent=2) + "\n"
 
 
 def test_analyze_and_write_compute_each_metric_once(fig2_config, store, tmp_path, monkeypatch):

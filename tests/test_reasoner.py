@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import json
 
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+import oracles
 from iotgraph.logic import Atom, HornRule, LogicProgram
 from iotgraph.reasoner import (
     DERIVATION,
     FACT,
     RULE,
+    AttackGraph,
+    Node,
     build_attack_graph,
     default_goals,
     saturate,
@@ -122,7 +128,8 @@ def test_graph_unreachable_goal_is_reported_not_drawn():
     graph = build_attack_graph(program, (goal,))
     assert graph.nodes == []
     assert goal not in graph.goal_nodes
-    assert graph.to_document()["goals"] == [{"atom": "g(x)", "node": None, "reachable": False}]
+    goals = json.loads(graph.to_json())["goals"]
+    assert goals == [{"atom": "g(x)", "node": None, "reachable": False}]
 
 
 def two_path_graph():
@@ -139,9 +146,40 @@ def two_path_graph():
 def test_to_document_round_trips_through_json():
     graph = two_path_graph()
     doc = json.loads(graph.to_json())
-    assert doc == graph.to_document()
+    assert doc == oracles.graph_document(graph)
     assert doc["nodes"][0] == {"id": 1, "kind": FACT, "text": "k(x).", "parents": []}
     assert doc["goals"] == [{"atom": "g(x)", "node": 5, "reachable": True}]
+
+
+# Quotes, backslashes, control characters, non-ASCII and astral characters
+# (written as surrogate-pair escapes) all take an escape in the document.
+texts = st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f\u00e9\u2028\U0001f600\U0010ffff a('))
+identifiers = st.from_regex(r"[a-z][A-Za-z0-9_]{0,6}", fullmatch=True)
+atoms = st.builds(Atom, identifiers, st.lists(texts, max_size=3).map(tuple))
+
+
+@st.composite
+def attack_graphs(draw):
+    """Graphs of any shape: no nodes, no goals, unreachable goals, 0, 1 or many parents."""
+
+    kinds = st.sampled_from((FACT, RULE, DERIVATION))
+    size = draw(st.integers(0, 6))
+    nodes = [Node(i, draw(kinds), draw(texts)) for i in range(1, size + 1)]
+    parents = {}
+    for n in nodes:
+        ps = draw(st.lists(st.integers(1, max(size, 1)), max_size=4))
+        if ps or draw(st.booleans()):
+            parents[n.node_id] = tuple(ps)
+    goals = tuple(draw(st.lists(atoms, max_size=3)))
+    goal_nodes = {g: draw(st.integers(1, size)) for g in goals if size and draw(st.booleans())}
+    return AttackGraph(nodes, parents, goals, goal_nodes)
+
+
+@given(graph=attack_graphs())
+@example(graph=AttackGraph([], {}, (), {}))
+@example(graph=AttackGraph([], {}, (Atom("g", ('"\\\n\U0001f600',)),), {}))
+def test_to_json_prints_what_json_dumps_prints(graph):
+    assert graph.to_json() == json.dumps(oracles.graph_document(graph), indent=2) + "\n"
 
 
 def test_to_dot_uses_shape_per_kind_and_marks_goals():

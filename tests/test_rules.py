@@ -4,8 +4,18 @@ import pytest
 
 from iotgraph.apps import bind_app, parse_app_description
 from iotgraph.exploits import models_for
+from iotgraph import logic
 from iotgraph.logic import Atom, HornRule, LogicError
-from iotgraph.model import SystemConfig, parse_config
+from iotgraph.model import (
+    DEVICE_TYPES,
+    OPENER_TYPES,
+    PROTOCOLS,
+    AttackerProfile,
+    DeviceSpec,
+    NetworkSpec,
+    SystemConfig,
+    parse_config,
+)
 from iotgraph.rules import (
     attacker_facts,
     build_capability_rules,
@@ -22,7 +32,7 @@ from iotgraph.rules import (
 from iotgraph.pipeline import build_models, scan_devices
 from iotgraph.synth import synth_document
 
-from conftest import load_fixture_config
+from conftest import FIXTURE_NAMES, load_fixture_config
 
 
 def facts_and_domains(cfg):
@@ -70,6 +80,64 @@ def test_device_block_includes_wiring_facts():
     assert "lockedBy(frontDoorOpener, frontLock)." in text
     assert "lockFree(garageOpener)." in text
     assert "lockFree(frontDoorOpener)." not in text
+
+
+def checked_fact_blocks(cfg):
+    """Configuration and attacker facts built with the checking ``Atom(...)``."""
+
+    blocks = []
+    for d in cfg.devices:
+        block = [Atom(d.info.predicate, [d.atom])]
+        block += [Atom("inNetwork", [d.atom, net]) for net in d.networks]
+        if d.physically_exposed:
+            block.append(Atom("physicallyExposed", [d.atom]))
+        if d.plugs_into:
+            block.append(Atom("plugInto", [d.atom, d.plugs_into]))
+        if d.locked_by:
+            block.append(Atom("lockedBy", [d.atom, d.locked_by]))
+        elif d.device_type in OPENER_TYPES:
+            block.append(Atom("lockFree", [d.atom]))
+        if d.supplied_by:
+            block.append(Atom("suppliedBy", [d.atom, d.supplied_by]))
+        blocks.append(block)
+    if cfg.networks:
+        blocks.append([Atom(n.protocol, [n.atom]) for n in cfg.networks])
+    attacker = [Atom("attackerOnInternet")] if cfg.attacker.has_internet else []
+    attacker += [Atom("attackerRadioAdjacent", [n]) for n in cfg.attacker.radio_adjacent]
+    attacker += [Atom("attackerPhysicalAccess", [d]) for d in cfg.attacker.physical_access]
+    return blocks, attacker
+
+
+def every_config_fact_kind() -> SystemConfig:
+    """Each device type, once locked and wired and once bare, on each protocol."""
+
+    devices = []
+    for i, dtype in enumerate(DEVICE_TYPES):
+        devices.append(DeviceSpec(f"w{i}", f"w{i}", dtype, ("n0",), True, "p", "l", "s"))
+        devices.append(DeviceSpec(f"b{i}", f"b{i}", dtype))
+    networks = tuple(NetworkSpec(p, f"n{i}", p) for i, p in enumerate(PROTOCOLS))
+    return SystemConfig(tuple(devices), networks, attacker=AttackerProfile(True, ("n0",), ("w0",)))
+
+
+def test_config_fact_predicates_are_identifiers():
+    cfg = every_config_fact_kind()
+    preds = {a.pred for block in config_fact_blocks(cfg) for a in block}
+    preds |= {a.pred for a in attacker_facts(cfg)}
+    assert preds >= {t.predicate for t in DEVICE_TYPES.values()} | set(PROTOCOLS)
+    assert {"lockFree", "lockedBy", "attackerOnInternet", "attackerPhysicalAccess"} <= preds
+    assert all(logic._IDENTIFIER.match(p) for p in preds)
+
+
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "every kind"])
+def test_config_facts_equal_checked_atoms(name):
+    cfg = every_config_fact_kind() if name == "every kind" else load_fixture_config(name)
+    blocks, attacker = config_fact_blocks(cfg), attacker_facts(cfg)
+    expected_blocks, expected_attacker = checked_fact_blocks(cfg)
+    assert (blocks, attacker) == (expected_blocks, expected_attacker)
+    atoms = [a for block in blocks for a in block] + attacker
+    expected = [a for block in expected_blocks for a in block] + expected_attacker
+    assert all(type(a.args) is tuple for a in atoms)
+    assert [(hash(a), a.render()) for a in atoms] == [(hash(a), a.render()) for a in expected]
 
 
 def test_propagation_rules_cover_privilege_chain():

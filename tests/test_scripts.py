@@ -32,7 +32,8 @@ def test_run_scaling_prints_one_row_per_size(capsys):
     lines = capsys.readouterr().out.splitlines()
     rows = [line.split() for line in lines]
     assert [row[0] for row in rows if row and row[0].isdigit()] == ["40", "80"]
-    assert all(len(row) == 5 + len(script.STAGES) for row in rows if row and row[0].isdigit())
+    assert all(len(row) == 6 + len(script.STAGES) for row in rows if row and row[0].isdigit())
     summary = json.loads(lines[-1])
     assert [row["devices"] for row in summary["rows"]] == [40, 80]
     assert all(set(row["stages_s"]) == set(script.STAGES) for row in summary["rows"])
+    assert all(row["write_s"] > 0 for row in summary["rows"])
