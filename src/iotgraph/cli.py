@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .apps import AppBindError, AppParseError, bind_app, parse_app_description
 from .cvestore import CveStore, StoreError
-from .exploits import EFFECT_KINDS, PRECONDITION_KINDS
+from .exploits import parse_overrides
 from .logic import LogicError, parse_atom
 from .model import ConfigError, SystemConfig, parse_config
-from .pipeline import analyze, render_summary, write_outputs
+from .pipeline import analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
 from .rules import compile_system, render_program
 from .synth import render_synth
 
@@ -45,10 +45,9 @@ def _store_path(args: argparse.Namespace) -> str:
     return path
 
 
-def _open_store(args: argparse.Namespace) -> CveStore:
-    path = _store_path(args)
+def _open_store(args: argparse.Namespace, opener=CveStore.open_existing) -> CveStore:
     try:
-        return CveStore.open_existing(path)
+        return opener(_store_path(args))
     except StoreError as exc:
         raise CliError(str(exc), EXIT_NO_STORE) from exc
 
@@ -81,22 +80,10 @@ def _load_overrides(path: str | None) -> dict | None:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read overrides {path}: {exc}", EXIT_CONFIG) from exc
-    if not isinstance(data, dict):
-        raise CliError(f"overrides {path} must be a JSON object keyed by CVE id", EXIT_CONFIG)
-    kinds = {"precondition": PRECONDITION_KINDS, "effect": EFFECT_KINDS}
-    for cve, entry in data.items():
-        if not isinstance(entry, dict) or not set(entry) <= set(kinds):
-            raise CliError(
-                f"override for {cve} must be an object with precondition/effect keys",
-                EXIT_CONFIG,
-            )
-        for key, value in entry.items():
-            if value not in kinds[key]:
-                raise CliError(
-                    f"override for {cve}: {key} must be one of {', '.join(kinds[key])}, "
-                    f"not {value!r}",
-                    EXIT_CONFIG,
-                )
+    try:
+        parse_overrides(data)
+    except ConfigError as exc:
+        raise CliError(f"{exc} (in {path})", EXIT_CONFIG) from exc
     return data
 
 
@@ -109,8 +96,7 @@ def _inputs(args: argparse.Namespace) -> tuple[SystemConfig, dict | None, CveSto
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    path = _store_path(args)
-    with CveStore(path) as store:
+    with _open_store(args, CveStore) as store:
         total_added = total_skipped = 0
         for feed in args.feeds:
             try:
@@ -120,7 +106,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             print(f"{feed}: {added} records added, {skipped} skipped")
             total_added += added
             total_skipped += skipped
-        print(f"store {path}: {store.count()} records ({total_added} new, {total_skipped} skipped)")
+        print(f"store {store.path}: {store.count()} records ({total_added} new, {total_skipped} skipped)")
     return EXIT_OK
 
 
@@ -134,13 +120,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_model(args: argparse.Namespace) -> int:
-    from .pipeline import build_models, scan_devices
+def _models(args: argparse.Namespace) -> tuple[SystemConfig, list]:
+    """A command's config and the exploit models of the CVEs found on it."""
 
     config, overrides, store = _inputs(args)
     with store:
-        findings = scan_devices(config, store)
-        models = build_models(config, findings, overrides=overrides)
+        return config, build_models(config, scan_devices(config, store), overrides)
+
+
+def cmd_model(args: argparse.Namespace) -> int:
+    _, models = _models(args)
     for m in models:
         print(
             f"{m.cve_id} @ {m.device}: precondition={m.precondition} effect={m.effect} "
@@ -177,25 +166,14 @@ def cmd_extract_apps(args: argparse.Namespace) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    from .pipeline import bind_apps, build_models, scan_devices
-
-    config, overrides, store = _inputs(args)
-    with store:
-        findings = scan_devices(config, store)
-        models = build_models(config, findings, overrides=overrides)
+    out = _out_path(args.out) if args.out else None
+    config, models = _models(args)
     bound, _skipped = bind_apps(config)
     try:
         compiled = compile_system(config, models, bound, extra_goals=_parse_goals(args.goals))
     except (LogicError, ConfigError) as exc:
         raise CliError(f"compile failed: {exc}", EXIT_STAGE) from exc
-    text = render_program(compiled)
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        print(f"wrote {out}")
-    else:
-        print(text, end="")
+    _emit(render_program(compiled), out)
     return EXIT_OK
 
 
@@ -213,17 +191,34 @@ def _run_analysis(args: argparse.Namespace):
             raise CliError(f"analysis failed: {exc}", EXIT_STAGE) from exc
 
 
+def _out_path(out: str, directory: bool = False) -> Path:
+    """``--out`` as a path, refused before any work if the output cannot go there."""
+
+    path = Path(out)
+    existing = next((p for p in (path, *path.parents) if p.exists()), path)
+    # Only the output itself may exist as a file, and only if it is one.
+    must_be_dir = directory or existing != path
+    if existing.is_dir() != must_be_dir:
+        what = "not a directory" if must_be_dir else "a directory"
+        raise CliError(f"cannot write outputs to {path}: {existing} is {what}", EXIT_CONFIG)
+    return path
+
+
+def _emit(text: str, out: Path | None) -> None:
+    """Print ``text``, or write it to ``out``, making missing parent directories."""
+
+    if out is None:
+        print(text, end="")
+        return
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    print(f"wrote {out}")
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
-    # The output directory is made only after the analysis; refuse a path
-    # it cannot be made at before spending the analysis on it.
-    out = Path(args.out)
-    existing = next((p for p in (out, *out.parents) if p.exists()), out)
-    if not existing.is_dir():
-        raise CliError(
-            f"cannot write outputs to {out}: {existing} is not a directory", EXIT_CONFIG
-        )
+    out = _out_path(args.out, directory=True)
     result = _run_analysis(args)
-    written = write_outputs(result, args.out, graph_format=args.format)
+    written = write_outputs(result, out, graph_format=args.format)
     print(render_summary(result))
     for path in written:
         print(f"wrote {path}")
@@ -241,15 +236,12 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    out = _out_path(args.out) if args.out else None
     try:
         text = render_synth(args.devices, args.seed)
     except (ValueError, ConfigError) as exc:
         raise CliError(f"synthesis failed: {exc}", EXIT_CONFIG) from exc
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(text, out)
     return EXIT_OK
 
 

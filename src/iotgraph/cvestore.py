@@ -16,6 +16,8 @@ import json
 import logging
 import re
 import sqlite3
+import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,17 +113,30 @@ _COLUMNS = (
 )
 
 
+def _connect(path: str | Path, database: str, first: Callable, uri: bool = False) -> tuple:
+    """A connection to ``database`` and what ``first`` returns run on it.
+
+    A directory fails to connect, and a file that is not an SQLite database
+    fails on ``first``: each raises ``StoreError`` naming the store ``path``.
+    """
+
+    try:
+        conn = sqlite3.connect(database, uri=uri)
+    except sqlite3.DatabaseError as exc:
+        raise StoreError(f"cannot open vulnerability store {path}: {exc}") from None
+    try:
+        return conn, first(conn)
+    except sqlite3.DatabaseError as exc:
+        conn.close()
+        raise StoreError(f"cannot open vulnerability store {path}: {exc}") from None
+
+
 class CveStore:
     """SQLite-backed CVE records with a whole-token inverted index."""
 
     def __init__(self, path: str | Path = ":memory:"):
         self.path = str(path)
-        self._conn = sqlite3.connect(self.path)
-        try:
-            self._conn.executescript(_SCHEMA)
-        except sqlite3.DatabaseError:
-            self._conn.close()
-            raise
+        self._conn, _ = _connect(path, self.path, lambda c: c.executescript(_SCHEMA))
 
     def __enter__(self) -> "CveStore":
         return self
@@ -142,16 +157,9 @@ class CveStore:
 
         if not Path(path).exists():
             raise StoreError(f"vulnerability store not found: {path}")
-        # A directory, or a file that is not an SQLite database, fails here.
-        try:
-            conn = sqlite3.connect(Path(path).resolve().as_uri() + "?mode=ro", uri=True)
-        except sqlite3.DatabaseError as exc:
-            raise StoreError(f"cannot open vulnerability store {path}: {exc}") from None
-        try:
-            rows = conn.execute("SELECT name FROM sqlite_master WHERE type = 'table'").fetchall()
-        except sqlite3.DatabaseError as exc:
-            conn.close()
-            raise StoreError(f"cannot open vulnerability store {path}: {exc}") from None
+        uri = Path(path).resolve().as_uri() + "?mode=ro"
+        tables = "SELECT name FROM sqlite_master WHERE type = 'table'"
+        conn, rows = _connect(path, uri, lambda c: c.execute(tables).fetchall(), uri=True)
         if not {"records", "tokens"} <= {name for (name,) in rows}:
             conn.close()
             raise StoreError(
@@ -242,13 +250,13 @@ def _read_feed_items(feed_path: str | Path) -> list[dict]:
     path = Path(feed_path)
     if not path.exists():
         raise StoreError(f"feed file not found: {path}")
-    blob = path.read_bytes()
-    if blob[:2] == b"\x1f\x8b":
-        blob = gzip.decompress(blob)
     try:
-        doc = json.loads(blob)
-    except json.JSONDecodeError as exc:
-        raise StoreError(f"feed {path} is not valid JSON: {exc.msg}") from None
+        blob = path.read_bytes()
+        doc = json.loads(gzip.decompress(blob) if blob[:2] == b"\x1f\x8b" else blob)
+    except (OSError, EOFError, zlib.error, ValueError) as exc:
+        # A directory or unreadable file, a truncated or corrupt gzip, bytes
+        # that are not UTF-8, or text that is not JSON.
+        raise StoreError(f"cannot read feed {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise StoreError(f"feed {path}: top level must be an object")
     items = doc.get("CVE_Items")

@@ -152,6 +152,9 @@ assert len(DEVICE_TYPES) == 26
 # Opener types whose "open" state is gated by an optional lock wiring.
 OPENER_TYPES = frozenset({"door-opener", "window-opener"})
 
+# Device wiring key -> the device type its target must have.
+_WIRING = {"plugs_into": "outlet", "locked_by": "lock", "supplied_by": "valve"}
+
 
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
 
@@ -322,6 +325,9 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     net_by_name = _by_key(networks)
 
     devices: list[DeviceSpec] = []
+    # (index in devices, wiring key -> target) for devices with wiring: the
+    # targets resolve once every device is known.
+    wiring: list[tuple[int, dict[str, object]]] = []
     for stanza in _list_field(raw, "devices", source):
         _require(isinstance(stanza, dict), f"{source}: device stanza must be an object")
         name = _string_field(stanza, "name", f"{source}: device")
@@ -338,50 +344,30 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         _require(len(set(net_atoms)) == len(net_atoms), f"{where}: duplicate network entries")
         exposed = stanza.get("physically_exposed", False)
         _require(isinstance(exposed, bool), f"{where}: physically_exposed must be a boolean")
-        devices.append(
-            DeviceSpec(
-                name=name,
-                atom=claim(name, "device"),
-                device_type=dtype,
-                networks=tuple(net_atoms),
-                physically_exposed=exposed,
-                plugs_into=stanza.get("plugs_into"),
-                locked_by=stanza.get("locked_by"),
-                supplied_by=stanza.get("supplied_by"),
-            )
-        )
+        wired = {key: stanza[key] for key in _WIRING if stanza.get(key) is not None}
+        if wired:
+            wiring.append((len(devices), wired))
+        devices.append(DeviceSpec(name, claim(name, "device"), dtype, tuple(net_atoms), exposed))
 
     dev_by_name = _by_key(devices)
-
-    def resolve_wiring(d: DeviceSpec, key: str, target: str | None, want: str) -> str | None:
-        if target is None:
-            return None
-        _require(isinstance(target, str), f"{source}: device {d.name!r}: {key} must be a string")
-        ref = _lookup(
-            dev_by_name, target, f"{source}: device {d.name!r}: {key} names unknown device {target!r}"
-        )
-        _require(
-            ref.device_type == want,
-            f"{source}: device {d.name!r}: {key} target {target!r} must be a {want}, "
-            f"not a {ref.device_type}",
-        )
-        return ref.atom
-
-    resolved: list[DeviceSpec] = []
-    for d in devices:
-        resolved.append(
-            replace(
-                d,
-                plugs_into=resolve_wiring(d, "plugs_into", d.plugs_into, "outlet"),
-                locked_by=resolve_wiring(d, "locked_by", d.locked_by, "lock"),
-                supplied_by=resolve_wiring(d, "supplied_by", d.supplied_by, "valve"),
-            )
-        )
-        if d.locked_by is not None:
+    for i, wired in wiring:
+        d = devices[i]
+        where = f"{source}: device {d.name!r}"
+        resolved = {}
+        for key, target in wired.items():
+            _require(isinstance(target, str), f"{where}: {key} must be a string")
+            ref = _lookup(dev_by_name, target, f"{where}: {key} names unknown device {target!r}")
+            want = _WIRING[key]
             _require(
-                d.device_type in OPENER_TYPES,
-                f"{source}: device {d.name!r}: locked_by only applies to openers",
+                ref.device_type == want,
+                f"{where}: {key} target {target!r} must be a {want}, not a {ref.device_type}",
             )
+            resolved[key] = ref.atom
+        _require(
+            "locked_by" not in resolved or d.device_type in OPENER_TYPES,
+            f"{where}: locked_by only applies to openers",
+        )
+        devices[i] = replace(d, **resolved)
 
     apps: list[AppSpec] = []
     for stanza in _list_field(raw, "apps", source):
@@ -421,7 +407,7 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
             for dev in _list_field(attacker_raw, "physical_access", f"{source}: attacker")
         ]
     else:
-        touch = [d.atom for d in resolved if d.physically_exposed]
+        touch = [d.atom for d in devices if d.physically_exposed]
 
     goals = []
     for g in _list_field(raw, "goals", source):
@@ -432,7 +418,7 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
             raise ConfigError(f"{source}: bad goal: {exc}") from None
 
     return SystemConfig(
-        devices=tuple(resolved),
+        devices=tuple(devices),
         networks=tuple(networks),
         apps=tuple(apps),
         attacker=AttackerProfile(has_internet, tuple(radio), tuple(touch)),

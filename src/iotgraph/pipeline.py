@@ -23,7 +23,13 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .apps import AppBindError, AppParseError, BoundApp, bind_app, parse_app_description
 from .cvestore import CveRecord, CveStore, query_tokens
-from .exploits import ExploitModel, classify_effect, classify_precondition, models_for
+from .exploits import (
+    ExploitModel,
+    classify_effect,
+    classify_precondition,
+    models_for,
+    parse_overrides,
+)
 from .logic import Atom
 from .metrics import GoalResult
 from .model import SystemConfig
@@ -84,15 +90,16 @@ def build_models(
 ) -> list[ExploitModel]:
     """Exploit models for every CVE found on a device, in finding order.
 
-    A CVE's kinds depend only on its record and the protocols of the
-    device's networks, so each such pair is classified once per call, with
-    the CVE's override applied on top, and passed to ``models_for`` as its
-    override.
+    ``overrides`` is an overrides document (see ``parse_overrides``); a
+    malformed one raises ``ConfigError``. A CVE's kinds depend only on its
+    record, the protocols of the device's networks and its override, so
+    each (record, protocols) pair is classified once per call, and a
+    classifier runs only for a kind the override leaves open.
     """
 
     networks = config.network_index()
     devices = config.device_index()
-    overrides = overrides or {}
+    chosen = parse_overrides(overrides) if overrides is not None else {}
     kinds: dict[tuple[CveRecord, tuple[str, ...]], tuple[str, str]] = {}
     out: list[ExploitModel] = []
     for finding in findings:
@@ -101,15 +108,14 @@ def build_models(
         for record in finding.records:
             key = (record, protocols)
             if key not in kinds:
-                entry = overrides.get(record.cve_id, {})
-                pre, effect = entry.get("precondition"), entry.get("effect")
+                pre, effect = chosen.get(record.cve_id, (None, None))
                 kinds[key] = (
-                    pre if pre is not None else classify_precondition(record, protocols),
-                    effect if effect is not None else classify_effect(record),
+                    pre or classify_precondition(record, protocols),
+                    effect or classify_effect(record),
                 )
-            out.extend(models_for(device, record, networks, override=kinds[key]))
+            out.extend(models_for(device, record, networks, kinds[key]))
     found = {record.cve_id for finding in findings for record in finding.records}
-    for cve_id in sorted(overrides.keys() - found):
+    for cve_id in sorted(chosen.keys() - found):
         log.warning("override for %s matches no CVE found on a device; ignored", cve_id)
     return out
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import gzip
 import json
 import os
 import pathlib
@@ -12,8 +13,10 @@ import pytest
 
 from iotgraph import cli
 from iotgraph.cli import build_parser, main
+from iotgraph.model import ConfigError
+from iotgraph.pipeline import analyze
 
-from conftest import FEED_PATH, FIXTURES
+from conftest import FEED_PATH, FIXTURES, load_fixture_config
 
 
 def fixture_path(name: str) -> str:
@@ -55,12 +58,25 @@ def test_ingest_reports_counts(tmp_path, capsys):
 
 def test_ingest_bad_feed_exits_4(tmp_path, capsys):
     store = str(tmp_path / "store.db")
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code = main(["ingest", "--store", store, str(bad)])
-    err = capsys.readouterr().err
-    assert code == 4
-    assert err.startswith("error:")
+    gz = gzip.compress(FEED_PATH.read_bytes(), mtime=0)
+    feeds = {
+        "bad.json": b"{not json",
+        "truncated.json.gz": gz[: len(gz) // 2],
+        "corrupt.json.gz": gz[:10] + bytes(b ^ 0xFF for b in gz[10:40]) + gz[40:],
+        "bad-method.json.gz": b"\x1f\x8b\x09" + gz[3:],
+        "latin1.json": '{"CVE_Items": ["caf\u00e9"]}'.encode("latin-1"),
+        "directory": None,
+    }
+    for name, blob in feeds.items():
+        feed = tmp_path / name
+        if blob is None:
+            feed.mkdir()
+        else:
+            feed.write_bytes(blob)
+        code = main(["ingest", "--store", store, str(feed)])
+        err = capsys.readouterr().err
+        assert (name, code) == (name, 4)
+        assert err.startswith(f"error: ingest failed for {feed}:"), err
 
 
 def test_ingest_feed_list_exits_4(tmp_path, capsys):
@@ -103,17 +119,27 @@ def test_missing_store_file_exits_3(tmp_path, capsys):
     assert err.startswith("error:")
 
 
-@pytest.mark.parametrize("kind", ["directory", "text file"])
-def test_unreadable_store_exits_3(tmp_path, capsys, kind):
+@pytest.mark.parametrize(
+    ("command", "kind"),
+    [
+        pytest.param("scan", "directory", id="directory"),
+        pytest.param("scan", "text file", id="text file"),
+        pytest.param("ingest", "directory", id="ingest-directory"),
+        pytest.param("ingest", "text file", id="ingest-text file"),
+    ],
+)
+def test_unreadable_store_exits_3(tmp_path, capsys, command, kind):
     path = tmp_path / "store.db"
     if kind == "directory":
         path.mkdir()
     else:
         path.write_text("not a database\n")
-    code = main(["scan", "--store", str(path), "D-Link Router"])
+    arg = str(FEED_PATH) if command == "ingest" else "D-Link Router"
+    code = main([command, "--store", str(path), arg])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith(f"error: cannot open vulnerability store {path}:")
+    assert path.is_dir() or path.read_text() == "not a database\n"
 
 
 @pytest.mark.parametrize("kind", ["empty file", "other database"])
@@ -213,6 +239,28 @@ def test_invalid_override_kind_exits_2(store_path, tmp_path, capsys, command, en
     assert code == 2
     assert err.startswith("error: override for CVE-2020-6007:")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        ["x"],
+        {"CVE-2019-17098": "dos"},
+        {"CVE-2019-17098": {"effekt": "dos"}},
+        {"CVE-2019-17098": {"precondition": None}},
+        {"CVE-2019-17098": {"effect": "network"}},
+    ],
+    ids=["list", "string-entry", "misspelt-key", "null-kind", "wrong-table"],
+)
+def test_cli_and_analyze_reject_the_same_overrides(store, store_path, tmp_path, capsys, doc):
+    with pytest.raises(ConfigError) as info:
+        analyze(load_fixture_config("system28"), store, overrides=doc)
+    overrides = tmp_path / "overrides.json"
+    overrides.write_text(json.dumps(doc))
+    argv = ["model", "--store", store_path, "--config", fixture_path("system28")]
+    code = main(argv + ["--overrides", str(overrides)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {info.value} (in {overrides})\n"
 
 
 def test_unmatched_override_id_warns_on_stderr(store_path, tmp_path):
@@ -411,24 +459,54 @@ def test_analyze_writes_outputs(store_path, tmp_path, capsys):
         assert (out_dir / name).exists(), name
 
 
-@pytest.mark.parametrize("out", ["file", "file/run"])
+@pytest.mark.parametrize(
+    ("command", "out", "existing", "what"),
+    [
+        pytest.param("analyze", "file", "file", "not a directory", id="file"),
+        pytest.param("analyze", "file/run", "file", "not a directory", id="file/run"),
+        pytest.param("compile", "dir", "dir", "a directory", id="compile-dir"),
+        pytest.param("compile", "file/x.pl", "file", "not a directory", id="compile-file/x.pl"),
+        pytest.param("synth", "dir", "dir", "a directory", id="synth-dir"),
+        pytest.param("synth", "file/x.json", "file", "not a directory", id="synth-file/x.json"),
+    ],
+)
 def test_analyze_out_under_a_file_exits_2_before_analysing(
-    store_path, tmp_path, capsys, monkeypatch, out
+    store_path, tmp_path, capsys, monkeypatch, command, out, existing, what
 ):
     (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
 
-    def analyze(*args, **kwargs):
-        raise AssertionError("analysis ran")
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran")
 
-    monkeypatch.setattr(cli, "analyze", analyze)
-    code = main(
-        ["analyze", "--store", store_path, "--config", fixture_path("fig2"),
-         "--out", str(tmp_path / out)]
-    )
+    for name in ("analyze", "scan_devices", "render_synth"):
+        monkeypatch.setattr(cli, name, work)
+    if command == "synth":
+        argv = ["synth", "--devices", "10"]
+    else:
+        argv = [command, "--store", store_path, "--config", fixture_path("fig2")]
+    code = main(argv + ["--out", str(tmp_path / out)])
     err = capsys.readouterr().err
     assert code == 2
-    assert f"{tmp_path / 'file'} is not a directory" in err
+    assert err == (
+        f"error: cannot write outputs to {tmp_path / out}: {tmp_path / existing} is {what}\n"
+    )
     assert (tmp_path / "file").read_text() == "kept\n"
+    assert not any((tmp_path / "dir").iterdir())
+
+
+@pytest.mark.parametrize("command", ["compile", "synth"])
+def test_out_file_makes_missing_parent_directories(store_path, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "deeper" / "out.txt"
+    if command == "synth":
+        argv = ["synth", "--devices", "10"]
+    else:
+        argv = [command, "--store", store_path, "--config", fixture_path("fig2")]
+    code = main(argv + ["--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().out == f"wrote {out}\n"
+    main(argv)
+    assert out.read_text() == capsys.readouterr().out
 
 
 def test_analyze_fail_on_reachable(store_path, tmp_path, capsys):

@@ -10,7 +10,7 @@ from iotgraph import exploits, metrics, pipeline
 from iotgraph.cvestore import CveStore, query_tokens
 from iotgraph.exploits import models_for
 from iotgraph.logic import LogicProgram, parse_atom
-from iotgraph.model import SystemConfig, parse_config
+from iotgraph.model import ConfigError, SystemConfig, parse_config
 from iotgraph.pipeline import (
     DeviceFinding,
     analyze,
@@ -99,6 +99,35 @@ def test_overrides_replace_the_classified_model(listing10_config, store):
     assert len(models) == 1
     assert models[0].precondition == "network"
     assert models[0].effect == "dos"
+
+
+@pytest.mark.parametrize(
+    ("overrides", "message"),
+    [
+        (
+            {"CVE-2019-17098": {"effekt": "dos"}},
+            "override for CVE-2019-17098 must be an object with precondition/effect keys",
+        ),
+        (
+            {"CVE-2019-17098": "dos"},
+            "override for CVE-2019-17098 must be an object with precondition/effect keys",
+        ),
+        (["x"], "overrides must be a JSON object keyed by CVE id"),
+        (
+            {"CVE-2019-17098": {"precondition": None}},
+            "override for CVE-2019-17098: precondition must be one of "
+            + ", ".join(exploits.PRECONDITION_KINDS)
+            + ", not None",
+        ),
+    ],
+    ids=["misspelt-key", "string-entry", "list", "null-kind"],
+)
+def test_analyze_rejects_malformed_overrides(system28_config, store, overrides, message):
+    found = {r.cve_id for f in scan_devices(system28_config, store) for r in f.records}
+    assert "CVE-2019-17098" in found
+    with pytest.raises(ConfigError) as info:
+        analyze(system28_config, store, overrides=overrides)
+    assert str(info.value) == message
 
 
 def test_bind_apps_skips_unparseable_descriptions():
@@ -278,12 +307,14 @@ def reference_build_models(config, findings, overrides=None):
     out = []
     for finding in findings:
         device = devices[finding.device]
+        protocols = tuple(networks[n].protocol for n in device.networks)
         for record in finding.records:
-            override = None
-            if overrides and record.cve_id in overrides:
-                entry = overrides[record.cve_id]
-                override = (entry.get("precondition"), entry.get("effect"))
-            out.extend(models_for(device, record, networks, override=override))
+            entry = (overrides or {}).get(record.cve_id, {})
+            kinds = (
+                entry.get("precondition") or exploits.classify_precondition(record, protocols),
+                entry.get("effect") or exploits.classify_effect(record),
+            )
+            out.extend(models_for(device, record, networks, kinds))
     found = {record.cve_id for finding in findings for record in finding.records}
     for cve_id in sorted((overrides or {}).keys() - found):
         logging.getLogger("iotgraph.pipeline").warning(

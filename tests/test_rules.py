@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from iotgraph.apps import bind_app, parse_app_description
-from iotgraph.exploits import models_for
 from iotgraph import logic
 from iotgraph.logic import Atom, HornRule, LogicError
 from iotgraph.model import (
@@ -330,11 +329,7 @@ def test_render_program_prints_the_library_once_with_variables():
 
 def test_compile_system_dedupes_exploit_rules(store):
     cfg = load_fixture_config("listing10")
-    nets = {n.atom: n for n in cfg.networks}
-    models = []
-    for d in cfg.devices:
-        for rec in store.search(d.name):
-            models.extend(models_for(d, rec, nets))
+    models = build_models(cfg, scan_devices(cfg, store))
     doubled = models + models
     compiled = compile_system(cfg, doubled, [])
     labels = [r.label for r in compiled.program.rules[: compiled.static_start]]
