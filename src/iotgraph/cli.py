@@ -54,8 +54,8 @@ def _open_store(args: argparse.Namespace, opener=CveStore.open_existing) -> CveS
 
 def _load_config(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read config {path}: {exc}", EXIT_CONFIG) from exc
     try:
         return parse_config(text, source=path)
@@ -77,8 +77,8 @@ def _load_overrides(path: str | None) -> dict | None:
     if path is None:
         return None
     try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CliError(f"cannot read overrides {path}: {exc}", EXIT_CONFIG) from exc
     try:
         parse_overrides(data)

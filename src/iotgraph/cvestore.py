@@ -7,6 +7,10 @@ and returns the records whose description contains every remaining keyword
 as a whole token. Records without CVSS metrics are skipped at ingest time
 because the downstream exploit classifier needs the subscores; so are items
 with a field of the wrong JSON type.
+
+The ``tokens`` table has two indexes: its primary key ``(token, cve_id)``
+serves the keyword lookups of a search, and ``tokens_by_cve`` the delete of
+a replaced record's tokens.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ import logging
 import re
 import sqlite3
 import zlib
-from collections.abc import Callable
+from collections.abc import Callable, Collection
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 log = logging.getLogger(__name__)
@@ -104,13 +109,15 @@ CREATE TABLE IF NOT EXISTS tokens (
     cve_id TEXT NOT NULL,
     PRIMARY KEY (token, cve_id)
 ) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS tokens_by_token ON tokens (token);
+DROP INDEX IF EXISTS tokens_by_token;
+CREATE INDEX IF NOT EXISTS tokens_by_cve ON tokens (cve_id);
 """
 
 _COLUMNS = (
     "cve_id, description, attack_vector, conf_impact, integ_impact, avail_impact, "
     "impact_score, exploitability_score, year"
 )
+_row = attrgetter(*_COLUMNS.split(", "))
 
 
 def _connect(path: str | Path, database: str, first: Callable, uri: bool = False) -> tuple:
@@ -175,25 +182,22 @@ class CveStore:
     def add(self, record: CveRecord) -> None:
         """Insert or replace one record and reindex its description tokens."""
 
+        self._write([record])
+
+    def _write(self, records: Collection[CveRecord]) -> None:
+        """Insert or replace records with distinct ids, all in one transaction."""
+
         with self._conn:
-            self._conn.execute("DELETE FROM tokens WHERE cve_id = ?", (record.cve_id,))
-            self._conn.execute(
+            self._conn.executemany(
+                "DELETE FROM tokens WHERE cve_id = ?", [(r.cve_id,) for r in records]
+            )
+            self._conn.executemany(
                 f"INSERT OR REPLACE INTO records ({_COLUMNS}) VALUES (?,?,?,?,?,?,?,?,?)",
-                (
-                    record.cve_id,
-                    record.description,
-                    record.attack_vector,
-                    record.conf_impact,
-                    record.integ_impact,
-                    record.avail_impact,
-                    record.impact_score,
-                    record.exploitability_score,
-                    record.year,
-                ),
+                map(_row, records),
             )
             self._conn.executemany(
                 "INSERT OR IGNORE INTO tokens (token, cve_id) VALUES (?, ?)",
-                [(token, record.cve_id) for token in tokenize(record.description)],
+                [(token, r.cve_id) for r in records for token in tokenize(r.description)],
             )
 
     def get(self, cve_id: str) -> CveRecord | None:
@@ -231,18 +235,25 @@ class CveStore:
         """Load an NVD 1.1 JSON feed. Returns (ingested, skipped) counts.
 
         Re-ingesting a feed is idempotent: records are replaced, not
-        duplicated. Items without CVSS metrics, or with a field of the wrong
-        JSON type, are skipped.
+        duplicated, and a CVE id repeated in the feed keeps its last record.
+        Items without CVSS metrics, or with a field of the wrong JSON type,
+        are skipped. The records are written in one transaction: if the write
+        fails, ``StoreError`` is raised and the store is left as it was.
         """
 
         added = skipped = 0
+        latest: dict[str, CveRecord] = {}
         for item in _read_feed_items(feed_path):
             record = _record_from_item(item)
             if record is None:
                 skipped += 1
                 continue
-            self.add(record)
+            latest[record.cve_id] = record
             added += 1
+        try:
+            self._write(latest.values())
+        except sqlite3.DatabaseError as exc:
+            raise StoreError(f"cannot write to vulnerability store {self.path}: {exc}") from None
         return added, skipped
 
 

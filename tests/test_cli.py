@@ -79,6 +79,24 @@ def test_ingest_bad_feed_exits_4(tmp_path, capsys):
         assert err.startswith(f"error: ingest failed for {feed}:"), err
 
 
+def test_ingest_failing_write_exits_4_and_keeps_the_store(tmp_path, capsys):
+    store = tmp_path / "store.db"
+    assert main(["ingest", "--store", str(store), str(FEED_PATH)]) == 0
+    conn = sqlite3.connect(store)
+    conn.execute(
+        "CREATE TRIGGER refuse BEFORE INSERT ON tokens WHEN NEW.cve_id = 'CVE-2020-8864' "
+        "BEGIN SELECT RAISE(ABORT, 'refused'); END"
+    )
+    conn.close()
+    before = store.read_bytes()
+    capsys.readouterr()
+    code = main(["ingest", "--store", str(store), str(FEED_PATH)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.startswith(f"error: ingest failed for {FEED_PATH}:") and "refused" in err
+    assert store.read_bytes() == before
+
+
 def test_ingest_feed_list_exits_4(tmp_path, capsys):
     store = str(tmp_path / "store.db")
     feed = tmp_path / "list.json"
@@ -315,6 +333,21 @@ def test_invalid_config_exits_2(store_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "invalid config" in err
+
+
+@pytest.mark.parametrize("kind", ["config", "overrides"])
+def test_file_that_is_not_utf8_exits_2(store_path, tmp_path, capsys, kind):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('"caf\u00e9"'.encode("latin-1"))
+    if kind == "config":
+        argv = ["extract-apps", "--config", str(latin1)]
+    else:
+        argv = ["model", "--store", store_path, "--config", fixture_path("fig2")]
+        argv += ["--overrides", str(latin1)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: cannot read {kind} {latin1}:"), err
 
 
 NETS = [{"name": "wifi1", "type": "wifi"}]

@@ -2,12 +2,34 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from dataclasses import astuple
 
 import pytest
 
-from iotgraph.cvestore import CveStore, StoreError
+from iotgraph.cvestore import CveStore, StoreError, tokenize
 
-from conftest import FEED_PATH
+from conftest import FEED_PATH, FIXTURE_NAMES, load_fixture_config
+
+# The store layout written before the tokens table was indexed by CVE id.
+OLD_SCHEMA = """
+CREATE TABLE records (
+    cve_id TEXT PRIMARY KEY,
+    description TEXT NOT NULL,
+    attack_vector TEXT NOT NULL,
+    conf_impact TEXT NOT NULL,
+    integ_impact TEXT NOT NULL,
+    avail_impact TEXT NOT NULL,
+    impact_score REAL NOT NULL,
+    exploitability_score REAL NOT NULL,
+    year INTEGER NOT NULL
+);
+CREATE TABLE tokens (
+    token TEXT NOT NULL,
+    cve_id TEXT NOT NULL,
+    PRIMARY KEY (token, cve_id)
+) WITHOUT ROWID;
+CREATE INDEX tokens_by_token ON tokens (token);
+"""
 
 
 def write_feed(path, items):
@@ -206,3 +228,122 @@ def test_all_records_enumerates(store):
     recs = store.all_records()
     assert len(recs) == 20
     assert all(r.cve_id.startswith("CVE-") for r in recs)
+
+
+def fixture_device_names() -> list[str]:
+    return sorted({d.name for name in FIXTURE_NAMES for d in load_fixture_config(name).devices})
+
+
+def answers(store: CveStore) -> tuple:
+    """Every record, and the search results of every fixture device name."""
+
+    return store.all_records(), [store.search(name) for name in fixture_device_names()]
+
+
+def indexes(path) -> set[str]:
+    conn = sqlite3.connect(path)
+    try:
+        rows = conn.execute("SELECT name FROM sqlite_master WHERE type = 'index'").fetchall()
+    finally:
+        conn.close()
+    return {name for (name,) in rows}
+
+
+def test_feed_repeating_an_id_keeps_its_last_record(tmp_path):
+    feed = write_feed(
+        tmp_path / "feed.json",
+        [
+            item("CVE-2021-0001", "a thermostat bug"),
+            item("CVE-2021-0002", "a router bug"),
+            item("CVE-2021-0001", "a camera bug", vector="LOCAL"),
+        ],
+    )
+    s = CveStore(tmp_path / "s.db")
+    assert s.ingest_feed(str(feed)) == (3, 0)
+    assert s.count() == 2
+    assert s.get("CVE-2021-0001").description == "a camera bug"
+    assert s.get("CVE-2021-0001").attack_vector == "local"
+    assert s.search("Thermostat") == []
+    assert [r.cve_id for r in s.search("Camera")] == ["CVE-2021-0001"]
+
+
+def test_reingest_of_edited_feed_drops_old_tokens(tmp_path):
+    s = CveStore(tmp_path / "s.db")
+    feed = tmp_path / "feed.json"
+    write_feed(feed, [item("CVE-2021-0001", "a thermostat bug"), item("CVE-2021-0002", "a lock bug")])
+    s.ingest_feed(str(feed))
+    write_feed(feed, [item("CVE-2021-0001", "a camera bug")])
+    assert s.ingest_feed(str(feed)) == (1, 0)
+    assert s.search("Thermostat") == []
+    assert [r.cve_id for r in s.search("Camera")] == ["CVE-2021-0001"]
+    assert [r.cve_id for r in s.search("Lock")] == ["CVE-2021-0002"]
+
+
+def test_bulk_ingest_matches_adding_records_one_by_one(tmp_path, store):
+    one_by_one = CveStore(tmp_path / "s.db")
+    for record in store.all_records():
+        one_by_one.add(record)
+    assert answers(one_by_one) == answers(store)
+    assert any(answers(store)[1])
+
+
+def test_ingest_commits_once_per_feed(tmp_path):
+    items = [item(f"CVE-2021-{i:04d}", f"model{i} router bug") for i in range(64)]
+    feed = write_feed(tmp_path / "feed.json", items)
+    s = CveStore(tmp_path / "s.db")
+    statements = []
+    s._conn.set_trace_callback(statements.append)
+    assert s.ingest_feed(str(feed)) == (64, 0)
+    s._conn.set_trace_callback(None)
+    assert [st for st in statements if st.upper().startswith("COMMIT")] == ["COMMIT"]
+    assert s.count() == 64
+
+
+def test_failed_ingest_leaves_the_store_unchanged(tmp_path):
+    path = tmp_path / "s.db"
+    s = CveStore(path)
+    s.ingest_feed(str(FEED_PATH))
+    before = answers(s)
+    s._conn.execute(
+        "CREATE TRIGGER refuse BEFORE INSERT ON tokens WHEN NEW.cve_id = 'CVE-2021-0002' "
+        "BEGIN SELECT RAISE(ABORT, 'refused'); END"
+    )
+    feed = write_feed(
+        tmp_path / "feed.json",
+        [
+            item("CVE-2020-8864", "a thermostat bug"),
+            item("CVE-2021-0001", "a camera bug"),
+            item("CVE-2021-0002", "a lock bug"),
+        ],
+    )
+    with pytest.raises(StoreError, match="refused"):
+        s.ingest_feed(str(feed))
+    assert answers(s) == before
+    assert s.get("CVE-2021-0001") is None
+    s.close()
+    with CveStore.open_existing(path) as again:
+        assert answers(again) == before
+
+
+def test_store_with_the_old_index_is_searchable_and_migrates(tmp_path, store):
+    path = tmp_path / "old.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(OLD_SCHEMA)
+    records = store.all_records()
+    with conn:
+        conn.executemany("INSERT INTO records VALUES (?,?,?,?,?,?,?,?,?)", map(astuple, records))
+        conn.executemany(
+            "INSERT INTO tokens VALUES (?, ?)",
+            [(token, r.cve_id) for r in records for token in tokenize(r.description)],
+        )
+    conn.close()
+    expected = answers(store)
+    with CveStore.open_existing(path) as old:
+        assert answers(old) == expected
+    assert indexes(path) == {"sqlite_autoindex_records_1", "tokens_by_token"}
+    with CveStore(path) as migrated:
+        assert migrated.ingest_feed(str(FEED_PATH)) == (20, 0)
+        assert answers(migrated) == expected
+    assert indexes(path) == {"sqlite_autoindex_records_1", "tokens_by_cve"}
+    with CveStore.open_existing(path) as again:
+        assert answers(again) == expected
