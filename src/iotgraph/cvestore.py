@@ -92,7 +92,10 @@ class CveRecord:
                 raise StoreError(f"{self.cve_id}: bad {name} {getattr(self, name)!r}")
 
 
+# One transaction: as separate autocommit statements, each DDL statement
+# would pay a commit of its own.
 _SCHEMA = """
+BEGIN;
 CREATE TABLE IF NOT EXISTS records (
     cve_id TEXT PRIMARY KEY,
     description TEXT NOT NULL,
@@ -111,6 +114,7 @@ CREATE TABLE IF NOT EXISTS tokens (
 ) WITHOUT ROWID;
 DROP INDEX IF EXISTS tokens_by_token;
 CREATE INDEX IF NOT EXISTS tokens_by_cve ON tokens (cve_id);
+COMMIT;
 """
 
 _COLUMNS = (

@@ -3,8 +3,9 @@
 The stages are deliberately separable (each is importable and testable on
 its own): scan device names against the CVE store, classify hits into
 exploit models, parse and bind app descriptions, compile the Horn program
-(evaluating its rule library down to the ground instances that fire),
-saturate, slice the attack graph, and evaluate metrics per goal.
+(evaluating its rule library down to the ground instances that fire, in
+the one fixpoint that also saturates the program), slice the attack graph
+from that saturation, and evaluate metrics per goal.
 
 ``analyze`` computes every result once and holds it in ``AnalysisResult``;
 ``write_outputs`` and ``render_summary`` only render what it holds.
@@ -33,7 +34,10 @@ from .exploits import (
 from .logic import Atom
 from .metrics import GoalResult
 from .model import SystemConfig
-from .reasoner import AttackGraph, build_attack_graph, default_goals, saturate
+from .reasoner import AttackGraph, SaturationResult, build_attack_graph, default_goals
+# Not called here: the grounder's loop is the saturation ``analyze`` uses. It
+# stays a name of this module, which perfbench/tracer.py wraps.
+from .reasoner import saturate  # noqa: F401
 from .rules import CompiledSystem, compile_system, render_program
 
 log = logging.getLogger(__name__)
@@ -155,9 +159,9 @@ def analyze(
     with stage("apps"):
         bound, skipped = bind_apps(config)
     with stage("compile"):
-        compiled = compile_system(config, models, bound, extra_goals=extra_goals)
+        sat = SaturationResult()
+        compiled = compile_system(config, models, bound, extra_goals=extra_goals, saturation=sat)
     with stage("reason"):
-        sat = saturate(compiled.program)
         goals = compiled.goals or default_goals(sat)
         graph = build_attack_graph(compiled.program, goals, sat)
     with stage("metrics"):

@@ -1,4 +1,11 @@
-"""Saturate a ground Horn program and build the attack graph.
+"""The least model of a ground Horn program, and the attack graph sliced from it.
+
+A ``SaturationResult`` is the least model with the rule firings that reach
+it. ``analyze`` takes it from the grounder (``rules.ground_static_rules``),
+whose semi-naive loop records each firing as it happens; ``saturate`` is
+the general engine that counts down the body atoms of any ground program,
+for callers that hold only a program, such as a what-if re-analysis
+without some facts.
 
 The graph is tripartite. Primitive facts are boxes with no incoming edges,
 rule firings are AND nodes (every body atom must hold), and derived atoms
@@ -124,33 +131,43 @@ class AttackGraph:
 
 @dataclass
 class SaturationResult:
-    derived: set[Atom]
-    fired: list[HornRule]
-    fired_by_head: dict[Atom, list[int]]
+    """A program's least model and the firings that derive it.
+
+    ``known`` is the whole model, the facts and ``derived``; no fact is in
+    ``derived``. ``fired`` holds each rule whose body holds, once per rule
+    of the program, and ``fired_by_head`` indexes it by head. A firing is
+    recorded even when its head was already known, because each firing is
+    a separate AND node (another way in for the OR above it).
+    """
+
+    known: set[Atom] = field(default_factory=set)
+    derived: set[Atom] = field(default_factory=set)
+    fired: list[HornRule] = field(default_factory=list)
+    fired_by_head: dict[Atom, list[int]] = field(default_factory=dict)
+
+    def fire(self, rule: HornRule) -> None:
+        """Record a firing of ``rule``; its head's derivation is the caller's."""
+
+        self.fired_by_head.setdefault(rule.head, []).append(len(self.fired))
+        self.fired.append(rule)
 
 
 def saturate(program: LogicProgram) -> SaturationResult:
     """Forward-chain to fixpoint with watched body atoms.
 
     Each rule keeps a count of body atoms not yet known true; a rule fires
-    exactly once, when its count hits zero. Firings are recorded even when
-    the head atom was already derived, because each firing is a separate
-    AND node (another way in for the OR above it).
+    exactly once, when its count hits zero.
     """
 
-    known: set[Atom] = set(program.facts)
+    result = SaturationResult(known=set(program.facts))
+    known, derived = result.known, result.derived
     rules = list(program.rules)
     counts: list[int] = []
     watchers: dict[Atom, list[int]] = {}
-    fired: list[HornRule] = []
-    fired_by_head: dict[Atom, list[int]] = {}
     queue: list[Atom] = []
-    derived: set[Atom] = set()
 
     def fire(rule: HornRule) -> None:
-        firing_id = len(fired)
-        fired.append(rule)
-        fired_by_head.setdefault(rule.head, []).append(firing_id)
+        result.fire(rule)
         if rule.head not in known and rule.head not in derived:
             derived.add(rule.head)
             queue.append(rule.head)
@@ -172,7 +189,7 @@ def saturate(program: LogicProgram) -> SaturationResult:
             if counts[i] == 0:
                 fire(rules[i])
 
-    return SaturationResult(derived=derived, fired=fired, fired_by_head=fired_by_head)
+    return result
 
 
 def _atom_key(atom: Atom) -> str:
@@ -187,14 +204,16 @@ def build_attack_graph(
     """Backward-slice the saturation trace from the reachable goals.
 
     Only facts and firings that feed some goal make it into the graph.
+    ``result`` is the saturation of ``program``, computed here when it is
+    None. Every atom the slice meets is in its model, so an atom is a fact
+    exactly when it is not derived.
     """
 
     if result is None:
         result = saturate(program)
-    known = set(program.facts) | result.derived
-    fact_set = set(program.facts)
+    derived = result.derived
 
-    reachable_goals = [g for g in goals if g in known]
+    reachable_goals = [g for g in goals if g in result.known]
     needed_atoms: set[Atom] = set()
     needed_firings: set[int] = set()
     stack: list[Atom] = []
@@ -204,7 +223,7 @@ def build_attack_graph(
             stack.append(g)
     while stack:
         atom = stack.pop()
-        if atom in fact_set:
+        if atom not in derived:
             continue
         for firing_id in result.fired_by_head.get(atom, []):
             if firing_id in needed_firings:
@@ -216,8 +235,8 @@ def build_attack_graph(
                     needed_atoms.add(body_atom)
                     stack.append(body_atom)
 
-    derived_atoms = sorted((a for a in needed_atoms if a not in fact_set), key=_atom_key)
-    primitive_atoms = sorted((a for a in needed_atoms if a in fact_set), key=_atom_key)
+    derived_atoms = sorted((a for a in needed_atoms if a in derived), key=_atom_key)
+    primitive_atoms = sorted((a for a in needed_atoms if a not in derived), key=_atom_key)
 
     firing_order = sorted(
         needed_firings,

@@ -7,7 +7,10 @@ dependencies, attacker capabilities over actuators/sensors/voice), which are
 written with variables. ``ground_static_rules`` evaluates the library
 semi-naively over the facts and the ground rules and builds only the library
 instances whose bodies hold; the compiled program is the ground rules plus
-those instances, so its least model is the analysis's answer. The one
+those instances. The same loop is the program's one saturation: it records
+every firing, ground rule and library instance alike, and the atoms it
+derives, so ``compile_system`` hands the analysis the least model the
+attack graph is sliced from without evaluating the program again. The one
 variable no body atom binds, the voice rules' ``Cmd``, ranges over the
 commands the apps listen for.
 """
@@ -32,6 +35,7 @@ from .logic import (
 from .model import (
     DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
 )
+from .reasoner import SaturationResult
 
 def _var(name: str) -> str:
     return name[0].upper() + name[1:]
@@ -440,6 +444,7 @@ def ground_static_rules(
     domains: dict[str, list[str]],
     ground: Sequence[HornRule] = (),
     atoms: AtomTable | None = None,
+    saturation: SaturationResult | None = None,
 ) -> list[HornRule]:
     """The instances of the library ``rules`` that fire, by semi-naive evaluation.
 
@@ -462,11 +467,19 @@ def ground_static_rules(
     a body atom or has a pool in ``domains``; its templates when it first
     fires; its seed plans when an atom of the seed's predicate first becomes
     known.
+
+    The evaluation is the saturation of the facts, ``ground`` and the
+    returned instances. When ``saturation`` is given, an empty
+    ``SaturationResult``, it is filled with that least model: each ground
+    rule fires when its count starts at or reaches zero, each instance when
+    it is first built, and every atom queued is derived.
     """
 
     if atoms is None:
         atoms = {}
-    known: set[Atom] = set()
+    if saturation is None:
+        saturation = SaturationResult()
+    known, queued, fire = saturation.known, saturation.derived, saturation.fire
     by_pred: dict[str, list[Atom]] = {}
     by_position: dict[tuple, list[Atom]] = {}
 
@@ -482,7 +495,6 @@ def ground_static_rules(
             learn(fact)
 
     queue: list[Atom] = []
-    queued: set[Atom] = set()
 
     def derive(head: Atom) -> None:
         if head not in known and head not in queued:
@@ -497,15 +509,17 @@ def ground_static_rules(
         for a in missing:
             watchers.setdefault(a, []).append(i)
         if not missing:
+            fire(rule)
             derive(rule.head)
 
     plans = [_rule_plan(rule, domains) for rule in rules]
     templates: list[list | None] = [None] * len(rules)
-    # Instance atoms, head first, -> the rule that gave them.
-    instances: dict[tuple[Atom, ...], int] = {}
+    # Instance atoms, head first, -> the instance.
+    instances: dict[tuple[Atom, ...], HornRule] = {}
 
     def emit(index: int, bindings: list[tuple], order: list[int] | None = None) -> None:
         _, slots, pools = plans[index]
+        label = rules[index].label
         fills = templates[index]
         if fills is None:
             fills = templates[index] = [
@@ -526,7 +540,8 @@ def ground_static_rules(
                     key.append(atom)
                 key = tuple(key)
                 if key not in instances:
-                    instances[key] = index
+                    rule = instances[key] = HornRule.instance(key[0], key[1:], label)
+                    fire(rule)
                     derive(key[0])
 
     seats: dict[str, list[tuple[int, int]]] = {}
@@ -544,6 +559,7 @@ def ground_static_rules(
         for i in watchers.pop(atom, ()):
             counts[i] -= 1
             if not counts[i]:
+                fire(ground[i])
                 derive(ground[i].head)
         seeds = seeded.get(atom.pred)
         if seeds is None:
@@ -566,7 +582,7 @@ def ground_static_rules(
             if bindings:
                 emit(index, bindings, order)
 
-    return [HornRule.instance(key[0], key[1:], rules[index].label) for key, index in instances.items()]
+    return list(instances.values())
 
 
 # ---------------------------------------------------------------------------
@@ -599,11 +615,20 @@ def compile_system(
     models: list[ExploitModel],
     bound_apps: list[BoundApp],
     extra_goals: tuple[Atom, ...] = (),
+    saturation: SaturationResult | None = None,
 ) -> CompiledSystem:
+    """Compile the deployment; ``saturation``, if given, receives its least model.
+
+    ``saturation`` is an empty ``SaturationResult`` that the library
+    evaluation fills (see ``ground_static_rules``).
+    """
+
     blocks = config_fact_blocks(config)
     config_facts = [a for block in blocks for a in block]
     atk_facts = attacker_facts(config)
-    vul_facts = list(dict.fromkeys(fact for model in models for fact in model.facts()))
+    model_rules = [model.rule() for model in models]
+    # Each exploit rule's body starts with its model's two vulnerability facts.
+    vul_facts = list(dict.fromkeys(fact for rule in model_rules for fact in rule.body[:2]))
     facts = config_facts + atk_facts + vul_facts
 
     # One table for every atom of the program, starting from the facts.
@@ -616,8 +641,7 @@ def compile_system(
         return HornRule.instance(intern(atoms, rule.head), body, rule.label)
 
     first_rules: dict[tuple, HornRule] = {}
-    for model in models:
-        rule = model.rule()
+    for rule in model_rules:
         if (rule.head, rule.body) not in first_rules:
             first_rules[rule.head, rule.body] = interned(rule)
     exploit_rules = list(first_rules.values())
@@ -626,7 +650,7 @@ def compile_system(
     alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
     library = static_library()
     fired = ground_static_rules(
-        library, facts, {"commands": alphabet}, exploit_rules + app_rules, atoms
+        library, facts, {"commands": alphabet}, exploit_rules + app_rules, atoms, saturation
     )
 
     goals = list(config.goals)

@@ -6,7 +6,7 @@ from dataclasses import astuple
 
 import pytest
 
-from iotgraph.cvestore import CveStore, StoreError, tokenize
+from iotgraph.cvestore import _SCHEMA, CveStore, StoreError, tokenize
 
 from conftest import FEED_PATH, FIXTURE_NAMES, load_fixture_config
 
@@ -347,3 +347,32 @@ def test_store_with_the_old_index_is_searchable_and_migrates(tmp_path, store):
     assert indexes(path) == {"sqlite_autoindex_records_1", "tokens_by_cve"}
     with CveStore.open_existing(path) as again:
         assert answers(again) == expected
+
+
+def test_schema_runs_in_one_transaction_and_migrates_an_old_store(tmp_path, store):
+    path = tmp_path / "old.db"
+    conn = sqlite3.connect(path)
+    conn.executescript(OLD_SCHEMA)
+    with conn:
+        conn.executemany("INSERT INTO records VALUES (?,?,?,?,?,?,?,?,?)", map(astuple, store.all_records()))
+    statements = []
+    conn.set_trace_callback(statements.append)
+    conn.executescript(_SCHEMA)
+    conn.close()
+    verbs = [st.split(None, 1)[0].rstrip(";").upper() for st in statements]
+    assert verbs[0] == "BEGIN" and verbs[-1] == "COMMIT"
+    assert verbs.count("BEGIN") == verbs.count("COMMIT") == 1
+    assert indexes(path) == {"sqlite_autoindex_records_1", "tokens_by_cve"}
+
+    def layout():
+        conn = sqlite3.connect(path)
+        try:
+            return conn.execute("SELECT type, name, sql FROM sqlite_master ORDER BY name").fetchall()
+        finally:
+            conn.close()
+
+    before = layout()
+    for _ in range(2):
+        with CveStore(path) as again:
+            assert again.all_records() == store.all_records()
+        assert layout() == before

@@ -4,7 +4,9 @@
 earlier grounder, which joins fact atoms and gives every other variable a
 pool, and saturates naively. The package evaluates the library semi-naively
 and builds only the instances that fire; it must fire the same
-``(head, body, label)`` set and derive the same atoms. The argument
+``(head, body, label)`` set and derive the same atoms. The evaluation's
+loop is also the saturation ``analyze`` slices the graph from; it must equal
+what ``reasoner.saturate`` computes from the compiled program. The argument
 functions must give the same text, variables and substitutions as the
 copies for any argument string.
 """
@@ -12,17 +14,19 @@ copies for any argument string.
 from __future__ import annotations
 
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from iotgraph import logic, rules
-from iotgraph.logic import Atom, HornRule, LogicError
-from iotgraph.pipeline import analyze
-from iotgraph.reasoner import saturate
-from iotgraph.synth import synthesize
+from iotgraph import logic, pipeline, reasoner, rules
+from iotgraph.logic import Atom, HornRule, LogicError, LogicProgram
+from iotgraph.model import parse_config
+from iotgraph.pipeline import analyze, bind_apps, build_models, scan_devices
+from iotgraph.reasoner import SaturationResult, saturate
+from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
 
@@ -73,9 +77,72 @@ def _assert_one_object_per_atom(atoms, facts=()):
         assert objects.setdefault(atom, atom) is atom, atom.render()
 
 
+def _assert_same_saturation(got, want, facts):
+    """Two saturations of one program agree up to the order of firing."""
+
+    assert got.derived == want.derived
+    assert got.known == want.known == set(facts) | want.derived
+    assert not got.derived & set(facts)
+    assert Counter(_firings(got.fired)) == Counter(_firings(want.fired))
+    counts = {head: len(ids) for head, ids in got.fired_by_head.items()}
+    assert counts == {head: len(ids) for head, ids in want.fired_by_head.items()}
+    # The index names each firing once, under its own head.
+    assert sorted(i for ids in got.fired_by_head.values() for i in ids) == list(range(len(got.fired)))
+    for head, ids in got.fired_by_head.items():
+        assert all(got.fired[i].head == head for i in ids)
+
+
+def _firings(fired):
+    return [(rule.head, rule.body, rule.label) for rule in fired]
+
+
+def _compile_saturating(config, store):
+    """The compiled system of ``config`` and the saturation its grounding recorded."""
+
+    models = build_models(config, scan_devices(config, store))
+    bound, _ = bind_apps(config)
+    saturation = SaturationResult()
+    return rules.compile_system(config, models, bound, saturation=saturation), saturation
+
+
+@pytest.mark.parametrize("home", HOMES, ids=_home_id)
+def test_grounding_saturation_matches_saturate(home, store):
+    compiled, got = _compile_saturating(_config(home), store)
+    assert got.fired
+    _assert_same_saturation(got, saturate(compiled.program), compiled.program.facts)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=st.integers(2, 90), seed=st.integers(0, 2**32 - 1))
+def test_grounding_saturation_matches_saturate_on_synthetic_homes(n, seed, store):
+    config = parse_config(synth_document(n, seed), source="synth")
+    compiled, got = _compile_saturating(config, store)
+    _assert_same_saturation(got, saturate(compiled.program), compiled.program.facts)
+
+
+def test_analyze_saturates_once_in_the_grounder(store, monkeypatch):
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    counted(reasoner, "saturate")
+    counted(pipeline, "saturate")
+    counted(rules, "ground_static_rules")
+    result = analyze(load_fixture_config("system37"), store)
+    assert result.graph.goal_nodes
+    assert calls == {"ground_static_rules": 1}
+
+
 @pytest.mark.parametrize("home", HOMES, ids=_home_id)
 def test_ground_rules_match_earlier_grounder(home, store, monkeypatch):
-    result, ((library, facts, domains, ground, _), fired) = _analyze_recording_evaluation(
+    result, ((library, facts, domains, ground, *_), fired) = _analyze_recording_evaluation(
         home, store, monkeypatch
     )
     assert fired
@@ -234,11 +301,14 @@ def join_inputs(draw):
 def test_join_shapes_match_earlier_grounder(inputs, commands):
     facts, ground = inputs
     domains = {"devices": ["d1", "d2"], "commands": commands}
-    fired = rules.ground_static_rules(list(JOIN_RULES), facts, domains, ground)
+    got = SaturationResult()
+    fired = rules.ground_static_rules(list(JOIN_RULES), facts, domains, ground, saturation=got)
     want_fired, want_derived = oracles.fired_library_instances(JOIN_RULES, facts, ground, domains)
     assert _fired_set(fired) == want_fired
     assert len(fired) == len(want_fired)
     assert oracles.least_model(facts, [*ground, *fired]) - set(facts) == want_derived
+    program = LogicProgram(facts=tuple(facts), rules=(*ground, *fired))
+    _assert_same_saturation(got, saturate(program), facts)
     _assert_one_object_per_atom(atom for rule in fired for atom in (rule.head, *rule.body))
 
 
