@@ -40,8 +40,8 @@ from .metrics import (
 )
 from .model import ConfigError, SystemConfig, normalize_name, parse_config
 from .pipeline import AnalysisResult, analyze, write_outputs
-from .reasoner import AttackGraph, build_attack_graph, saturate
-from .rules import CompiledSystem, compile_system, render_program, render_system_facts
+from .reasoner import AttackGraph, build_attack_graph
+from .rules import CompiledSystem, compile_system, render_program, render_system_facts, saturate
 from .synth import synth_document, synthesize
 
 __version__ = "0.1.0"

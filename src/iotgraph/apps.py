@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .logic import Atom, HornRule
-from .model import DEVICE_TYPES, EVENT_ATOMS, AppSpec, SystemConfig, normalize_name
+from .model import DEVICE_TYPES, EVENT_ATOMS, AppSpec, ConfigError, SystemConfig, normalize_name
 
 
 class AppParseError(ValueError):
@@ -189,6 +189,8 @@ class TriggerMatch:
     device_type: str
     event: str
     command: str | None = None
+    # The command phrase as the identifier ``speakerHears`` takes.
+    command_id: str | None = None
 
     @property
     def display_event(self) -> str:
@@ -241,7 +243,11 @@ def match_trigger(sentence: str, phrases: PhrasePair) -> TriggerMatch:
         command = sentence[m.end():].strip(" .,") if m else ""
         if not command:
             raise AppParseError(f"voice trigger has no command phrase: {sentence!r}")
-        return TriggerMatch(role.role, role.device_type, "hears", command)
+        try:
+            command_id = normalize_name(command)
+        except ConfigError as exc:
+            raise AppParseError(f"voice trigger {sentence!r}: {exc}") from None
+        return TriggerMatch(role.role, role.device_type, "hears", command, command_id)
     event = _resolve_verb(role, phrases) or role.default_event
     if event is None:
         raise AppParseError(f"cannot resolve the event for {role.role!r} in: {sentence!r}")
@@ -381,10 +387,6 @@ def bind_app(app: AppSpec, semantics: AppSemantics, config: SystemConfig) -> Bou
         groups = [list(range(len(semantics.triggers)))]
 
     rules = []
-    voice_commands = []
-    for trigger in semantics.triggers:
-        if trigger.command is not None:
-            voice_commands.append(normalize_name(trigger.command))
     for action, actuator in zip(semantics.actions, action_devices):
         info = DEVICE_TYPES[action.device_type]
         if action.state not in info.settable:
@@ -397,8 +399,8 @@ def bind_app(app: AppSpec, semantics: AppSemantics, config: SystemConfig) -> Bou
             for idx in group:
                 trigger = semantics.triggers[idx]
                 sensor = trigger_devices[idx]
-                if trigger.command is not None:
-                    body.append(Atom("speakerHears", (normalize_name(trigger.command),)))
+                if trigger.command_id is not None:
+                    body.append(Atom("speakerHears", (trigger.command_id,)))
                 else:
                     pred, extra = EVENT_ATOMS[trigger.event]
                     body.append(Atom(pred, (sensor, *extra)))
@@ -407,5 +409,5 @@ def bind_app(app: AppSpec, semantics: AppSemantics, config: SystemConfig) -> Bou
     return BoundApp(
         app=app,
         rules=tuple(rules),
-        voice_commands=tuple(voice_commands),
+        voice_commands=tuple(t.command_id for t in semantics.triggers if t.command_id is not None),
     )

@@ -133,7 +133,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     for m in models:
         print(
             f"{m.cve_id} @ {m.device}: precondition={m.precondition} effect={m.effect} "
-            f"vulProperty({m.cve_id!r}, {m.pre_term}, {m.effect_term})"
+            + m.facts()[1].render()
         )
     if not models:
         print("no exploit models (no CVE matches)")

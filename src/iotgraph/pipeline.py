@@ -35,10 +35,11 @@ from .logic import Atom
 from .metrics import GoalResult
 from .model import SystemConfig
 from .reasoner import AttackGraph, SaturationResult, build_attack_graph, default_goals
-# Not called here: the grounder's loop is the saturation ``analyze`` uses. It
-# stays a name of this module, which perfbench/tracer.py wraps.
-from .reasoner import saturate  # noqa: F401
 from .rules import CompiledSystem, compile_system, render_program
+# Not called here: ``analyze`` takes its saturation from ``compile_system``,
+# whose evaluator ``saturate`` runs with no library. It stays a name of this
+# module, which perfbench/tracer.py wraps.
+from .rules import saturate  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -163,7 +164,7 @@ def analyze(
         compiled = compile_system(config, models, bound, extra_goals=extra_goals, saturation=sat)
     with stage("reason"):
         goals = compiled.goals or default_goals(sat)
-        graph = build_attack_graph(compiled.program, goals, sat)
+        graph = build_attack_graph(sat, goals)
     with stage("metrics"):
         depths = metrics_mod.node_depths(graph)
         evidence = metrics_mod.attack_evidence(graph)

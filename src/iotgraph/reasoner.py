@@ -1,11 +1,10 @@
 """The least model of a ground Horn program, and the attack graph sliced from it.
 
 A ``SaturationResult`` is the least model with the rule firings that reach
-it. ``analyze`` takes it from the grounder (``rules.ground_static_rules``),
-whose semi-naive loop records each firing as it happens; ``saturate`` is
-the general engine that counts down the body atoms of any ground program,
-for callers that hold only a program, such as a what-if re-analysis
-without some facts.
+it. This module computes none: the evaluator in ``rules`` fills it, for
+``analyze`` as it grounds the library (``rules.ground_static_rules``) and
+for a bare program through ``rules.saturate``. ``build_attack_graph`` only
+slices the saturation it is handed.
 
 The graph is tripartite. Primitive facts are boxes with no incoming edges,
 rule firings are AND nodes (every body atom must hold), and derived atoms
@@ -24,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .logic import Atom, HornRule, LogicProgram, render_fact
+from .logic import Atom, HornRule, render_fact
 
 FACT = "fact"
 RULE = "rule"
@@ -152,65 +151,18 @@ class SaturationResult:
         self.fired.append(rule)
 
 
-def saturate(program: LogicProgram) -> SaturationResult:
-    """Forward-chain to fixpoint with watched body atoms.
-
-    Each rule keeps a count of body atoms not yet known true; a rule fires
-    exactly once, when its count hits zero.
-    """
-
-    result = SaturationResult(known=set(program.facts))
-    known, derived = result.known, result.derived
-    rules = list(program.rules)
-    counts: list[int] = []
-    watchers: dict[Atom, list[int]] = {}
-    queue: list[Atom] = []
-
-    def fire(rule: HornRule) -> None:
-        result.fire(rule)
-        if rule.head not in known and rule.head not in derived:
-            derived.add(rule.head)
-            queue.append(rule.head)
-
-    for i, rule in enumerate(rules):
-        distinct = set(rule.body)
-        missing = {a for a in distinct if a not in known}
-        counts.append(len(missing))
-        for atom in missing:
-            watchers.setdefault(atom, []).append(i)
-        if not missing:
-            fire(rule)
-
-    while queue:
-        atom = queue.pop()
-        known.add(atom)
-        for i in watchers.pop(atom, []):
-            counts[i] -= 1
-            if counts[i] == 0:
-                fire(rules[i])
-
-    return result
-
-
 def _atom_key(atom: Atom) -> str:
     return atom.render()
 
 
-def build_attack_graph(
-    program: LogicProgram,
-    goals: tuple[Atom, ...],
-    result: SaturationResult | None = None,
-) -> AttackGraph:
+def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> AttackGraph:
     """Backward-slice the saturation trace from the reachable goals.
 
     Only facts and firings that feed some goal make it into the graph.
-    ``result`` is the saturation of ``program``, computed here when it is
-    None. Every atom the slice meets is in its model, so an atom is a fact
+    Every atom the slice meets is in the model, so an atom is a fact
     exactly when it is not derived.
     """
 
-    if result is None:
-        result = saturate(program)
     derived = result.derived
 
     reachable_goals = [g for g in goals if g in result.known]

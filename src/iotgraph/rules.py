@@ -13,6 +13,11 @@ derives, so ``compile_system`` hands the analysis the least model the
 attack graph is sliced from without evaluating the program again. The one
 variable no body atom binds, the voice rules' ``Cmd``, ranges over the
 commands the apps listen for.
+
+The evaluator is the package's only least-model engine. ``saturate`` is the
+evaluator run with no library: it takes the least model of any ground
+program, for callers that hold only a program, such as a what-if
+re-analysis without some facts.
 """
 
 from __future__ import annotations
@@ -198,26 +203,22 @@ def build_dependency_rules() -> list[HornRule]:
                     label=f"{info.name} drives {channel}",
                 )
             )
-    # Indirect, sensor side: a driven channel is what sensors report.
+    # Indirect, sensor side: a driven channel is what sensors report, as the
+    # event atom an app trigger on it needs.
     for info in DEVICE_TYPES.values():
         v = _var(info.predicate)
         for channel in sorted(info.senses):
             if channel in SCALAR_CHANNELS:
-                for level, pred in (("high", "reportsHigh"), ("low", "reportsLow")):
-                    rules.append(
-                        HornRule(
-                            Atom(pred, (v, channel)),
-                            (Atom(level, (channel,)), Atom(info.predicate, (v,))),
-                            label=f"{info.name} reports {level} {channel}",
-                        )
-                    )
+                driven = [(Atom(level, (channel,)), f"{level} {channel}") for level in ("high", "low")]
             else:
-                event_pred = {"smoke": "reportsSmoke", "water": "reportsWater"}[channel]
+                driven = [(Atom(channel), channel)]
+            for cause, event in driven:
+                pred, extra = EVENT_ATOMS[event]
                 rules.append(
                     HornRule(
-                        Atom(event_pred, (v,)),
-                        (Atom(channel), Atom(info.predicate, (v,))),
-                        label=f"{info.name} reports {channel}",
+                        Atom(pred, (v, *extra)),
+                        (cause, Atom(info.predicate, (v,))),
+                        label=f"{info.name} reports {event}",
                     )
                 )
     return rules
@@ -449,7 +450,9 @@ def ground_static_rules(
     """The instances of the library ``rules`` that fire, by semi-naive evaluation.
 
     Known atoms, the facts first, are indexed by predicate and by
-    ``(pred, position, value)``. Each rule's body is joined once over the
+    ``(pred, position, value)``, but only those whose predicate occurs in
+    some body of ``rules``: no other atom is ever joined against, so with
+    no library nothing is indexed. Each rule's body is joined once over the
     facts. After that, each atom that becomes known is the seed of every
     body atom with its predicate: the rest of that body joins against the
     known atoms, and each binding fills the rule's templates into an
@@ -480,14 +483,16 @@ def ground_static_rules(
     if saturation is None:
         saturation = SaturationResult()
     known, queued, fire = saturation.known, saturation.derived, saturation.fire
+    joined = {atom.pred for rule in rules for atom in rule.body}
     by_pred: dict[str, list[Atom]] = {}
     by_position: dict[tuple, list[Atom]] = {}
 
     def learn(atom: Atom) -> None:
         known.add(atom)
-        by_pred.setdefault(atom.pred, []).append(atom)
-        for pos, arg in enumerate(atom.args):
-            by_position.setdefault((atom.pred, pos, arg), []).append(atom)
+        if atom.pred in joined:
+            by_pred.setdefault(atom.pred, []).append(atom)
+            for pos, arg in enumerate(atom.args):
+                by_position.setdefault((atom.pred, pos, arg), []).append(atom)
 
     for fact in facts:
         fact = intern(atoms, fact)
@@ -583,6 +588,14 @@ def ground_static_rules(
                 emit(index, bindings, order)
 
     return list(instances.values())
+
+
+def saturate(program: LogicProgram) -> SaturationResult:
+    """The least model of a ground program: the evaluator run with no library."""
+
+    result = SaturationResult()
+    ground_static_rules([], list(program.facts), {}, program.rules, saturation=result)
+    return result
 
 
 # ---------------------------------------------------------------------------

@@ -425,6 +425,71 @@ def test_extract_apps_strict_exits_4_on_failure(tmp_path, capsys):
     assert "parse error:" in out
 
 
+def _voice_apps_config(tmp_path, command):
+    """A home with one voice app whose command is ``command`` and one good voice app."""
+
+    cfg = tmp_path / "voice.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "devices": [
+                    {"name": "Yale Doorlock", "type": "lock", "network": ["wifi1"]},
+                    {"name": "Sonos Speaker", "type": "speaker", "network": ["wifi1"]},
+                    {"name": "Smart Oven", "type": "oven", "network": ["wifi1"]},
+                ],
+                "networks": [{"name": "wifi1", "type": "Wifi"}],
+                "apps": [
+                    {
+                        "App name": "Odd Command",
+                        "description": f"Unlock the front door when the speaker hears {command}.",
+                        "device map": {"lock": "Yale Doorlock", "speaker": "Sonos Speaker"},
+                    },
+                    {
+                        "App name": "Voice Preheat",
+                        "description": "Preheat the oven when the speaker hears preheat the oven.",
+                        "device map": {"oven": "Smart Oven", "speaker": "Sonos Speaker"},
+                    },
+                ],
+            }
+        )
+    )
+    return str(cfg)
+
+
+UNUSABLE_COMMANDS = pytest.mark.parametrize("command", ["???", "2 times"], ids=["symbols", "digit"])
+
+
+@UNUSABLE_COMMANDS
+def test_analyze_skips_a_voice_app_whose_command_is_no_identifier(
+    store_path, tmp_path, capsys, command
+):
+    out_dir = tmp_path / "run"
+    code = main(
+        ["analyze", "--store", store_path, "--config", _voice_apps_config(tmp_path, command),
+         "--out", str(out_dir)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "apps bound: 1 (skipped 1)" in out
+    manifest = json.loads((out_dir / "run_manifest.json").read_text())
+    assert manifest["apps_bound"] == ["Voice Preheat"]
+    [skipped] = manifest["apps_skipped"]
+    assert skipped["app"] == "Odd Command"
+    assert f"{command!r}" in skipped["reason"]
+    assert "speakerHears(preheatTheOven)" in (out_dir / "program.pl").read_text()
+
+
+@UNUSABLE_COMMANDS
+def test_extract_apps_reports_a_voice_command_that_is_no_identifier(tmp_path, capsys, command):
+    cfg = _voice_apps_config(tmp_path, command)
+    assert main(["extract-apps", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert out.count("parse error:") == 1
+    assert "speakerHears(preheatTheOven)" in out
+    assert main(["extract-apps", "--config", cfg, "--strict"]) == 4
+    assert "parse error: voice trigger" in capsys.readouterr().out
+
+
 def test_compile_to_stdout(store_path, capsys):
     code = main(["compile", "--store", store_path, "--config", fixture_path("listing10")])
     out = capsys.readouterr().out

@@ -5,10 +5,11 @@ earlier grounder, which joins fact atoms and gives every other variable a
 pool, and saturates naively. The package evaluates the library semi-naively
 and builds only the instances that fire; it must fire the same
 ``(head, body, label)`` set and derive the same atoms. The evaluation's
-loop is also the saturation ``analyze`` slices the graph from; it must equal
-what ``reasoner.saturate`` computes from the compiled program. The argument
-functions must give the same text, variables and substitutions as the
-copies for any argument string.
+loop is also the saturation ``analyze`` slices the graph from, and with no
+library it is ``saturate``; either way it must be the least model that
+``oracles.least_model`` sweeps to, with each rule whose body holds in it
+fired once. The argument functions must give the same text, variables and
+substitutions as the copies for any argument string.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from iotgraph import logic, pipeline, reasoner, rules
+from iotgraph import logic, pipeline, rules
 from iotgraph.logic import Atom, HornRule, LogicError, LogicProgram
 from iotgraph.model import parse_config
 from iotgraph.pipeline import analyze, bind_apps, build_models, scan_devices
-from iotgraph.reasoner import SaturationResult, saturate
+from iotgraph.reasoner import SaturationResult
+from iotgraph.rules import saturate
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
@@ -52,8 +54,8 @@ def _analyze_recording_evaluation(home, store, monkeypatch):
     calls = []
     real = rules.ground_static_rules
 
-    def recording(*args):
-        fired = real(*args)
+    def recording(*args, **kwargs):
+        fired = real(*args, **kwargs)
         calls.append((args, fired))
         return fired
 
@@ -77,15 +79,18 @@ def _assert_one_object_per_atom(atoms, facts=()):
         assert objects.setdefault(atom, atom) is atom, atom.render()
 
 
-def _assert_same_saturation(got, want, facts):
-    """Two saturations of one program agree up to the order of firing."""
+def _assert_least_model(got, facts, program_rules):
+    """``got`` is the saturation of ``facts`` and ``program_rules``, up to the order of firing.
 
-    assert got.derived == want.derived
-    assert got.known == want.known == set(facts) | want.derived
-    assert not got.derived & set(facts)
-    assert Counter(_firings(got.fired)) == Counter(_firings(want.fired))
-    counts = {head: len(ids) for head, ids in got.fired_by_head.items()}
-    assert counts == {head: len(ids) for head, ids in want.fired_by_head.items()}
+    The reference shares no code with the evaluator: the least model is
+    swept naively, and the firings are the rules whose bodies hold in it.
+    """
+
+    model = oracles.least_model(facts, program_rules)
+    assert got.known == model
+    assert got.derived == model - set(facts)
+    want = [rule for rule in program_rules if all(a in model for a in rule.body)]
+    assert Counter(_firings(got.fired)) == Counter(_firings(want))
     # The index names each firing once, under its own head.
     assert sorted(i for ids in got.fired_by_head.values() for i in ids) == list(range(len(got.fired)))
     for head, ids in got.fired_by_head.items():
@@ -109,7 +114,9 @@ def _compile_saturating(config, store):
 def test_grounding_saturation_matches_saturate(home, store):
     compiled, got = _compile_saturating(_config(home), store)
     assert got.fired
-    _assert_same_saturation(got, saturate(compiled.program), compiled.program.facts)
+    program = compiled.program
+    _assert_least_model(got, program.facts, program.rules)
+    _assert_least_model(saturate(program), program.facts, program.rules)
 
 
 @settings(max_examples=20, deadline=None)
@@ -117,7 +124,46 @@ def test_grounding_saturation_matches_saturate(home, store):
 def test_grounding_saturation_matches_saturate_on_synthetic_homes(n, seed, store):
     config = parse_config(synth_document(n, seed), source="synth")
     compiled, got = _compile_saturating(config, store)
-    _assert_same_saturation(got, saturate(compiled.program), compiled.program.facts)
+    program = compiled.program
+    _assert_least_model(got, program.facts, program.rules)
+    _assert_least_model(saturate(program), program.facts, program.rules)
+
+
+# A few predicates over two constants, so random rules share atoms, repeat
+# body atoms, form cycles and derive atoms that are also facts.
+ground_atoms = st.builds(
+    lambda pred, arg: Atom(pred, (arg,)), st.sampled_from("pqrs"), st.sampled_from("ab")
+)
+ground_rules = st.builds(
+    lambda head, body, label: HornRule(head, tuple(body), label=label),
+    ground_atoms,
+    st.lists(ground_atoms, min_size=1, max_size=3),
+    st.sampled_from(["r1", "r2"]),
+)
+
+
+def _rule(text: str) -> HornRule:
+    head, body = text.split(" :- ")
+    return HornRule(logic.parse_atom(head), tuple(map(logic.parse_atom, body.split(", "))), "r")
+
+
+@settings(max_examples=300)
+@given(facts=st.lists(ground_atoms, max_size=5), rules_=st.lists(ground_rules, max_size=8))
+# Duplicate body atoms, a duplicated rule, a head that is a fact, a cycle,
+# and a rule that never fires.
+@example(
+    facts=[Atom("p", ("a",)), Atom("q", ("a",))],
+    rules_=[
+        _rule("r(a) :- p(a), p(a)"),
+        _rule("r(a) :- p(a), p(a)"),
+        _rule("q(a) :- r(a)"),
+        _rule("s(a) :- r(a)"),
+        _rule("r(a) :- s(a)"),
+        _rule("s(b) :- p(b), r(a)"),
+    ],
+)
+def test_saturate_is_the_least_model(facts, rules_):
+    _assert_least_model(saturate(LogicProgram(tuple(facts), tuple(rules_))), facts, rules_)
 
 
 def test_analyze_saturates_once_in_the_grounder(store, monkeypatch):
@@ -132,7 +178,7 @@ def test_analyze_saturates_once_in_the_grounder(store, monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    counted(reasoner, "saturate")
+    counted(rules, "saturate")
     counted(pipeline, "saturate")
     counted(rules, "ground_static_rules")
     result = analyze(load_fixture_config("system37"), store)
@@ -307,8 +353,7 @@ def test_join_shapes_match_earlier_grounder(inputs, commands):
     assert _fired_set(fired) == want_fired
     assert len(fired) == len(want_fired)
     assert oracles.least_model(facts, [*ground, *fired]) - set(facts) == want_derived
-    program = LogicProgram(facts=tuple(facts), rules=(*ground, *fired))
-    _assert_same_saturation(got, saturate(program), facts)
+    _assert_least_model(got, facts, [*ground, *fired])
     _assert_one_object_per_atom(atom for rule in fired for atom in (rule.head, *rule.body))
 
 

@@ -23,6 +23,7 @@ from iotgraph.metrics import (
     shortest_trace,
 )
 from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, Node, build_attack_graph
+from iotgraph.rules import saturate
 
 from oracles import minimal_subset
 
@@ -111,7 +112,7 @@ def branching_graph():
             HornRule(parse_atom("g(x)"), (parse_atom("v(x)"),), label="short way"),
         ),
     )
-    return build_attack_graph(program, (parse_atom("g(x)"),))
+    return build_attack_graph(saturate(program), (parse_atom("g(x)"),))
 
 
 def test_node_depths_alternate_and_or_costs():
@@ -134,7 +135,7 @@ def test_node_depths_cyclic_support_still_costed():
             HornRule(parse_atom("g(x)"), (parse_atom("g(x)"),), label="self loop"),
         ),
     )
-    graph = build_attack_graph(program, (parse_atom("g(x)"),))
+    graph = build_attack_graph(saturate(program), (parse_atom("g(x)"),))
     depths = node_depths(graph)
     loop_rule = next(n for n in graph.rule_nodes() if n.text == "self loop")
     goal_node = graph.goal_nodes[parse_atom("g(x)")]
@@ -185,14 +186,14 @@ def test_shortest_trace_breaks_ties_by_node_id():
             HornRule(parse_atom("g(x)"), (parse_atom("u(x)"),), label="aaa"),
         ),
     )
-    graph = build_attack_graph(program, (parse_atom("g(x)"),))
+    graph = build_attack_graph(saturate(program), (parse_atom("g(x)"),))
     trace = shortest_trace(graph, parse_atom("g(x)"))
     assert [s.text for s in trace.steps] == ["u(x).", "aaa", "g(x)"]
 
 
 def test_shortest_trace_none_for_unreachable_goal():
     program = LogicProgram(facts=(parse_atom("a(x)"),), rules=())
-    graph = build_attack_graph(program, (parse_atom("g(x)"),))
+    graph = build_attack_graph(saturate(program), (parse_atom("g(x)"),))
     assert shortest_trace(graph, parse_atom("g(x)")) is None
 
 
@@ -227,7 +228,7 @@ def diamond_graph():
             ),
         ),
     )
-    return build_attack_graph(program, (parse_atom("p(x)"), parse_atom("q(x)")))
+    return build_attack_graph(saturate(program), (parse_atom("p(x)"), parse_atom("q(x)")))
 
 
 def test_attack_evidence_universe_in_node_order():
@@ -392,7 +393,7 @@ def test_patch_set_unpatchable_when_no_cve_needed():
             ),
         ),
     )
-    graph = build_attack_graph(program, (parse_atom("g(x)"),))
+    graph = build_attack_graph(saturate(program), (parse_atom("g(x)"),))
     evidence = attack_evidence(graph)
     plan = patch_set(graph, evidence, parse_atom("g(x)"))
     assert plan.verdict == "unpatchable"
@@ -402,7 +403,7 @@ def test_patch_set_unpatchable_when_no_cve_needed():
 
 def test_patch_set_unreachable_goal():
     program = LogicProgram(facts=(parse_atom("a(x)"),), rules=())
-    graph = build_attack_graph(program, (parse_atom("g(x)"),))
+    graph = build_attack_graph(saturate(program), (parse_atom("g(x)"),))
     evidence = attack_evidence(graph)
     plan = patch_set(graph, evidence, parse_atom("g(x)"))
     assert plan.verdict == "unreachable"

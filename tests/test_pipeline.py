@@ -20,7 +20,7 @@ from iotgraph.pipeline import (
     scan_devices,
     write_outputs,
 )
-from iotgraph.reasoner import saturate
+from iotgraph.rules import saturate
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
@@ -158,6 +158,44 @@ def test_bind_apps_skips_unparseable_descriptions():
     assert len(skipped) == 1
     assert skipped[0][0] == "No Trigger"
     assert skipped[0][1]
+
+
+def test_wifi_access_is_granted_only_through_the_router_on_that_network(store):
+    """A network-vector wifiAccess vulProperty does not name its device.
+
+    Both routers carry the CVE, so the program holds
+    ``vulExists(dLinkRouter2, C)`` and ``vulProperty(C, network,
+    wifiAccess(homeWifi))``. Joining those two generically, as the exploit
+    schemas read, would grant the home network through the guest router.
+    """
+
+    config = parse_config(
+        {
+            "devices": [
+                {"name": "D-Link Router", "type": "router", "network": ["home wifi"]},
+                {"name": "D-Link Router 2", "type": "router", "network": ["guest wifi"]},
+            ],
+            "networks": [
+                {"name": "home wifi", "type": "Wifi"},
+                {"name": "guest wifi", "type": "Wifi"},
+            ],
+            "goals": ["attackerInNetwork(homeWifi)", "attackerInNetwork(guestWifi)"],
+        },
+        source="test",
+    )
+    overrides = {"CVE-2020-8864": {"precondition": "network", "effect": "wifiAccess"}}
+    result = analyze(config, store, overrides=overrides)
+    facts = {a.render() for a in result.compiled.program.facts}
+    assert "vulExists(dLinkRouter2, 'CVE-2020-8864')" in facts
+    assert "vulProperty('CVE-2020-8864', network, wifiAccess(homeWifi))" in facts
+    graph = result.graph
+    for network, router in (("homeWifi", "dLinkRouter"), ("guestWifi", "dLinkRouter2")):
+        node = graph.goal_nodes[parse_atom(f"attackerInNetwork({network})")]
+        labels = [
+            graph.node(p).text for p in graph.parents[node]
+            if graph.node(p).text.startswith("exploit ")
+        ]
+        assert labels == [f"exploit CVE-2020-8864 @ {router}"]
 
 
 def test_bind_apps_skips_unbindable_device_maps():

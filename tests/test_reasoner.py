@@ -15,8 +15,8 @@ from iotgraph.reasoner import (
     Node,
     build_attack_graph,
     default_goals,
-    saturate,
 )
+from iotgraph.rules import saturate
 
 
 def atom(text: str) -> Atom:
@@ -79,7 +79,7 @@ def test_graph_node_order_is_pinned():
             HornRule(atom("g(x)"), (atom("k(x)"),), label="alpha"),
         ),
     )
-    graph = build_attack_graph(program, (atom("g(x)"),))
+    graph = build_attack_graph(saturate(program), (atom("g(x)"),))
     texts = [(n.node_id, n.kind, n.text) for n in graph.nodes]
     assert texts == [
         (1, FACT, "k(x)."),
@@ -103,7 +103,7 @@ def test_graph_slice_drops_unrelated_clauses():
             HornRule(atom("junk(y)"), (atom("noise(y)"),), label="unwanted"),
         ),
     )
-    graph = build_attack_graph(program, (atom("g(x)"),))
+    graph = build_attack_graph(saturate(program), (atom("g(x)"),))
     assert [n.text for n in graph.nodes] == ["a(x).", "wanted", "g(x)"]
 
 
@@ -115,7 +115,7 @@ def test_graph_slice_stops_at_primitive_facts():
             HornRule(atom("g(x)"), (atom("a(x)"),), label="goal step"),
         ),
     )
-    graph = build_attack_graph(program, (atom("g(x)"),))
+    graph = build_attack_graph(saturate(program), (atom("g(x)"),))
     kinds = {n.text: n.kind for n in graph.nodes}
     assert kinds["a(x)."] == FACT
     assert "redundant derivation" not in kinds
@@ -125,7 +125,7 @@ def test_graph_slice_stops_at_primitive_facts():
 def test_graph_unreachable_goal_is_reported_not_drawn():
     program = LogicProgram(facts=(atom("a(x)"),), rules=())
     goal = atom("g(x)")
-    graph = build_attack_graph(program, (goal,))
+    graph = build_attack_graph(saturate(program), (goal,))
     assert graph.nodes == []
     assert goal not in graph.goal_nodes
     goals = json.loads(graph.to_json())["goals"]
@@ -140,7 +140,7 @@ def two_path_graph():
             HornRule(atom("g(x)"), (atom("k(x)"),), label="alpha"),
         ),
     )
-    return build_attack_graph(program, (atom("g(x)"),))
+    return build_attack_graph(saturate(program), (atom("g(x)"),))
 
 
 def test_to_document_round_trips_through_json():

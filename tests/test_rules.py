@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import pytest
 
-from iotgraph.apps import bind_app, parse_app_description
+from iotgraph.apps import (
+    ActionMatch, AppSemantics, TriggerMatch, bind_app, parse_app_description
+)
 from iotgraph import logic
 from iotgraph.logic import Atom, HornRule, LogicError
 from iotgraph.model import (
     DEVICE_TYPES,
     OPENER_TYPES,
     PROTOCOLS,
+    SCALAR_CHANNELS,
+    AppSpec,
     AttackerProfile,
     DeviceSpec,
     NetworkSpec,
@@ -262,6 +266,38 @@ def test_dependency_rules_bridge_actuator_to_sensor():
     assert "smoke" in heads
     assert "reportsSmoke" in heads
     assert "off" in heads
+
+
+def test_dependency_heads_are_what_app_triggers_need():
+    """A driven channel reaches an app exactly when the sensor's report is
+    the atom that app's trigger on that event binds to."""
+
+    reports = {r.label: r for r in build_dependency_rules()}
+    sensing = [info for info in DEVICE_TYPES.values() if info.senses]
+    assert sensing
+    for info in sensing:
+        config = parse_config(
+            {
+                "devices": [
+                    {"name": "Sensor", "type": info.name, "network": ["wifi1"]},
+                    {"name": "Bulb", "type": "bulb", "network": ["wifi1"]},
+                ],
+                "networks": [{"name": "wifi1", "type": "Wifi"}],
+            },
+            source="test",
+        )
+        app = AppSpec("t", "", (("sensor", "Sensor"), ("bulb", "Bulb")))
+        for channel in sorted(info.senses):
+            levels = ("high ", "low ") if channel in SCALAR_CHANNELS else ("",)
+            for event in (level + channel for level in levels):
+                semantics = AppSemantics(
+                    "NONE", (), (), (TriggerMatch("sensor", info.name, event),),
+                    "NONE", (), (), (ActionMatch("bulb", "bulb", "on"),),
+                )
+                [rule] = bind_app(app, semantics, config).rules
+                report = reports[f"{info.name} reports {event}"]
+                sensor = report.head.args[0]
+                assert report.head.substitute({sensor: "sensor"}) == rule.body[1], event
 
 
 def compile_fig2(store_like=None):
