@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Benchmark analysis cost against synthetic deployment size.
 
-Builds one CVE store from the bundled feed, then times the full pipeline on
+Builds one CVE store from the bundled feed, or with ``--cves-per-product K``
+from the synthetic feed of ``perfbench.feed.synth_feed(K, seed)``, which
+gives every catalog product K CVEs, then times the full pipeline on
 seed-fixed synthetic homes of increasing size and fits a log-log line to the
 measured cost. Prints one row per size, with the seconds ``write_outputs``
 took to write the fastest run's result into a temporary directory and the
@@ -13,6 +15,7 @@ from one further run under ``tracemalloc``, which is not timed.
 
 Usage:
     python3 scripts/run_scaling.py [--sizes 10,20,30,40,50] [--seed 20260816]
+        [--cves-per-product K]
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+# The synthetic feed lives in perfbench/, at the repository root.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
 from iotgraph.cvestore import CveStore
 from iotgraph.pipeline import analyze, write_outputs
 from iotgraph.synth import synthesize
+from perfbench.feed import synth_feed
 
 STAGES = ("scan", "classify", "apps", "compile", "reason", "metrics")
 
@@ -40,12 +47,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sizes", default="10,20,30,40,50")
     parser.add_argument("--seed", type=int, default=20260816)
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--cves-per-product",
+        type=int,
+        metavar="K",
+        help="ingest a synthetic feed with K CVEs per catalog product, not the bundled feed",
+    )
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",") if s]
 
-    feed = resources.files("iotgraph") / "fixtures" / "mini_feed.json"
     rows = []
     with tempfile.TemporaryDirectory() as tmp:
+        feed = resources.files("iotgraph") / "fixtures" / "mini_feed.json"
+        if args.cves_per_product is not None:
+            feed = Path(tmp) / "feed.json"
+            feed.write_text(synth_feed(args.cves_per_product, args.seed))
         store = CveStore(Path(tmp) / "store.db")
         store.ingest_feed(str(feed))
 
@@ -99,7 +115,13 @@ def main(argv: list[str] | None = None) -> int:
             )
             print(f"\nfitted growth: cost ~ n^{slope:.2f} (intercept {intercept:.2f})")
         store.close()
-    summary = {"seed": args.seed, "repeats": args.repeats, "rows": rows, "growth_exponent": slope}
+    summary = {
+        "seed": args.seed,
+        "repeats": args.repeats,
+        "cves_per_product": args.cves_per_product,
+        "rows": rows,
+        "growth_exponent": slope,
+    }
     print(json.dumps(summary))
     return 0
 

@@ -67,9 +67,12 @@ def _parse_goals(texts: list[str]) -> tuple:
     goals = []
     for text in texts:
         try:
-            goals.append(parse_atom(text))
+            goal = parse_atom(text)
         except LogicError as exc:
             raise CliError(f"bad goal {text!r}: {exc}", EXIT_CONFIG) from exc
+        if not goal.is_ground():
+            raise CliError(f"bad goal {text!r}: it has a variable", EXIT_CONFIG)
+        goals.append(goal)
     return tuple(goals)
 
 
@@ -133,7 +136,7 @@ def cmd_model(args: argparse.Namespace) -> int:
     for m in models:
         print(
             f"{m.cve_id} @ {m.device}: precondition={m.precondition} effect={m.effect} "
-            + m.facts()[1].render()
+            + m.facts[1].render()
         )
     if not models:
         print("no exploit models (no CVE matches)")

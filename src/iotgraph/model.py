@@ -413,9 +413,12 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     for g in _list_field(raw, "goals", source):
         _require(isinstance(g, str) and g.strip() != "", f"{source}: goals must be atom strings")
         try:
-            goals.append(parse_atom(g))
+            goal = parse_atom(g)
         except LogicError as exc:
             raise ConfigError(f"{source}: bad goal: {exc}") from None
+        # No derived atom has a variable, so such a goal could never be reached.
+        _require(goal.is_ground(), f"{source}: bad goal: {g!r} has a variable")
+        goals.append(goal)
 
     return SystemConfig(
         devices=tuple(devices),

@@ -305,9 +305,11 @@ def build_capability_rules() -> list[HornRule]:
 def build_exploit_schemas() -> list[HornRule]:
     """The thirty generic exploit rules, one per (precondition, effect).
 
-    These document the semantics; the reasoner works on rules instantiated
-    per classified CVE (``ExploitModel.rule``), whose vulProperty terms carry
-    concrete protocol prefixes and network scopes.
+    These document the semantics and are rendered at the head of
+    ``program.pl``; the reasoner works on the ground rules that
+    ``exploits.models_for`` instantiates per classified CVE from the same
+    tables, whose vulProperty terms also name the adjacent network's protocol
+    and whether a granted network is wifi.
     """
 
     out = []
@@ -639,9 +641,7 @@ def compile_system(
     blocks = config_fact_blocks(config)
     config_facts = [a for block in blocks for a in block]
     atk_facts = attacker_facts(config)
-    model_rules = [model.rule() for model in models]
-    # Each exploit rule's body starts with its model's two vulnerability facts.
-    vul_facts = list(dict.fromkeys(fact for rule in model_rules for fact in rule.body[:2]))
+    vul_facts = list(dict.fromkeys(fact for model in models for fact in model.facts))
     facts = config_facts + atk_facts + vul_facts
 
     # One table for every atom of the program, starting from the facts.
@@ -653,11 +653,9 @@ def compile_system(
         body = tuple([intern(atoms, a) for a in rule.body])
         return HornRule.instance(intern(atoms, rule.head), body, rule.label)
 
-    first_rules: dict[tuple, HornRule] = {}
-    for rule in model_rules:
-        if (rule.head, rule.body) not in first_rules:
-            first_rules[rule.head, rule.body] = interned(rule)
-    exploit_rules = list(first_rules.values())
+    # Rules with one head and body are equal: the body's vulExists names the
+    # CVE and the device that make up the label.
+    exploit_rules = [interned(rule) for rule in dict.fromkeys(model.rule for model in models)]
     app_rules = [interned(rule) for bound in bound_apps for rule in bound.rules]
 
     alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
@@ -666,15 +664,11 @@ def compile_system(
         library, facts, {"commands": alphabet}, exploit_rules + app_rules, atoms, saturation
     )
 
-    goals = list(config.goals)
-    for atom in extra_goals:
-        if atom not in goals:
-            goals.append(atom)
-
+    goals = tuple(dict.fromkeys((*config.goals, *extra_goals)))
     program = LogicProgram(facts=tuple(facts), rules=(*exploit_rules, *fired, *app_rules))
     return CompiledSystem(
         program=program,
-        goals=tuple(goals),
+        goals=goals,
         library=tuple(library),
         static_start=len(exploit_rules),
         app_start=len(exploit_rules) + len(fired),

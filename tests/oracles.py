@@ -462,7 +462,7 @@ def effect_term(effect: str, device: str, grant: NetworkSpec | None) -> str:
 def exploit_rule_parts(model) -> tuple[Atom, list[Atom], str]:
     """Ground head, body, and label for one exploit model's attack rule."""
 
-    body = list(model.facts())
+    body = list(model.facts)
     if model.precondition == "network":
         body.append(Atom("attackerOnInternet"))
     elif model.precondition == "local":

@@ -77,7 +77,7 @@ def test_criterion_01_config_to_facts(capsys):
 def test_criterion_02_cve_to_exploit_model(capsys, listing10_config, store):
     result = analyze(listing10_config, store)
     models = [m for m in result.models if m.cve_id == "CVE-2020-8864"]
-    rendered = [f.render() for m in models for f in m.facts()]
+    rendered = [f.render() for m in models for f in m.facts]
     expected = [
         "vulExists(dLinkRouter, 'CVE-2020-8864')",
         "vulProperty('CVE-2020-8864', wifiAdjacentLogically(wifi1), rootPrivilege(dLinkRouter))",

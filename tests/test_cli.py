@@ -536,6 +536,39 @@ def test_bad_goal_atom_exits_2(store_path, capsys):
     assert "bad goal" in err
 
 
+def test_goal_with_a_variable_exits_2(store_path, tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code = main(
+        [
+            "analyze",
+            "--store",
+            store_path,
+            "--config",
+            fixture_path("listing10"),
+            "--out",
+            str(out_dir),
+            "--goals",
+            "attackerRoot(X)",
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: bad goal 'attackerRoot(X)': it has a variable")
+    assert not out_dir.exists()
+
+
+def test_goal_with_a_variable_in_config_exits_2(store_path, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(fixture_path("fig2")).read_text())
+    doc["goals"] = ["unlock(L)"]
+    cfg = tmp_path / "home.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["compile", "--store", store_path, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: invalid config")
+    assert "'unlock(L)' has a variable" in err
+
+
 def test_analyze_writes_outputs(store_path, tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -206,6 +208,14 @@ def test_malformed_goal_rejected():
     doc = minimal_doc()
     doc["goals"] = ["unlock(frontLock"]
     with pytest.raises(ConfigError, match="unlock\\(frontLock"):
+        parse_config(doc, source="test")
+
+
+@pytest.mark.parametrize("goal", ["attackerRoot(X)", "dos(rootPrivilege(D))"])
+def test_goal_with_a_variable_rejected(goal):
+    doc = minimal_doc()
+    doc["goals"] = [goal]
+    with pytest.raises(ConfigError, match=f"bad goal: '{re.escape(goal)}' has a variable"):
         parse_config(doc, source="test")
 
 

@@ -3,8 +3,10 @@
 ``program.pl``, both graph files, ``metrics_report.txt``, the run manifest
 without its ``timings`` and the ``render_summary`` text define what "the
 same behaviour" means when the pipeline is restructured. Each is pinned by
-its SHA-256 for the five bundled fixtures and one synthetic home on the
-bundled feed.
+its SHA-256 for the five bundled fixtures, one synthetic home on the
+bundled feed, and one dense home: a synthetic home on a synthetic feed with
+three CVEs per catalog product, which fans adjacency and network-access
+exploits out per network.
 """
 
 from __future__ import annotations
@@ -15,15 +17,30 @@ from pathlib import Path
 
 import pytest
 
+from iotgraph.cvestore import CveStore
+from iotgraph.logic import parse_atom
+from iotgraph.model import parse_config
 from iotgraph.pipeline import AnalysisResult, analyze, render_summary, write_outputs
 from iotgraph.synth import synthesize
 
-from conftest import load_fixture_config
+from conftest import FIXTURES, load_fixture_config
+from perfbench.feed import synth_feed
 
 SYNTH_DEVICES = 80
 SYNTH_SEED = 20260816
+# (devices, seed) of the dense home and (CVEs per product, seed) of its feed.
+DENSE_HOME = (64, 1)
+DENSE_FEED = (3, 1)
 
 PINS = {
+    "dense": {
+        "program.pl": "e2bb38a84066c9b2f524ef93df8d4ac5a00630bf7c2a2a2778f4ad15bf7f5282",
+        "attack_graph.json": "b6b229dce3f0fd4da86e4b3cbcca85012fe1ff13c9443eda8afaaf7834044903",
+        "attack_graph.dot": "594cbcb278f115b7961d2a29097ad50b96e719fce90e7045f5035b951475091b",
+        "metrics_report.txt": "57e40078fc2ce4a74d2e01ce35b7ea752eb0dc58f0878a13959da0b1530c263b",
+        "run_manifest.json": "a9724016b74c95bd1b088a715b5f513948af13f134e8fa0f1e2ca723431d0cc7",
+        "summary": "23e51450bed2b11e2da328427eb17ec5a5fb0f7fc53e1125a7140f4e74a7becd",
+    },
     "fig2": {
         "program.pl": "9cebcb668aab68d07e9fcb88f7a3ebbd2283582111a47e5b787f1e473c2fb438",
         "attack_graph.json": "d83f4e309aab9b96e73a63b8e33b171748953246d75e68162f9ec0a05057c3bc",
@@ -91,12 +108,37 @@ def output_digests(result: AnalysisResult, out_dir: Path) -> dict[str, str]:
 
 
 def case_config(name: str):
+    if name == "dense":
+        return synthesize(*DENSE_HOME)
     if name == "synth":
         return synthesize(SYNTH_DEVICES, SYNTH_SEED)
     return load_fixture_config(name)
 
 
+@pytest.fixture(scope="module")
+def dense_store(tmp_path_factory: pytest.TempPathFactory) -> CveStore:
+    root = tmp_path_factory.mktemp("densestore")
+    feed = root / "feed.json"
+    feed.write_text(synth_feed(*DENSE_FEED))
+    s = CveStore(root / "store.db")
+    s.ingest_feed(feed)
+    yield s
+    s.close()
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
-def test_outputs_are_byte_identical(name, store, tmp_path):
+def test_outputs_are_byte_identical(name, request, tmp_path):
+    store = request.getfixturevalue("dense_store" if name == "dense" else "store")
     result = analyze(case_config(name), store)
     assert output_digests(result, tmp_path) == PINS[name]
+
+
+def test_a_repeated_goal_is_analysed_once(store, tmp_path):
+    """Listing fig2's goal twice, and again on the command line, changes no byte."""
+
+    doc = json.loads((FIXTURES / "fig2.json").read_text())
+    doc["goals"] = doc["goals"] * 2
+    goal = parse_atom(doc["goals"][0])
+    result = analyze(parse_config(doc, source="fig2"), store, extra_goals=(goal,))
+    assert [r.goal for r in result.goal_results] == [goal]
+    assert output_digests(result, tmp_path) == PINS["fig2"]

@@ -37,3 +37,16 @@ def test_run_scaling_prints_one_row_per_size(capsys):
     assert [row["devices"] for row in summary["rows"]] == [40, 80]
     assert all(set(row["stages_s"]) == set(script.STAGES) for row in summary["rows"])
     assert all(row["write_s"] > 0 for row in summary["rows"])
+
+
+def test_run_scaling_ingests_a_synthetic_feed(capsys):
+    script = load_script("run_scaling")
+    argv = ["--sizes", "40", "--repeats", "1", "--seed", "3"]
+    assert script.main(argv) == 0
+    bundled = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert script.main([*argv, "--cves-per-product", "2"]) == 0
+    dense = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (bundled["cves_per_product"], dense["cves_per_product"]) == (None, 2)
+    # Two CVEs for every catalog product reach more of the home than the
+    # bundled feed, which matches few of the synthetic products.
+    assert dense["rows"][0]["graph_nodes"] > bundled["rows"][0]["graph_nodes"]

@@ -1,6 +1,6 @@
 from __future__ import annotations
 
-import tomllib
+import re
 from pathlib import Path
 
 import iotgraph
@@ -9,5 +9,6 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 
 def test_version_matches_pyproject():
-    project = tomllib.loads(PYPROJECT.read_text())["project"]
-    assert iotgraph.__version__ == project["version"]
+    # A regular expression rather than tomllib, which Python 3.10 lacks.
+    project = PYPROJECT.read_text().split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [iotgraph.__version__]
