@@ -20,12 +20,13 @@ Four queries, all driven by the AND/OR structure:
   and bound. A search that exceeds ``PATCH_SEARCH_BUDGET`` falls back to
   a greedy cover, and the plan says so (``kind == "greedy"``).
 
-Depths and evidence are fixpoints, found by sweeping ``graph.nodes`` until
-a pass changes nothing. A sweep re-evaluates only the nodes one of whose
-inputs changed since their last evaluation; any other node would compute
-the value it already holds. Both merges are monotone on a finite lattice
-(the up-sets of CVE combinations), so the sweep reaches the least fixpoint
-whatever order it visits the nodes in, and on a cyclic graph too.
+Depths and evidence are fixpoints, found by walking ``graph.schedule``, the
+strongly connected components of the graph in topological order. A node on
+no cycle is evaluated once, after all its inputs are final. Only a cyclic
+component is iterated, re-evaluating the members one of whose inputs
+inside the component changed, until none changes. Both merges are monotone
+on a finite lattice (the up-sets of CVE combinations), so this reaches the
+least fixpoint whatever order it visits the members in.
 
 One safety valve bounds the work: a node whose antichain would exceed
 ``EVIDENCE_CAP`` masks keeps its ``EVIDENCE_CAP - 1`` smallest masks plus
@@ -45,10 +46,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .logic import Atom
-from .reasoner import DERIVATION, FACT, RULE, AttackGraph, Node
+from .reasoner import DERIVATION, FACT, RULE, AttackGraph, CyclicComponent, Node
 
 CatSet = frozenset[int]
 
@@ -125,39 +126,34 @@ def _sweep(
 ) -> None:
     """Update ``vals`` to the fixpoint of ``evaluate`` over the graph.
 
-    Each pass walks ``graph.nodes`` in order and stops after a pass that
-    changes nothing. Facts and nodes without inputs keep their start value.
-    A node is evaluated on the first pass and afterwards only when one of
-    its inputs changed since: a change marks the node's children (read from
-    ``graph.children``) dirty, so a later child is evaluated in the same
-    pass and an earlier one in the next.
-    Skipped nodes would have computed the value they hold, so the result is
-    that of evaluating every node on every pass. When ``evaluate`` is
-    monotone and every value can only grow finitely often, as for depths
-    and evidence, the result is the least fixpoint and does not depend on
-    the order of ``graph.nodes``.
+    Walks ``graph.schedule`` once. Facts and nodes without inputs keep their
+    start value. A node on no cycle comes after every node it reads, so it
+    is evaluated exactly once. A cyclic component is swept in node-id order
+    until a sweep changes nothing: every member is evaluated on the first
+    sweep and afterwards only when an input inside the component changed
+    since, which marks the member dirty. Skipped members would compute the
+    value they hold. When ``evaluate`` is monotone and every value can only
+    grow finitely often, as for depths and evidence, the result is the
+    least fixpoint and does not depend on the order of ``graph.nodes``.
     """
 
-    work = [
-        (n, graph.parents[n.node_id])
-        for n in graph.nodes
-        if n.kind != FACT and graph.parents.get(n.node_id)
-    ]
-    children = graph.children
-    dirty = {n.node_id for n, _ in work}
-    changed = True
-    while changed:
-        changed = False
-        for n, ps in work:
-            nid = n.node_id
-            if nid not in dirty:
-                continue
-            dirty.discard(nid)
-            new = evaluate(n, ps)
-            if new != vals[nid]:
-                vals[nid] = new
-                dirty.update(children.get(nid, ()))
-                changed = True
+    for step in graph.schedule:
+        if not isinstance(step, CyclicComponent):
+            n, ps = step
+            vals[n.node_id] = evaluate(n, ps)
+            continue
+        members = step.members
+        dirty = {n.node_id for n, _, _ in members}
+        while dirty:
+            for n, ps, inner in members:
+                nid = n.node_id
+                if nid not in dirty:
+                    continue
+                dirty.discard(nid)
+                new = evaluate(n, ps)
+                if new != vals[nid]:
+                    vals[nid] = new
+                    dirty.update(inner)
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +166,8 @@ def node_depths(graph: AttackGraph) -> dict[int, float]:
     Facts have height 0; a rule is one higher than its deepest input, a
     derivation one higher than its shallowest, and a node keeps its height
     unless that is lower. The fixpoint comes from ``_sweep``, which
-    re-evaluates only the nodes whose inputs changed, in the pinned node
-    order.
+    evaluates each node on no cycle once and iterates only cyclic
+    components.
     """
 
     vals: dict[int, float] = {}
@@ -264,18 +260,20 @@ class Evidence:
     """Minimal CVE combinations per node, as masks over ``universe``.
 
     ``approximate`` holds the nodes whose tags the safety valve
-    over-approximated, directly or through an input.
+    over-approximated, directly or through an input. ``bits`` maps each CVE
+    of the universe to its single-bit mask.
     """
 
     universe: tuple[str, ...]
     tags: dict[int, CatSet]
     approximate: frozenset[int] = frozenset()
+    bits: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.bits = {cve: 1 << i for i, cve in enumerate(self.universe)}
 
     def bit(self, cve_id: str) -> int | None:
-        try:
-            return 1 << self.universe.index(cve_id)
-        except ValueError:
-            return None
+        return self.bits.get(cve_id)
 
     def cves_in(self, tag: int) -> tuple[str, ...]:
         """The CVEs of a combination, in universe order; visits set bits only."""
@@ -295,9 +293,11 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
     """Least fixpoint of the minimal-combination lattice over the graph.
 
     Facts carry ``{their CVE bit}`` if they assert a vulnerability and
-    ``{0}`` otherwise; rule nodes fold their inputs with the AND merge,
-    derivations with the OR merge. Every node's tags are an antichain, and
-    the result does not depend on the order ``_sweep`` visits nodes in.
+    ``{0}`` otherwise; rule nodes fold their inputs with the AND merge.
+    A derivation with one input takes its tags; otherwise it minimises the
+    union of all its inputs' masks once, which equals folding them with the
+    OR merge. Every node's tags are an antichain, and the result does not
+    depend on the order ``_sweep`` visits nodes in.
 
     A node whose antichain would exceed ``EVIDENCE_CAP`` goes through the
     safety valve (``_valve``) after joining its previous value, so its
@@ -306,13 +306,10 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
     firing means every tag set is exact.
     """
 
-    universe: list[str] = []
+    bit: dict[str, int] = {}
     for n in graph.fact_nodes():
         if n.atom is not None and n.atom.pred == "vulExists":
-            cve = n.atom.args[1]
-            if cve not in universe:
-                universe.append(cve)
-    bit = {cve: 1 << i for i, cve in enumerate(universe)}
+            bit.setdefault(n.atom.args[1], 1 << len(bit))
 
     tags: dict[int, CatSet] = {}
     for n in graph.nodes:
@@ -331,10 +328,10 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
             acc = NO_CVE
             for p in ps:
                 acc = merge_ae_and(acc, tags[p])
+        elif len(ps) == 1:
+            acc = tags[ps[0]]
         else:
-            acc = frozenset()
-            for p in ps:
-                acc = merge_ae_or(acc, tags[p])
+            acc = minimal_masks([t for p in ps for t in tags[p]])
         nid = n.node_id
         if nid in valved or len(acc) > EVIDENCE_CAP:
             # The valve is not monotone; joining the previous value keeps
@@ -346,7 +343,7 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
         return acc
 
     _sweep(graph, tags, evaluate)
-    return Evidence(universe=tuple(universe), tags=tags, approximate=_downstream(graph, valved))
+    return Evidence(universe=tuple(bit), tags=tags, approximate=_downstream(graph, valved))
 
 
 def _downstream(graph: AttackGraph, start: set[int]) -> frozenset[int]:

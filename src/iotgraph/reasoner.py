@@ -15,7 +15,8 @@ clause text, then rule firings, then derived atoms.
 A goal is reachable exactly when it has a node: the slice starts from every
 goal the saturation reached, so ``goal_nodes`` holds those goals and no
 others. Edges are given as ``parents``; the graph inverts them once, in node
-order, into ``children`` for the metrics that walk forward.
+order, into ``children`` for the metrics that walk forward, and condenses
+them once into ``schedule``, the evaluation order of the graph metrics.
 """
 
 from __future__ import annotations
@@ -45,6 +46,22 @@ class Node:
     rule: HornRule | None = None
 
 
+@dataclass(frozen=True, slots=True)
+class CyclicComponent:
+    """A strongly connected component whose nodes lie on a cycle.
+
+    ``members`` holds ``(node, parents, inner_children)`` in node-id order,
+    where ``inner_children`` are the node's children inside the component.
+    """
+
+    members: tuple[tuple[Node, tuple[int, ...], tuple[int, ...]], ...]
+
+
+# One step of ``AttackGraph.schedule``: a node on no cycle with its parents,
+# or a cyclic component.
+Step = tuple[Node, tuple[int, ...]] | CyclicComponent
+
+
 @dataclass
 class AttackGraph:
     nodes: list[Node]
@@ -52,6 +69,7 @@ class AttackGraph:
     goals: tuple[Atom, ...]
     goal_nodes: dict[Atom, int]
     children: dict[int, tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    schedule: tuple[Step, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         children: dict[int, list[int]] = {}
@@ -60,6 +78,80 @@ class AttackGraph:
                 children.setdefault(p, []).append(n.node_id)
         # Tuples, like ``parents``: the graph keeps them through output writing.
         self.children = {p: tuple(cs) for p, cs in children.items()}
+        self.schedule = self._condense()
+
+    def _condense(self) -> tuple[Step, ...]:
+        """The strongly connected components of the non-fact nodes with parents.
+
+        Components come in topological order, every node after its parents'
+        components, found by Tarjan's algorithm with an explicit stack (one
+        component can hold thousands of nodes). Facts and nodes without
+        parents never change, so they are left out.
+        """
+
+        parents, children = self.parents, self.children
+        # ``low`` holds visit numbers, lowered to the lowest one reachable on
+        # the stack, and ``done`` for nodes already placed and for the nodes
+        # never placed, whose values never change.
+        done = len(self.nodes)
+        work: dict[int, Node] = {}
+        low: dict[int, int] = {}
+        for n in self.nodes:
+            if n.kind != FACT and parents.get(n.node_id):
+                work[n.node_id] = n
+            else:
+                low[n.node_id] = done
+        stack: list[int] = []
+        schedule: list[Step] = []
+        visits = 0
+        for root in work:
+            if root in low:
+                continue
+            low[root] = visits
+            # (node, its visit number, iterator over its parents)
+            calls = [(root, visits, iter(parents[root]))]
+            visits += 1
+            stack.append(root)
+            while calls:
+                v, visit, inputs = calls[-1]
+                for w in inputs:
+                    lw = low.get(w)
+                    if lw is None:
+                        low[w] = visits
+                        calls.append((w, visits, iter(parents[w])))
+                        visits += 1
+                        stack.append(w)
+                        break
+                    if lw < low[v]:
+                        low[v] = lw
+                else:
+                    calls.pop()
+                    lv = low[v]
+                    if calls and lv < low[calls[-1][0]]:
+                        low[calls[-1][0]] = lv
+                    if lv != visit:
+                        continue
+                    # ``v`` roots a component: it and everything above it on the stack.
+                    if stack[-1] == v and v not in parents[v]:
+                        stack.pop()
+                        low[v] = done
+                        schedule.append((work[v], parents[v]))
+                        continue
+                    members = []
+                    while not members or members[-1] != v:
+                        members.append(stack.pop())
+                        low[members[-1]] = done
+                    members.sort()
+                    inside = set(members)
+                    schedule.append(
+                        CyclicComponent(
+                            tuple(
+                                (work[m], parents[m], tuple(c for c in children[m] if c in inside))
+                                for m in members
+                            )
+                        )
+                    )
+        return tuple(schedule)
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id - 1]

@@ -417,6 +417,35 @@ def random_cyclic_attack_graph(rng: random.Random) -> AttackGraph:
     )
 
 
+def strict_ancestors(graph: AttackGraph) -> dict[int, frozenset[int]]:
+    """Every node reachable backwards from each node by one or more edges.
+
+    One depth-first search over ``parents`` per node, with no shared state.
+    """
+
+    out = {}
+    for n in graph.nodes:
+        seen: set[int] = set()
+        stack = list(graph.parents.get(n.node_id, ()))
+        while stack:
+            nid = stack.pop()
+            if nid not in seen:
+                seen.add(nid)
+                stack.extend(graph.parents.get(nid, ()))
+        out[n.node_id] = frozenset(seen)
+    return out
+
+
+def mutual_reachability_classes(graph: AttackGraph) -> dict[int, frozenset[int]]:
+    """For each node, itself and every node it reaches that also reaches it."""
+
+    anc = strict_ancestors(graph)
+    return {
+        nid: frozenset({nid} | {a for a in ancestors if nid in anc[a]})
+        for nid, ancestors in anc.items()
+    }
+
+
 # ---------------------------------------------------------------------------
 # Exploit rules built case by case, without the precondition/effect tables.
 # ``exploit_rule_parts`` reads ``model.network``: the granted network when the

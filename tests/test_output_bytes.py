@@ -4,15 +4,17 @@
 without its ``timings`` and the ``render_summary`` text define what "the
 same behaviour" means when the pipeline is restructured. Each is pinned by
 its SHA-256 for the five bundled fixtures, one synthetic home on the
-bundled feed, and one dense home: a synthetic home on a synthetic feed with
-three CVEs per catalog product, which fans adjacency and network-access
-exploits out per network.
+bundled feed, and two dense homes: a synthetic home on a synthetic feed with
+three, and with five, CVEs per catalog product, which fans adjacency and
+network-access exploits out per network. At five, goals have hundreds of
+minimal CVE combinations.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
@@ -31,6 +33,7 @@ SYNTH_SEED = 20260816
 # (devices, seed) of the dense home and (CVEs per product, seed) of its feed.
 DENSE_HOME = (64, 1)
 DENSE_FEED = (3, 1)
+DENSE5_FEED = (5, 1)
 
 PINS = {
     "dense": {
@@ -40,6 +43,14 @@ PINS = {
         "metrics_report.txt": "57e40078fc2ce4a74d2e01ce35b7ea752eb0dc58f0878a13959da0b1530c263b",
         "run_manifest.json": "a9724016b74c95bd1b088a715b5f513948af13f134e8fa0f1e2ca723431d0cc7",
         "summary": "23e51450bed2b11e2da328427eb17ec5a5fb0f7fc53e1125a7140f4e74a7becd",
+    },
+    "dense5": {
+        "program.pl": "32a2cca75ae76b2500fbd138d1958d6aad5223ecfd2410f01ab0d37930ecbdda",
+        "attack_graph.json": "616bbd49c4780eb292284c8ad82ddf21bd7966f954368822274e688cfc8bf31e",
+        "attack_graph.dot": "c83c1a1233ce177820441e9abc39b649997daac2d230904da32c18b24c5054f8",
+        "metrics_report.txt": "db5f153e356b2745d6a2519eb8b9d3fed41cf0da22fc9c5896b2e88e57ce771b",
+        "run_manifest.json": "b0d9099cc1b6fd3c5a159340f76c9ce12f17f8f489ed90caa918186479eae7df",
+        "summary": "a0f092fa8bbfc3a8c941bfcb3081e31c0d2d67359a67598aaa17bfd6673c7b64",
     },
     "fig2": {
         "program.pl": "9cebcb668aab68d07e9fcb88f7a3ebbd2283582111a47e5b787f1e473c2fb438",
@@ -108,27 +119,37 @@ def output_digests(result: AnalysisResult, out_dir: Path) -> dict[str, str]:
 
 
 def case_config(name: str):
-    if name == "dense":
+    if name in ("dense", "dense5"):
         return synthesize(*DENSE_HOME)
     if name == "synth":
         return synthesize(SYNTH_DEVICES, SYNTH_SEED)
     return load_fixture_config(name)
 
 
-@pytest.fixture(scope="module")
-def dense_store(tmp_path_factory: pytest.TempPathFactory) -> CveStore:
+def synth_feed_store(tmp_path_factory: pytest.TempPathFactory, feed_args) -> Iterator[CveStore]:
     root = tmp_path_factory.mktemp("densestore")
     feed = root / "feed.json"
-    feed.write_text(synth_feed(*DENSE_FEED))
+    feed.write_text(synth_feed(*feed_args))
     s = CveStore(root / "store.db")
     s.ingest_feed(feed)
     yield s
     s.close()
 
 
+@pytest.fixture(scope="module")
+def dense_store(tmp_path_factory: pytest.TempPathFactory) -> CveStore:
+    yield from synth_feed_store(tmp_path_factory, DENSE_FEED)
+
+
+@pytest.fixture(scope="module")
+def dense5_store(tmp_path_factory: pytest.TempPathFactory) -> CveStore:
+    yield from synth_feed_store(tmp_path_factory, DENSE5_FEED)
+
+
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_outputs_are_byte_identical(name, request, tmp_path):
-    store = request.getfixturevalue("dense_store" if name == "dense" else "store")
+    store_fixture = {"dense": "dense_store", "dense5": "dense5_store"}.get(name, "store")
+    store = request.getfixturevalue(store_fixture)
     result = analyze(case_config(name), store)
     assert output_digests(result, tmp_path) == PINS[name]
 
