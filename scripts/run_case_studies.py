@@ -18,6 +18,9 @@ import tempfile
 from importlib import resources
 from pathlib import Path
 
+# Import the package from this checkout's src/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
 from iotgraph.cvestore import CveStore
 from iotgraph.model import parse_config
 from iotgraph.pipeline import analyze, render_summary, write_outputs

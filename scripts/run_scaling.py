@@ -31,8 +31,10 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 
-# The synthetic feed lives in perfbench/, at the repository root.
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+# Import the package from this checkout's src/, and the synthetic feed from
+# perfbench/ at its root.
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from iotgraph.cvestore import CveStore
 from iotgraph.pipeline import analyze, write_outputs

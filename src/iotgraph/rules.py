@@ -8,20 +8,19 @@ written with variables. ``ground_static_rules`` evaluates the library
 semi-naively over the facts and the ground rules and builds only the library
 instances whose bodies hold; the compiled program is the ground rules plus
 those instances. The same loop is the program's one saturation: it records
-every firing, ground rule and library instance alike, and the atoms it
-derives, so ``compile_system`` hands the analysis the least model the
-attack graph is sliced from without evaluating the program again. The one
-variable no body atom binds, the voice rules' ``Cmd``, ranges over the
-commands the apps listen for.
+every firing and derived atom, so ``compile_system`` hands the analysis the
+least model the attack graph is sliced from. The library is built and
+compiled once per process. The voice rules' ``Cmd``, which no body atom
+binds, ranges over the commands the apps listen for.
 
-The evaluator is the package's only least-model engine. ``saturate`` is the
-evaluator run with no library: it takes the least model of any ground
-program, for callers that hold only a program, such as a what-if
+``saturate`` is the evaluator run with no library, the package's only
+least-model engine, for callers that hold only a program, such as a what-if
 re-analysis without some facts.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
@@ -35,6 +34,7 @@ from .logic import (
     LogicProgram,
     args_template,
     is_variable,
+    parse_atom,
     render_fact,
 )
 from .model import (
@@ -107,102 +107,51 @@ def render_system_facts(config: SystemConfig) -> str:
 # Static rule libraries
 
 
+def _clauses(*rows: tuple[str, ...]) -> list[HornRule]:
+    """Rules written as ``(label, head, *body)`` rows of atom text."""
+
+    return [HornRule(parse_atom(h), tuple(map(parse_atom, b)), label) for label, h, *b in rows]
+
+
 def build_propagation_rules() -> list[HornRule]:
     """How attacker privileges imply one another."""
 
-    d, n = "D", "N"
-    rules = [
-        HornRule(
-            Atom("attackerDeviceControl", (d,)),
-            (Atom("attackerRoot", (d,)),),
-            label="root grants device control",
-        ),
-        HornRule(
-            Atom("attackerInNetwork", (n,)),
-            (Atom("attackerRoot", (d,)), Atom("inNetwork", (d, n))),
-            label="rooted device joins its networks",
-        ),
-        HornRule(
-            Atom("attackerCommandInjection", (d,)),
-            (Atom("attackerDeviceControl", (d,)),),
-            label="device control grants command injection",
-        ),
-        HornRule(
-            Atom("attackerEventAccess", (d,)),
-            (Atom("attackerDeviceControl", (d,)),),
-            label="device control grants event access",
-        ),
-        HornRule(
-            Atom("attackerLocal", (d,)),
-            (Atom("attackerRoot", (d,)),),
-            label="root grants local access",
-        ),
-        HornRule(
-            Atom("attackerAdjacentPhysically", (n,)),
-            (Atom("attackerRadioAdjacent", (n,)),),
-            label="radio range grants physical adjacency",
-        ),
-        HornRule(
-            Atom("attackerAdjacentLogically", (n,)),
-            (Atom("attackerInNetwork", (n,)),),
-            label="network membership grants logical adjacency",
-        ),
-        HornRule(
-            Atom("attackerAdjacentPhysically", (n,)),
-            (Atom("attackerAdjacentLogically", (n,)),),
-            label="logical adjacency implies physical adjacency",
-        ),
-        HornRule(
-            Atom("off", (d,)),
-            (Atom("dos", (d,)),),
-            label="denial of service turns the device off",
-        ),
-    ]
-    return rules
+    return _clauses(
+        ("root grants device control", "attackerDeviceControl(D)", "attackerRoot(D)"),
+        ("rooted device joins its networks",
+         "attackerInNetwork(N)", "attackerRoot(D)", "inNetwork(D, N)"),
+        ("device control grants command injection",
+         "attackerCommandInjection(D)", "attackerDeviceControl(D)"),
+        ("device control grants event access",
+         "attackerEventAccess(D)", "attackerDeviceControl(D)"),
+        ("root grants local access", "attackerLocal(D)", "attackerRoot(D)"),
+        ("radio range grants physical adjacency",
+         "attackerAdjacentPhysically(N)", "attackerRadioAdjacent(N)"),
+        ("network membership grants logical adjacency",
+         "attackerAdjacentLogically(N)", "attackerInNetwork(N)"),
+        ("logical adjacency implies physical adjacency",
+         "attackerAdjacentPhysically(N)", "attackerAdjacentLogically(N)"),
+        ("denial of service turns the device off", "off(D)", "dos(D)"),
+    )
 
 
 def build_dependency_rules() -> list[HornRule]:
     """Physical couplings between devices, direct and via shared channels."""
 
-    rules = []
     # Direct: electrical and utility supply lines.
-    rules.append(
-        HornRule(
-            Atom("off", ("Device",)),
-            (
-                Atom("plugInto", ("Device", "Outlet")),
-                Atom("outlet", ("Outlet",)),
-                Atom("off", ("Outlet",)),
-            ),
-            label="power cut through outlet",
-        )
-    )
-    rules.append(
-        HornRule(
-            Atom("off", ("Device",)),
-            (
-                Atom("suppliedBy", ("Device", "Valve")),
-                Atom("valve", ("Valve",)),
-                Atom("off", ("Valve",)),
-            ),
-            label="supply cut through valve",
-        )
+    rules = _clauses(
+        ("power cut through outlet",
+         "off(Device)", "plugInto(Device, Outlet)", "outlet(Outlet)", "off(Outlet)"),
+        ("supply cut through valve",
+         "off(Device)", "suppliedBy(Device, Valve)", "valve(Valve)", "off(Valve)"),
     )
     # Indirect, actuator side: switching a device on drives its channel.
     for info in DEVICE_TYPES.values():
         v = _var(info.predicate)
         for channel, level in info.affect_states:
-            if channel in SCALAR_CHANNELS:
-                head = Atom(level, (channel,))
-            else:
-                head = Atom(channel)
-            rules.append(
-                HornRule(
-                    head,
-                    (Atom("on", (v,)), Atom(info.predicate, (v,))),
-                    label=f"{info.name} drives {channel}",
-                )
-            )
+            head = Atom(level, (channel,)) if channel in SCALAR_CHANNELS else Atom(channel)
+            body = (Atom("on", (v,)), Atom(info.predicate, (v,)))
+            rules.append(HornRule(head, body, label=f"{info.name} drives {channel}"))
     # Indirect, sensor side: a driven channel is what sensors report, as the
     # event atom an app trigger on it needs.
     for info in DEVICE_TYPES.values():
@@ -214,13 +163,9 @@ def build_dependency_rules() -> list[HornRule]:
                 driven = [(Atom(channel), channel)]
             for cause, event in driven:
                 pred, extra = EVENT_ATOMS[event]
-                rules.append(
-                    HornRule(
-                        Atom(pred, (v, *extra)),
-                        (cause, Atom(info.predicate, (v,))),
-                        label=f"{info.name} reports {event}",
-                    )
-                )
+                body = (cause, Atom(info.predicate, (v,)))
+                label = f"{info.name} reports {event}"
+                rules.append(HornRule(Atom(pred, (v, *extra)), body, label=label))
     return rules
 
 
@@ -240,14 +185,9 @@ def build_voice_rules() -> list[HornRule]:
                 var_domains=(("Cmd", "commands"),),
             )
         )
-    rules.append(
-        HornRule(
-            Atom("speakerHears", ("Cmd",)),
-            (Atom("voiceCommand", ("Cmd",)), Atom("speaker", ("S",))),
-            label="a speaker hears played commands",
-        )
+    return rules + _clauses(
+        ("a speaker hears played commands", "speakerHears(Cmd)", "voiceCommand(Cmd)", "speaker(S)")
     )
-    return rules
 
 
 def build_capability_rules() -> list[HornRule]:
@@ -256,49 +196,22 @@ def build_capability_rules() -> list[HornRule]:
     rules = []
     for info in DEVICE_TYPES.values():
         v = _var(info.predicate)
+        typed = Atom(info.predicate, (v,))
+        injected = (Atom("attackerCommandInjection", (v,)), typed)
         for state in info.settable:
             if state == "open" and info.name in OPENER_TYPES:
-                rules.append(
-                    HornRule(
-                        Atom("open", (v,)),
-                        (
-                            Atom("attackerCommandInjection", (v,)),
-                            Atom(info.predicate, (v,)),
-                            Atom("lockFree", (v,)),
-                        ),
-                        label=f"injected open command on unlatched {info.name}",
-                    )
-                )
-                rules.append(
-                    HornRule(
-                        Atom("open", (v,)),
-                        (
-                            Atom("attackerCommandInjection", (v,)),
-                            Atom(info.predicate, (v,)),
-                            Atom("lockedBy", (v, "L")),
-                            Atom("lock", ("L",)),
-                            Atom("unlock", ("L",)),
-                        ),
-                        label=f"injected open command on unlocked {info.name}",
-                    )
-                )
+                locked = (Atom("lockedBy", (v, "L")), Atom("lock", ("L",)), Atom("unlock", ("L",)))
+                for latch, extra in (("unlatched", (Atom("lockFree", (v,)),)), ("unlocked", locked)):
+                    label = f"injected open command on {latch} {info.name}"
+                    rules.append(HornRule(Atom("open", (v,)), (*injected, *extra), label=label))
             else:
-                rules.append(
-                    HornRule(
-                        Atom(state, (v,)),
-                        (Atom("attackerCommandInjection", (v,)), Atom(info.predicate, (v,))),
-                        label=f"injected {state} command on {info.name}",
-                    )
-                )
+                label = f"injected {state} command on {info.name}"
+                rules.append(HornRule(Atom(state, (v,)), injected, label=label))
         for event in info.events:
             pred, extra = EVENT_ATOMS[event]
-            rules.append(
-                HornRule(
-                    Atom(pred, (v, *extra)),
-                    (Atom("attackerEventAccess", (v,)), Atom(info.predicate, (v,))),
-                    label=f"spoofed {event} event on {info.name}",
-                )
-            )
+            body = (Atom("attackerEventAccess", (v,)), typed)
+            label = f"spoofed {event} event on {info.name}"
+            rules.append(HornRule(Atom(pred, (v, *extra)), body, label=label))
     return rules
 
 
@@ -329,14 +242,19 @@ def build_exploit_schemas() -> list[HornRule]:
 # Semi-naive evaluation of the library
 
 
-def static_library() -> list[HornRule]:
-    """Every static library rule, in the order that decides a shared instance's label."""
+@functools.cache
+def static_library() -> tuple[HornRule, ...]:
+    """Every static library rule, in the order that decides a shared instance's label.
+
+    Built once per process, so its compiled form (``_compile``) is found
+    again on every later evaluation.
+    """
 
     return (
-        build_propagation_rules()
-        + build_dependency_rules()
-        + build_voice_rules()
-        + build_capability_rules()
+        *build_propagation_rules(),
+        *build_dependency_rules(),
+        *build_voice_rules(),
+        *build_capability_rules(),
     )
 
 
@@ -369,50 +287,93 @@ def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
         else:
             slots[arg] = len(slots)
             new.append(pos)
-    lookup = next(((pos, c) for pos, c in checks if c.__class__ is str or c < bound_before), None)
-    return atom.pred, len(atom.args), new, checks, lookup
+    lookup = next((ch for ch in checks if ch[1].__class__ is str or ch[1] < bound_before), None)
+    return atom.pred, len(atom.args), tuple(new), tuple(checks), lookup
 
 
-def _rule_plan(rule: HornRule, domains: dict[str, list[str]]) -> tuple:
-    """How one library rule joins its body, in body order, and fills its pools.
+class _Library:
+    """A rule list compiled for evaluation, once per distinct list (``_compile``).
 
-    Every body variable gets a slot in the order the join binds it; the
-    variables no body atom binds follow, sorted, and take every value of
-    their pool.
+    ``plans`` gives each rule its join plan, its pools' names and fill
+    templates for its head and body, over slots: the join's variables in
+    the order it binds them, then the pooled ones, sorted. Known atoms are
+    indexed only where a compiled join looks them up: at the ``keyed``
+    positions, and whole for ``scanned`` predicates.
     """
 
-    slots: dict[str, int] = {}
-    joins = [_join_plan(atom, slots) for atom in rule.body]
-    fallback = dict(rule.var_domains)
-    pools = []
-    for var in sorted(rule.variables() - slots.keys()):
-        if var not in fallback:
-            raise LogicError(
-                f"rule {rule.label!r}: variable {var} has neither a fact "
-                f"binding nor a fallback domain"
-            )
-        slots[var] = len(slots)
-        pools.append(domains.get(fallback[var], []))
-    return joins, slots, pools
+    def __init__(self, rules: tuple[HornRule, ...]) -> None:
+        self.rules, self.plans, self.seeds = rules, [], {}
+        self.keyed: dict[str, tuple[int, ...]] = {}
+        self.scanned: set[str] = set()
+        for rule in rules:
+            slots: dict[str, int] = {}
+            joins = tuple([_join_plan(atom, slots) for atom in rule.body])
+            fallback, pools = dict(rule.var_domains), []
+            for var in sorted(rule.variables() - slots.keys()):
+                if var not in fallback:
+                    raise LogicError(
+                        f"rule {rule.label!r}: variable {var} has neither a fact "
+                        f"binding nor a fallback domain"
+                    )
+                slots[var] = len(slots)
+                pools.append(fallback[var])
+            fills = tuple([(a.pred, args_template(a.args, slots)) for a in (rule.head, *rule.body)])
+            self.plans.append((joins, tuple(pools), fills))
+            self._reads(joins)
+
+    def _reads(self, joins: tuple) -> None:
+        """Index known atoms where ``joins`` look them up."""
+
+        for pred, _, _, _, lookup in joins:
+            if lookup is None:
+                self.scanned.add(pred)
+            elif lookup[0] not in self.keyed.get(pred, ()):
+                self.keyed[pred] = (*self.keyed.get(pred, ()), lookup[0])
+
+    def _seed(self, index: int, seed: int) -> tuple:
+        """Rule ``index`` joined from body atom ``seed``, then the rest in body order.
+
+        Gives the seed's pattern (arity, new slots, checks); its guard, the
+        key of the first lookup after it, where most library seeds fail (on
+        the device's type); the rest of the join; and the order back to the
+        rule's slots (None if already in it).
+        """
+
+        body, seeded = self.rules[index].body, {}
+        _, arity, new, checks, _ = _join_plan(body[seed], seeded)
+        rest = tuple([_join_plan(atom, seeded) for i, atom in enumerate(body) if i != seed])
+        guard = (rest[0][0], *rest[0][4]) if rest and rest[0][4] is not None else None
+        # The rule's own slots number its body variables in order of first use.
+        used = dict.fromkeys(arg for atom in body for arg in atom.args)
+        order = [seeded[arg] for arg in used if arg in seeded]
+        return (arity, new, checks), guard, rest, None if order == sorted(order) else tuple(order)
+
+    def seeded(self, preds: set[str]) -> dict[str, list[tuple]]:
+        """Each predicate's seeds, compiling those of ``preds`` on first need.
+
+        A seed is a body atom matched first. Seeds are grouped by pattern,
+        so an atom is bound once per pattern, then by guard, so a binding
+        tests each guard once; their places in rule order order the seeds
+        that pass. Their lookups are indexed from then on.
+        """
+
+        if not preds <= self.seeds.keys():
+            seats: dict[str, list[tuple[int, int]]] = {}
+            for index, rule in enumerate(self.rules):
+                for pos, atom in enumerate(rule.body):
+                    seats.setdefault(atom.pred, []).append((index, pos))
+            for pred in preds - self.seeds.keys():
+                patterns: dict[tuple, dict] = {}
+                for place, (index, pos) in enumerate(seats.get(pred, ())):
+                    pattern, guard, rest, order = self._seed(index, pos)
+                    self._reads(rest)
+                    seed = (place, index, rest, order)
+                    patterns.setdefault(pattern, {}).setdefault(guard, []).append(seed)
+                self.seeds[pred] = [(*p, [*guards.items()]) for p, guards in patterns.items()]
+        return self.seeds
 
 
-def _seed_plan(rule: HornRule, seed: int, slots: dict[str, int]) -> tuple:
-    """How ``rule`` joins when body atom ``seed`` is matched first.
-
-    The seed binds its variables first and the rest of the body joins in
-    body order; ``guard`` is the index key of the first lookup after the
-    seed, and ``order`` puts the bound values back in the order of the
-    rule's own ``slots`` (None where they already are).
-    """
-
-    seeded: dict[str, int] = {}
-    _, arity, new, checks, _ = _join_plan(rule.body[seed], seeded)
-    rest = [_join_plan(atom, seeded) for i, atom in enumerate(rule.body) if i != seed]
-    # The index key the next body atom looks up, if any: most seeds of a
-    # library rule fail there, on the device type of the seed's device.
-    guard = (rest[0][0], *rest[0][4]) if rest and rest[0][4] is not None else None
-    order = [seeded[var] for var in slots if var in seeded]
-    return arity, new, checks, guard, rest, None if order == sorted(order) else order
+_compile = functools.lru_cache(maxsize=8)(_Library)
 
 
 def _extend(
@@ -442,7 +403,7 @@ def _extend(
 
 
 def ground_static_rules(
-    rules: list[HornRule],
+    rules: Sequence[HornRule],
     facts: list[Atom],
     domains: dict[str, list[str]],
     ground: Sequence[HornRule] = (),
@@ -451,27 +412,19 @@ def ground_static_rules(
 ) -> list[HornRule]:
     """The instances of the library ``rules`` that fire, by semi-naive evaluation.
 
-    Known atoms, the facts first, are indexed by predicate and by
-    ``(pred, position, value)``, but only those whose predicate occurs in
-    some body of ``rules``: no other atom is ever joined against, so with
-    no library nothing is indexed. Each rule's body is joined once over the
-    facts. After that, each atom that becomes known is the seed of every
-    body atom with its predicate: the rest of that body joins against the
-    known atoms, and each binding fills the rule's templates into an
-    instance whose body holds, so its head becomes known in turn. The
-    already-ground rules of ``ground`` (exploit and app rules) keep a count
-    of body atoms not yet known and make their head known when it reaches
-    zero. Each ``(head, body)`` is built once, by the first rule in
-    ``rules`` order that gives it: rules that give the same instance find it
-    when the same atom becomes known, and seeds are tried in rule order.
+    Each rule's body is joined once over the facts. After that, each atom
+    that becomes known seeds the body atoms with its predicate: the rest of
+    the body joins against the known atoms, and each binding fills the
+    rule's templates into an instance whose body holds, so its head becomes
+    known in turn. The rules of ``ground`` (exploit and app rules) count
+    down their body atoms not yet known and make their head known at zero.
+    Each ``(head, body)`` is built once, by the first rule in ``rules``
+    order that gives it.
 
-    Every atom is interned in ``atoms`` (predicate, then arguments), which
-    starts from the facts unless the caller passes a table already holding
-    them and the atoms of ``ground``. Plans are compiled per call: each
-    rule's join plan up front, which checks that every variable is bound by
-    a body atom or has a pool in ``domains``; its templates when it first
-    fires; its seed plans when an atom of the seed's predicate first becomes
-    known.
+    ``rules`` is compiled once per distinct list (``_Library``); pools are
+    read from ``domains`` on each call. Atoms are interned in ``atoms``
+    (predicate, then arguments); a caller that passes it passes ``facts``
+    and the atoms of ``ground`` interned in it.
 
     The evaluation is the saturation of the facts, ``ground`` and the
     returned instances. When ``saturation`` is given, an empty
@@ -480,24 +433,30 @@ def ground_static_rules(
     it is first built, and every atom queued is derived.
     """
 
+    library = _compile(tuple(rules))
+    # Only heads are derived, so only head predicates seed joins; compiling
+    # their seeds first lets the index cover every lookup they make.
+    dispatch = library.seeded({rule.head.pred for group in (library.rules, ground) for rule in group})
     if atoms is None:
         atoms = {}
+        facts = [intern(atoms, fact) for fact in facts]
     if saturation is None:
         saturation = SaturationResult()
     known, queued, fire = saturation.known, saturation.derived, saturation.fire
-    joined = {atom.pred for rule in rules for atom in rule.body}
+    keyed, scanned = library.keyed, library.scanned
     by_pred: dict[str, list[Atom]] = {}
     by_position: dict[tuple, list[Atom]] = {}
 
     def learn(atom: Atom) -> None:
         known.add(atom)
-        if atom.pred in joined:
-            by_pred.setdefault(atom.pred, []).append(atom)
-            for pos, arg in enumerate(atom.args):
-                by_position.setdefault((atom.pred, pos, arg), []).append(atom)
+        pred, args = atom.pred, atom.args
+        if pred in scanned:
+            by_pred.setdefault(pred, []).append(atom)
+        for pos in keyed.get(pred, ()):
+            if pos < len(args):
+                by_position.setdefault((pred, pos, args[pos]), []).append(atom)
 
     for fact in facts:
-        fact = intern(atoms, fact)
         if fact not in known:
             learn(fact)
 
@@ -519,28 +478,26 @@ def ground_static_rules(
             fire(rule)
             derive(rule.head)
 
-    plans = [_rule_plan(rule, domains) for rule in rules]
-    templates: list[list | None] = [None] * len(rules)
+    plans = library.plans
+    # Each rule's pooled values, every combination of them; [()] for most.
+    combos = [list(product(*[domains.get(name, []) for name in plan[1]])) for plan in plans]
+    for plan in plans:
+        for pred, _ in plan[2]:
+            atoms.setdefault(pred, {})
     # Instance atoms, head first, -> the instance.
     instances: dict[tuple[Atom, ...], HornRule] = {}
 
     def emit(index: int, bindings: list[tuple], order: list[int] | None = None) -> None:
-        _, slots, pools = plans[index]
-        label = rules[index].label
-        fills = templates[index]
-        if fills is None:
-            fills = templates[index] = [
-                (atoms.setdefault(a.pred, {}), a.pred, args_template(a.args, slots))
-                for a in (rules[index].head, *rules[index].body)
-            ]
+        fills, label = plans[index][2], library.rules[index].label
         for b in bindings:
             if order is not None:
                 b = tuple([b[i] for i in order])
-            for combo in product(*pools):
+            for combo in combos[index]:
                 values = b + combo
                 key = []
-                for table, pred, fill in fills:
+                for pred, fill in fills:
                     args = fill(values)
+                    table = atoms[pred]
                     atom = table.get(args)
                     if atom is None:
                         atom = table[args] = Atom.instance(pred, args)
@@ -551,15 +508,11 @@ def ground_static_rules(
                     fire(rule)
                     derive(key[0])
 
-    seats: dict[str, list[tuple[int, int]]] = {}
-    for index, rule in enumerate(rules):
-        for pos, atom in enumerate(rule.body):
-            seats.setdefault(atom.pred, []).append((index, pos))
-        bindings = _extend([()], plans[index][0], by_pred, by_position)
+    for index, plan in enumerate(plans):
+        bindings = _extend([()], plan[0], by_pred, by_position)
         if bindings:
             emit(index, bindings)
 
-    seeded: dict[str, list[tuple]] = {}
     while queue:
         atom = queue.pop()
         learn(atom)
@@ -568,23 +521,22 @@ def ground_static_rules(
             if not counts[i]:
                 fire(ground[i])
                 derive(ground[i].head)
-        seeds = seeded.get(atom.pred)
-        if seeds is None:
-            seeds = seeded[atom.pred] = [
-                (index, *_seed_plan(rules[index], pos, plans[index][1]))
-                for index, pos in seats.get(atom.pred, ())
-            ]
-        fa = atom.args
-        for index, arity, new, checks, guard, rest, order in seeds:
+        fa, passed = atom.args, []
+        for arity, new, checks, guards in dispatch[atom.pred]:
             if len(fa) != arity:
                 continue
             b = tuple([fa[pos] for pos in new])
             if checks and not all(fa[pos] == (c if c.__class__ is str else b[c]) for pos, c in checks):
                 continue
-            if guard is not None:
-                pred, pos, want = guard
-                if (pred, pos, want if want.__class__ is str else b[want]) not in by_position:
-                    continue
+            for guard, seeds in guards:
+                if guard is not None:
+                    pred, pos, want = guard
+                    if (pred, pos, want if want.__class__ is str else b[want]) not in by_position:
+                        continue
+                passed += [(place, b, index, rest, order) for place, index, rest, order in seeds]
+        # Places are distinct, so the bindings are never compared.
+        passed.sort()
+        for _, b, index, rest, order in passed:
             bindings = _extend([b], rest, by_pred, by_position) if rest else [b]
             if bindings:
                 emit(index, bindings, order)
@@ -642,12 +594,9 @@ def compile_system(
     config_facts = [a for block in blocks for a in block]
     atk_facts = attacker_facts(config)
     vul_facts = list(dict.fromkeys(fact for model in models for fact in model.facts))
-    facts = config_facts + atk_facts + vul_facts
-
     # One table for every atom of the program, starting from the facts.
     atoms: AtomTable = {}
-    for fact in facts:
-        intern(atoms, fact)
+    facts = [intern(atoms, fact) for fact in config_facts + atk_facts + vul_facts]
 
     def interned(rule: HornRule) -> HornRule:
         body = tuple([intern(atoms, a) for a in rule.body])
@@ -669,7 +618,7 @@ def compile_system(
     return CompiledSystem(
         program=program,
         goals=goals,
-        library=tuple(library),
+        library=library,
         static_start=len(exploit_rules),
         app_start=len(exploit_rules) + len(fired),
         block_sizes=tuple(map(len, blocks)),

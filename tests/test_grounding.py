@@ -14,6 +14,7 @@ substitutions as the copies for any argument string.
 
 from __future__ import annotations
 
+import itertools
 import re
 from collections import Counter
 
@@ -142,9 +143,9 @@ ground_rules = st.builds(
 )
 
 
-def _rule(text: str) -> HornRule:
+def _rule(text: str, label: str = "r") -> HornRule:
     head, body = text.split(" :- ")
-    return HornRule(logic.parse_atom(head), tuple(map(logic.parse_atom, body.split(", "))), "r")
+    return HornRule(logic.parse_atom(head), tuple(map(logic.parse_atom, body.split(", "))), label)
 
 
 @settings(max_examples=300)
@@ -289,6 +290,35 @@ JOIN_RULES = (
         (Atom("voiceCommand", ("Cmd",)), Atom("speaker", ("S",))),
         label="a speaker hears played commands",
     ),
+    # One seed predicate under three patterns (a variable and two constants,
+    # as the library's high/low channel rules have) and four guards, the
+    # last one a whole scan; the third and fourth rules give instances of
+    # the first and second, which keep the earlier rules' labels.
+    HornRule(
+        Atom("exposed", ("D",)),
+        (Atom("attackerRoot", ("D",)), Atom("outlet", ("D",))),
+        label="seed guarded by outlet",
+    ),
+    HornRule(
+        Atom("exposed", ("D",)),
+        (Atom("attackerRoot", ("D",)), Atom("lock", ("D",))),
+        label="same seed guarded by lock",
+    ),
+    HornRule(
+        Atom("exposed", ("d1",)),
+        (Atom("attackerRoot", ("d1",)), Atom("outlet", ("d1",))),
+        label="constant seed: an instance of the first rule",
+    ),
+    HornRule(
+        Atom("exposed", ("w1",)),
+        (Atom("attackerRoot", ("w1",)), Atom("lock", ("w1",))),
+        label="other constant seed: an instance of the second rule",
+    ),
+    HornRule(
+        Atom("exposed", ("w1",)),
+        (Atom("attackerRoot", ("w1",)), Atom("speaker", ("S",))),
+        label="other constant seed, unguarded",
+    ),
 )
 FACT_ARITIES = {
     "wifi": 1, "outlet": 1, "lock": 1, "speaker": 1,
@@ -357,22 +387,45 @@ def test_join_shapes_match_earlier_grounder(inputs, commands):
     _assert_one_object_per_atom(atom for rule in fired for atom in (rule.head, *rule.body))
 
 
+# What each rule of the test below gives on its facts: two rules rename one
+# rule, one is its instance over a constant seed, one differs in the guard
+# and one has a constant seed that never matches.
+SHARED = ("on(s1)", ("attackerRoot(s1)", "speaker(s1)"))
+GIVES = {
+    "first": SHARED,
+    "renamed": SHARED,
+    "constant seed": SHARED,
+    "other guard": ("on(s1)", ("attackerRoot(s1)", "lock(s1)")),
+    "no match": None,
+}
+
+
 @pytest.mark.parametrize("seed", ["fact", "derived"])
 def test_shared_instance_keeps_the_first_rules_label(seed):
-    body = (Atom("attackerRoot", ("D",)), Atom("speaker", ("D",)))
     library = [
-        HornRule(Atom("on", ("D",)), body, label="first"),
-        HornRule(Atom("on", ("X",)), tuple(a.substitute({"D": "X"}) for a in body), label="second"),
+        _rule("on(D) :- attackerRoot(D), speaker(D)", "first"),
+        _rule("on(X) :- attackerRoot(X), speaker(X)", "renamed"),
+        _rule("on(s1) :- attackerRoot(s1), speaker(s1)", "constant seed"),
+        _rule("on(D) :- attackerRoot(D), lock(D)", "other guard"),
+        _rule("on(s2) :- attackerRoot(s2), speaker(s2)", "no match"),
     ]
-    facts = [Atom("speaker", ("s1",)), Atom("attackerOnInternet")]
+    facts = [Atom("speaker", ("s1",)), Atom("lock", ("s1",)), Atom("attackerOnInternet")]
     if seed == "fact":
         facts.append(Atom("attackerRoot", ("s1",)))
         ground = []
     else:
         ground = [HornRule(Atom("attackerRoot", ("s1",)), (Atom("attackerOnInternet"),), label="g")]
-    for order in (library, library[::-1]):
+    for order in itertools.permutations(library):
         fired = rules.ground_static_rules(order, facts, {}, ground)
-        assert [(r.head.render(), r.label) for r in fired] == [("on(s1)", order[0].label)]
+        # Each instance once, in the order of the first rule that gives it,
+        # with that rule's label.
+        want = {}
+        for rule in order:
+            if GIVES[rule.label] is not None:
+                want.setdefault(GIVES[rule.label], rule.label)
+        got = [((r.head.render(), tuple(a.render() for a in r.body)), r.label) for r in fired]
+        assert got == list(want.items())
+        assert _fired_set(fired) == oracles.fired_library_instances(order, facts, ground, {})[0]
 
 
 def test_unbound_variable_fails_as_before():
@@ -383,8 +436,10 @@ def test_unbound_variable_fails_as_before():
         label="unbindable",
     )
     facts = [Atom("inNetwork", ("lamp", "wifi1"))]
-    with pytest.raises(LogicError) as new:
-        rules.ground_static_rules([rule], facts, {})
+    # A failed compile is not kept: the same list fails again.
+    for _ in range(2):
+        with pytest.raises(LogicError) as new:
+            rules.ground_static_rules([rule], facts, {})
     with pytest.raises(LogicError) as old:
         oracles.ground_static_rules([rule], facts, {})
     assert str(new.value) == str(old.value)
@@ -393,6 +448,71 @@ def test_unbound_variable_fails_as_before():
     with pytest.raises(LogicError):
         rules.ground_static_rules([rule], [], {})
     assert oracles.ground_static_rules([rule], [], {}) == []
+
+
+def test_library_is_compiled_once_per_distinct_rule_list(store):
+    rules._compile.cache_clear()
+    config = load_fixture_config("system37")
+    assert analyze(config, store).compiled.library is rules.static_library()
+    analyze(config, store)
+    assert rules._compile.cache_info()[:2] == (1, 1)  # hits, misses
+
+    # A relabelled rule makes another list, with its own compiled form; an
+    # equal list finds the one already compiled.
+    library = list(rules.static_library())
+    facts = [Atom("attackerOnInternet"), Atom("inNetwork", ("cam1", "wifi1"))]
+    ground = [HornRule(Atom("attackerRoot", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
+    fired = rules.ground_static_rules(list(library), facts, {}, ground)
+    joins = library[1]
+    library[1] = HornRule(joins.head, joins.body, label="relabelled")
+    relabelled = rules.ground_static_rules(library, facts, {}, ground)
+    assert rules._compile.cache_info()[:2] == (2, 2)
+    assert joins.label in {r.label for r in fired}
+    assert {r.label for r in relabelled} == {r.label for r in fired} - {joins.label} | {"relabelled"}
+    for got, rules_ in ((fired, rules.static_library()), (relabelled, library)):
+        assert _fired_set(got) == oracles.fired_library_instances(rules_, facts, ground, {})[0]
+
+
+def test_seeds_compiled_by_a_later_call_are_indexed():
+    # Only a seed of attackerInNetwork looks inNetwork up by its network. The
+    # first call derives no such atom; the second compiles that seed before
+    # it indexes the facts, so the lookup finds them.
+    library = [
+        HornRule(
+            Atom("reached", ("D",)),
+            (Atom("inNetwork", ("D", "N")), Atom("attackerInNetwork", ("N",))),
+            label="member of a reached network",
+        )
+    ]
+    facts = [Atom("attackerOnInternet"), Atom("inNetwork", ("cam1", "wifi1"))]
+    ground = [HornRule(Atom("attackerInNetwork", ("wifi1",)), (Atom("attackerOnInternet"),), "g")]
+    assert rules.ground_static_rules(library, facts, {}) == []
+    fired = rules.ground_static_rules(library, facts, {}, ground)
+    assert [r.head.render() for r in fired] == ["reached(cam1)"]
+
+
+def test_predicate_at_two_arities_joins_on_keyed_positions():
+    # link/2 is looked up at positions 0 and 1, link/1 at position 0. Atoms of
+    # both arities share the position-0 index, and link/1 has no position 1.
+    library = [
+        HornRule(
+            Atom("hop", ("E",)),
+            (Atom("attackerRoot", ("D",)), Atom("link", ("D", "E")), Atom("link", ("E",))),
+            label="forward",
+        ),
+        HornRule(
+            Atom("back", ("D",)),
+            (Atom("attackerRoot", ("E",)), Atom("link", ("D", "E"))),
+            label="backward",
+        ),
+    ]
+    links = [("a", "b"), ("b",), ("a",), ("c", "a"), ("b", "c")]
+    facts = [Atom("link", args) for args in links] + [Atom("attackerOnInternet")]
+    facts.append(Atom("attackerRoot", ("c",)))
+    ground = [HornRule(Atom("attackerRoot", ("a",)), (Atom("attackerOnInternet"),), "g")]
+    fired = rules.ground_static_rules(library, facts, {}, ground)
+    assert _fired_set(fired) == oracles.fired_library_instances(library, facts, ground, {})[0]
+    assert sorted(r.head.render() for r in fired) == ["back(b)", "back(c)", "hop(a)", "hop(b)"]
 
 
 identifiers = st.from_regex(r"[a-z][A-Za-z0-9_]{0,6}", fullmatch=True)

@@ -1,10 +1,17 @@
-"""Smoke tests for the scripts under scripts/: each runs end to end on small inputs."""
+"""Smoke tests for the scripts under scripts/: each runs end to end on small inputs.
+
+The scripts run in this process, and as fresh processes without ``PYTHONPATH``,
+as from a checkout where the package is not installed.
+"""
 
 from __future__ import annotations
 
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
@@ -50,3 +57,22 @@ def test_run_scaling_ingests_a_synthetic_feed(capsys):
     # Two CVEs for every catalog product reach more of the home than the
     # bundled feed, which matches few of the synthetic products.
     assert dense["rows"][0]["graph_nodes"] > bundled["rows"][0]["graph_nodes"]
+
+
+def _run_plain(script: str, *argv: str, cwd) -> subprocess.CompletedProcess:
+    """Run a script as a fresh process from outside the checkout, with no PYTHONPATH."""
+
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / f"{script}.py"), *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_scripts_run_from_a_plain_checkout(tmp_path):
+    cases = _run_plain("run_case_studies", "--fixtures", "fig2", cwd=tmp_path)
+    assert cases.returncode == 0, cases.stderr
+    assert cases.stdout.startswith("==== fig2 ")
+    scaling = _run_plain("run_scaling", "--sizes", "10", "--repeats", "1", cwd=tmp_path)
+    assert scaling.returncode == 0, scaling.stderr
+    assert [row["devices"] for row in json.loads(scaling.stdout.splitlines()[-1])["rows"]] == [10]
