@@ -306,20 +306,16 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
     firing means every tag set is exact.
     """
 
+    # A CVE's bit is its place among the facts' CVEs, in node order.
     bit: dict[str, int] = {}
-    for n in graph.fact_nodes():
-        if n.atom is not None and n.atom.pred == "vulExists":
-            bit.setdefault(n.atom.args[1], 1 << len(bit))
-
     tags: dict[int, CatSet] = {}
     for n in graph.nodes:
-        if n.kind == FACT:
-            if n.atom is not None and n.atom.pred == "vulExists":
-                tags[n.node_id] = frozenset({bit[n.atom.args[1]]})
-            else:
-                tags[n.node_id] = NO_CVE
-        else:
+        if n.kind != FACT:
             tags[n.node_id] = frozenset()
+        elif n.atom is not None and n.atom.pred == "vulExists":
+            tags[n.node_id] = frozenset({bit.setdefault(n.atom.args[1], 1 << len(bit))})
+        else:
+            tags[n.node_id] = NO_CVE
 
     valved: set[int] = set()
 

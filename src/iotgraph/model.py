@@ -48,12 +48,10 @@ EVENT_ATOMS: dict[str, tuple[str, tuple[str, ...]]] = {
 
 @dataclass(frozen=True)
 class DeviceTypeInfo:
-    """Role flags and rule-relevant vocabulary for one device type."""
+    """The voice role and rule-relevant vocabulary of one device type."""
 
     name: str
     predicate: str
-    sensor: bool = False
-    actuator: bool = False
     voice_emitter: bool = False
     senses: frozenset[str] = frozenset()
     # (channel, level) pairs this type drives when switched on.
@@ -76,70 +74,47 @@ DEVICE_TYPES: dict[str, DeviceTypeInfo] = {
     for t in (
         _t("router", "router"),
         _t("gateway", "gateway"),
-        _t("camera", "camera", actuator=True, voice_emitter=True, settable=_ON_OFF),
-        _t("speaker", "speaker", actuator=True, voice_emitter=True, settable=_ON_OFF),
-        _t("bulb", "bulb", actuator=True, affect_states=(("illuminance", "high"),), settable=_ON_OFF),
-        _t("outlet", "outlet", actuator=True, settable=_ON_OFF),
-        _t("lock", "lock", actuator=True, settable=("unlock", "locked")),
-        _t("door-opener", "doorOpener", actuator=True, settable=("open",)),
-        _t("oven", "oven", actuator=True, affect_states=(("smoke", "present"),), settable=_ON_OFF),
-        _t("heater", "heater", actuator=True, affect_states=(("temperature", "high"),), settable=_ON_OFF),
-        _t("ac", "ac", actuator=True, affect_states=(("temperature", "low"),), settable=_ON_OFF),
-        _t(
-            "humidifier",
-            "humidifier",
-            actuator=True,
-            affect_states=(("humidity", "high"),),
-            settable=_ON_OFF,
-        ),
-        _t("window-opener", "windowOpener", actuator=True, settable=("open",)),
-        _t("valve", "valve", actuator=True, settable=_ON_OFF),
-        _t("sprinkler", "sprinkler", actuator=True, affect_states=(("water", "present"),), settable=_ON_OFF),
-        _t("stove", "stove", actuator=True, affect_states=(("smoke", "present"),), settable=_ON_OFF),
-        _t("motion-sensor", "motionSensor", sensor=True, events=("motion",)),
-        _t("contact-sensor", "contactSensor", sensor=True, events=("open",)),
+        _t("camera", "camera", voice_emitter=True, settable=_ON_OFF),
+        _t("speaker", "speaker", voice_emitter=True, settable=_ON_OFF),
+        _t("bulb", "bulb", affect_states=(("illuminance", "high"),), settable=_ON_OFF),
+        _t("outlet", "outlet", settable=_ON_OFF),
+        _t("lock", "lock", settable=("unlock", "locked")),
+        _t("door-opener", "doorOpener", settable=("open",)),
+        _t("oven", "oven", affect_states=(("smoke", "present"),), settable=_ON_OFF),
+        _t("heater", "heater", affect_states=(("temperature", "high"),), settable=_ON_OFF),
+        _t("ac", "ac", affect_states=(("temperature", "low"),), settable=_ON_OFF),
+        _t("humidifier", "humidifier", affect_states=(("humidity", "high"),), settable=_ON_OFF),
+        _t("window-opener", "windowOpener", settable=("open",)),
+        _t("valve", "valve", settable=_ON_OFF),
+        _t("sprinkler", "sprinkler", affect_states=(("water", "present"),), settable=_ON_OFF),
+        _t("stove", "stove", affect_states=(("smoke", "present"),), settable=_ON_OFF),
+        _t("motion-sensor", "motionSensor", events=("motion",)),
+        _t("contact-sensor", "contactSensor", events=("open",)),
         _t(
             "temperature-sensor",
             "temperatureSensor",
-            sensor=True,
             senses=frozenset({"temperature"}),
             events=("high temperature", "low temperature"),
         ),
         _t(
             "humidity-sensor",
             "humiditySensor",
-            sensor=True,
             senses=frozenset({"humidity"}),
             events=("high humidity", "low humidity"),
         ),
         _t(
             "light-sensor",
             "lightSensor",
-            sensor=True,
             senses=frozenset({"illuminance"}),
             events=("high illuminance", "low illuminance"),
         ),
-        _t(
-            "smoke-detector",
-            "smokeDetector",
-            sensor=True,
-            senses=frozenset({"smoke"}),
-            events=("smoke",),
-        ),
-        _t(
-            "water-leak-sensor",
-            "waterLeakSensor",
-            sensor=True,
-            senses=frozenset({"water"}),
-            events=("water",),
-        ),
-        _t("tv", "tv", actuator=True, voice_emitter=True, settable=_ON_OFF),
-        _t("doorbell", "doorbell", sensor=True, events=("ring",)),
+        _t("smoke-detector", "smokeDetector", senses=frozenset({"smoke"}), events=("smoke",)),
+        _t("water-leak-sensor", "waterLeakSensor", senses=frozenset({"water"}), events=("water",)),
+        _t("tv", "tv", voice_emitter=True, settable=_ON_OFF),
+        _t("doorbell", "doorbell", events=("ring",)),
         _t(
             "thermostat",
             "thermostat",
-            sensor=True,
-            actuator=True,
             senses=frozenset({"temperature"}),
             events=("high temperature", "low temperature"),
             settable=_ON_OFF,

@@ -10,8 +10,9 @@ instances whose bodies hold; the compiled program is the ground rules plus
 those instances. The same loop is the program's one saturation: it records
 every firing and derived atom, so ``compile_system`` hands the analysis the
 least model the attack graph is sliced from. The library is built and
-compiled once per process. The voice rules' ``Cmd``, which no body atom
-binds, ranges over the commands the apps listen for.
+compiled once per process, whole: no evaluation changes its compiled form.
+The voice rules' ``Cmd``, which no body atom binds, ranges over the commands
+the apps listen for.
 
 ``saturate`` is the evaluator run with no library, the package's only
 least-model engine, for callers that hold only a program, such as a what-if
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
 
 from .apps import BoundApp
 from .exploits import EFFECTS, PRECONDITIONS, ExploitModel
@@ -296,16 +297,23 @@ class _Library:
 
     ``plans`` gives each rule its join plan, its pools' names and fill
     templates for its head and body, over slots: the join's variables in
-    the order it binds them, then the pooled ones, sorted. Known atoms are
-    indexed only where a compiled join looks them up: at the ``keyed``
-    positions, and whole for ``scanned`` predicates.
+    the order it binds them, then the pooled ones, sorted. ``seeds`` gives
+    each predicate of a body its seeds, the body atoms of that predicate
+    matched first: grouped by pattern, so an atom is bound once per
+    pattern, then by guard, so a binding tests each guard once; their
+    places in rule order order the seeds that pass. ``filled`` holds the
+    predicates of the fills. Known atoms are indexed only where a join or
+    a seed looks them up: at the ``keyed`` positions, and whole for
+    ``scanned`` predicates. Nothing here changes after construction.
     """
 
     def __init__(self, rules: tuple[HornRule, ...]) -> None:
-        self.rules, self.plans, self.seeds = rules, [], {}
+        self.rules, self.plans = rules, []
         self.keyed: dict[str, tuple[int, ...]] = {}
         self.scanned: set[str] = set()
-        for rule in rules:
+        patterns: dict[str, dict[tuple, dict]] = {}
+        places = count()
+        for index, rule in enumerate(rules):
             slots: dict[str, int] = {}
             joins = tuple([_join_plan(atom, slots) for atom in rule.body])
             fallback, pools = dict(rule.var_domains), []
@@ -320,6 +328,17 @@ class _Library:
             fills = tuple([(a.pred, args_template(a.args, slots)) for a in (rule.head, *rule.body)])
             self.plans.append((joins, tuple(pools), fills))
             self._reads(joins)
+            for pos, atom in enumerate(rule.body):
+                pattern, guard, rest, order = self._seed(index, pos)
+                self._reads(rest)
+                seed = (next(places), index, rest, order)
+                by_guard = patterns.setdefault(atom.pred, {}).setdefault(pattern, {})
+                by_guard.setdefault(guard, []).append(seed)
+        self.seeds = {
+            pred: [(*p, [*guards.items()]) for p, guards in by_pattern.items()]
+            for pred, by_pattern in patterns.items()
+        }
+        self.filled = tuple(dict.fromkeys(pred for plan in self.plans for pred, _ in plan[2]))
 
     def _reads(self, joins: tuple) -> None:
         """Index known atoms where ``joins`` look them up."""
@@ -347,30 +366,6 @@ class _Library:
         used = dict.fromkeys(arg for atom in body for arg in atom.args)
         order = [seeded[arg] for arg in used if arg in seeded]
         return (arity, new, checks), guard, rest, None if order == sorted(order) else tuple(order)
-
-    def seeded(self, preds: set[str]) -> dict[str, list[tuple]]:
-        """Each predicate's seeds, compiling those of ``preds`` on first need.
-
-        A seed is a body atom matched first. Seeds are grouped by pattern,
-        so an atom is bound once per pattern, then by guard, so a binding
-        tests each guard once; their places in rule order order the seeds
-        that pass. Their lookups are indexed from then on.
-        """
-
-        if not preds <= self.seeds.keys():
-            seats: dict[str, list[tuple[int, int]]] = {}
-            for index, rule in enumerate(self.rules):
-                for pos, atom in enumerate(rule.body):
-                    seats.setdefault(atom.pred, []).append((index, pos))
-            for pred in preds - self.seeds.keys():
-                patterns: dict[tuple, dict] = {}
-                for place, (index, pos) in enumerate(seats.get(pred, ())):
-                    pattern, guard, rest, order = self._seed(index, pos)
-                    self._reads(rest)
-                    seed = (place, index, rest, order)
-                    patterns.setdefault(pattern, {}).setdefault(guard, []).append(seed)
-                self.seeds[pred] = [(*p, [*guards.items()]) for p, guards in patterns.items()]
-        return self.seeds
 
 
 _compile = functools.lru_cache(maxsize=8)(_Library)
@@ -421,8 +416,10 @@ def ground_static_rules(
     Each ``(head, body)`` is built once, by the first rule in ``rules``
     order that gives it.
 
-    ``rules`` is compiled once per distinct list (``_Library``); pools are
-    read from ``domains`` on each call. Atoms are interned in ``atoms``
+    ``rules`` is compiled whole once per distinct list (``_Library``), the
+    seeds of every body predicate included, and no call changes it; pools
+    are read from ``domains`` on each call. A derived atom whose predicate
+    no body uses seeds nothing. Atoms are interned in ``atoms``
     (predicate, then arguments); a caller that passes it passes ``facts``
     and the atoms of ``ground`` interned in it.
 
@@ -434,16 +431,13 @@ def ground_static_rules(
     """
 
     library = _compile(tuple(rules))
-    # Only heads are derived, so only head predicates seed joins; compiling
-    # their seeds first lets the index cover every lookup they make.
-    dispatch = library.seeded({rule.head.pred for group in (library.rules, ground) for rule in group})
     if atoms is None:
         atoms = {}
         facts = [intern(atoms, fact) for fact in facts]
     if saturation is None:
         saturation = SaturationResult()
     known, queued, fire = saturation.known, saturation.derived, saturation.fire
-    keyed, scanned = library.keyed, library.scanned
+    keyed, scanned, dispatch = library.keyed, library.scanned, library.seeds
     by_pred: dict[str, list[Atom]] = {}
     by_position: dict[tuple, list[Atom]] = {}
 
@@ -481,9 +475,8 @@ def ground_static_rules(
     plans = library.plans
     # Each rule's pooled values, every combination of them; [()] for most.
     combos = [list(product(*[domains.get(name, []) for name in plan[1]])) for plan in plans]
-    for plan in plans:
-        for pred, _ in plan[2]:
-            atoms.setdefault(pred, {})
+    for pred in library.filled:
+        atoms.setdefault(pred, {})
     # Instance atoms, head first, -> the instance.
     instances: dict[tuple[Atom, ...], HornRule] = {}
 
@@ -522,7 +515,7 @@ def ground_static_rules(
                 fire(ground[i])
                 derive(ground[i].head)
         fa, passed = atom.args, []
-        for arity, new, checks, guards in dispatch[atom.pred]:
+        for arity, new, checks, guards in dispatch.get(atom.pred, ()):
             if len(fa) != arity:
                 continue
             b = tuple([fa[pos] for pos in new])

@@ -12,7 +12,7 @@ import json
 import random
 from typing import Any
 
-from .model import SystemConfig, parse_config
+from .model import SystemConfig, normalize_name, parse_config
 
 # (display name, device type). The first two entries anchor every draw so a
 # router and a hub are always present.
@@ -228,7 +228,7 @@ def synth_document(n_devices: int, seed: int = 0) -> dict[str, Any]:
     goals = []
     for kind, state in (("lock", "unlock"), ("window-opener", "open"), ("door-opener", "open"), ("oven", "on")):
         for name in by_type.get(kind, []):
-            goals.append(f"{state}({_atomize(name)})")
+            goals.append(f"{state}({normalize_name(name)})")
 
     doc: dict[str, Any] = {
         "devices": devices,
@@ -240,12 +240,6 @@ def synth_document(n_devices: int, seed: int = 0) -> dict[str, Any]:
         "goals": goals,
     }
     return doc
-
-
-def _atomize(name: str) -> str:
-    from .model import normalize_name
-
-    return normalize_name(name)
 
 
 def synthesize(n_devices: int, seed: int = 0) -> SystemConfig:

@@ -14,6 +14,7 @@ substitutions as the copies for any argument string.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import re
 from collections import Counter
@@ -473,10 +474,34 @@ def test_library_is_compiled_once_per_distinct_rule_list(store):
         assert _fired_set(got) == oracles.fired_library_instances(rules_, facts, ground, {})[0]
 
 
+def test_compiled_library_is_whole_and_fixed(store):
+    rules._compile.cache_clear()
+    library = rules._compile(rules.static_library())
+    fixed = ("seeds", "keyed", "scanned", "filled")
+    before = copy.deepcopy({name: getattr(library, name) for name in fixed})
+    bound = {name: id(value) for name, value in vars(library).items()}
+
+    for name in ("system37", "fig2"):
+        result = analyze(load_fixture_config(name), store)
+    saturate(result.compiled.program)
+    body_preds = {atom.pred for rule in rules.static_library() for atom in rule.body}
+    assert "unread" not in body_preds
+    ground = [HornRule(Atom("unread", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
+    facts = [Atom("attackerOnInternet")]
+    assert rules.ground_static_rules(rules.static_library(), facts, {}, ground) == []
+
+    assert rules._compile(rules.static_library()) is library
+    assert {name: getattr(library, name) for name in fixed} == before
+    assert {name: id(value) for name, value in vars(library).items()} == bound
+    assert library.seeds.keys() == body_preds
+    assert all(library.seeds.values())
+
+
 def test_seeds_compiled_by_a_later_call_are_indexed():
     # Only a seed of attackerInNetwork looks inNetwork up by its network. The
-    # first call derives no such atom; the second compiles that seed before
-    # it indexes the facts, so the lookup finds them.
+    # first call derives no such atom; the second derives one, and the facts
+    # are indexed at that position because every seed is compiled with the
+    # library, so the lookup finds them.
     library = [
         HornRule(
             Atom("reached", ("D",)),

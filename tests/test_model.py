@@ -237,4 +237,4 @@ def test_apps_parsed():
 def test_device_catalog_is_complete():
     for key, info in DEVICE_TYPES.items():
         assert info.predicate[0].islower()
-        assert info.sensor or info.actuator or key in ("router", "gateway")
+        assert info.events or info.settable or key in ("router", "gateway")
