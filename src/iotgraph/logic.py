@@ -271,12 +271,7 @@ def parse_atom(text: str) -> Atom:
 
 @dataclass(frozen=True)
 class LogicProgram:
-    """A set of ground facts plus rules, ready for saturation."""
+    """Ground facts plus rules; ``rules.saturate`` checks that the facts are ground."""
 
     facts: tuple[Atom, ...]
     rules: tuple[HornRule, ...]
-
-    def __post_init__(self) -> None:
-        for fact in self.facts:
-            if not fact.is_ground():
-                raise LogicError(f"fact is not ground: {fact.render()}")

@@ -14,7 +14,7 @@ import json
 import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from .logic import Atom, LogicError, parse_atom
 
@@ -46,91 +46,6 @@ EVENT_ATOMS: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
-@dataclass(frozen=True)
-class DeviceTypeInfo:
-    """The voice role and rule-relevant vocabulary of one device type."""
-
-    name: str
-    predicate: str
-    voice_emitter: bool = False
-    senses: frozenset[str] = frozenset()
-    # (channel, level) pairs this type drives when switched on.
-    affect_states: tuple[tuple[str, str], ...] = ()
-    # Sensor event keys (see EVENT_ATOMS) this type reports and an attacker
-    # with event access can spoof.
-    events: tuple[str, ...] = ()
-    # States an attacker with command injection can set.
-    settable: tuple[str, ...] = ()
-
-
-def _t(name: str, predicate: str, **kw: Any) -> DeviceTypeInfo:
-    return DeviceTypeInfo(name, predicate, **kw)
-
-
-_ON_OFF = ("on", "off")
-
-DEVICE_TYPES: dict[str, DeviceTypeInfo] = {
-    t.name: t
-    for t in (
-        _t("router", "router"),
-        _t("gateway", "gateway"),
-        _t("camera", "camera", voice_emitter=True, settable=_ON_OFF),
-        _t("speaker", "speaker", voice_emitter=True, settable=_ON_OFF),
-        _t("bulb", "bulb", affect_states=(("illuminance", "high"),), settable=_ON_OFF),
-        _t("outlet", "outlet", settable=_ON_OFF),
-        _t("lock", "lock", settable=("unlock", "locked")),
-        _t("door-opener", "doorOpener", settable=("open",)),
-        _t("oven", "oven", affect_states=(("smoke", "present"),), settable=_ON_OFF),
-        _t("heater", "heater", affect_states=(("temperature", "high"),), settable=_ON_OFF),
-        _t("ac", "ac", affect_states=(("temperature", "low"),), settable=_ON_OFF),
-        _t("humidifier", "humidifier", affect_states=(("humidity", "high"),), settable=_ON_OFF),
-        _t("window-opener", "windowOpener", settable=("open",)),
-        _t("valve", "valve", settable=_ON_OFF),
-        _t("sprinkler", "sprinkler", affect_states=(("water", "present"),), settable=_ON_OFF),
-        _t("stove", "stove", affect_states=(("smoke", "present"),), settable=_ON_OFF),
-        _t("motion-sensor", "motionSensor", events=("motion",)),
-        _t("contact-sensor", "contactSensor", events=("open",)),
-        _t(
-            "temperature-sensor",
-            "temperatureSensor",
-            senses=frozenset({"temperature"}),
-            events=("high temperature", "low temperature"),
-        ),
-        _t(
-            "humidity-sensor",
-            "humiditySensor",
-            senses=frozenset({"humidity"}),
-            events=("high humidity", "low humidity"),
-        ),
-        _t(
-            "light-sensor",
-            "lightSensor",
-            senses=frozenset({"illuminance"}),
-            events=("high illuminance", "low illuminance"),
-        ),
-        _t("smoke-detector", "smokeDetector", senses=frozenset({"smoke"}), events=("smoke",)),
-        _t("water-leak-sensor", "waterLeakSensor", senses=frozenset({"water"}), events=("water",)),
-        _t("tv", "tv", voice_emitter=True, settable=_ON_OFF),
-        _t("doorbell", "doorbell", events=("ring",)),
-        _t(
-            "thermostat",
-            "thermostat",
-            senses=frozenset({"temperature"}),
-            events=("high temperature", "low temperature"),
-            settable=_ON_OFF,
-        ),
-    )
-}
-
-assert len(DEVICE_TYPES) == 26
-
-# Opener types whose "open" state is gated by an optional lock wiring.
-OPENER_TYPES = frozenset({"door-opener", "window-opener"})
-
-# Device wiring key -> the device type its target must have.
-_WIRING = {"plugs_into": "outlet", "locked_by": "lock", "supplied_by": "valve"}
-
-
 _TOKEN = re.compile(r"[A-Za-z0-9]+")
 
 
@@ -150,6 +65,87 @@ def normalize_name(name: str) -> str:
     if ident[0].isdigit():
         raise ConfigError(f"name {name!r} normalizes to {ident!r}, which starts with a digit")
     return ident
+
+
+@dataclass(frozen=True)
+class DeviceTypeInfo:
+    """The voice role and rule-relevant vocabulary of one device type."""
+
+    name: str
+    voice_emitter: bool = False
+    senses: frozenset[str] = frozenset()
+    # (channel, level) pairs this type drives when switched on.
+    affect_states: tuple[tuple[str, str], ...] = ()
+    # Sensor event keys (see EVENT_ATOMS) this type reports and an attacker
+    # with event access can spoof.
+    events: tuple[str, ...] = ()
+    # States an attacker with command injection can set.
+    settable: tuple[str, ...] = ()
+    # The type's logic name, set once here: device_fact_block reads it per device.
+    predicate: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "predicate", normalize_name(self.name))
+
+
+_ON_OFF = ("on", "off")
+
+DEVICE_TYPES: dict[str, DeviceTypeInfo] = {
+    t.name: t
+    for t in (
+        DeviceTypeInfo("router"),
+        DeviceTypeInfo("gateway"),
+        DeviceTypeInfo("camera", voice_emitter=True, settable=_ON_OFF),
+        DeviceTypeInfo("speaker", voice_emitter=True, settable=_ON_OFF),
+        DeviceTypeInfo("bulb", affect_states=(("illuminance", "high"),), settable=_ON_OFF),
+        DeviceTypeInfo("outlet", settable=_ON_OFF),
+        DeviceTypeInfo("lock", settable=("unlock", "locked")),
+        DeviceTypeInfo("door-opener", settable=("open",)),
+        DeviceTypeInfo("oven", affect_states=(("smoke", "present"),), settable=_ON_OFF),
+        DeviceTypeInfo("heater", affect_states=(("temperature", "high"),), settable=_ON_OFF),
+        DeviceTypeInfo("ac", affect_states=(("temperature", "low"),), settable=_ON_OFF),
+        DeviceTypeInfo("humidifier", affect_states=(("humidity", "high"),), settable=_ON_OFF),
+        DeviceTypeInfo("window-opener", settable=("open",)),
+        DeviceTypeInfo("valve", settable=_ON_OFF),
+        DeviceTypeInfo("sprinkler", affect_states=(("water", "present"),), settable=_ON_OFF),
+        DeviceTypeInfo("stove", affect_states=(("smoke", "present"),), settable=_ON_OFF),
+        DeviceTypeInfo("motion-sensor", events=("motion",)),
+        DeviceTypeInfo("contact-sensor", events=("open",)),
+        DeviceTypeInfo(
+            "temperature-sensor",
+            senses=frozenset({"temperature"}),
+            events=("high temperature", "low temperature"),
+        ),
+        DeviceTypeInfo(
+            "humidity-sensor",
+            senses=frozenset({"humidity"}),
+            events=("high humidity", "low humidity"),
+        ),
+        DeviceTypeInfo(
+            "light-sensor",
+            senses=frozenset({"illuminance"}),
+            events=("high illuminance", "low illuminance"),
+        ),
+        DeviceTypeInfo("smoke-detector", senses=frozenset({"smoke"}), events=("smoke",)),
+        DeviceTypeInfo("water-leak-sensor", senses=frozenset({"water"}), events=("water",)),
+        DeviceTypeInfo("tv", voice_emitter=True, settable=_ON_OFF),
+        DeviceTypeInfo("doorbell", events=("ring",)),
+        DeviceTypeInfo(
+            "thermostat",
+            senses=frozenset({"temperature"}),
+            events=("high temperature", "low temperature"),
+            settable=_ON_OFF,
+        ),
+    )
+}
+
+assert len(DEVICE_TYPES) == 26
+
+# Opener types whose "open" state is gated by an optional lock wiring.
+OPENER_TYPES = frozenset({"door-opener", "window-opener"})
+
+# Device wiring key -> the device type its target must have.
+_WIRING = {"plugs_into": "outlet", "locked_by": "lock", "supplied_by": "valve"}
 
 
 @dataclass(frozen=True)

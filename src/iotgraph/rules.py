@@ -5,9 +5,11 @@ exploit rules instantiated from classified CVEs and app rules, both ground,
 and the static rule libraries (attacker privilege propagation, physical
 dependencies, attacker capabilities over actuators/sensors/voice), which are
 written with variables. ``ground_static_rules`` evaluates the library
-semi-naively over the facts and the ground rules and builds only the library
-instances whose bodies hold; the compiled program is the ground rules plus
-those instances. The same loop is the program's one saturation: it records
+semi-naively over the facts and the ground rules, in one loop that processes
+each atom, fact or derived, once, and builds only the library instances
+whose bodies hold; the compiled program is the ground rules plus those
+instances. Each seed, a body atom the loop matches first, joins the rest of
+its body bound-first, so the work grows with the home. The same loop is the program's one saturation: it records
 every firing and derived atom, so ``compile_system`` hands the analysis the
 least model the attack graph is sliced from. The library is built and
 compiled once per process, whole: no evaluation changes its compiled form.
@@ -22,7 +24,7 @@ re-analysis without some facts.
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import count, product
 
@@ -295,77 +297,78 @@ def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
 class _Library:
     """A rule list compiled for evaluation, once per distinct list (``_compile``).
 
-    ``plans`` gives each rule its join plan, its pools' names and fill
-    templates for its head and body, over slots: the join's variables in
-    the order it binds them, then the pooled ones, sorted. ``seeds`` gives
-    each predicate of a body its seeds, the body atoms of that predicate
-    matched first: grouped by pattern, so an atom is bound once per
-    pattern, then by guard, so a binding tests each guard once; their
-    places in rule order order the seeds that pass. ``filled`` holds the
-    predicates of the fills. Known atoms are indexed only where a join or
-    a seed looks them up: at the ``keyed`` positions, and whole for
-    ``scanned`` predicates. Nothing here changes after construction.
+    ``seeds`` gives each predicate of a body its seeds, one per body atom
+    of that predicate, each the rule joined from that atom (``_seed``):
+    grouped by pattern, so an atom is bound once per pattern, then by guard,
+    so a binding tests each guard once; their places in rule order order
+    the seeds that pass. ``pools`` holds the seeds' distinct pool names and
+    ``filled`` the predicates of their fills. Known atoms are indexed only
+    where a seed's join looks them up: at the ``keyed`` positions, and
+    whole for ``scanned`` predicates. Nothing here changes after
+    construction.
     """
 
     def __init__(self, rules: tuple[HornRule, ...]) -> None:
-        self.rules, self.plans = rules, []
         self.keyed: dict[str, tuple[int, ...]] = {}
         self.scanned: set[str] = set()
         patterns: dict[str, dict[tuple, dict]] = {}
+        pools: dict[tuple[str, ...], None] = {}
         places = count()
-        for index, rule in enumerate(rules):
-            slots: dict[str, int] = {}
-            joins = tuple([_join_plan(atom, slots) for atom in rule.body])
-            fallback, pools = dict(rule.var_domains), []
-            for var in sorted(rule.variables() - slots.keys()):
-                if var not in fallback:
-                    raise LogicError(
-                        f"rule {rule.label!r}: variable {var} has neither a fact "
-                        f"binding nor a fallback domain"
-                    )
-                slots[var] = len(slots)
-                pools.append(fallback[var])
-            fills = tuple([(a.pred, args_template(a.args, slots)) for a in (rule.head, *rule.body)])
-            self.plans.append((joins, tuple(pools), fills))
-            self._reads(joins)
+        for rule in rules:
             for pos, atom in enumerate(rule.body):
-                pattern, guard, rest, order = self._seed(index, pos)
-                self._reads(rest)
-                seed = (next(places), index, rest, order)
+                pattern, guard, seed = self._seed(rule, pos, next(places))
                 by_guard = patterns.setdefault(atom.pred, {}).setdefault(pattern, {})
                 by_guard.setdefault(guard, []).append(seed)
+                pools[seed[2]] = None
         self.seeds = {
             pred: [(*p, [*guards.items()]) for p, guards in by_pattern.items()]
             for pred, by_pattern in patterns.items()
         }
-        self.filled = tuple(dict.fromkeys(pred for plan in self.plans for pred, _ in plan[2]))
+        self.pools = tuple(pools)
+        self.filled = tuple(dict.fromkeys(a.pred for r in rules for a in (r.head, *r.body)))
 
-    def _reads(self, joins: tuple) -> None:
-        """Index known atoms where ``joins`` look them up."""
+    def _seed(self, rule: HornRule, seed: int, place: int) -> tuple:
+        """``rule`` joined from body atom ``seed``, then the rest bound-first.
 
+        Next in the join comes the first remaining body atom with a constant
+        or an already-bound variable, else the first remaining one, so the
+        join looks atoms up by a known value wherever the body allows. The
+        seed's slots are its join's variables in the order it binds them,
+        then the pooled ones, sorted. Gives the seed's pattern (arity, new
+        slots, checks); its guard, the key of the first lookup after it,
+        where most library seeds fail (on the device's type); and the seed:
+        its place, the rest of its join, the rule's pools, fill templates
+        for the rule's head and body over the seed's slots, and the label.
+        Registers the join's lookups in ``keyed`` and ``scanned``.
+        """
+
+        slots: dict[str, int] = {}
+        _, arity, new, checks, _ = _join_plan(rule.body[seed], slots)
+        rest = [atom for i, atom in enumerate(rule.body) if i != seed]
+        joins = []
+        while rest:
+            atom = next(
+                (a for a in rest if any(not is_variable(x) or x in slots for x in a.args)), rest[0]
+            )
+            rest.remove(atom)
+            joins.append(_join_plan(atom, slots))
         for pred, _, _, _, lookup in joins:
             if lookup is None:
                 self.scanned.add(pred)
             elif lookup[0] not in self.keyed.get(pred, ()):
                 self.keyed[pred] = (*self.keyed.get(pred, ()), lookup[0])
-
-    def _seed(self, index: int, seed: int) -> tuple:
-        """Rule ``index`` joined from body atom ``seed``, then the rest in body order.
-
-        Gives the seed's pattern (arity, new slots, checks); its guard, the
-        key of the first lookup after it, where most library seeds fail (on
-        the device's type); the rest of the join; and the order back to the
-        rule's slots (None if already in it).
-        """
-
-        body, seeded = self.rules[index].body, {}
-        _, arity, new, checks, _ = _join_plan(body[seed], seeded)
-        rest = tuple([_join_plan(atom, seeded) for i, atom in enumerate(body) if i != seed])
-        guard = (rest[0][0], *rest[0][4]) if rest and rest[0][4] is not None else None
-        # The rule's own slots number its body variables in order of first use.
-        used = dict.fromkeys(arg for atom in body for arg in atom.args)
-        order = [seeded[arg] for arg in used if arg in seeded]
-        return (arity, new, checks), guard, rest, None if order == sorted(order) else tuple(order)
+        fallback, pools = dict(rule.var_domains), []
+        for var in sorted(rule.variables() - slots.keys()):
+            if var not in fallback:
+                raise LogicError(
+                    f"rule {rule.label!r}: variable {var} has neither a fact "
+                    f"binding nor a fallback domain"
+                )
+            slots[var] = len(slots)
+            pools.append(fallback[var])
+        fills = tuple([(a.pred, args_template(a.args, slots)) for a in (rule.head, *rule.body)])
+        guard = (joins[0][0], *joins[0][4]) if joins and joins[0][4] is not None else None
+        return (arity, new, checks), guard, (place, tuple(joins), tuple(pools), fills, rule.label)
 
 
 _compile = functools.lru_cache(maxsize=8)(_Library)
@@ -407,27 +410,29 @@ def ground_static_rules(
 ) -> list[HornRule]:
     """The instances of the library ``rules`` that fire, by semi-naive evaluation.
 
-    Each rule's body is joined once over the facts. After that, each atom
-    that becomes known seeds the body atoms with its predicate: the rest of
-    the body joins against the known atoms, and each binding fills the
-    rule's templates into an instance whose body holds, so its head becomes
-    known in turn. The rules of ``ground`` (exploit and app rules) count
-    down their body atoms not yet known and make their head known at zero.
-    Each ``(head, body)`` is built once, by the first rule in ``rules``
-    order that gives it.
+    One loop processes each atom once: the facts in order, then each atom
+    that becomes known. Processing an atom indexes it, counts down the rules
+    of ``ground`` (exploit and app rules) that wait for it, and seeds the
+    body atoms with its predicate: the rest of the body joins against the
+    atoms processed so far, and each binding fills the rule's templates into
+    an instance whose body holds, so its head becomes known in turn. Each
+    ground rule counts its distinct body atoms and makes its head known when
+    the count reaches zero. An instance is built when its last body atom is
+    processed, and the seeds that pass run in ``rules`` order, so each
+    ``(head, body)`` is built once, by the first rule that gives it.
 
     ``rules`` is compiled whole once per distinct list (``_Library``), the
     seeds of every body predicate included, and no call changes it; pools
-    are read from ``domains`` on each call. A derived atom whose predicate
-    no body uses seeds nothing. Atoms are interned in ``atoms``
-    (predicate, then arguments); a caller that passes it passes ``facts``
-    and the atoms of ``ground`` interned in it.
+    are read from ``domains`` on each call. An atom whose predicate no body
+    uses seeds nothing. Atoms are interned in ``atoms`` (predicate, then
+    arguments); a caller that passes it passes ``facts`` and the atoms of
+    ``ground`` interned in it.
 
     The evaluation is the saturation of the facts, ``ground`` and the
     returned instances. When ``saturation`` is given, an empty
     ``SaturationResult``, it is filled with that least model: each ground
-    rule fires when its count starts at or reaches zero, each instance when
-    it is first built, and every atom queued is derived.
+    rule fires when its count reaches zero, each instance when it is first
+    built, and every atom that becomes known and is not a fact is derived.
     """
 
     library = _compile(tuple(rules))
@@ -436,56 +441,46 @@ def ground_static_rules(
         facts = [intern(atoms, fact) for fact in facts]
     if saturation is None:
         saturation = SaturationResult()
-    known, queued, fire = saturation.known, saturation.derived, saturation.fire
+    known, derived, fire = saturation.known, saturation.derived, saturation.fire
     keyed, scanned, dispatch = library.keyed, library.scanned, library.seeds
     by_pred: dict[str, list[Atom]] = {}
     by_position: dict[tuple, list[Atom]] = {}
-
-    def learn(atom: Atom) -> None:
-        known.add(atom)
-        pred, args = atom.pred, atom.args
-        if pred in scanned:
-            by_pred.setdefault(pred, []).append(atom)
-        for pos in keyed.get(pred, ()):
-            if pos < len(args):
-                by_position.setdefault((pred, pos, args[pos]), []).append(atom)
-
-    for fact in facts:
-        if fact not in known:
-            learn(fact)
-
+    # Known from the start, so that no fact is derived.
+    known.update(facts)
     queue: list[Atom] = []
 
     def derive(head: Atom) -> None:
-        if head not in known and head not in queued:
-            queued.add(head)
+        if head not in known:
+            known.add(head)
+            derived.add(head)
             queue.append(head)
+
+    def pending() -> Iterator[Atom]:
+        yield from dict.fromkeys(facts)
+        while queue:
+            yield queue.pop()
 
     counts: list[int] = []
     watchers: dict[Atom, list[int]] = {}
     for i, rule in enumerate(ground):
-        missing = {a for a in rule.body if a not in known}
-        counts.append(len(missing))
-        for a in missing:
+        body = set(rule.body)
+        counts.append(len(body))
+        for a in body:
             watchers.setdefault(a, []).append(i)
-        if not missing:
-            fire(rule)
-            derive(rule.head)
 
-    plans = library.plans
-    # Each rule's pooled values, every combination of them; [()] for most.
-    combos = [list(product(*[domains.get(name, []) for name in plan[1]])) for plan in plans]
+    # Each seed's pooled values, every combination of them; [()] for most.
+    combos = {p: list(product(*[domains.get(name, []) for name in p])) for p in library.pools}
     for pred in library.filled:
         atoms.setdefault(pred, {})
     # Instance atoms, head first, -> the instance.
     instances: dict[tuple[Atom, ...], HornRule] = {}
 
-    def emit(index: int, bindings: list[tuple], order: list[int] | None = None) -> None:
-        fills, label = plans[index][2], library.rules[index].label
-        for b in bindings:
-            if order is not None:
-                b = tuple([b[i] for i in order])
-            for combo in combos[index]:
+    def emit(seed: tuple, b: tuple) -> None:
+        """Join the rest of ``seed`` from its binding ``b`` and build each instance."""
+
+        _, rest, pools, fills, label = seed
+        for b in _extend([b], rest, by_pred, by_position) if rest else (b,):
+            for combo in combos[pools]:
                 values = b + combo
                 key = []
                 for pred, fill in fills:
@@ -501,21 +496,20 @@ def ground_static_rules(
                     fire(rule)
                     derive(key[0])
 
-    for index, plan in enumerate(plans):
-        bindings = _extend([()], plan[0], by_pred, by_position)
-        if bindings:
-            emit(index, bindings)
-
-    while queue:
-        atom = queue.pop()
-        learn(atom)
+    for atom in pending():
+        pred, fa = atom.pred, atom.args
+        if pred in scanned:
+            by_pred.setdefault(pred, []).append(atom)
+        for pos in keyed.get(pred, ()):
+            if pos < len(fa):
+                by_position.setdefault((pred, pos, fa[pos]), []).append(atom)
         for i in watchers.pop(atom, ()):
             counts[i] -= 1
             if not counts[i]:
                 fire(ground[i])
                 derive(ground[i].head)
-        fa, passed = atom.args, []
-        for arity, new, checks, guards in dispatch.get(atom.pred, ()):
+        passed = []
+        for arity, new, checks, guards in dispatch.get(pred, ()):
             if len(fa) != arity:
                 continue
             b = tuple([fa[pos] for pos in new])
@@ -523,23 +517,28 @@ def ground_static_rules(
                 continue
             for guard, seeds in guards:
                 if guard is not None:
-                    pred, pos, want = guard
-                    if (pred, pos, want if want.__class__ is str else b[want]) not in by_position:
+                    gpred, pos, want = guard
+                    if (gpred, pos, want if want.__class__ is str else b[want]) not in by_position:
                         continue
-                passed += [(place, b, index, rest, order) for place, index, rest, order in seeds]
-        # Places are distinct, so the bindings are never compared.
+                passed += [(seed, b) for seed in seeds]
+        # Seeds lead with their places, which are distinct: only places compare.
         passed.sort()
-        for _, b, index, rest, order in passed:
-            bindings = _extend([b], rest, by_pred, by_position) if rest else [b]
-            if bindings:
-                emit(index, bindings, order)
+        for seed, b in passed:
+            emit(seed, b)
 
     return list(instances.values())
 
 
 def saturate(program: LogicProgram) -> SaturationResult:
-    """The least model of a ground program: the evaluator run with no library."""
+    """The least model of a ground program: the evaluator run with no library.
 
+    The one entry point for a program built elsewhere, so the one place its
+    facts are checked ground.
+    """
+
+    for fact in program.facts:
+        if not fact.is_ground():
+            raise LogicError(f"fact is not ground: {fact.render()}")
     result = SaturationResult()
     ground_static_rules([], list(program.facts), {}, program.rules, saturation=result)
     return result

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 import oracles
 from iotgraph import logic, pipeline, rules
+from iotgraph.cvestore import CveStore
 from iotgraph.logic import Atom, HornRule, LogicError, LogicProgram
 from iotgraph.model import parse_config
 from iotgraph.pipeline import analyze, bind_apps, build_models, scan_devices
@@ -33,6 +34,7 @@ from iotgraph.rules import saturate
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
+from perfbench.feed import synth_feed
 
 HOMES = [(name, None) for name in FIXTURE_NAMES] + list(SYNTH_HOMES)
 
@@ -208,6 +210,11 @@ def test_compiled_rules_are_variable_free(home, store, monkeypatch):
     for rule in program.rules:
         assert not oracles.rule_variables(rule), rule.render()
         assert not rule.variables(), rule.render()
+    # Nothing checks the compiled facts: compile_system builds them ground.
+    assert program.facts
+    for fact in program.facts:
+        assert not oracles.atom_variables(fact), fact.render()
+        assert fact.is_ground(), fact.render()
 
 
 @pytest.mark.parametrize("home", HOMES, ids=_home_id)
@@ -444,8 +451,8 @@ def test_unbound_variable_fails_as_before():
     with pytest.raises(LogicError) as old:
         oracles.ground_static_rules([rule], facts, {})
     assert str(new.value) == str(old.value)
-    # The evaluator checks each rule when it compiles its plan, before any
-    # join; the earlier grounder only checked a rule that had a binding.
+    # The evaluator checks each seed of a rule when it compiles it, before
+    # any join; the earlier grounder only checked a rule that had a binding.
     with pytest.raises(LogicError):
         rules.ground_static_rules([rule], [], {})
     assert oracles.ground_static_rules([rule], [], {}) == []
@@ -474,11 +481,30 @@ def test_library_is_compiled_once_per_distinct_rule_list(store):
         assert _fired_set(got) == oracles.fired_library_instances(rules_, facts, ground, {})[0]
 
 
+def _compiled_form(library):
+    """A deep copy of ``library``'s compiled form, with each seed's fill
+    templates by identity: a copied ``itemgetter`` compares unequal to its
+    original."""
+
+    def by_identity(seed):
+        place, rest, pools, fills, label = seed
+        return place, rest, pools, [(pred, id(fill)) for pred, fill in fills], label
+
+    seeds = {
+        pred: [
+            (*pattern, [(guard, [by_identity(seed) for seed in group]) for guard, group in guards])
+            for *pattern, guards in by_pattern
+        ]
+        for pred, by_pattern in library.seeds.items()
+    }
+    fixed = ("keyed", "scanned", "filled", "pools")
+    return copy.deepcopy({"seeds": seeds, **{name: getattr(library, name) for name in fixed}})
+
+
 def test_compiled_library_is_whole_and_fixed(store):
     rules._compile.cache_clear()
     library = rules._compile(rules.static_library())
-    fixed = ("seeds", "keyed", "scanned", "filled")
-    before = copy.deepcopy({name: getattr(library, name) for name in fixed})
+    before = _compiled_form(library)
     bound = {name: id(value) for name, value in vars(library).items()}
 
     for name in ("system37", "fig2"):
@@ -491,7 +517,7 @@ def test_compiled_library_is_whole_and_fixed(store):
     assert rules.ground_static_rules(rules.static_library(), facts, {}, ground) == []
 
     assert rules._compile(rules.static_library()) is library
-    assert {name: getattr(library, name) for name in fixed} == before
+    assert _compiled_form(library) == before
     assert {name: id(value) for name, value in vars(library).items()} == bound
     assert library.seeds.keys() == body_preds
     assert all(library.seeds.values())
@@ -538,6 +564,98 @@ def test_predicate_at_two_arities_joins_on_keyed_positions():
     fired = rules.ground_static_rules(library, facts, {}, ground)
     assert _fired_set(fired) == oracles.fired_library_instances(library, facts, ground, {})[0]
     assert sorted(r.head.render() for r in fired) == ["back(b)", "back(c)", "hop(a)", "hop(b)"]
+
+
+@pytest.mark.parametrize("library", [rules.static_library(), JOIN_RULES], ids=["static", "join"])
+def test_seeded_joins_look_up_bound_atoms_first(library):
+    """No seed scans a predicate whole while an atom left in its join has a
+    constant or an already-bound variable to look it up by."""
+
+    compiled = rules._Library(tuple(library))
+    scans = 0
+    for by_pattern in compiled.seeds.values():
+        for _, new, _, guards in by_pattern:
+            for seed in (seed for _, group in guards for seed in group):
+                rest, bound = seed[1], len(new)
+                for k, (_, _, binds, _, lookup) in enumerate(rest):
+                    if lookup is None:
+                        scans += 1
+                        # Slots are numbered in the order the join binds them.
+                        for pred, _, _, checks, _ in rest[k:]:
+                            assert not any(isinstance(c, str) or c < bound for _, c in checks), (
+                                seed[-1], pred
+                            )
+                    bound += len(binds)
+    assert scans
+
+
+def _counting_extend(counts):
+    """``rules._extend``, adding the candidates each join scans to ``counts``.
+
+    Its loop is copied here to count, and its bindings are checked against
+    the real one's.
+    """
+
+    real = rules._extend
+
+    def extend(bindings, joins, by_pred, by_position):
+        want = real(bindings, joins, by_pred, by_position)
+        for pred, arity, new, checks, lookup in joins:
+            extended = []
+            for b in bindings:
+                if lookup is None:
+                    pool = by_pred.get(pred, ())
+                else:
+                    pos, value = lookup
+                    key = value if isinstance(value, str) else b[value]
+                    pool = by_position.get((pred, pos, key), ())
+                counts["candidates"] += len(pool)
+                for f in pool:
+                    fa = f.args
+                    if len(fa) != arity:
+                        continue
+                    nb = b + tuple(fa[pos] for pos in new)
+                    if all(fa[pos] == (c if isinstance(c, str) else nb[c]) for pos, c in checks):
+                        extended.append(nb)
+            bindings = extended
+            if not bindings:
+                break
+        assert bindings == want
+        return want
+
+    return extend
+
+
+@pytest.fixture(scope="module")
+def dense_feed_store(tmp_path_factory):
+    """A store of four synthetic CVEs per catalog product, as ``scripts/run_scaling.py``
+    builds it for ``--cves-per-product 4``."""
+
+    root = tmp_path_factory.mktemp("dense4")
+    feed = root / "feed.json"
+    feed.write_text(synth_feed(4, 1))
+    s = CveStore(root / "store.db")
+    s.ingest_feed(str(feed))
+    yield s
+    s.close()
+
+
+def test_join_candidates_grow_linearly_with_the_home(dense_feed_store, monkeypatch):
+    # The seeded lock(L)/unlock(L) join of the opener rules once scanned every
+    # attackerCommandInjection atom, so doubling the home more than tripled
+    # the candidates.
+    counts = Counter()
+    monkeypatch.setattr(rules, "_extend", _counting_extend(counts))
+    scanned = {}
+    for devices in (320, 640):
+        config = synthesize(devices, seed=1)
+        models = build_models(config, scan_devices(config, dense_feed_store))
+        bound, _ = bind_apps(config)
+        counts.clear()
+        rules.compile_system(config, models, bound)
+        scanned[devices] = counts["candidates"]
+    assert 0 < scanned[320]
+    assert scanned[640] <= 2.2 * scanned[320], scanned
 
 
 identifiers = st.from_regex(r"[a-z][A-Za-z0-9_]{0,6}", fullmatch=True)

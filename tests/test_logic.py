@@ -13,6 +13,7 @@ from iotgraph.logic import (
     render_arg,
     render_fact,
 )
+from iotgraph.rules import saturate
 
 lower_names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,8}", fullmatch=True)
 upper_names = st.from_regex(r"[A-Z][a-zA-Z0-9_]{0,8}", fullmatch=True)
@@ -116,10 +117,11 @@ def test_rule_substitute_and_render():
 
 
 def test_program_rejects_fact_that_is_not_ground():
+    # Saturation checks a program built elsewhere; LogicProgram itself is a record.
     with pytest.raises(LogicError, match="fact is not ground: on"):
-        LogicProgram(facts=(Atom("on", ("D",)),), rules=())
+        saturate(LogicProgram(facts=(Atom("on", ("D",)),), rules=()))
     with pytest.raises(LogicError, match="fact is not ground"):
-        LogicProgram(facts=(Atom("vulProperty", ("CVE-2019-1", "dos(D)")),), rules=())
+        saturate(LogicProgram(facts=(Atom("vulProperty", ("CVE-2019-1", "dos(D)")),), rules=()))
 
 
 def test_render_fact_appends_period():
