@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 from .logic import Atom, HornRule
@@ -60,13 +60,13 @@ class LexiconRole:
     role: str
     side: str
     device_type: str
-    nouns: tuple[tuple[str, ...], ...]
-    verbs: tuple[tuple[str, str], ...]
+    # Each noun alternative as the token set a noun phrase must hold, with
+    # its score: the alternative's length as written.
+    nouns: tuple[tuple[frozenset[str], int], ...]
+    # Verb phrase, lowercase and single-spaced -> event or state.
+    verbs: dict[str, str] = field(hash=False)
     default_event: str | None = None
     voice: bool = False
-
-    def verb_map(self) -> dict[str, str]:
-        return dict(self.verbs)
 
 
 @dataclass(frozen=True)
@@ -85,8 +85,8 @@ def load_lexicon() -> Lexicon:
             role=entry["role"],
             side=entry["side"],
             device_type=entry["type"],
-            nouns=tuple(tuple(alt) for alt in entry["nouns"]),
-            verbs=tuple(entry.get("verbs", {}).items()),
+            nouns=tuple((frozenset(alt), len(alt)) for alt in entry["nouns"]),
+            verbs=dict(entry.get("verbs", {})),
             default_event=entry.get("default_event"),
             voice=entry.get("voice", False),
         )
@@ -206,33 +206,44 @@ class ActionMatch:
     state: str
 
 
-def _score(role: LexiconRole, np_sets: list[set[str]]) -> int:
-    best = 0
-    for alt in role.nouns:
-        need = set(alt)
-        if any(need <= tokens for tokens in np_sets):
-            best = max(best, len(alt))
-    return best
+@dataclass(frozen=True)
+class _SentenceKeys:
+    """What the lexicon matches in one sentence, built once for every role."""
 
+    np_sets: tuple[frozenset[str], ...]
+    # Every noun-phrase token: a noun alternative outside it is in no phrase.
+    np_tokens: frozenset[str]
+    vp_keys: tuple[str, ...]
 
-def _np_token_sets(phrases: PhrasePair) -> list[set[str]]:
-    return [{t.lower() for t in _TOKEN.findall(np)} for np in phrases.nps]
+    @staticmethod
+    def of(phrases: PhrasePair) -> "_SentenceKeys":
+        np_sets = tuple(frozenset(t.lower() for t in _TOKEN.findall(np)) for np in phrases.nps)
+        vp_keys = tuple(" ".join(_TOKEN.findall(vp)).lower() for vp in phrases.vps)
+        return _SentenceKeys(np_sets, frozenset().union(*np_sets), vp_keys)
 
+    def score(self, role: LexiconRole) -> int:
+        """The longest of the role's noun alternatives one noun phrase holds; 0 if none."""
 
-def _resolve_verb(role: LexiconRole, phrases: PhrasePair) -> str | None:
-    table = role.verb_map()
-    for vp in phrases.vps:
-        key = " ".join(_TOKEN.findall(vp)).lower()
-        if key in table:
-            return table[key]
-    return None
+        best = 0
+        for need, n in role.nouns:
+            if n > best and need <= self.np_tokens and any(need <= s for s in self.np_sets):
+                best = n
+        return best
+
+    def verb(self, role: LexiconRole) -> str | None:
+        """The role's meaning of the first verb phrase it knows, if any."""
+
+        for key in self.vp_keys:
+            if key in role.verbs:
+                return role.verbs[key]
+        return None
 
 
 def match_trigger(sentence: str, phrases: PhrasePair) -> TriggerMatch:
-    np_sets = _np_token_sets(phrases)
+    keys = _SentenceKeys.of(phrases)
     best: tuple[int, LexiconRole] | None = None
     for role in load_lexicon().triggers:
-        score = _score(role, np_sets)
+        score = keys.score(role)
         if score > 0 and (best is None or score > best[0]):
             best = (score, role)
     if best is None:
@@ -248,20 +259,20 @@ def match_trigger(sentence: str, phrases: PhrasePair) -> TriggerMatch:
         except ConfigError as exc:
             raise AppParseError(f"voice trigger {sentence!r}: {exc}") from None
         return TriggerMatch(role.role, role.device_type, "hears", command, command_id)
-    event = _resolve_verb(role, phrases) or role.default_event
+    event = keys.verb(role) or role.default_event
     if event is None:
         raise AppParseError(f"cannot resolve the event for {role.role!r} in: {sentence!r}")
     return TriggerMatch(role.role, role.device_type, event)
 
 
 def match_action(sentence: str, phrases: PhrasePair) -> ActionMatch:
-    np_sets = _np_token_sets(phrases)
+    keys = _SentenceKeys.of(phrases)
     best: tuple[int, LexiconRole, str] | None = None
     for role in load_lexicon().actions:
-        state = _resolve_verb(role, phrases)
+        state = keys.verb(role)
         if state is None:
             continue
-        score = _score(role, np_sets)
+        score = keys.score(role)
         if score > 0 and (best is None or score > best[0]):
             best = (score, role, state)
     if best is None:

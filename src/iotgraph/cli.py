@@ -115,8 +115,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     with _open_store(args) as store:
-        for name in args.names:
-            records = store.search(name)
+        for name, records in zip(args.names, store.search_names(args.names)):
             print(f"{name}: {len(records)} match(es)")
             for r in records:
                 print(f"  {r.cve_id} [{r.attack_vector}] {r.description[:90]}")

@@ -21,7 +21,7 @@ import logging
 import re
 import sqlite3
 import zlib
-from collections.abc import Callable, Collection
+from collections.abc import Callable, Collection, Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -221,19 +221,48 @@ class CveStore:
         record mentioning "locks" does not match the keyword "lock".
         """
 
-        keywords = query_tokens(device_name)
-        if not keywords:
-            log.warning("device name %r has no searchable keywords", device_name)
-            return []
-        marks = ",".join("?" for _ in keywords)
+        return list(self.search_names([device_name])[0])
+
+    def search_names(self, device_names: Sequence[str]) -> list[tuple[CveRecord, ...]]:
+        """The records of each name, as ``search`` finds them, in one round trip.
+
+        Each name is tokenized once, and a name with no keywords warns and
+        finds nothing. Two statements serve every other name: one reads the
+        token postings of all the keywords, and after the intersection per
+        distinct keyword set, one reads the records of all the hits. Each
+        record is built once, and names with the same keywords share one
+        tuple. Both lists pass as one JSON parameter, so no home is too
+        large for SQLite's limit on bound variables.
+        """
+
+        keyword_sets = []
+        for name in device_names:
+            keywords = frozenset(query_tokens(name))
+            if not keywords:
+                log.warning("device name %r has no searchable keywords", name)
+            keyword_sets.append(keywords)
+        distinct = set(keyword_sets) - {frozenset()}
+        if not distinct:
+            return [()] * len(keyword_sets)
+        postings: dict[str, set[str]] = {}
+        for token, cve_id in self._conn.execute(
+            "SELECT token, cve_id FROM tokens WHERE token IN (SELECT value FROM json_each(?))",
+            (json.dumps(sorted(frozenset().union(*distinct))),),
+        ):
+            postings.setdefault(token, set()).add(cve_id)
+        hits = {
+            keywords: set.intersection(*(postings.get(token, set()) for token in keywords))
+            for keywords in distinct
+        }
+        wanted = sorted(set().union(*hits.values()))
         rows = self._conn.execute(
-            f"SELECT {_COLUMNS} FROM records WHERE cve_id IN ("
-            f"  SELECT cve_id FROM tokens WHERE token IN ({marks})"
-            f"  GROUP BY cve_id HAVING COUNT(DISTINCT token) = ?"
-            f") ORDER BY cve_id",
-            (*keywords, len(keywords)),
-        ).fetchall()
-        return [CveRecord(*row) for row in rows]
+            f"SELECT {_COLUMNS} FROM records WHERE cve_id IN (SELECT value FROM json_each(?))",
+            (json.dumps(wanted),),
+        )
+        records = {row[0]: CveRecord(*row) for row in rows}
+        found = {keywords: tuple(records[i] for i in sorted(ids)) for keywords, ids in hits.items()}
+        found[frozenset()] = ()
+        return [found[keywords] for keywords in keyword_sets]
 
     def ingest_feed(self, feed_path: str | Path) -> tuple[int, int]:
         """Load an NVD 1.1 JSON feed. Returns (ingested, skipped) counts.

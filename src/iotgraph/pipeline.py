@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .apps import AppBindError, AppParseError, BoundApp, bind_app, parse_app_description
-from .cvestore import CveRecord, CveStore, query_tokens
+from .cvestore import CveRecord, CveStore
 from .exploits import (
     ExploitModel,
     classify_effect,
@@ -69,23 +69,20 @@ class AnalysisResult:
 
 
 def scan_devices(config: SystemConfig, store: CveStore) -> list[DeviceFinding]:
-    """Look every device name up in the CVE store.
+    """Look every device name up in the CVE store, in one round trip.
 
-    A search depends only on the name's keywords, so each distinct keyword
-    tuple is searched once per call and its devices share the records. A
-    name with no keywords is passed to the store on its own, which warns
-    once per such device.
+    A search depends only on the set of the name's keywords, so the store
+    searches each distinct set once per call, and devices with the same
+    keywords share its records (``CveStore.search_names``). A name with no
+    keywords finds nothing and warns once per such device.
     """
 
-    searched: dict[tuple[str, ...], tuple[CveRecord, ...]] = {}
-    findings = []
-    for d in config.devices:
-        keywords = tuple(query_tokens(d.name))
-        if not keywords or keywords not in searched:
-            searched[keywords] = tuple(store.search(d.name))
-        if searched[keywords]:
-            findings.append(DeviceFinding(device=d.atom, records=searched[keywords]))
-    return findings
+    found = store.search_names([d.name for d in config.devices])
+    return [
+        DeviceFinding(device=d.atom, records=records)
+        for d, records in zip(config.devices, found)
+        if records
+    ]
 
 
 def build_models(
@@ -96,29 +93,35 @@ def build_models(
     """Exploit models for every CVE found on a device, in finding order.
 
     ``overrides`` is an overrides document (see ``parse_overrides``); a
-    malformed one raises ``ConfigError``. A CVE's kinds depend only on its
-    record, the protocols of the device's networks and its override, so
-    each (record, protocols) pair is classified once per call, and a
-    classifier runs only for a kind the override leaves open.
+    malformed one raises ``ConfigError``. A CVE's precondition depends only
+    on its record, the protocols of the device's networks and its override,
+    and its effect only on the record and the override, so each (record,
+    protocols) pair is classified for its precondition once per call, each
+    record for its effect once, and a classifier runs only for a kind the
+    override leaves open.
     """
 
     networks = config.network_index()
     devices = config.device_index()
     chosen = parse_overrides(overrides) if overrides is not None else {}
-    kinds: dict[tuple[CveRecord, tuple[str, ...]], tuple[str, str]] = {}
+    preconditions: dict[tuple[CveRecord, tuple[str, ...]], str] = {}
+    effects: dict[CveRecord, str] = {}
     out: list[ExploitModel] = []
     for finding in findings:
         device = devices[finding.device]
         protocols = tuple(networks[n].protocol for n in device.networks)
         for record in finding.records:
-            key = (record, protocols)
-            if key not in kinds:
-                pre, effect = chosen.get(record.cve_id, (None, None))
-                kinds[key] = (
-                    pre or classify_precondition(record, protocols),
-                    effect or classify_effect(record),
-                )
-            out.extend(models_for(device, record, networks, kinds[key]))
+            pre, effect = chosen.get(record.cve_id, (None, None))
+            if pre is None:
+                key = (record, protocols)
+                if key not in preconditions:
+                    preconditions[key] = classify_precondition(record, protocols)
+                pre = preconditions[key]
+            if effect is None:
+                if record not in effects:
+                    effects[record] = classify_effect(record)
+                effect = effects[record]
+            out.extend(models_for(device, record, networks, (pre, effect)))
     found = {record.cve_id for finding in findings for record in finding.records}
     for cve_id in sorted(chosen.keys() - found):
         log.warning("override for %s matches no CVE found on a device; ignored", cve_id)

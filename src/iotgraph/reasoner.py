@@ -282,15 +282,12 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
     derived_atoms = sorted((a for a in needed_atoms if a in derived), key=_atom_key)
     primitive_atoms = sorted((a for a in needed_atoms if a not in derived), key=_atom_key)
 
-    firing_order = sorted(
-        needed_firings,
-        key=lambda fid: (
-            result.fired[fid].label,
-            result.fired[fid].head.render(),
-            tuple(a.render() for a in result.fired[fid].body),
-            fid,
-        ),
-    )
+    keyed = []
+    for fid in needed_firings:
+        rule = result.fired[fid]
+        keyed.append((rule.label, rule.head.render(), tuple([a.render() for a in rule.body]), fid))
+    keyed.sort()
+    fired = [result.fired[key[-1]] for key in keyed]
 
     nodes: list[Node] = []
     parents: dict[int, tuple[int, ...]] = {}
@@ -303,27 +300,15 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
 
     for atom in primitive_atoms:
         atom_node[atom] = add(FACT, render_fact(atom), atom=atom)
-    firing_node: dict[int, int] = {}
-    for fid in firing_order:
-        rule = result.fired[fid]
-        text = rule.label or rule.head.render()
-        firing_node[fid] = add(RULE, text, rule=rule)
+    firing_nodes = [add(RULE, rule.label or rule.head.render(), rule=rule) for rule in fired]
     for atom in derived_atoms:
         atom_node[atom] = add(DERIVATION, atom.render(), atom=atom)
 
-    for fid in firing_order:
-        rule = result.fired[fid]
-        body_parents = []
-        for body_atom in rule.body:
-            pid = atom_node[body_atom]
-            if pid not in body_parents:
-                body_parents.append(pid)
-        parents[firing_node[fid]] = tuple(body_parents)
     derivation_parents: dict[int, list[int]] = {}
-    for fid in firing_order:
-        rule = result.fired[fid]
-        derivation_parents.setdefault(atom_node[rule.head], []).append(firing_node[fid])
-    # Firing nodes are numbered in ``firing_order``, so each list ascends.
+    for node_id, rule in zip(firing_nodes, fired):
+        parents[node_id] = tuple(dict.fromkeys(atom_node[a] for a in rule.body))
+        derivation_parents.setdefault(atom_node[rule.head], []).append(node_id)
+    # Firing nodes are numbered in sorted order, so each list ascends.
     for nid, ps in derivation_parents.items():
         parents[nid] = tuple(ps)
 

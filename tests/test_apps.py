@@ -1,18 +1,27 @@
 from __future__ import annotations
 
+import json
+import re
+from importlib import resources
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from iotgraph.apps import (
+    _TOKEN,
     AppBindError,
     AppParseError,
     bind_app,
+    extract_phrases,
     parse_app_description,
     split_clauses,
     split_conjuncts,
 )
 from iotgraph.model import AppSpec, parse_config
+from iotgraph.synth import APP_BUNDLES, synth_document
+
+from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
 
 HALL_LIGHT = "Turn on the hall light if someone comes home and the door opens."
 
@@ -240,3 +249,97 @@ def test_bind_voice_app_collects_commands(hall_config):
     assert bound.voice_commands == ("preheatTheOven",)
     assert bound.rules[0].head.render() == "on(smartOven)"
     assert "speakerHears(preheatTheOven)" in [a.render() for a in bound.rules[0].body]
+
+
+# The matcher as it was before the lexicon and each sentence were keyed once:
+# every role re-tokenizes the verb phrases and rebuilds its noun sets. Kept
+# to check that the keyed matcher gives the same roles, events and states.
+def _reference_score(nouns, np_sets):
+    best = 0
+    for alt in nouns:
+        need = set(alt)
+        if any(need <= tokens for tokens in np_sets):
+            best = max(best, len(alt))
+    return best
+
+
+def _reference_verb(verbs, phrases):
+    for vp in phrases.vps:
+        key = " ".join(_TOKEN.findall(vp)).lower()
+        if key in verbs:
+            return verbs[key]
+    return None
+
+
+def reference_roles():
+    """Each lexicon role as written in ``lexicon.json``, by side."""
+
+    raw = json.loads(resources.files("iotgraph.data").joinpath("lexicon.json").read_text())
+    return {
+        side: [entry for entry in raw["roles"] if entry["side"] == side]
+        for side in ("trigger", "action")
+    }
+
+
+def reference_parse(description):
+    roles = reference_roles()
+    split = split_clauses(description)
+    trigger_conn, trigger_sentences = split_conjuncts(split.conditional)
+    action_conn, action_sentences = split_conjuncts(split.main)
+    triggers, events = [], []
+    for sentence in trigger_sentences:
+        phrases = extract_phrases(sentence)
+        np_sets = [{t.lower() for t in _TOKEN.findall(np)} for np in phrases.nps]
+        best = None
+        for role in roles["trigger"]:
+            score = _reference_score(role["nouns"], np_sets)
+            if score > 0 and (best is None or score > best[0]):
+                best = (score, role)
+        role = best[1]
+        triggers.append(role["role"])
+        if role.get("voice"):
+            m = re.search(r"\bhears?\b", sentence, re.I)
+            events.append(f"hears {sentence[m.end():].strip(' .,').lower()}")
+        else:
+            verb = _reference_verb(role.get("verbs", {}), phrases)
+            events.append(verb or role["default_event"])
+    actions, states = [], []
+    for sentence in action_sentences:
+        phrases = extract_phrases(sentence)
+        np_sets = [{t.lower() for t in _TOKEN.findall(np)} for np in phrases.nps]
+        best = None
+        for role in roles["action"]:
+            state = _reference_verb(role.get("verbs", {}), phrases)
+            if state is None:
+                continue
+            score = _reference_score(role["nouns"], np_sets)
+            if score > 0 and (best is None or score > best[0]):
+                best = (score, role, state)
+        actions.append(best[1]["role"])
+        states.append(best[2])
+    return (trigger_conn, triggers, events, action_conn, actions, states)
+
+
+def app_descriptions():
+    """Every app description of the fixtures and of synthetic homes."""
+
+    descriptions = [app.description for name in FIXTURE_NAMES for app in load_fixture_config(name).apps]
+    descriptions += [description for _, description, _ in APP_BUNDLES]
+    # Ties between roles of equal score, two-word verbs and unknown verbs.
+    descriptions += [
+        HALL_LIGHT,
+        "Open the door when the door opens.",
+        "Turn on the stove oven when the motion door opens.",
+        "Turn off the light and shut off the water valve if the water leak sensor detects a leak.",
+        "Switch on the plug when the light sensor falls or the heat rises.",
+        "Start the air conditioner whenever the humidity sensor exceeds.",
+        "Unlock the front door when the speaker hears unlock the front door.",
+    ]
+    for n, seed in SYNTH_HOMES:
+        descriptions += [app["description"] for app in synth_document(n, seed)["apps"]]
+    return sorted(set(descriptions))
+
+
+@pytest.mark.parametrize("description", app_descriptions())
+def test_keyed_matcher_matches_the_reference_matcher(description):
+    assert parse_app_description(description).as_tuple() == reference_parse(description)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import gzip
 import json
+import logging
 import os
 import pathlib
 import sqlite3
@@ -13,10 +14,11 @@ import pytest
 
 from iotgraph import cli
 from iotgraph.cli import build_parser, main
+from iotgraph.cvestore import CveStore, query_tokens, tokenize
 from iotgraph.model import ConfigError
 from iotgraph.pipeline import analyze
 
-from conftest import FEED_PATH, FIXTURES, load_fixture_config
+from conftest import FEED_PATH, FIXTURE_NAMES, FIXTURES, load_fixture_config
 
 
 def fixture_path(name: str) -> str:
@@ -113,6 +115,36 @@ def test_scan_lists_matches(store_path, capsys):
     assert code == 0
     assert "D-Link Router: 1 match(es)" in out
     assert "CVE-2020-8864 [adjacent]" in out
+
+
+def test_scan_lists_every_name_from_one_store_round_trip(store_path, capsys, caplog, monkeypatch):
+    names = sorted({d.name for f in FIXTURE_NAMES for d in load_fixture_config(f).devices})
+    names += ["Smart White Mini", "Hue Bridge"]
+    with CveStore.open_existing(store_path) as store:
+        records = [(set(tokenize(r.description)), r) for r in store.all_records()]
+    expected = []
+    for name in names:
+        keywords = query_tokens(name)
+        hits = [r for tokens, r in records if keywords and tokens.issuperset(keywords)]
+        expected.append(f"{name}: {len(hits)} match(es)")
+        expected += [f"  {r.cve_id} [{r.attack_vector}] {r.description[:90]}" for r in hits]
+
+    calls = []
+    search_names = CveStore.search_names
+
+    def counted(self, device_names):
+        calls.append(list(device_names))
+        return search_names(self, device_names)
+
+    monkeypatch.setattr(CveStore, "search_names", counted)
+    with caplog.at_level(logging.WARNING):
+        code = main(["scan", "--store", store_path, *names])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == expected
+    assert calls == [names]
+    assert [r.getMessage() for r in caplog.records] == [
+        "device name 'Smart White Mini' has no searchable keywords"
+    ]
 
 
 def test_scan_store_from_environment(store_path, capsys, monkeypatch):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import logging
 import sqlite3
 from dataclasses import astuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iotgraph.cvestore import _SCHEMA, CveStore, StoreError, tokenize
+from iotgraph.cvestore import _SCHEMA, CveStore, StoreError, query_tokens, tokenize
 
 from conftest import FEED_PATH, FIXTURE_NAMES, load_fixture_config
 
@@ -108,6 +111,52 @@ def test_search_drops_marketing_tokens(store):
 
 def test_search_empty_after_stopwords(store):
     assert store.search("Smart Device") == []
+
+
+# Words of the bundled feed's products, noise words that a search drops,
+# and words that no record holds.
+NAME_WORDS = (
+    "hue", "bridge", "d-link", "router", "camera", "smartthings", "hub", "arlo",
+    "august", "echo", "speaker", "Smart", "White", "mini", "2", "device",
+    "zzyzx", "qwerty", "routers",
+)
+
+
+class Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(NAME_WORDS), max_size=4).map(" ".join), max_size=12))
+def test_search_names_matches_every_record_scanned_in_python(store, names):
+    records = [(set(tokenize(r.description)), r) for r in store.all_records()]
+    expected = []
+    for name in names:
+        keywords = query_tokens(name)
+        hits = (r for tokens, r in records if keywords and tokens.issuperset(keywords))
+        expected.append(tuple(sorted(hits, key=lambda r: r.cve_id)))
+    warnings = Warnings()
+    logger = logging.getLogger("iotgraph.cvestore")
+    logger.addHandler(warnings)
+    try:
+        found = store.search_names(names)
+    finally:
+        logger.removeHandler(warnings)
+    assert found == expected
+    assert warnings.messages == [
+        f"device name {name!r} has no searchable keywords" for name in names if not query_tokens(name)
+    ]
+    assert [list(f) for f in found] == [store.search(name) for name in names]
+    # Names with the same keyword set share one tuple, and each record is one object.
+    by_keywords = {}
+    for name, records_found in zip(names, found):
+        assert by_keywords.setdefault(frozenset(query_tokens(name)), records_found) is records_found
+    assert len({id(r) for f in found for r in f}) == len({r.cve_id for f in found for r in f})
 
 
 def test_open_existing_requires_file(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from iotgraph import exploits, metrics, pipeline
-from iotgraph.cvestore import CveStore, query_tokens
+from iotgraph.cvestore import CveStore, query_tokens, tokenize
 from iotgraph.exploits import models_for
 from iotgraph.logic import LogicProgram, parse_atom
 from iotgraph.model import ConfigError, SystemConfig, parse_config
@@ -331,11 +331,22 @@ def test_evidence_valve_marks_goals_and_keeps_plans_sound(name, cap, store, monk
 # searched once and each (record, protocols) pair classified once; the
 # memoized stages must give the same findings and models in the same order.
 def reference_scan_devices(config, store):
+    """Per device, the records whose description holds every keyword of its name.
+
+    Reads every record and matches in Python, so it shares no query with
+    the store.
+    """
+
+    records = [
+        (set(tokenize(r.description)), r)
+        for r in sorted(store.all_records(), key=lambda r: r.cve_id)
+    ]
     findings = []
     for d in config.devices:
-        records = store.search(d.name)
-        if records:
-            findings.append(DeviceFinding(device=d.atom, records=tuple(records)))
+        keywords = query_tokens(d.name)
+        hits = tuple(r for tokens, r in records if keywords and tokens.issuperset(keywords))
+        if hits:
+            findings.append(DeviceFinding(device=d.atom, records=hits))
     return findings
 
 
@@ -359,18 +370,6 @@ def reference_build_models(config, findings, overrides=None):
             "override for %s matches no CVE found on a device; ignored", cve_id
         )
     return out
-
-
-class CountingStore(CveStore):
-    """The store with every ``search`` argument recorded."""
-
-    def __init__(self, path):
-        super().__init__(path)
-        self.searched: list[str] = []
-
-    def search(self, device_name):
-        self.searched.append(device_name)
-        return super().search(device_name)
 
 
 def some_overrides(findings):
@@ -424,27 +423,53 @@ def test_memoized_scan_and_classify_match_per_device_reference(
         assert len(findings) > len({f.records for f in findings})
 
 
-def test_scan_searches_each_keyword_tuple_once(store, caplog):
-    doc = synth_document(320, 5)
-    network = doc["networks"][0]["name"]
-    doc["devices"] = doc["devices"] + [
-        {"name": name, "type": "bulb", "network": [network]}
-        for name in ("Smart Mini", "White 2 Bulb", "Small White Device")
-    ]
-    config = parse_config(doc, source="synth")
-    counting = CountingStore(store.path)
-    with caplog.at_level(logging.WARNING):
-        findings = scan_devices(config, counting)
-    warned = [r.getMessage() for r in caplog.records if "no searchable keywords" in r.getMessage()]
-    assert findings == reference_scan_devices(config, store)
+def with_devices(doc, names):
+    """The document with one bulb per name added on its first network."""
 
-    keys = [tuple(query_tokens(d.name)) for d in config.devices]
-    empty = [d.name for d, key in zip(config.devices, keys) if not key]
+    network = doc["networks"][0]["name"]
+    devices = [{"name": name, "type": "bulb", "network": [network]} for name in names]
+    return parse_config({**doc, "devices": doc["devices"] + devices}, source="synth")
+
+
+def test_scan_searches_each_keyword_tuple_once(store, caplog):
+    # One store round trip for the whole home: the keywords of every name in
+    # one call, served by two statements. Names whose keywords form the same
+    # set share one tuple of records; each name with no keywords warns.
+    config = with_devices(
+        synth_document(320, 5), ("Smart Mini", "White 2 Bulb", "Small White Device", "Router D-Link")
+    )
+    calls, statements = [], []
+    with CveStore.open_existing(store.path) as counting:
+        search_names = counting.search_names
+        counting.search_names = lambda names: calls.append(list(names)) or search_names(names)
+        counting._conn.set_trace_callback(statements.append)
+        with caplog.at_level(logging.WARNING):
+            findings = scan_devices(config, counting)
+    assert findings == reference_scan_devices(config, store)
+    assert calls == [[d.name for d in config.devices]]
+    assert len(statements) == 2
+    assert all(s.startswith("SELECT") for s in statements)
+
+    keys = {d.atom: frozenset(query_tokens(d.name)) for d in config.devices}
+    assert len({id(f.records) for f in findings}) == len({keys[f.device] for f in findings})
+    assert len({keys[f.device] for f in findings}) < len(findings)
+    empty = [d.name for d in config.devices if not keys[d.atom]]
     assert empty == ["Smart Mini", "Small White Device"]
-    assert len(counting.searched) == len({k for k in keys if k}) + len(empty)
-    assert len(counting.searched) < len(config.devices)
-    assert [n for n in counting.searched if not query_tokens(n)] == empty
+    warned = [r.getMessage() for r in caplog.records if "no searchable keywords" in r.getMessage()]
     assert warned == [f"device name {name!r} has no searchable keywords" for name in empty]
+
+
+def test_scan_binds_one_parameter_for_any_number_of_keywords(store):
+    # More distinct name tokens than SQLite's old limit of 999 bound variables.
+    names = [f"Hue Bridge Unit{i} Rev{i % 7}" for i in range(1000)]
+    config = with_devices(synth_document(64, 1), names)
+    tokens = {t for d in config.devices for t in query_tokens(d.name)}
+    assert len(tokens) > 999
+    findings = scan_devices(config, store)
+    assert findings == reference_scan_devices(config, store)
+    assert {f.device for f in findings} == {
+        f.device for f in scan_devices(parse_config(synth_document(64, 1), source="synth"), store)
+    }
 
 
 def test_build_models_classifies_each_record_and_protocol_set_once(store, monkeypatch):
@@ -471,6 +496,7 @@ def test_build_models_classifies_each_record_and_protocol_set_once(store, monkey
         for f in findings
         for r in f.records
     }
+    records = {r for f in findings for r in f.records}
     assert sorted(map(repr, calls["precondition"])) == sorted(map(repr, pairs))
-    assert len(calls["effect"]) == len(pairs)
-    assert len(pairs) < sum(len(f.records) for f in findings)
+    assert sorted(map(repr, calls["effect"])) == sorted(repr((r,)) for r in records)
+    assert len(records) < len(pairs) < sum(len(f.records) for f in findings)
