@@ -32,9 +32,15 @@ _INNER_VARIABLE = re.compile(rf"\b{_VAR}\b")
 # What renders bare: a variable, a term or an identifier. ``_shape`` gives
 # "var" or "term" for the first two and None for anything else.
 _BARE_ARG = re.compile(rf"^(?:(?P<var>{_VAR})|(?P<term>{_IDENT}\([A-Za-z0-9_, ]*\))|{_IDENT})$")
+# Most arguments are ASCII identifiers (``a.isidentifier() and a.isascii()``),
+# for which the first character alone settles what the regex would answer:
+# uppercase is a variable, lowercase an identifier, "_" matches nothing. The
+# regex decides every other argument.
 
 
 def _shape(arg: str) -> str | None:
+    if arg.isidentifier() and arg.isascii():
+        return "var" if arg[0].isupper() else None
     m = _BARE_ARG.match(arg)
     return m and m.lastgroup
 
@@ -91,7 +97,10 @@ _new, _set = object.__new__, object.__setattr__
 
 
 def render_arg(arg: str) -> str:
-    if _BARE_ARG.match(arg):
+    if arg.isidentifier() and arg.isascii():
+        if arg[0] != "_":
+            return arg
+    elif _BARE_ARG.match(arg):
         return arg
     return "'" + arg.replace("'", "\\'") + "'"
 
@@ -148,7 +157,11 @@ class Atom:
         if self._text is None:
             text = self.pred
             if self.args:
-                text = f"{text}({', '.join(map(render_arg, self.args))})"
+                args = [
+                    a if a.isidentifier() and a.isascii() and a[0] != "_" else render_arg(a)
+                    for a in self.args
+                ]
+                text = f"{text}({', '.join(args)})"
             _set(self, "_text", text)
         return self._text
 

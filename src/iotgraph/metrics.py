@@ -13,8 +13,8 @@ Four queries, all driven by the AND/OR structure:
   minimal-cut-set view of AND/OR attack graphs. AND merges by pairwise
   union, OR by set union, each followed by dropping every mask that
   contains another.
-* ``blast_radius``: the derived conditions for which one CVE alone is a
-  minimal way in.
+* ``blast_radii``: for every CVE, the derived conditions for which it alone
+  is a minimal way in; ``blast_radius`` looks one CVE up in it.
 * ``patch_set``: a minimum set of CVEs whose removal disconnects a goal,
   i.e. a minimum hitting set of the goal's combinations, found by branch
   and bound. A search that exceeds ``PATCH_SEARCH_BUDGET`` falls back to
@@ -39,12 +39,14 @@ reported as approximate.
 
 ``pipeline.analyze`` runs the depth, evidence, trace and patch queries once
 and keeps their results; ``render_report`` only formats them, computing
-nothing but the blast radii, which no other output needs.
+nothing but the blast radii, which no other output needs. It computes them
+all in one pass over the derived nodes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -355,20 +357,27 @@ def _downstream(graph: AttackGraph, start: set[int]) -> frozenset[int]:
     return frozenset(seen)
 
 
-def blast_radius(graph: AttackGraph, evidence: Evidence, cve_id: str) -> tuple[Atom, ...]:
-    """Derived conditions for which this CVE alone is a minimal way in.
+def blast_radii(graph: AttackGraph, evidence: Evidence) -> dict[str, tuple[Atom, ...]]:
+    """Every CVE's blast radius, in universe order, from one pass over the derived nodes.
 
-    A condition that needs no CVE at all is not in any CVE's blast radius.
+    A CVE is in a node's radius when its single-bit mask is one of the
+    node's tags; a condition that needs no CVE at all is in no radius.
     """
 
-    b = evidence.bit(cve_id)
-    if b is None:
-        return ()
-    out = []
-    for n in graph.derivation_nodes():
-        if b in evidence.tags.get(n.node_id, frozenset()):
-            out.append(n.atom)
-    return tuple(out)
+    radii: dict[int, list[Atom]] = {b: [] for b in evidence.bits.values()}
+    tags = evidence.tags
+    for n in graph.nodes:
+        if n.kind == DERIVATION:
+            for t in tags.get(n.node_id, ()):
+                if t and not t & (t - 1):
+                    radii[t].append(n.atom)
+    return {cve: tuple(radii[b]) for cve, b in evidence.bits.items()}
+
+
+def blast_radius(graph: AttackGraph, evidence: Evidence, cve_id: str) -> tuple[Atom, ...]:
+    """Derived conditions for which this CVE alone is a minimal way in."""
+
+    return blast_radii(graph, evidence).get(cve_id, ())
 
 
 # ---------------------------------------------------------------------------
@@ -512,13 +521,13 @@ def render_report(
 ) -> str:
     """Human-readable report of the per-goal metrics ``analyze`` computed.
 
-    Only the blast radius of each CVE in the universe is computed here.
+    Only the blast radii are computed here, all in one pass (``blast_radii``).
     """
 
+    kinds = Counter([n.kind for n in graph.nodes])
     lines = [
         f"nodes: {len(graph.nodes)} "
-        f"({len(graph.fact_nodes())} facts, {len(graph.rule_nodes())} rules, "
-        f"{len(graph.derivation_nodes())} derived)",
+        f"({kinds[FACT]} facts, {kinds[RULE]} rules, {kinds[DERIVATION]} derived)",
         f"cve universe: {', '.join(evidence.universe) or '(none)'}",
     ]
     for r in goal_results:
@@ -530,10 +539,8 @@ def render_report(
         approximate = "" if r.exact else " (approximate)"
         lines.append(f"  evidence: {evidence.render_tags(graph.goal_nodes[r.goal])}{approximate}")
         lines.append("  " + r.patch.render())
-    for cve in evidence.universe:
+    for cve, atoms in blast_radii(graph, evidence).items():
         lines.append("")
-        atoms = blast_radius(graph, evidence, cve)
         lines.append(f"blast radius of {cve} alone: {len(atoms)} conditions")
-        for atom in atoms:
-            lines.append(f"  {atom.render()}")
+        lines.extend([f"  {atom.render()}" for atom in atoms])
     return "\n".join(lines) + "\n"

@@ -13,12 +13,13 @@ from that saturation, and evaluate metrics per goal.
 
 from __future__ import annotations
 
-import json
 import logging
+import math
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -201,6 +202,37 @@ def analyze(
     )
 
 
+def _json_text(value: object, indent: str = "\n") -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it, dict keys being strings.
+
+    ``json.dumps`` runs its pure-Python encoder whenever it indents; this
+    writes the same bytes directly, each string through the C escaper that
+    encoder uses. ``indent`` is the newline and indentation of ``value``'s
+    own level.
+    """
+
+    if isinstance(value, str):
+        return _json_str(value)
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{_json_str(k)}: {_json_text(v, inner)}" for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str = "dot") -> list[Path]:
     """Write program, graph, metrics report, and run manifest files."""
 
@@ -254,7 +286,7 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }
     manifest_path = out / "run_manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
+    manifest_path.write_text(_json_text(manifest) + "\n")
     written.append(manifest_path)
     return written
 

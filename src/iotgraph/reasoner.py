@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
+from typing import NamedTuple
 
 from .logic import Atom, HornRule, render_fact
 
@@ -37,8 +38,7 @@ def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
     node_id: int
     kind: str
     text: str
@@ -289,24 +289,21 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
     keyed.sort()
     fired = [result.fired[key[-1]] for key in keyed]
 
-    nodes: list[Node] = []
+    first_rule = len(primitive_atoms) + 1
+    first_derived = first_rule + len(fired)
+    nodes = [Node(i, FACT, render_fact(a), a) for i, a in enumerate(primitive_atoms, 1)]
+    nodes += [
+        Node(i, RULE, r.label or r.head.render(), None, r) for i, r in enumerate(fired, first_rule)
+    ]
+    nodes += [
+        Node(i, DERIVATION, a.render(), a) for i, a in enumerate(derived_atoms, first_derived)
+    ]
+    atom_node = {n.atom: n.node_id for n in nodes if n.kind != RULE}
+
     parents: dict[int, tuple[int, ...]] = {}
-    atom_node: dict[Atom, int] = {}
-
-    def add(kind: str, text: str, atom: Atom | None = None, rule: HornRule | None = None) -> int:
-        node_id = len(nodes) + 1
-        nodes.append(Node(node_id, kind, text, atom=atom, rule=rule))
-        return node_id
-
-    for atom in primitive_atoms:
-        atom_node[atom] = add(FACT, render_fact(atom), atom=atom)
-    firing_nodes = [add(RULE, rule.label or rule.head.render(), rule=rule) for rule in fired]
-    for atom in derived_atoms:
-        atom_node[atom] = add(DERIVATION, atom.render(), atom=atom)
-
     derivation_parents: dict[int, list[int]] = {}
-    for node_id, rule in zip(firing_nodes, fired):
-        parents[node_id] = tuple(dict.fromkeys(atom_node[a] for a in rule.body))
+    for node_id, rule in enumerate(fired, first_rule):
+        parents[node_id] = tuple(dict.fromkeys([atom_node[a] for a in rule.body]))
         derivation_parents.setdefault(atom_node[rule.head], []).append(node_id)
     # Firing nodes are numbered in sorted order, so each list ascends.
     for nid, ps in derivation_parents.items():

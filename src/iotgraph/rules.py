@@ -38,7 +38,6 @@ from .logic import (
     args_template,
     is_variable,
     parse_atom,
-    render_fact,
 )
 from .model import (
     DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
@@ -97,7 +96,7 @@ def attacker_facts(config: SystemConfig) -> list[Atom]:
 
 
 def _render_blocks(blocks: Sequence[Sequence[Atom]]) -> str:
-    return "\n\n".join("\n".join(render_fact(a) for a in block) for block in blocks)
+    return "\n\n".join(["\n".join([f"{a.render()}." for a in block]) for block in blocks])
 
 
 def render_system_facts(config: SystemConfig) -> str:
@@ -618,9 +617,8 @@ def compile_system(
     )
 
 
-def _rule_text(rule: HornRule, tag: str) -> str:
-    pools = "".join(f"; {var} ranges over the {domain}" for var, domain in rule.var_domains)
-    return f"% {tag}{rule.label}{pools}\n{rule.render()}"
+def _pools(rule: HornRule) -> str:
+    return "".join([f"; {var} ranges over the {domain}" for var, domain in rule.var_domains])
 
 
 def render_program(compiled: CompiledSystem) -> str:
@@ -644,9 +642,11 @@ def render_program(compiled: CompiledSystem) -> str:
     )
     parts = []
     for title, tag, group in rule_sections:
-        texts = (_rule_text(rule, tag) for rule in group)
+        texts = [
+            f"% {tag}{r.label}{_pools(r) if r.var_domains else ''}\n{r.render()}" for r in group
+        ]
         parts.append("\n".join([f"% ==== {title} ====", *texts]))
     parts.append(f"% ==== facts: system configuration ====\n{_render_blocks(blocks)}")
     for title, group in fact_sections:
-        parts.append("\n".join([f"% ==== {title} ====", *map(render_fact, group)]))
+        parts.append("\n".join([f"% ==== {title} ====", *[f"{a.render()}." for a in group]]))
     return "\n\n".join(parts) + "\n"

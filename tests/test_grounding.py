@@ -675,10 +675,34 @@ arguments = st.one_of(
 )
 
 
+# Edges of the ASCII-identifier fast path that runs ahead of the regex: "$"
+# accepts a final newline and isidentifier does not; "_" starts an
+# identifier but no bare argument; "Ab" is an ASCII variable; non-ASCII, titlecase, uppercase and
+# fullwidth letters pass isidentifier but not isascii; then the empty string
+# and arguments that only the regex decides.
+FAST_PATH_EDGES = (
+    "abc\n", "_a", "Ab", "café", "ǅx", "Éb", "ａb", "", "a-b", "rootPrivilege(d)", "CVE-2019-1"
+)
+
+
+def at_fast_path_edges(inputs=lambda arg: {"arg": arg}):
+    """An ``@example`` for each ``FAST_PATH_EDGES`` argument, ``inputs`` giving its inputs."""
+
+    def apply(test):
+        for arg in FAST_PATH_EDGES:
+            test = example(**inputs(arg))(test)
+        return test
+
+    return apply
+
+
 @settings(max_examples=200)
 @given(arg=arguments)
+@at_fast_path_edges()
 def test_render_arg_and_variables_agree(arg):
-    assert logic.render_arg(arg) == oracles.render_arg(arg)
+    text = oracles.render_arg(arg)
+    assert logic.render_arg(arg) == text
+    assert Atom("p", (arg, arg)).render() == f"p({text}, {text})"
     assert logic.arg_variables(arg) == oracles.arg_variables(arg)
     assert logic.is_variable(arg) == oracles.is_variable(arg)
 
@@ -689,6 +713,7 @@ def test_render_arg_and_variables_agree(arg):
 @example(args=("X1",))
 @example(args=("dos(D)", "cam1"))
 @example(args=("dos(cam1)", "CVE-2019-1", "Cam"))
+@at_fast_path_edges(lambda arg: {"args": (arg,)})
 def test_is_ground_agrees_with_variables(args):
     atom = Atom("p", args)
     assert atom.is_ground() == (not atom.variables())
@@ -700,6 +725,7 @@ def test_is_ground_agrees_with_variables(args):
     values=st.lists(st.one_of(identifiers, st.text(max_size=4)), max_size=4),
     extra=st.dictionaries(st.one_of(variables, st.text(max_size=3)), identifiers, max_size=3),
 )
+@at_fast_path_edges(lambda arg: {"arg": arg, "values": ["v"], "extra": {"Ab": "w", "_a": "x"}})
 def test_substitute_arg_agrees(arg, values, extra):
     binding = dict(extra)
     binding.update(zip(sorted(oracles.arg_variables(arg)), values))

@@ -15,6 +15,7 @@ import random
 
 from iotgraph.metrics import (
     attack_evidence,
+    blast_radii,
     blast_radius,
     node_depths,
     shortest_trace,
@@ -64,15 +65,17 @@ def test_blast_radius_matches_single_bit_proofs():
     for i in range(N_GRAPHS):
         graph = random_attack_dag(rng)
         evidence = attack_evidence(graph)
+        radii = blast_radii(graph, evidence)
+        assert list(radii) == list(evidence.universe), f"graph {i}"
         for k, cve in enumerate(evidence.universe):
             bit = 1 << k
-            expected = {
+            expected = [
                 n.atom
                 for n in graph.derivation_nodes()
                 if bit in minimal_subset(proof_masks(graph, n.node_id))
-            }
-            got = set(blast_radius(graph, evidence, cve))
-            assert got == expected, f"graph {i} cve {cve}"
+            ]
+            assert list(radii[cve]) == expected, f"graph {i} cve {cve}"
+            assert blast_radius(graph, evidence, cve) == radii[cve], f"graph {i} cve {cve}"
 
 
 def test_shortest_trace_is_a_minimal_valid_proof():

@@ -7,7 +7,9 @@ its SHA-256 for the five bundled fixtures, one synthetic home on the
 bundled feed, and two dense homes: a synthetic home on a synthetic feed with
 three, and with five, CVEs per catalog product, which fans adjacency and
 network-access exploits out per network. At five, goals have hundreds of
-minimal CVE combinations.
+minimal CVE combinations. The pins re-dump the manifest through ``json``, so
+the manifest's own writer is checked apart: against ``json.dumps(value,
+indent=2)`` on drawn values and on each fixture's raw file.
 """
 
 from __future__ import annotations
@@ -18,14 +20,17 @@ from collections.abc import Iterator
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from iotgraph import pipeline
 from iotgraph.cvestore import CveStore
 from iotgraph.logic import parse_atom
 from iotgraph.model import parse_config
 from iotgraph.pipeline import AnalysisResult, analyze, render_summary, write_outputs
 from iotgraph.synth import synthesize
 
-from conftest import FIXTURES, load_fixture_config
+from conftest import FIXTURE_NAMES, FIXTURES, load_fixture_config
 from perfbench.feed import synth_feed
 
 SYNTH_DEVICES = 80
@@ -163,3 +168,38 @@ def test_a_repeated_goal_is_analysed_once(store, tmp_path):
     result = analyze(parse_config(doc, source="fig2"), store, extra_goals=(goal,))
     assert [r.goal for r in result.goal_results] == [goal]
     assert output_digests(result, tmp_path) == PINS["fig2"]
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(value=json_values)
+@example(value={"quote": 'a "b" \\ c', "control": "\x00\x1f\n\t", "ascii": "é ✓ 𝄞"})
+@example(value={"empty": {}, "none": [], "nested": [[{}], {"a": [None, True, 0.1]}]})
+@example(value=[float("nan"), float("inf"), float("-inf"), -0.0, 1e16, 2**70])
+def test_manifest_writer_writes_what_json_dumps_writes(value):
+    assert pipeline._json_text(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_raw_manifest_is_json_dumps_output(name, store, tmp_path, monkeypatch):
+    """The pins above re-dump the manifest, so they never see the bytes written."""
+
+    manifests = []
+    writer = pipeline._json_text
+
+    def keep(value, indent="\n"):
+        if indent == "\n":  # the writer recurses with deeper indents
+            manifests.append(value)
+        return writer(value, indent)
+
+    monkeypatch.setattr(pipeline, "_json_text", keep)
+    write_outputs(analyze(load_fixture_config(name), store), tmp_path)
+    [manifest] = manifests
+    assert manifest["timings"]
+    raw = (tmp_path / "run_manifest.json").read_text()
+    assert raw == json.dumps(manifest, indent=2) + "\n"

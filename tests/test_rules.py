@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import product
+
 import pytest
 
 from iotgraph.apps import (
@@ -32,10 +34,13 @@ from iotgraph.rules import (
     render_system_facts,
 )
 
-from iotgraph.pipeline import build_models, scan_devices
-from iotgraph.synth import synth_document
+import oracles
+from iotgraph.cvestore import CveStore
+from iotgraph.pipeline import bind_apps, build_models, scan_devices
+from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, load_fixture_config
+from perfbench.feed import synth_feed
 
 
 def facts_and_domains(cfg):
@@ -392,3 +397,77 @@ def test_exploit_rules_share_the_vulnerability_fact_objects(home, store):
         vul_atoms = [a for a in rule.body if a.pred in ("vulExists", "vulProperty")]
         assert len(vul_atoms) == 2
         assert all(a is by_value[a] for a in vul_atoms)
+
+
+# The program file as it was assembled before each rule became one f-string
+# and each fact block one join: every atom through ``render_arg`` (here the
+# oracle's), every rule through a helper that joins its pools generator, and
+# every fact through ``render_fact`` (here ``_kept_fact``).
+
+
+def _kept_atom(atom: Atom) -> str:
+    if not atom.args:
+        return atom.pred
+    return f"{atom.pred}({', '.join(map(oracles.render_arg, atom.args))})"
+
+
+def _kept_fact(atom: Atom) -> str:
+    return _kept_atom(atom) + "."
+
+
+def _kept_rule_text(rule: HornRule, tag: str) -> str:
+    pools = "".join(f"; {var} ranges over the {domain}" for var, domain in rule.var_domains)
+    body = ",\n    ".join([_kept_atom(atom) for atom in rule.body])
+    return f"% {tag}{rule.label}{pools}\n{_kept_atom(rule.head)} :-\n    {body}."
+
+
+def _kept_render_blocks(blocks) -> str:
+    return "\n\n".join("\n".join(_kept_fact(a) for a in block) for block in blocks)
+
+
+def _kept_render_program(compiled) -> str:
+    rules, facts = compiled.program.rules, compiled.program.facts
+    blocks, start = [], 0
+    for size in compiled.block_sizes:
+        blocks.append(facts[start : start + size])
+        start += size
+    rule_sections = (
+        ("exploit rule schemas (reference)", "", build_exploit_schemas()),
+        ("attack rules instantiated from CVEs", "", rules[: compiled.static_start]),
+        ("propagation, dependency, voice, and capability rules", "", compiled.library),
+        ("app rules", "app: ", rules[compiled.app_start :]),
+    )
+    fact_sections = (
+        ("facts: attacker", facts[start : compiled.vul_start]),
+        ("facts: vulnerabilities", facts[compiled.vul_start :]),
+        ("attack goals", [Atom("attackGoal", (goal.render(),)) for goal in compiled.goals]),
+    )
+    parts = []
+    for title, tag, group in rule_sections:
+        texts = (_kept_rule_text(rule, tag) for rule in group)
+        parts.append("\n".join([f"% ==== {title} ====", *texts]))
+    parts.append(f"% ==== facts: system configuration ====\n{_kept_render_blocks(blocks)}")
+    for title, group in fact_sections:
+        parts.append("\n".join([f"% ==== {title} ====", *map(_kept_fact, group)]))
+    return "\n\n".join(parts) + "\n"
+
+
+@pytest.fixture(scope="module")
+def dense4_store(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dense4")
+    feed = root / "feed.json"
+    feed.write_text(synth_feed(4, 1))
+    s = CveStore(root / "store.db")
+    s.ingest_feed(str(feed))
+    yield s
+    s.close()
+
+
+@pytest.mark.parametrize("feed", ["bundled", "dense4"])
+@pytest.mark.parametrize("devices, seed", list(product((3, 17, 90), (1, 5))) + [(300, 2)])
+def test_render_program_matches_the_kept_assembly(feed, devices, seed, request):
+    store = request.getfixturevalue("store" if feed == "bundled" else "dense4_store")
+    cfg = synthesize(devices, seed)
+    bound, _ = bind_apps(cfg)
+    compiled = compile_system(cfg, build_models(cfg, scan_devices(cfg, store)), bound)
+    assert render_program(compiled) == _kept_render_program(compiled)
