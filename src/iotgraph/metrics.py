@@ -209,9 +209,7 @@ class Trace:
         return "\n".join(lines)
 
 
-def shortest_trace(
-    graph: AttackGraph, goal: Atom, depths: dict[int, float] | None = None
-) -> Trace | None:
+def shortest_trace(graph: AttackGraph, goal: Atom, depths: dict[int, float]) -> Trace | None:
     """One minimum-height proof of the goal, primitives first.
 
     OR nodes take their cheapest incoming rule (lowest node id on ties),
@@ -223,8 +221,6 @@ def shortest_trace(
     node_id = graph.goal_nodes.get(goal)
     if node_id is None:
         return None
-    if depths is None:
-        depths = node_depths(graph)
     if math.isinf(depths[node_id]):
         return None
 
@@ -273,9 +269,6 @@ class Evidence:
 
     def __post_init__(self) -> None:
         self.bits = {cve: 1 << i for i, cve in enumerate(self.universe)}
-
-    def bit(self, cve_id: str) -> int | None:
-        return self.bits.get(cve_id)
 
     def cves_in(self, tag: int) -> tuple[str, ...]:
         """The CVEs of a combination, in universe order; visits set bits only."""
@@ -491,7 +484,7 @@ def patch_set(graph: AttackGraph, evidence: Evidence, goal: Atom) -> PatchPlan:
     if 0 in masks:
         return PatchPlan(goal=goal, verdict="unpatchable", cves=())
 
-    name = {evidence.bit(cve): cve for cve in sorted(evidence.universe)}
+    name = {evidence.bits[cve]: cve for cve in sorted(evidence.universe)}
     bits = list(name)
     greedy = _greedy_cover(masks, bits)
     try:

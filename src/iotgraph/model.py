@@ -226,16 +226,13 @@ class SystemConfig:
     def device(self, key: str) -> DeviceSpec:
         return _lookup(self._devices_by_key, key, f"unknown device: {key!r}")
 
-    def network(self, key: str) -> NetworkSpec:
-        return _lookup(self._networks_by_key, key, f"unknown network: {key!r}")
-
     def device_index(self) -> Mapping[str, DeviceSpec]:
         """Devices by display name and by atom, as ``device()`` finds them."""
 
         return self._devices_by_key
 
     def network_index(self) -> Mapping[str, NetworkSpec]:
-        """Networks by display name and by atom, as ``network()`` finds them."""
+        """Networks by display name and by atom."""
 
         return self._networks_by_key
 

@@ -83,87 +83,66 @@ class AttackGraph:
     def _condense(self) -> tuple[Step, ...]:
         """The strongly connected components of the non-fact nodes with parents.
 
+        Kosaraju and Sharir's two passes, each with an explicit stack (one
+        component can hold thousands of nodes): a depth-first search over
+        ``children`` lists the nodes in the order they finish, then each
+        node not yet placed, taken in reverse finish order, collects its
+        component: the unplaced nodes it reaches over ``parents``.
         Components come in topological order, every node after its parents'
-        components, found by Tarjan's algorithm with an explicit stack (one
-        component can hold thousands of nodes). Facts and nodes without
-        parents never change, so they are left out.
+        components. Facts and nodes without parents never change, so they
+        are left out.
         """
 
         parents, children = self.parents, self.children
-        # ``low`` holds visit numbers, lowered to the lowest one reachable on
-        # the stack, and ``done`` for nodes already placed and for the nodes
-        # never placed, whose values never change.
-        done = len(self.nodes)
-        work: dict[int, Node] = {}
-        low: dict[int, int] = {}
-        for n in self.nodes:
-            if n.kind != FACT and parents.get(n.node_id):
-                work[n.node_id] = n
-            else:
-                low[n.node_id] = done
-        stack: list[int] = []
-        schedule: list[Step] = []
-        visits = 0
+        work = {n.node_id: n for n in self.nodes if n.kind != FACT and parents.get(n.node_id)}
+        # The first pass enters each node it reaches in ``unplaced``, the
+        # second takes each out as it places it.
+        finished: list[int] = []
+        unplaced: set[int] = set()
         for root in work:
-            if root in low:
+            if root in unplaced:
                 continue
-            low[root] = visits
-            # (node, its visit number, iterator over its parents)
-            calls = [(root, visits, iter(parents[root]))]
-            visits += 1
-            stack.append(root)
+            unplaced.add(root)
+            calls = [(root, iter(children.get(root, ())))]
             while calls:
-                v, visit, inputs = calls[-1]
-                for w in inputs:
-                    lw = low.get(w)
-                    if lw is None:
-                        low[w] = visits
-                        calls.append((w, visits, iter(parents[w])))
-                        visits += 1
-                        stack.append(w)
+                v, outputs = calls[-1]
+                for w in outputs:
+                    if w not in unplaced and w in work:
+                        unplaced.add(w)
+                        calls.append((w, iter(children.get(w, ()))))
                         break
-                    if lw < low[v]:
-                        low[v] = lw
                 else:
                     calls.pop()
-                    lv = low[v]
-                    if calls and lv < low[calls[-1][0]]:
-                        low[calls[-1][0]] = lv
-                    if lv != visit:
-                        continue
-                    # ``v`` roots a component: it and everything above it on the stack.
-                    if stack[-1] == v and v not in parents[v]:
-                        stack.pop()
-                        low[v] = done
-                        schedule.append((work[v], parents[v]))
-                        continue
-                    members = []
-                    while not members or members[-1] != v:
-                        members.append(stack.pop())
-                        low[members[-1]] = done
-                    members.sort()
-                    inside = set(members)
-                    schedule.append(
-                        CyclicComponent(
-                            tuple(
-                                (work[m], parents[m], tuple(c for c in children[m] if c in inside))
-                                for m in members
-                            )
-                        )
+                    finished.append(v)
+        schedule: list[Step] = []
+        for root in reversed(finished):
+            if root not in unplaced:
+                continue
+            unplaced.remove(root)
+            members, stack = [root], [root]
+            while stack:
+                for p in parents[stack.pop()]:
+                    if p in unplaced:
+                        unplaced.remove(p)
+                        members.append(p)
+                        stack.append(p)
+            if len(members) == 1 and root not in parents[root]:
+                schedule.append((work[root], parents[root]))
+                continue
+            members.sort()
+            inside = set(members)
+            schedule.append(
+                CyclicComponent(
+                    tuple(
+                        (work[m], parents[m], tuple(c for c in children[m] if c in inside))
+                        for m in members
                     )
+                )
+            )
         return tuple(schedule)
 
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id - 1]
-
-    def fact_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == FACT]
-
-    def rule_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == RULE]
-
-    def derivation_nodes(self) -> list[Node]:
-        return [n for n in self.nodes if n.kind == DERIVATION]
 
     def to_json(self) -> str:
         """The graph document as ``json.dumps(doc, indent=2)`` prints it, plus a newline.
@@ -259,7 +238,7 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
 
     reachable_goals = [g for g in goals if g in result.known]
     needed_atoms: set[Atom] = set()
-    needed_firings: set[int] = set()
+    needed_firings: list[int] = []
     stack: list[Atom] = []
     for g in reachable_goals:
         if g not in needed_atoms:
@@ -269,10 +248,10 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
         atom = stack.pop()
         if atom not in derived:
             continue
+        # Each firing has one head and each head is expanded once, so no
+        # firing is met twice.
         for firing_id in result.fired_by_head.get(atom, []):
-            if firing_id in needed_firings:
-                continue
-            needed_firings.add(firing_id)
+            needed_firings.append(firing_id)
             rule = result.fired[firing_id]
             for body_atom in rule.body:
                 if body_atom not in needed_atoms:

@@ -272,24 +272,22 @@ def intern(atoms: AtomTable, atom: Atom) -> Atom:
 def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
     """How a body atom joins against known atoms, giving its new variables slots.
 
-    A known atom of the right arity matches when each checked position holds
-    the constant or the slot value its check names; the slots of the atom's
-    new variables take the atom's values at their first positions. The
-    lookup key is the first check whose value is known before the atom is
-    joined.
+    ``slots`` already holds the atom's constants. A known atom of the right
+    arity matches when each checked position holds the slot value its check
+    names; the slots of the atom's new variables take the atom's values at
+    their first positions. The lookup key is the first check whose slot is
+    bound before the atom is joined.
     """
 
     bound_before = len(slots)
     new, checks = [], []
     for pos, arg in enumerate(atom.args):
-        if not is_variable(arg):
-            checks.append((pos, arg))
-        elif arg in slots:
+        if arg in slots:
             checks.append((pos, slots[arg]))
         else:
             slots[arg] = len(slots)
             new.append(pos)
-    lookup = next((ch for ch in checks if ch[1].__class__ is str or ch[1] < bound_before), None)
+    lookup = next((ch for ch in checks if ch[1] < bound_before), None)
     return atom.pred, len(atom.args), tuple(new), tuple(checks), lookup
 
 
@@ -329,26 +327,28 @@ class _Library:
     def _seed(self, rule: HornRule, seed: int, place: int) -> tuple:
         """``rule`` joined from body atom ``seed``, then the rest bound-first.
 
-        Next in the join comes the first remaining body atom with a constant
-        or an already-bound variable, else the first remaining one, so the
-        join looks atoms up by a known value wherever the body allows. The
-        seed's slots are its join's variables in the order it binds them,
-        then the pooled ones, sorted. Gives the seed's pattern (arity, new
-        slots, checks); its guard, the key of the first lookup after it,
-        where most library seeds fail (on the device's type); and the seed:
-        its place, the rest of its join, the rule's pools, fill templates
-        for the rule's head and body over the seed's slots, and the label.
-        Registers the join's lookups in ``keyed`` and ``scanned``.
+        The distinct constants of the body take the first slots, so every
+        value a check, lookup or guard reads is a slot value. Next in the
+        join comes the first remaining body atom with an argument in a slot,
+        else the first remaining one, so the join looks atoms up by a known
+        value wherever the body allows. The seed's slots are the constants,
+        then its join's variables in the order it binds them, then the
+        pooled ones, sorted. Gives the seed's pattern (arity, the constants
+        that start each binding, new slots, checks); its guard, the key of
+        the first lookup after it, where most library seeds fail (on the
+        device's type); and the seed: its place, the rest of its join, the
+        rule's pools, fill templates for the rule's head and body over the
+        seed's slots, and the label. Registers the join's lookups in
+        ``keyed`` and ``scanned``.
         """
 
-        slots: dict[str, int] = {}
+        consts = tuple(dict.fromkeys(x for a in rule.body for x in a.args if not is_variable(x)))
+        slots = {x: i for i, x in enumerate(consts)}
         _, arity, new, checks, _ = _join_plan(rule.body[seed], slots)
         rest = [atom for i, atom in enumerate(rule.body) if i != seed]
         joins = []
         while rest:
-            atom = next(
-                (a for a in rest if any(not is_variable(x) or x in slots for x in a.args)), rest[0]
-            )
+            atom = next((a for a in rest if any(x in slots for x in a.args)), rest[0])
             rest.remove(atom)
             joins.append(_join_plan(atom, slots))
         for pred, _, _, _, lookup in joins:
@@ -367,7 +367,8 @@ class _Library:
             pools.append(fallback[var])
         fills = tuple([(a.pred, args_template(a.args, slots)) for a in (rule.head, *rule.body)])
         guard = (joins[0][0], *joins[0][4]) if joins and joins[0][4] is not None else None
-        return (arity, new, checks), guard, (place, tuple(joins), tuple(pools), fills, rule.label)
+        pattern = (arity, consts, new, checks)
+        return pattern, guard, (place, tuple(joins), tuple(pools), fills, rule.label)
 
 
 _compile = functools.lru_cache(maxsize=8)(_Library)
@@ -384,14 +385,13 @@ def _extend(
             if lookup is None:
                 pool = by_pred.get(pred, ())
             else:
-                pos, want = lookup
-                pool = by_position.get((pred, pos, want if want.__class__ is str else b[want]), ())
+                pool = by_position.get((pred, lookup[0], b[lookup[1]]), ())
             for f in pool:
                 fa = f.args
                 if len(fa) != arity:
                     continue
                 nb = b + tuple([fa[pos] for pos in new])
-                if all(fa[pos] == (c if c.__class__ is str else nb[c]) for pos, c in checks):
+                if all(fa[pos] == nb[c] for pos, c in checks):
                     extended.append(nb)
         bindings = extended
         if not bindings:
@@ -508,16 +508,16 @@ def ground_static_rules(
                 fire(ground[i])
                 derive(ground[i].head)
         passed = []
-        for arity, new, checks, guards in dispatch.get(pred, ()):
+        for arity, consts, new, checks, guards in dispatch.get(pred, ()):
             if len(fa) != arity:
                 continue
-            b = tuple([fa[pos] for pos in new])
-            if checks and not all(fa[pos] == (c if c.__class__ is str else b[c]) for pos, c in checks):
+            b = consts + tuple([fa[pos] for pos in new])
+            if checks and not all(fa[pos] == b[c] for pos, c in checks):
                 continue
             for guard, seeds in guards:
                 if guard is not None:
-                    gpred, pos, want = guard
-                    if (gpred, pos, want if want.__class__ is str else b[want]) not in by_position:
+                    gpred, pos, slot = guard
+                    if (gpred, pos, b[slot]) not in by_position:
                         continue
                 passed += [(seed, b) for seed in seeds]
         # Seeds lead with their places, which are distinct: only places compare.

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from importlib import resources
 
 import pytest
 
 from iotgraph.cvestore import CveStore
 from iotgraph.model import SystemConfig, parse_config
+
+from perfbench.feed import synth_feed
 
 FIXTURES = resources.files("iotgraph") / "fixtures"
 FEED_PATH = FIXTURES / "mini_feed.json"
@@ -29,6 +32,20 @@ def store(tmp_path_factory: pytest.TempPathFactory) -> CveStore:
     added, skipped = s.ingest_feed(str(FEED_PATH))
     assert added > 0 and skipped == 0
     return s
+
+
+@pytest.fixture(scope="session")
+def dense4_store(tmp_path_factory: pytest.TempPathFactory) -> Iterator[CveStore]:
+    """A store of four synthetic CVEs per catalog product, as
+    ``scripts/run_scaling.py --cves-per-product 4`` builds it."""
+
+    root = tmp_path_factory.mktemp("dense4")
+    feed = root / "feed.json"
+    feed.write_text(synth_feed(4, 1))
+    s = CveStore(root / "store.db")
+    s.ingest_feed(str(feed))
+    yield s
+    s.close()
 
 
 @pytest.fixture(scope="session")

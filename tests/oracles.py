@@ -73,7 +73,7 @@ def evidence_universe(graph: AttackGraph) -> tuple[str, ...]:
     """CVE ids carried by vulnerability facts, deduplicated in node order."""
 
     seen: list[str] = []
-    for node in graph.fact_nodes():
+    for node in (n for n in graph.nodes if n.kind == FACT):
         atom = node.atom
         if atom is not None and atom.pred == "vulExists" and len(atom.args) == 2:
             cve = atom.args[1]
@@ -85,7 +85,7 @@ def evidence_universe(graph: AttackGraph) -> tuple[str, ...]:
 def _fact_masks(graph: AttackGraph) -> dict[int, int]:
     universe = evidence_universe(graph)
     masks = {}
-    for node in graph.fact_nodes():
+    for node in (n for n in graph.nodes if n.kind == FACT):
         atom = node.atom
         mask = 0
         if atom is not None and atom.pred == "vulExists" and len(atom.args) == 2:
@@ -325,8 +325,8 @@ def full_sweep_attack_evidence(graph: AttackGraph, cap: int) -> Evidence:
     """
 
     universe: list[str] = []
-    for n in graph.fact_nodes():
-        if n.atom is not None and n.atom.pred == "vulExists":
+    for n in graph.nodes:
+        if n.kind == FACT and n.atom is not None and n.atom.pred == "vulExists":
             cve = n.atom.args[1]
             if cve not in universe:
                 universe.append(cve)

@@ -30,7 +30,7 @@ from iotgraph.metrics import (
     shortest_trace,
 )
 from iotgraph.pipeline import analyze
-from iotgraph.reasoner import RULE, build_attack_graph
+from iotgraph.reasoner import DERIVATION, RULE, build_attack_graph
 from iotgraph.rules import render_system_facts, saturate
 from iotgraph.synth import synthesize
 
@@ -194,7 +194,7 @@ def test_criterion_06_randomized_metric_equivalence(capsys):
             mismatches += 1
             continue
         bad = False
-        for node in graph.derivation_nodes():
+        for node in (n for n in graph.nodes if n.kind == DERIVATION):
             if evidence.tags[node.node_id] != minimal_subset(proof_masks(graph, node.node_id)):
                 bad = True
                 break
@@ -203,8 +203,8 @@ def test_criterion_06_randomized_metric_equivalence(capsys):
                 bit = 1 << k
                 expected = {
                     n.atom
-                    for n in graph.derivation_nodes()
-                    if bit in minimal_subset(proof_masks(graph, n.node_id))
+                    for n in graph.nodes
+                    if n.kind == DERIVATION and bit in minimal_subset(proof_masks(graph, n.node_id))
                 }
                 if set(blast_radius(graph, evidence, cve)) != expected:
                     bad = True

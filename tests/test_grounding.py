@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 
 import oracles
 from iotgraph import logic, pipeline, rules
-from iotgraph.cvestore import CveStore
 from iotgraph.logic import Atom, HornRule, LogicError, LogicProgram
 from iotgraph.model import parse_config
 from iotgraph.pipeline import analyze, bind_apps, build_models, scan_devices
@@ -34,7 +33,6 @@ from iotgraph.rules import saturate
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
-from perfbench.feed import synth_feed
 
 HOMES = [(name, None) for name in FIXTURE_NAMES] + list(SYNTH_HOMES)
 
@@ -297,6 +295,26 @@ JOIN_RULES = (
         Atom("speakerHears", ("Cmd",)),
         (Atom("voiceCommand", ("Cmd",)), Atom("speaker", ("S",))),
         label="a speaker hears played commands",
+    ),
+    # A constant is the only key of the later join atom, so the join looks
+    # inNetwork up by it; it succeeds once attackerRoot is derived.
+    HornRule(
+        Atom("near", ("D", "E")),
+        (Atom("attackerRoot", ("D",)), Atom("inNetwork", ("E", "w1"))),
+        label="constant-keyed join",
+    ),
+    # Seed atoms that differ only in a constant: checked at the seed when
+    # lockedBy seeds, and in the join, after the lookup by D, when
+    # attackerRoot does.
+    HornRule(
+        Atom("latched", ("D",)),
+        (Atom("lockedBy", ("D", "d1")), Atom("attackerRoot", ("D",))),
+        label="latched by d1",
+    ),
+    HornRule(
+        Atom("latched", ("D",)),
+        (Atom("lockedBy", ("D", "w1")), Atom("attackerRoot", ("D",))),
+        label="latched by w1",
     ),
     # One seed predicate under three patterns (a variable and two constants,
     # as the library's high/low channel rules have) and four guards, the
@@ -568,23 +586,23 @@ def test_predicate_at_two_arities_joins_on_keyed_positions():
 
 @pytest.mark.parametrize("library", [rules.static_library(), JOIN_RULES], ids=["static", "join"])
 def test_seeded_joins_look_up_bound_atoms_first(library):
-    """No seed scans a predicate whole while an atom left in its join has a
-    constant or an already-bound variable to look it up by."""
+    """No seed scans a predicate whole while an atom left in its join has an
+    argument bound in a slot (a constant or an already-bound variable) to
+    look it up by."""
 
     compiled = rules._Library(tuple(library))
     scans = 0
     for by_pattern in compiled.seeds.values():
-        for _, new, _, guards in by_pattern:
+        for _, consts, new, _, guards in by_pattern:
             for seed in (seed for _, group in guards for seed in group):
-                rest, bound = seed[1], len(new)
+                rest, bound = seed[1], len(consts) + len(new)
                 for k, (_, _, binds, _, lookup) in enumerate(rest):
                     if lookup is None:
                         scans += 1
-                        # Slots are numbered in the order the join binds them.
+                        # Slots are numbered in the order the join binds them,
+                        # after the constants.
                         for pred, _, _, checks, _ in rest[k:]:
-                            assert not any(isinstance(c, str) or c < bound for _, c in checks), (
-                                seed[-1], pred
-                            )
+                            assert not any(c < bound for _, c in checks), (seed[-1], pred)
                     bound += len(binds)
     assert scans
 
@@ -606,16 +624,14 @@ def _counting_extend(counts):
                 if lookup is None:
                     pool = by_pred.get(pred, ())
                 else:
-                    pos, value = lookup
-                    key = value if isinstance(value, str) else b[value]
-                    pool = by_position.get((pred, pos, key), ())
+                    pool = by_position.get((pred, lookup[0], b[lookup[1]]), ())
                 counts["candidates"] += len(pool)
                 for f in pool:
                     fa = f.args
                     if len(fa) != arity:
                         continue
                     nb = b + tuple(fa[pos] for pos in new)
-                    if all(fa[pos] == (c if isinstance(c, str) else nb[c]) for pos, c in checks):
+                    if all(fa[pos] == nb[c] for pos, c in checks):
                         extended.append(nb)
             bindings = extended
             if not bindings:
@@ -626,21 +642,7 @@ def _counting_extend(counts):
     return extend
 
 
-@pytest.fixture(scope="module")
-def dense_feed_store(tmp_path_factory):
-    """A store of four synthetic CVEs per catalog product, as ``scripts/run_scaling.py``
-    builds it for ``--cves-per-product 4``."""
-
-    root = tmp_path_factory.mktemp("dense4")
-    feed = root / "feed.json"
-    feed.write_text(synth_feed(4, 1))
-    s = CveStore(root / "store.db")
-    s.ingest_feed(str(feed))
-    yield s
-    s.close()
-
-
-def test_join_candidates_grow_linearly_with_the_home(dense_feed_store, monkeypatch):
+def test_join_candidates_grow_linearly_with_the_home(dense4_store, monkeypatch):
     # The seeded lock(L)/unlock(L) join of the opener rules once scanned every
     # attackerCommandInjection atom, so doubling the home more than tripled
     # the candidates.
@@ -649,7 +651,7 @@ def test_join_candidates_grow_linearly_with_the_home(dense_feed_store, monkeypat
     scanned = {}
     for devices in (320, 640):
         config = synthesize(devices, seed=1)
-        models = build_models(config, scan_devices(config, dense_feed_store))
+        models = build_models(config, scan_devices(config, dense4_store))
         bound, _ = bind_apps(config)
         counts.clear()
         rules.compile_system(config, models, bound)

@@ -137,7 +137,7 @@ def test_node_depths_cyclic_support_still_costed():
     )
     graph = build_attack_graph(saturate(program), (parse_atom("g(x)"),))
     depths = node_depths(graph)
-    loop_rule = next(n for n in graph.rule_nodes() if n.text == "self loop")
+    loop_rule = next(n for n in graph.nodes if n.kind == RULE and n.text == "self loop")
     goal_node = graph.goal_nodes[parse_atom("g(x)")]
     assert depths[goal_node] == 2.0
     assert depths[loop_rule.node_id] == 3.0
@@ -161,12 +161,12 @@ def test_node_depths_unsupported_node_is_infinite():
     assert math.isinf(depths[2])
     assert math.isinf(depths[3])
     assert math.isinf(depths[4])
-    assert shortest_trace(graph, goal) is None
+    assert shortest_trace(graph, goal, depths) is None
 
 
 def test_shortest_trace_takes_the_cheap_branch():
     graph = branching_graph()
-    trace = shortest_trace(graph, parse_atom("g(x)"))
+    trace = shortest_trace(graph, parse_atom("g(x)"), node_depths(graph))
     assert trace is not None
     assert trace.depth == 2
     assert [s.text for s in trace.steps] == ["v(x).", "short way", "g(x)"]
@@ -187,14 +187,14 @@ def test_shortest_trace_breaks_ties_by_node_id():
         ),
     )
     graph = build_attack_graph(saturate(program), (parse_atom("g(x)"),))
-    trace = shortest_trace(graph, parse_atom("g(x)"))
+    trace = shortest_trace(graph, parse_atom("g(x)"), node_depths(graph))
     assert [s.text for s in trace.steps] == ["u(x).", "aaa", "g(x)"]
 
 
 def test_shortest_trace_none_for_unreachable_goal():
     program = LogicProgram(facts=(parse_atom("a(x)"),), rules=())
     graph = build_attack_graph(saturate(program), (parse_atom("g(x)"),))
-    assert shortest_trace(graph, parse_atom("g(x)")) is None
+    assert shortest_trace(graph, parse_atom("g(x)"), node_depths(graph)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,7 @@ def test_attack_evidence_universe_in_node_order():
     graph = diamond_graph()
     evidence = attack_evidence(graph)
     assert evidence.universe == ("CVE-2001-1000", "CVE-2001-1001")
-    assert evidence.bit("CVE-2001-1000") == 1
-    assert evidence.bit("CVE-2001-1001") == 2
-    assert evidence.bit("CVE-1999-0000") is None
+    assert evidence.bits == {"CVE-2001-1000": 1, "CVE-2001-1001": 2}
     assert evidence.cves_in(3) == ("CVE-2001-1000", "CVE-2001-1001")
 
 
@@ -306,7 +304,7 @@ def plan_for(masks: frozenset[int], n_cves: int):
     universe = tuple(f"CVE-2001-{1000 + i}" for i in range(n_cves))
     evidence = Evidence(universe=universe, tags={1: masks})
     plan = patch_set(graph, evidence, goal)
-    return plan, [evidence.bit(cve) for cve in plan.cves]
+    return plan, [evidence.bits[cve] for cve in plan.cves]
 
 
 def blocks(patched, masks) -> bool:
@@ -370,12 +368,17 @@ def test_search_past_the_budget_falls_back_to_greedy():
     assert plan.render().endswith(" (greedy)")
 
 
-def test_patch_set_looks_each_bit_up_once(monkeypatch):
+def test_patch_set_looks_each_bit_up_once():
     graph = diamond_graph()
     evidence = attack_evidence(graph)
     calls = []
-    bit = Evidence.bit
-    monkeypatch.setattr(Evidence, "bit", lambda self, cve: calls.append(cve) or bit(self, cve))
+
+    class CountedBits(dict):
+        def __getitem__(self, cve):
+            calls.append(cve)
+            return super().__getitem__(cve)
+
+    evidence.bits = CountedBits(evidence.bits)
     plan = patch_set(graph, evidence, parse_atom("p(x)"))
     assert len(plan.cves) == 2
     assert sorted(calls) == sorted(evidence.universe)

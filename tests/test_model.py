@@ -64,7 +64,7 @@ def test_parse_config_basic_shape():
 
 
 def first_by_scan(specs, key):
-    """The lookup ``device()`` and ``network()`` made before they had indexes."""
+    """The lookup by atom or name that configurations made before they had indexes."""
 
     for spec in specs:
         if key in (spec.atom, spec.name):
@@ -87,17 +87,17 @@ def test_device_index_returns_what_device_returns():
             NetworkSpec(name="m", atom="k", protocol="zigbee"),
         ),
     )
-    for specs, index, find in (
-        (cfg.devices, cfg.device_index(), cfg.device),
-        (cfg.networks, cfg.network_index(), cfg.network),
-    ):
+    for specs, index in ((cfg.devices, cfg.device_index()), (cfg.networks, cfg.network_index())):
         assert set(index) == {s.atom for s in specs} | {s.name for s in specs}
         for key, spec in index.items():
-            assert spec is find(key) is first_by_scan(specs, key), key
+            assert spec is first_by_scan(specs, key), key
         for unknown in ("zz", "", "B"):
-            assert first_by_scan(specs, unknown) is None
-            with pytest.raises(ConfigError):
-                find(unknown)
+            assert first_by_scan(specs, unknown) is None and unknown not in index
+    for key, spec in cfg.device_index().items():
+        assert cfg.device(key) is spec
+    for unknown in ("zz", "", "B"):
+        with pytest.raises(ConfigError):
+            cfg.device(unknown)
 
 
 def test_config_indexes_are_not_compared():
@@ -109,8 +109,9 @@ def test_config_indexes_are_not_compared():
 
 def test_parse_config_network_protocols():
     cfg = parse_config(minimal_doc(), source="test")
-    assert cfg.network("wifi1").protocol == "wifi"
-    assert cfg.network("zigbee1").protocol == "zigbee"
+    networks = cfg.network_index()
+    assert networks["wifi1"].protocol == "wifi"
+    assert networks["zigbee1"].protocol == "zigbee"
 
 
 def test_parse_config_accepts_json_text():

@@ -39,7 +39,7 @@ def test_depths_match_min_proof_height():
     for i in range(N_GRAPHS):
         graph = random_attack_dag(rng)
         depths = node_depths(graph)
-        for node in graph.derivation_nodes():
+        for node in (n for n in graph.nodes if n.kind == DERIVATION):
             expected = min_proof_height(graph, node.node_id)
             got = depths[node.node_id]
             if expected is None:
@@ -54,7 +54,7 @@ def test_evidence_tags_match_proof_masks():
         graph = random_attack_dag(rng)
         evidence = attack_evidence(graph)
         assert evidence.universe == evidence_universe(graph), f"graph {i}"
-        for node in graph.derivation_nodes():
+        for node in (n for n in graph.nodes if n.kind == DERIVATION):
             expected = minimal_subset(proof_masks(graph, node.node_id))
             got = evidence.tags[node.node_id]
             assert got == expected, f"graph {i} node {node.node_id}"
@@ -71,8 +71,8 @@ def test_blast_radius_matches_single_bit_proofs():
             bit = 1 << k
             expected = [
                 n.atom
-                for n in graph.derivation_nodes()
-                if bit in minimal_subset(proof_masks(graph, n.node_id))
+                for n in graph.nodes
+                if n.kind == DERIVATION and bit in minimal_subset(proof_masks(graph, n.node_id))
             ]
             assert list(radii[cve]) == expected, f"graph {i} cve {cve}"
             assert blast_radius(graph, evidence, cve) == radii[cve], f"graph {i} cve {cve}"
@@ -83,7 +83,7 @@ def test_shortest_trace_is_a_minimal_valid_proof():
     for i in range(N_GRAPHS):
         graph = random_attack_dag(rng)
         goal = graph.goals[0]
-        trace = shortest_trace(graph, goal)
+        trace = shortest_trace(graph, goal, node_depths(graph))
         expected = min_proof_height(graph, graph.goal_nodes[goal])
         if trace is None:
             assert expected is None, f"graph {i}"

@@ -423,6 +423,40 @@ def test_memoized_scan_and_classify_match_per_device_reference(
         assert len(findings) > len({f.records for f in findings})
 
 
+@pytest.mark.parametrize(
+    ("overrides", "skipped"),
+    [
+        (None, {"CVE-2019-15914": "needs network adjacency"}),
+        (
+            {"CVE-2019-15913": {"effect": "wifiAccess"}},
+            {
+                "CVE-2019-15913": "grants network credentials",
+                "CVE-2019-15914": "needs network adjacency",
+            },
+        ),
+    ],
+)
+def test_a_cve_on_a_device_with_no_networks_is_skipped(overrides, skipped, store, caplog, tmp_path):
+    # CVE-2019-15914 classifies as adjacent, so it needs a network to be
+    # adjacent on; forcing wifiAccess on CVE-2019-15913 needs one to grant.
+    config = parse_config(
+        {"devices": [{"name": "Xiaomi Mijia Gateway", "type": "gateway"}]}, source="networkless"
+    )
+    with caplog.at_level(logging.WARNING, logger="iotgraph.exploits"):
+        result = analyze(config, store, overrides=overrides)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{cve} on xiaomiMijiaGateway {needs} but the device has no networks; skipping"
+        for cve, needs in skipped.items()
+    ]
+    (finding,) = result.findings
+    found = {r.cve_id for r in finding.records}
+    assert found == {"CVE-2019-15913", "CVE-2019-15914"}
+    assert {m.cve_id for m in result.models} == found - skipped.keys()
+    write_outputs(result, tmp_path)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["exploit_models"] == len(found - skipped.keys())
+
+
 def with_devices(doc, names):
     """The document with one bulb per name added on its first network."""
 

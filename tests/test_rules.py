@@ -35,12 +35,10 @@ from iotgraph.rules import (
 )
 
 import oracles
-from iotgraph.cvestore import CveStore
 from iotgraph.pipeline import bind_apps, build_models, scan_devices
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, load_fixture_config
-from perfbench.feed import synth_feed
 
 
 def facts_and_domains(cfg):
@@ -450,17 +448,6 @@ def _kept_render_program(compiled) -> str:
     for title, group in fact_sections:
         parts.append("\n".join([f"% ==== {title} ====", *map(_kept_fact, group)]))
     return "\n\n".join(parts) + "\n"
-
-
-@pytest.fixture(scope="module")
-def dense4_store(tmp_path_factory):
-    root = tmp_path_factory.mktemp("dense4")
-    feed = root / "feed.json"
-    feed.write_text(synth_feed(4, 1))
-    s = CveStore(root / "store.db")
-    s.ingest_feed(str(feed))
-    yield s
-    s.close()
 
 
 @pytest.mark.parametrize("feed", ["bundled", "dense4"])

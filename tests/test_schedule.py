@@ -2,12 +2,15 @@
 
 ``AttackGraph.schedule`` lists the strongly connected components of the
 non-fact nodes with parents in topological order. Here it is checked
-against brute-force mutual reachability (``oracles``) on the fixtures and on
-random cyclic graphs in shuffled node orders: each such node appears once,
-each component is exactly its node's class, and every edge between
-components points forward. ``_sweep`` walking it evaluates every node on no
-cycle exactly once. An OR node minimises the union of its inputs' masks
-once, which must equal folding the inputs with ``merge_ae_or``.
+against brute-force mutual reachability (``oracles``) on the fixtures, on a
+dense home with components of hundreds of nodes, and on random cyclic
+graphs in shuffled node orders: each such node appears once, each
+component is exactly its node's class, and every edge between components
+points forward. A ring and a chain of thousands of nodes, deeper than the
+default recursion limit, check that neither the schedule nor the metrics
+recurse per node. ``_sweep`` walking it evaluates every node on no cycle
+exactly once. An OR node minimises the union of its inputs' masks once,
+which must equal folding the inputs with ``merge_ae_or``.
 """
 
 from __future__ import annotations
@@ -20,9 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iotgraph import metrics
+from iotgraph.logic import parse_atom
 from iotgraph.metrics import attack_evidence, merge_ae_or, minimal_masks, node_depths
 from iotgraph.pipeline import analyze
-from iotgraph.reasoner import FACT, AttackGraph, CyclicComponent
+from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, CyclicComponent, Node
+from iotgraph.synth import synthesize
 
 from conftest import FIXTURE_NAMES, load_fixture_config
 from oracles import (
@@ -76,9 +81,62 @@ def assert_schedule_is_the_condensation(graph: AttackGraph) -> None:
                 assert position[p] < position[nid], f"edge {p} -> {nid} points back"
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_schedule_is_the_condensation_on_fixtures(name, store):
-    assert_schedule_is_the_condensation(analyze(load_fixture_config(name), store).graph)
+@pytest.mark.parametrize("name", [*FIXTURE_NAMES, "dense160"])
+def test_schedule_is_the_condensation_on_fixtures(name, request):
+    if name == "dense160":
+        # 160 devices at four CVEs per product: components of hundreds of
+        # nodes, not only the fixtures' small loops.
+        graph = analyze(synthesize(160, 1), request.getfixturevalue("dense4_store")).graph
+        assert max(len(s.members) for s in graph.schedule if isinstance(s, CyclicComponent)) > 100
+    else:
+        graph = analyze(load_fixture_config(name), request.getfixturevalue("store")).graph
+    assert_schedule_is_the_condensation(graph)
+
+
+RING = 5000
+
+
+def alternating_graph(ring: bool) -> AttackGraph:
+    """A fact, then ``RING`` nodes alternating derivation and rule, each the
+    parent of the next; with ``ring`` the last is also a parent of the first."""
+
+    goal = parse_atom(f"d({RING})")
+    nodes = [Node(1, FACT, "f.", atom=parse_atom("f"))]
+    parents = {}
+    for nid in range(2, RING + 2):
+        if nid % 2:
+            nodes.append(Node(nid, RULE, f"r{nid}"))
+        else:
+            nodes.append(Node(nid, DERIVATION, f"d({nid})", atom=parse_atom(f"d({nid})")))
+        parents[nid] = (nid - 1,)
+    if ring:
+        parents[2] = (1, RING + 1)
+    return AttackGraph(nodes=nodes, parents=parents, goals=(goal,), goal_nodes={goal: RING})
+
+
+def test_a_ring_of_thousands_of_nodes_is_one_component():
+    graph = alternating_graph(ring=True)
+    (step,) = graph.schedule
+    assert isinstance(step, CyclicComponent)
+    ids = list(range(2, RING + 2))
+    assert [n.node_id for n, _, _ in step.members] == ids
+    for node, ps, inner in step.members:
+        nid = node.node_id
+        assert ps == graph.parents[nid]
+        assert inner == ((nid + 1,) if nid <= RING else (2,))
+    depths = node_depths(graph)
+    assert [depths[nid] for nid in ids] == [float(nid - 1) for nid in ids]
+    assert set(attack_evidence(graph).tags.values()) == {frozenset({0})}
+
+
+def test_a_chain_of_thousands_of_nodes_is_scheduled_in_order():
+    graph = alternating_graph(ring=False)
+    assert [(node.node_id, ps) for node, ps in graph.schedule] == [
+        (nid, (nid - 1,)) for nid in range(2, RING + 2)
+    ]
+    depths = node_depths(graph)
+    assert depths[RING + 1] == float(RING)
+    assert set(attack_evidence(graph).tags.values()) == {frozenset({0})}
 
 
 def test_schedule_is_the_condensation_on_cyclic_graphs():
