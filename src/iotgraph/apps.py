@@ -354,18 +354,10 @@ def _map_key_for(role_display: str, device_map: dict[str, str]) -> str | None:
     if role_display in device_map:
         return role_display
     role_tokens = {t.lower() for t in _TOKEN.findall(role_display)}
-    candidates = []
-    for key in device_map:
-        key_tokens = {t.lower() for t in _TOKEN.findall(key)}
-        if key_tokens <= role_tokens:
-            candidates.append((len(key_tokens), key))
-    if not candidates:
-        return None
-    best_len = max(c[0] for c in candidates)
-    for length, key in candidates:
-        if length == best_len:
-            return key
-    return None
+    key_tokens = {key: {t.lower() for t in _TOKEN.findall(key)} for key in device_map}
+    candidates = [key for key, tokens in key_tokens.items() if tokens <= role_tokens]
+    # max keeps the first of the longest keys, in device map order.
+    return max(candidates, key=lambda key: len(key_tokens[key]), default=None)
 
 
 def bind_app(app: AppSpec, semantics: AppSemantics, config: SystemConfig) -> BoundApp:

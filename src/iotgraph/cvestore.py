@@ -4,9 +4,12 @@ Ingests NVD JSON feeds (format 1.1, optionally gzipped) into a SQLite
 database and answers device-name searches. A search tokenizes the device
 name, drops marketing noise (colors, sizes, the word "smart", bare numbers),
 and returns the records whose description contains every remaining keyword
-as a whole token. Records without CVSS metrics are skipped at ingest time
-because the downstream exploit classifier needs the subscores; so are items
-with a field of the wrong JSON type.
+as a whole token. Each feed item is read once, from its CVSS v3 block if it
+has one and from its v2 block otherwise, through one table of the two
+versions' keys. Items without CVSS metrics are skipped at ingest time because
+the downstream exploit classifier needs the subscores; so are items whose id
+is not a whole ``CVE-YYYY-N`` string, items with a field of the wrong JSON
+type, and items with a vector or impact level ``CveRecord`` refuses.
 
 The ``tokens`` table has two indexes: its primary key ``(token, cve_id)``
 serves the keyword lookups of a search, and ``tokens_by_cve`` the delete of
@@ -39,11 +42,19 @@ COLOR_TOKENS = frozenset({"white", "black", "red", "green", "blue", "yellow", "g
 SIZE_TOKENS = frozenset({"mini", "small", "large", "big"})
 
 _WORD = re.compile(r"[a-z0-9]+")
-_CVE_YEAR = re.compile(r"^CVE-(\d{4})-\d+$")
+_CVE_ID = re.compile(r"CVE-(\d{4})-\d+")
 
 _IMPACT_LEVELS = ("none", "low", "high")
 _V2_IMPACT = {"NONE": "none", "PARTIAL": "low", "COMPLETE": "high"}
 _VECTORS = ("network", "adjacent", "local", "physical")
+
+# The CVSS blocks a feed item may carry, newest first: the metric key, the
+# key of its cvss object, the key of the attack vector there, and how an
+# impact value becomes a level. ``CveRecord`` refuses any other level.
+_CVSS = (
+    ("baseMetricV3", "cvssV3", "attackVector", str.lower),
+    ("baseMetricV2", "cvssV2", "accessVector", _V2_IMPACT.get),
+)
 
 
 def tokenize(text: str) -> list[str]:
@@ -319,58 +330,36 @@ def _english_description(cve: dict) -> str:
 def _record_from_item(item: object) -> CveRecord | None:
     """The record of one feed item, or None if the item is unusable.
 
-    Feed items are untyped JSON: a field of the wrong type (a number where
-    an object or a string belongs, say) makes the item unusable, like a
-    missing id or missing CVSS metrics.
+    Feed items are untyped JSON: a missing id or CVSS block, a field of the
+    wrong type (a number where an object or a string belongs, say), a score
+    too large for a float, or a value ``CveRecord`` refuses makes the item
+    unusable. The first block of ``_CVSS`` the item has is the one read, so
+    an item with v3 metrics never falls back to v2.
     """
 
     try:
-        return _parse_item(item)
-    except (AttributeError, KeyError, TypeError, ValueError, StoreError):
-        return None
-
-
-def _parse_item(item: dict) -> CveRecord | None:
-    cve_id = item["cve"]["CVE_data_meta"]["ID"]
-    m = _CVE_YEAR.match(cve_id)
-    if not m:
-        return None
-    description = _english_description(item["cve"])
-    impact = item.get("impact", {})
-    if "baseMetricV3" in impact:
-        metric = impact["baseMetricV3"]
-        cvss = metric.get("cvssV3", {})
-        vector = cvss.get("attackVector", "").lower()
-        if vector == "adjacent_network":
-            vector = "adjacent"
-        levels = [
-            cvss.get("confidentialityImpact", "").lower(),
-            cvss.get("integrityImpact", "").lower(),
-            cvss.get("availabilityImpact", "").lower(),
-        ]
-    elif "baseMetricV2" in impact:
-        metric = impact["baseMetricV2"]
-        cvss = metric.get("cvssV2", {})
-        vector = cvss.get("accessVector", "").lower()
-        if vector == "adjacent_network":
-            vector = "adjacent"
-        levels = [
-            _V2_IMPACT.get(cvss.get("confidentialityImpact", ""), ""),
-            _V2_IMPACT.get(cvss.get("integrityImpact", ""), ""),
-            _V2_IMPACT.get(cvss.get("availabilityImpact", ""), ""),
-        ]
-    else:
-        return None
-    if vector not in _VECTORS or any(level not in _IMPACT_LEVELS for level in levels):
-        return None
-    return CveRecord(
-        cve_id=cve_id,
-        description=description,
-        attack_vector=vector,
-        conf_impact=levels[0],
-        integ_impact=levels[1],
-        avail_impact=levels[2],
-        impact_score=float(metric.get("impactScore", 0.0)),
-        exploitability_score=float(metric.get("exploitabilityScore", 0.0)),
-        year=int(m.group(1)),
-    )
+        cve = item["cve"]
+        cve_id = cve["CVE_data_meta"]["ID"]
+        m = _CVE_ID.fullmatch(cve_id)
+        if not m:
+            return None
+        impact = item.get("impact", {})
+        for metric_key, cvss_key, vector_key, level in _CVSS:
+            if metric_key in impact:
+                metric = impact[metric_key]
+                cvss = metric[cvss_key]
+                vector = cvss[vector_key].lower()
+                return CveRecord(
+                    cve_id=cve_id,
+                    description=_english_description(cve),
+                    attack_vector="adjacent" if vector == "adjacent_network" else vector,
+                    conf_impact=level(cvss["confidentialityImpact"]),
+                    integ_impact=level(cvss["integrityImpact"]),
+                    avail_impact=level(cvss["availabilityImpact"]),
+                    impact_score=float(metric.get("impactScore", 0.0)),
+                    exploitability_score=float(metric.get("exploitabilityScore", 0.0)),
+                    year=int(m.group(1)),
+                )
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, StoreError):
+        pass
+    return None

@@ -342,6 +342,8 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         _require(isinstance(stanza, dict), f"{source}: app stanza must be an object")
         name = _string_field(stanza, "App name", f"{source}: app")
         where = f"{source}: app {name!r}"
+        # program.pl prints the name on a comment line of its own.
+        _require(name.splitlines() == [name], f"{where}: App name must be one line")
         description = _string_field(stanza, "description", where)
         device_map = stanza.get("device map", {})
         _require(isinstance(device_map, dict), f"{where}: device map must be an object")
@@ -376,6 +378,8 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         ]
     else:
         touch = [d.atom for d in devices if d.physically_exposed]
+    for key, entries in (("radio_adjacent", radio), ("physical_access", touch)):
+        _require(len(set(entries)) == len(entries), f"{source}: attacker: duplicate {key} entries")
 
     goals = []
     for g in _list_field(raw, "goals", source):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from iotgraph.apps import (
     _TOKEN,
+    _map_key_for,
     AppBindError,
     AppParseError,
     bind_app,
@@ -343,3 +344,35 @@ def app_descriptions():
 @pytest.mark.parametrize("description", app_descriptions())
 def test_keyed_matcher_matches_the_reference_matcher(description):
     assert parse_app_description(description).as_tuple() == reference_parse(description)
+
+
+# The device map lookup as it was with two loops over the candidates: the
+# longest key whose words the role holds, the first in map order among equals.
+def _kept_map_key_for(role_display, device_map):
+    if role_display in device_map:
+        return role_display
+    role_tokens = {t.lower() for t in _TOKEN.findall(role_display)}
+    candidates = []
+    for key in device_map:
+        key_tokens = {t.lower() for t in _TOKEN.findall(key)}
+        if key_tokens <= role_tokens:
+            candidates.append((len(key_tokens), key))
+    if not candidates:
+        return None
+    best_len = max(c[0] for c in candidates)
+    for length, key in candidates:
+        if length == best_len:
+            return key
+    return None
+
+
+MAP_WORDS = st.sampled_from(["front", "door", "Door", "hall", "light", "sensor", "-", ""])
+
+
+@given(
+    role=st.lists(MAP_WORDS, max_size=4).map(" ".join),
+    keys=st.lists(st.lists(MAP_WORDS, max_size=3).map(" ".join), max_size=5),
+)
+def test_map_key_for_matches_the_kept_lookup(role, keys):
+    device_map = dict.fromkeys(keys, "Some Device")
+    assert _map_key_for(role, device_map) == _kept_map_key_for(role, device_map)

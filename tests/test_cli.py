@@ -399,6 +399,9 @@ HUB = [{"name": "Hub", "type": "gateway", "network": ["wifi1"]}]
         {"networks": NETS, "attacker": {"radio_adjacent": [["wifi1"]]}},
         {"networks": NETS, "devices": HUB, "attacker": {"physical_access": [{"d": "Hub"}]}},
         {"networks": NETS, "devices": [*HUB, {"name": "Lamp", "type": "bulb", "plugs_into": [1]}]},
+        {"apps": [{"App name": "Welcome\nunlock(frontDoor).", "description": "Turn on the light."}]},
+        {"networks": NETS, "attacker": {"radio_adjacent": ["wifi1", "wifi1"]}},
+        {"networks": NETS, "devices": HUB, "attacker": {"physical_access": ["Hub", "hub"]}},
     ],
     ids=[
         "devices-number",
@@ -411,6 +414,9 @@ HUB = [{"name": "Hub", "type": "gateway", "network": ["wifi1"]}]
         "radio-entry-list",
         "physical-entry-object",
         "wiring-list",
+        "app-name-two-lines",
+        "radio-twice",
+        "physical-twice",
     ],
 )
 def test_mistyped_config_exits_2(tmp_path, capsys, doc):

@@ -2,14 +2,28 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import sqlite3
+from copy import deepcopy
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iotgraph.cvestore import _SCHEMA, CveStore, StoreError, query_tokens, tokenize
+from iotgraph.cvestore import (
+    _IMPACT_LEVELS,
+    _SCHEMA,
+    _V2_IMPACT,
+    _VECTORS,
+    CveRecord,
+    CveStore,
+    StoreError,
+    _english_description,
+    _record_from_item,
+    query_tokens,
+    tokenize,
+)
 
 from conftest import FEED_PATH, FIXTURE_NAMES, load_fixture_config
 
@@ -249,6 +263,8 @@ def test_ingest_rejects_feed_that_is_not_an_object(tmp_path):
         (False, ("cve", "description", "description_data", 0, "value"), 5),
         (False, ("impact", "baseMetricV3", "cvssV3", "attackVector"), 5),
         (True, ("impact", "baseMetricV2", "cvssV2", "integrityImpact"), ["NONE"]),
+        # A regular expression's ``$`` also matches before a final newline.
+        (False, ("cve", "CVE_data_meta", "ID"), "CVE-2021-0002\n"),
     ],
 )
 def test_ingest_skips_mistyped_items_and_keeps_the_rest(tmp_path, v2, path, value):
@@ -425,3 +441,191 @@ def test_schema_runs_in_one_transaction_and_migrates_an_old_store(tmp_path, stor
         with CveStore(path) as again:
             assert again.all_records() == store.all_records()
         assert layout() == before
+
+
+def test_score_too_large_for_a_float_is_skipped(tmp_path):
+    huge = item("CVE-2021-0001", "a router bug")
+    # JSON integers have no limit, and 10**400 has no float.
+    huge["impact"]["baseMetricV3"]["impactScore"] = 10**400
+    feed = write_feed(tmp_path / "feed.json", [huge, item("CVE-2021-0002", "a lock bug")])
+    s = CveStore(tmp_path / "s.db")
+    assert s.ingest_feed(str(feed)) == (1, 1)
+    assert [r.cve_id for r in s.all_records()] == ["CVE-2021-0002"]
+
+
+# The reader as it was when each CVSS version had a branch of its own and
+# the reader checked the vector and the levels before ``CveRecord`` did.
+# Kept to check that the one-table reader reads every item the same way.
+_KEPT_CVE_YEAR = re.compile(r"^CVE-(\d{4})-\d+$")
+
+
+def _kept_record_from_item(item):
+    try:
+        return _kept_parse_item(item)
+    except (AttributeError, KeyError, TypeError, ValueError, StoreError):
+        return None
+
+
+def _kept_parse_item(item):
+    cve_id = item["cve"]["CVE_data_meta"]["ID"]
+    m = _KEPT_CVE_YEAR.match(cve_id)
+    if not m:
+        return None
+    description = _english_description(item["cve"])
+    impact = item.get("impact", {})
+    if "baseMetricV3" in impact:
+        metric = impact["baseMetricV3"]
+        cvss = metric.get("cvssV3", {})
+        vector = cvss.get("attackVector", "").lower()
+        if vector == "adjacent_network":
+            vector = "adjacent"
+        levels = [
+            cvss.get("confidentialityImpact", "").lower(),
+            cvss.get("integrityImpact", "").lower(),
+            cvss.get("availabilityImpact", "").lower(),
+        ]
+    elif "baseMetricV2" in impact:
+        metric = impact["baseMetricV2"]
+        cvss = metric.get("cvssV2", {})
+        vector = cvss.get("accessVector", "").lower()
+        if vector == "adjacent_network":
+            vector = "adjacent"
+        levels = [
+            _V2_IMPACT.get(cvss.get("confidentialityImpact", ""), ""),
+            _V2_IMPACT.get(cvss.get("integrityImpact", ""), ""),
+            _V2_IMPACT.get(cvss.get("availabilityImpact", ""), ""),
+        ]
+    else:
+        return None
+    if vector not in _VECTORS or any(level not in _IMPACT_LEVELS for level in levels):
+        return None
+    return CveRecord(
+        cve_id=cve_id,
+        description=description,
+        attack_vector=vector,
+        conf_impact=levels[0],
+        integ_impact=levels[1],
+        avail_impact=levels[2],
+        impact_score=float(metric.get("impactScore", 0.0)),
+        exploitability_score=float(metric.get("exploitabilityScore", 0.0)),
+        year=int(m.group(1)),
+    )
+
+
+MISSING = object()
+# Fresh copies: a later corruption may write into a container put in place.
+WRONG_TYPES = st.sampled_from([None, 5, 2.5, True, [], ["HIGH"], {}, {"cvssV3": {}}]).map(deepcopy)
+VECTORS = st.sampled_from(["NETWORK", "ADJACENT_NETWORK", "ADJACENT", "LOCAL", "PHYSICAL"]).flatmap(
+    lambda v: st.sampled_from([v, v.lower(), v.title()])
+)
+V3_LEVELS = st.sampled_from(["NONE", "LOW", "HIGH", "none", "Low", "high"])
+V2_LEVELS = st.sampled_from(["NONE", "PARTIAL", "COMPLETE"])
+SCORES = st.one_of(
+    st.floats(allow_nan=False),
+    st.integers(-(10**6), 10**6),
+    st.sampled_from(["5.9", " 3 ", "1e3", "inf"]),
+)
+# What a corruption puts in place of a value: vectors and levels of the
+# other version or of neither, text that is no number, and wrong JSON types.
+REPLACEMENTS = st.one_of(
+    st.just(MISSING),
+    WRONG_TYPES,
+    VECTORS,
+    V3_LEVELS,
+    V2_LEVELS,
+    st.sampled_from(["", "BOGUS", "ADJACENT-NETWORK", "adjacent_network_network", "MEDIUM", "5,9"]),
+    st.text(max_size=4),
+)
+
+
+def _cvss_block(version):
+    metric_key, cvss_key, vector_key, levels = {
+        3: ("baseMetricV3", "cvssV3", "attackVector", V3_LEVELS),
+        2: ("baseMetricV2", "cvssV2", "accessVector", V2_LEVELS),
+    }[version]
+    cvss = st.fixed_dictionaries(
+        {
+            vector_key: VECTORS,
+            "confidentialityImpact": levels,
+            "integrityImpact": levels,
+            "availabilityImpact": levels,
+        }
+    )
+    metric = st.fixed_dictionaries(
+        {cvss_key: cvss}, optional={"impactScore": SCORES, "exploitabilityScore": SCORES}
+    )
+    return st.tuples(st.just(metric_key), metric)
+
+
+# An item with a well-formed id, descriptions in English, in French or none
+# (text or of the wrong type), and v3 metrics, v2 metrics, both or neither.
+BASE_ITEMS = st.fixed_dictionaries(
+    {
+        "cve": st.fixed_dictionaries(
+            {
+                "CVE_data_meta": st.builds(
+                    lambda year, number: {"ID": f"CVE-{year}-{number:04d}"},
+                    st.integers(1999, 2030),
+                    st.integers(0, 10**7),
+                ),
+            },
+            optional={
+                "description": st.fixed_dictionaries(
+                    {},
+                    optional={
+                        "description_data": st.lists(
+                            st.fixed_dictionaries(
+                                {
+                                    "lang": st.sampled_from(["en", "fr"]),
+                                    "value": st.one_of(st.text(max_size=8), WRONG_TYPES),
+                                }
+                            ),
+                            max_size=3,
+                        )
+                    },
+                )
+            },
+        ),
+        # Both key orders: v3 wins either way.
+        "impact": st.sampled_from([(3,), (2,), (3, 2), (2, 3), ()]).flatmap(
+            lambda versions: st.tuples(*map(_cvss_block, versions)).map(dict)
+        ),
+    }
+)
+
+
+def _paths(node, path=()):
+    """The key path of every value under ``node``, containers included."""
+
+    keys = node if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield path + (key,)
+        yield from _paths(node[key], path + (key,))
+
+
+@st.composite
+def feed_items(draw):
+    """A base item with up to three values replaced or removed."""
+
+    feed_item = draw(BASE_ITEMS)
+    for _ in range(draw(st.integers(0, 3))):
+        # The id stays well-formed: the one-table reader matches whole ids.
+        paths = [p for p in _paths(feed_item) if p[-1] != "ID"]
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent = feed_item
+        for key in path[:-1]:
+            parent = parent[key]
+        value = draw(REPLACEMENTS)
+        if value is MISSING:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return feed_item
+
+
+@settings(max_examples=500, deadline=None)
+@given(feed_items())
+def test_one_table_reader_matches_the_kept_two_branch_reader(feed_item):
+    assert _record_from_item(feed_item) == _kept_record_from_item(feed_item)

@@ -239,3 +239,25 @@ def test_device_catalog_is_complete():
     for key, info in DEVICE_TYPES.items():
         assert info.predicate[0].islower()
         assert info.events or info.settable or key in ("router", "gateway")
+
+
+@pytest.mark.parametrize("name", ["Welcome\nunlock(frontDoor).", "Welcome\r", "Night\u2028Light", "A\x0bB"])
+def test_app_name_with_a_line_break_rejected(name):
+    doc = minimal_doc()
+    doc["apps"] = [{"App name": name, "description": "Turn on the light if there is motion."}]
+    with pytest.raises(ConfigError, match="App name must be one line"):
+        parse_config(doc, source="test")
+
+
+@pytest.mark.parametrize(
+    "key, entries",
+    [
+        ("radio_adjacent", ["wifi1", "wifi1"]),
+        ("physical_access", ["D-Link Router", "dLinkRouter"]),
+    ],
+)
+def test_duplicate_attacker_entries_rejected(key, entries):
+    doc = minimal_doc()
+    doc["attacker"] = {key: entries}
+    with pytest.raises(ConfigError, match=f"attacker: duplicate {key} entries"):
+        parse_config(doc, source="test")
