@@ -8,8 +8,9 @@ as a whole token. Each feed item is read once, from its CVSS v3 block if it
 has one and from its v2 block otherwise, through one table of the two
 versions' keys. Items without CVSS metrics are skipped at ingest time because
 the downstream exploit classifier needs the subscores; so are items whose id
-is not a whole ``CVE-YYYY-N`` string, items with a field of the wrong JSON
-type, and items with a vector or impact level ``CveRecord`` refuses.
+is not a whole ``CVE-YYYY-N`` string of ASCII digits, items with a field of
+the wrong JSON type, and items with a vector or impact level ``CveRecord``
+refuses.
 
 The ``tokens`` table has two indexes: its primary key ``(token, cve_id)``
 serves the keyword lookups of a search, and ``tokens_by_cve`` the delete of
@@ -42,7 +43,7 @@ COLOR_TOKENS = frozenset({"white", "black", "red", "green", "blue", "yellow", "g
 SIZE_TOKENS = frozenset({"mini", "small", "large", "big"})
 
 _WORD = re.compile(r"[a-z0-9]+")
-_CVE_ID = re.compile(r"CVE-(\d{4})-\d+")
+_CVE_ID = re.compile(r"CVE-([0-9]{4})-[0-9]+")
 
 _IMPACT_LEVELS = ("none", "low", "high")
 _V2_IMPACT = {"NONE": "none", "PARTIAL": "low", "COMPLETE": "high"}

@@ -24,14 +24,15 @@ def load_fixture_config(name: str) -> SystemConfig:
 
 
 @pytest.fixture(scope="session")
-def store(tmp_path_factory: pytest.TempPathFactory) -> CveStore:
+def store(tmp_path_factory: pytest.TempPathFactory) -> Iterator[CveStore]:
     """One CVE store for the whole run, loaded from the bundled feed."""
 
     root = tmp_path_factory.mktemp("cvestore")
     s = CveStore(root / "store.db")
     added, skipped = s.ingest_feed(str(FEED_PATH))
     assert added > 0 and skipped == 0
-    return s
+    yield s
+    s.close()
 
 
 @pytest.fixture(scope="session")

@@ -179,16 +179,15 @@ def test_open_existing_requires_file(tmp_path):
 
 
 def test_open_existing_reads_back(tmp_path):
-    s = CveStore(tmp_path / "s.db")
-    s.ingest_feed(str(FEED_PATH))
-    again = CveStore.open_existing(tmp_path / "s.db")
-    assert again.count() == 20
+    with CveStore(tmp_path / "s.db") as s:
+        s.ingest_feed(str(FEED_PATH))
+    with CveStore.open_existing(tmp_path / "s.db") as again:
+        assert again.count() == 20
 
 
 def test_open_existing_is_read_only(tmp_path):
-    s = CveStore(tmp_path / "s.db")
-    s.ingest_feed(str(FEED_PATH))
-    s.close()
+    with CveStore(tmp_path / "s.db") as s:
+        s.ingest_feed(str(FEED_PATH))
     with CveStore.open_existing(tmp_path / "s.db") as again:
         with pytest.raises(sqlite3.OperationalError, match="readonly"):
             again.add(again.get("CVE-2020-8864"))
@@ -216,9 +215,8 @@ def test_ingest_skips_items_without_cvss(tmp_path):
             },
         ],
     )
-    s = CveStore(tmp_path / "s.db")
-    added, skipped = s.ingest_feed(str(feed))
-    assert (added, skipped) == (1, 1)
+    with CveStore(tmp_path / "s.db") as s:
+        assert s.ingest_feed(str(feed)) == (1, 1)
 
 
 def test_ingest_parses_v2_fallback(tmp_path):
@@ -227,9 +225,9 @@ def test_ingest_parses_v2_fallback(tmp_path):
         [item("CVE-2014-0003", "an old camera bug", vector="ADJACENT_NETWORK",
               c="PARTIAL", i="NONE", a="COMPLETE", v2=True)],
     )
-    s = CveStore(tmp_path / "s.db")
-    assert s.ingest_feed(str(feed)) == (1, 0)
-    rec = s.get("CVE-2014-0003")
+    with CveStore(tmp_path / "s.db") as s:
+        assert s.ingest_feed(str(feed)) == (1, 0)
+        rec = s.get("CVE-2014-0003")
     assert rec.attack_vector == "adjacent"
     assert rec.conf_impact == "low"
     assert rec.integ_impact == "none"
@@ -239,20 +237,21 @@ def test_ingest_parses_v2_fallback(tmp_path):
 def test_ingest_rejects_malformed_feed(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    s = CveStore(tmp_path / "s.db")
-    with pytest.raises(StoreError):
-        s.ingest_feed(str(bad))
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
-    with pytest.raises(StoreError):
-        s.ingest_feed(str(empty))
+    with CveStore(tmp_path / "s.db") as s:
+        with pytest.raises(StoreError):
+            s.ingest_feed(str(bad))
+        with pytest.raises(StoreError):
+            s.ingest_feed(str(empty))
 
 
 def test_ingest_rejects_feed_that_is_not_an_object(tmp_path):
     feed = tmp_path / "list.json"
     feed.write_text(json.dumps([item("CVE-2021-0001", "a router bug")]))
-    with pytest.raises(StoreError, match="top level must be an object"):
-        CveStore(tmp_path / "s.db").ingest_feed(str(feed))
+    with CveStore(tmp_path / "s.db") as s:
+        with pytest.raises(StoreError, match="top level must be an object"):
+            s.ingest_feed(str(feed))
 
 
 @pytest.mark.parametrize(
@@ -265,6 +264,8 @@ def test_ingest_rejects_feed_that_is_not_an_object(tmp_path):
         (True, ("impact", "baseMetricV2", "cvssV2", "integrityImpact"), ["NONE"]),
         # A regular expression's ``$`` also matches before a final newline.
         (False, ("cve", "CVE_data_meta", "ID"), "CVE-2021-0002\n"),
+        # ``\d`` also matches digits outside ASCII, such as Arabic-Indic ones.
+        (False, ("cve", "CVE_data_meta", "ID"), "CVE-\u0662\u0660\u0662\u0661-0002"),
     ],
 )
 def test_ingest_skips_mistyped_items_and_keeps_the_rest(tmp_path, v2, path, value):
@@ -277,16 +278,16 @@ def test_ingest_skips_mistyped_items_and_keeps_the_rest(tmp_path, v2, path, valu
         tmp_path / "feed.json",
         [item("CVE-2021-0001", "a router bug"), bad, item("CVE-2021-0003", "a lock bug")],
     )
-    s = CveStore(tmp_path / "s.db")
-    assert s.ingest_feed(str(feed)) == (2, 1)
-    assert [r.cve_id for r in s.all_records()] == ["CVE-2021-0001", "CVE-2021-0003"]
+    with CveStore(tmp_path / "s.db") as s:
+        assert s.ingest_feed(str(feed)) == (2, 1)
+        assert [r.cve_id for r in s.all_records()] == ["CVE-2021-0001", "CVE-2021-0003"]
 
 
 def test_reingest_same_feed_updates_not_duplicates(tmp_path):
-    s = CveStore(tmp_path / "s.db")
-    s.ingest_feed(str(FEED_PATH))
-    s.ingest_feed(str(FEED_PATH))
-    assert s.count() == 20
+    with CveStore(tmp_path / "s.db") as s:
+        s.ingest_feed(str(FEED_PATH))
+        s.ingest_feed(str(FEED_PATH))
+        assert s.count() == 20
 
 
 def test_all_records_enumerates(store):
@@ -323,56 +324,49 @@ def test_feed_repeating_an_id_keeps_its_last_record(tmp_path):
             item("CVE-2021-0001", "a camera bug", vector="LOCAL"),
         ],
     )
-    s = CveStore(tmp_path / "s.db")
-    assert s.ingest_feed(str(feed)) == (3, 0)
-    assert s.count() == 2
-    assert s.get("CVE-2021-0001").description == "a camera bug"
-    assert s.get("CVE-2021-0001").attack_vector == "local"
-    assert s.search("Thermostat") == []
-    assert [r.cve_id for r in s.search("Camera")] == ["CVE-2021-0001"]
+    with CveStore(tmp_path / "s.db") as s:
+        assert s.ingest_feed(str(feed)) == (3, 0)
+        assert s.count() == 2
+        assert s.get("CVE-2021-0001").description == "a camera bug"
+        assert s.get("CVE-2021-0001").attack_vector == "local"
+        assert s.search("Thermostat") == []
+        assert [r.cve_id for r in s.search("Camera")] == ["CVE-2021-0001"]
 
 
 def test_reingest_of_edited_feed_drops_old_tokens(tmp_path):
-    s = CveStore(tmp_path / "s.db")
     feed = tmp_path / "feed.json"
-    write_feed(feed, [item("CVE-2021-0001", "a thermostat bug"), item("CVE-2021-0002", "a lock bug")])
-    s.ingest_feed(str(feed))
-    write_feed(feed, [item("CVE-2021-0001", "a camera bug")])
-    assert s.ingest_feed(str(feed)) == (1, 0)
-    assert s.search("Thermostat") == []
-    assert [r.cve_id for r in s.search("Camera")] == ["CVE-2021-0001"]
-    assert [r.cve_id for r in s.search("Lock")] == ["CVE-2021-0002"]
+    with CveStore(tmp_path / "s.db") as s:
+        write_feed(feed, [item("CVE-2021-0001", "a thermostat bug"), item("CVE-2021-0002", "a lock bug")])
+        s.ingest_feed(str(feed))
+        write_feed(feed, [item("CVE-2021-0001", "a camera bug")])
+        assert s.ingest_feed(str(feed)) == (1, 0)
+        assert s.search("Thermostat") == []
+        assert [r.cve_id for r in s.search("Camera")] == ["CVE-2021-0001"]
+        assert [r.cve_id for r in s.search("Lock")] == ["CVE-2021-0002"]
 
 
 def test_bulk_ingest_matches_adding_records_one_by_one(tmp_path, store):
-    one_by_one = CveStore(tmp_path / "s.db")
-    for record in store.all_records():
-        one_by_one.add(record)
-    assert answers(one_by_one) == answers(store)
+    with CveStore(tmp_path / "s.db") as one_by_one:
+        for record in store.all_records():
+            one_by_one.add(record)
+        assert answers(one_by_one) == answers(store)
     assert any(answers(store)[1])
 
 
 def test_ingest_commits_once_per_feed(tmp_path):
     items = [item(f"CVE-2021-{i:04d}", f"model{i} router bug") for i in range(64)]
     feed = write_feed(tmp_path / "feed.json", items)
-    s = CveStore(tmp_path / "s.db")
     statements = []
-    s._conn.set_trace_callback(statements.append)
-    assert s.ingest_feed(str(feed)) == (64, 0)
-    s._conn.set_trace_callback(None)
-    assert [st for st in statements if st.upper().startswith("COMMIT")] == ["COMMIT"]
-    assert s.count() == 64
+    with CveStore(tmp_path / "s.db") as s:
+        s._conn.set_trace_callback(statements.append)
+        assert s.ingest_feed(str(feed)) == (64, 0)
+        s._conn.set_trace_callback(None)
+        assert [st for st in statements if st.upper().startswith("COMMIT")] == ["COMMIT"]
+        assert s.count() == 64
 
 
 def test_failed_ingest_leaves_the_store_unchanged(tmp_path):
     path = tmp_path / "s.db"
-    s = CveStore(path)
-    s.ingest_feed(str(FEED_PATH))
-    before = answers(s)
-    s._conn.execute(
-        "CREATE TRIGGER refuse BEFORE INSERT ON tokens WHEN NEW.cve_id = 'CVE-2021-0002' "
-        "BEGIN SELECT RAISE(ABORT, 'refused'); END"
-    )
     feed = write_feed(
         tmp_path / "feed.json",
         [
@@ -381,11 +375,17 @@ def test_failed_ingest_leaves_the_store_unchanged(tmp_path):
             item("CVE-2021-0002", "a lock bug"),
         ],
     )
-    with pytest.raises(StoreError, match="refused"):
-        s.ingest_feed(str(feed))
-    assert answers(s) == before
-    assert s.get("CVE-2021-0001") is None
-    s.close()
+    with CveStore(path) as s:
+        s.ingest_feed(str(FEED_PATH))
+        before = answers(s)
+        s._conn.execute(
+            "CREATE TRIGGER refuse BEFORE INSERT ON tokens WHEN NEW.cve_id = 'CVE-2021-0002' "
+            "BEGIN SELECT RAISE(ABORT, 'refused'); END"
+        )
+        with pytest.raises(StoreError, match="refused"):
+            s.ingest_feed(str(feed))
+        assert answers(s) == before
+        assert s.get("CVE-2021-0001") is None
     with CveStore.open_existing(path) as again:
         assert answers(again) == before
 
@@ -448,9 +448,9 @@ def test_score_too_large_for_a_float_is_skipped(tmp_path):
     # JSON integers have no limit, and 10**400 has no float.
     huge["impact"]["baseMetricV3"]["impactScore"] = 10**400
     feed = write_feed(tmp_path / "feed.json", [huge, item("CVE-2021-0002", "a lock bug")])
-    s = CveStore(tmp_path / "s.db")
-    assert s.ingest_feed(str(feed)) == (1, 1)
-    assert [r.cve_id for r in s.all_records()] == ["CVE-2021-0002"]
+    with CveStore(tmp_path / "s.db") as s:
+        assert s.ingest_feed(str(feed)) == (1, 1)
+        assert [r.cve_id for r in s.all_records()] == ["CVE-2021-0002"]
 
 
 # The reader as it was when each CVSS version had a branch of its own and
