@@ -9,9 +9,14 @@ measured cost. Prints one row per size, with the seconds ``write_outputs``
 took to write the fastest run's result into a temporary directory and the
 seconds each stage of ``analyze`` took in that run
 (``AnalysisResult.timings``), then the fitted growth exponent of ``analyze``,
-then all of it as one JSON line.
-Times are the best of ``--repeats`` plain runs; peak traced memory comes
-from one further run under ``tracemalloc``, which is not timed.
+then all of it as one JSON line. Each JSON row also holds the garbage
+collector's seconds during the fastest run (``gc_s``, from
+``gc.callbacks``) and the objects the collector tracks for that run's
+result (``tracked_objects``: ``gc.get_objects()`` after the run and a
+collection, less the count before the run).
+Times are the best of ``--repeats`` plain runs, each from a collected heap;
+peak traced memory comes from one further run under ``tracemalloc``, which
+is not timed.
 
 Usage:
     python3 scripts/run_scaling.py [--sizes 10,20,30,40,50] [--seed 20260816]
@@ -21,6 +26,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import statistics
@@ -42,6 +48,23 @@ from iotgraph.synth import synthesize
 from perfbench.feed import synth_feed
 
 STAGES = ("scan", "classify", "apps", "compile", "reason", "metrics")
+
+
+class CollectorClock:
+    """Seconds the garbage collector runs while ``running`` is set."""
+
+    def __init__(self) -> None:
+        self.running = False
+        self.seconds = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if not self.running:
+            return
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.seconds += time.perf_counter() - self._start
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,43 +95,60 @@ def main(argv: list[str] | None = None) -> int:
             f"{'devices':>8} {'best wall (s)':>14} {'write':>9} {'peak MB':>8} "
             f"{'graph nodes':>12} {'reachable goals':>16} {stage_heads}"
         )
-        for n in sizes:
-            cfg = synthesize(n, seed=args.seed)
-            best, fastest = math.inf, None
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                result = analyze(cfg, store)
-                took = time.perf_counter() - t0
-                if took < best:
-                    best, fastest = took, result
-            timings = fastest.timings
-            write = math.inf
-            for _ in range(args.repeats):
-                with tempfile.TemporaryDirectory(dir=tmp) as out:
+        clock = CollectorClock()
+        gc.callbacks.append(clock)
+        try:
+            for n in sizes:
+                cfg = synthesize(n, seed=args.seed)
+                best, fastest, gc_s, tracked = math.inf, None, 0.0, 0
+                for _ in range(args.repeats):
+                    result = None
+                    gc.collect()
+                    before = len(gc.get_objects())
+                    clock.seconds, clock.running = 0.0, True
                     t0 = time.perf_counter()
-                    write_outputs(fastest, out)
-                    write = min(write, time.perf_counter() - t0)
-            # Peak memory in a pass of its own: tracemalloc slows allocation
-            # several-fold, so the timed passes run without it.
-            tracemalloc.start()
-            result = analyze(cfg, store)
-            peak = tracemalloc.get_traced_memory()[1]
-            tracemalloc.stop()
-            row = {
-                "devices": n,
-                "best_s": best,
-                "write_s": write,
-                "peak_mb": peak / 1e6,
-                "graph_nodes": len(result.graph.nodes),
-                "reachable_goals": sum(1 for r in result.goal_results if r.reachable),
-                "stages_s": {name: timings[name] for name in STAGES},
-            }
-            rows.append(row)
-            stage_cells = " ".join(f"{timings[name]:>9.4f}" for name in STAGES)
-            print(
-                f"{n:>8} {best:>14.4f} {write:>9.4f} {row['peak_mb']:>8.1f} "
-                f"{row['graph_nodes']:>12} {row['reachable_goals']:>16} {stage_cells}"
-            )
+                    result = analyze(cfg, store)
+                    took = time.perf_counter() - t0
+                    clock.running = False
+                    if took < best:
+                        # Counted before the previous fastest result, which
+                        # ``before`` includes, is dropped.
+                        gc.collect()
+                        gc_s, tracked = clock.seconds, len(gc.get_objects()) - before
+                        best, fastest = took, result
+                result = None
+                timings = fastest.timings
+                write = math.inf
+                for _ in range(args.repeats):
+                    with tempfile.TemporaryDirectory(dir=tmp) as out:
+                        t0 = time.perf_counter()
+                        write_outputs(fastest, out)
+                        write = min(write, time.perf_counter() - t0)
+                # Peak memory in a pass of its own: tracemalloc slows allocation
+                # several-fold, so the timed passes run without it.
+                tracemalloc.start()
+                result = analyze(cfg, store)
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+                row = {
+                    "devices": n,
+                    "best_s": best,
+                    "write_s": write,
+                    "peak_mb": peak / 1e6,
+                    "graph_nodes": len(result.graph.nodes),
+                    "reachable_goals": sum(1 for r in result.goal_results if r.reachable),
+                    "stages_s": {name: timings[name] for name in STAGES},
+                    "gc_s": gc_s,
+                    "tracked_objects": tracked,
+                }
+                rows.append(row)
+                stage_cells = " ".join(f"{timings[name]:>9.4f}" for name in STAGES)
+                print(
+                    f"{n:>8} {best:>14.4f} {write:>9.4f} {row['peak_mb']:>8.1f} "
+                    f"{row['graph_nodes']:>12} {row['reachable_goals']:>16} {stage_cells}"
+                )
+        finally:
+            gc.callbacks.remove(clock)
 
         slope = None
         if len(sizes) >= 2:

@@ -18,7 +18,7 @@ from .apps import AppBindError, AppParseError, bind_app, parse_app_description
 from .cvestore import CveStore, StoreError
 from .exploits import parse_overrides
 from .logic import LogicError, parse_atom
-from .model import ConfigError, SystemConfig, parse_config
+from .model import ConfigError, SystemConfig, is_one_line, parse_config
 from .pipeline import analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
 from .rules import compile_system, render_program
 from .synth import render_synth
@@ -72,6 +72,8 @@ def _parse_goals(texts: list[str]) -> tuple:
             raise CliError(f"bad goal {text!r}: {exc}", EXIT_CONFIG) from exc
         if not goal.is_ground():
             raise CliError(f"bad goal {text!r}: it has a variable", EXIT_CONFIG)
+        if not is_one_line(goal.render()):
+            raise CliError(f"bad goal {text!r}: it spans lines", EXIT_CONFIG)
         goals.append(goal)
     return tuple(goals)
 

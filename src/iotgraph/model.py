@@ -237,6 +237,12 @@ class SystemConfig:
         return self._networks_by_key
 
 
+def is_one_line(text: str) -> bool:
+    """Whether ``text`` holds no character that ``str.splitlines`` breaks on."""
+
+    return text.splitlines() == [text]
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ConfigError(message)
@@ -343,7 +349,7 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         name = _string_field(stanza, "App name", f"{source}: app")
         where = f"{source}: app {name!r}"
         # program.pl prints the name on a comment line of its own.
-        _require(name.splitlines() == [name], f"{where}: App name must be one line")
+        _require(is_one_line(name), f"{where}: App name must be one line")
         description = _string_field(stanza, "description", where)
         device_map = stanza.get("device map", {})
         _require(isinstance(device_map, dict), f"{where}: device map must be an object")
@@ -390,6 +396,8 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
             raise ConfigError(f"{source}: bad goal: {exc}") from None
         # No derived atom has a variable, so such a goal could never be reached.
         _require(goal.is_ground(), f"{source}: bad goal: {g!r} has a variable")
+        # program.pl prints each goal on a line of its own.
+        _require(is_one_line(goal.render()), f"{source}: bad goal: {g!r} spans lines")
         goals.append(goal)
 
     return SystemConfig(

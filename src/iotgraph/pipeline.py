@@ -35,7 +35,7 @@ from .exploits import (
 from .logic import Atom
 from .metrics import GoalResult
 from .model import SystemConfig
-from .reasoner import AttackGraph, SaturationResult, build_attack_graph, default_goals
+from .reasoner import AttackGraph, build_attack_graph, default_goals
 from .rules import CompiledSystem, compile_system, render_program
 # Not called here: ``analyze`` takes its saturation from ``compile_system``,
 # whose evaluator ``saturate`` runs with no library. It stays a name of this
@@ -164,9 +164,9 @@ def analyze(
     with stage("apps"):
         bound, skipped = bind_apps(config)
     with stage("compile"):
-        sat = SaturationResult()
-        compiled = compile_system(config, models, bound, extra_goals=extra_goals, saturation=sat)
+        compiled = compile_system(config, models, bound, extra_goals=extra_goals)
     with stage("reason"):
+        sat = compiled.grounding.saturation
         goals = compiled.goals or default_goals(sat)
         graph = build_attack_graph(sat, goals)
     with stage("metrics"):
@@ -270,8 +270,8 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str
         "exploit_models": len(result.models),
         "apps_bound": [b.app.name for b in result.bound_apps],
         "apps_skipped": [{"app": name, "reason": reason} for name, reason in result.skipped_apps],
-        "facts": len(result.compiled.program.facts),
-        "rules": len(result.compiled.program.rules),
+        "facts": len(result.compiled.facts),
+        "rules": result.compiled.rule_count,
         "graph_nodes": len(result.graph.nodes),
         "goals": [
             {
@@ -299,8 +299,8 @@ def render_summary(result: AnalysisResult) -> str:
         f"cves: {sum(len(f.records) for f in result.findings)} on {len(result.findings)} devices, "
         f"apps bound: {len(result.bound_apps)}"
         + (f" (skipped {len(result.skipped_apps)})" if result.skipped_apps else ""),
-        f"program: {len(result.compiled.program.facts)} facts, "
-        f"{len(result.compiled.program.rules)} rules; graph: {len(result.graph.nodes)} nodes",
+        f"program: {len(result.compiled.facts)} facts, "
+        f"{result.compiled.rule_count} rules; graph: {len(result.graph.nodes)} nodes",
     ]
     for r in result.goal_results:
         if r.reachable:

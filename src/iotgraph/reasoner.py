@@ -1,10 +1,13 @@
 """The least model of a ground Horn program, and the attack graph sliced from it.
 
 A ``SaturationResult`` is the least model with the rule firings that reach
-it. This module computes none: the evaluator in ``rules`` fills it, for
-``analyze`` as it grounds the library (``rules.ground_static_rules``) and
-for a bare program through ``rules.saturate``. ``build_attack_graph`` only
-slices the saturation it is handed.
+it, over integer atom ids: one table interns each ground atom, and each
+firing is a row of label, head id and body ids. Its ``Atom`` and
+``HornRule`` views are built on first read. This module computes no
+saturation: the evaluator in ``rules`` fills it, for ``analyze`` as it
+grounds the library (``rules.ground_static_rules``) and for a bare program
+through ``rules.saturate``. ``build_attack_graph`` only slices the rows it
+is handed, and builds atoms and rules for the slice's nodes only.
 
 The graph is tripartite. Primitive facts are boxes with no incoming edges,
 rule firings are AND nodes (every body atom must hold), and derived atoms
@@ -21,11 +24,13 @@ them once into ``schedule``, the evaluation order of the graph metrics.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
-from .logic import Atom, HornRule, render_fact
+from .logic import Atom, HornRule
 
 FACT = "fact"
 RULE = "rule"
@@ -199,91 +204,157 @@ class AttackGraph:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class SaturationResult:
-    """A program's least model and the firings that derive it.
+Row = tuple[str, int, tuple[int, ...]]
 
-    ``known`` is the whole model, the facts and ``derived``; no fact is in
-    ``derived``. ``fired`` holds each rule whose body holds, once per rule
-    of the program, and ``fired_by_head`` indexes it by head. A firing is
+# An atom's ``SaturationResult.state``: not known (0), a fact, or derived.
+GIVEN, DERIVED = 1, 2
+
+
+class SaturationResult:
+    """A program's least model and the firings that derive it, over interned atoms.
+
+    Each distinct atom the evaluation meets is interned once, to an integer
+    id: ``ids[pred][args]`` is its id, and ``preds``, ``args``, ``objects``
+    and ``state`` hold, by id, its predicate, its arguments, its ``Atom``
+    once there is one, and whether it is known: a fact (``GIVEN``) or
+    derived (``DERIVED``); no fact is derived. ``rows`` holds each firing
+    as ``(label, head id, body ids)``, once per rule of the program whose
+    body holds, and ``rows_by_head()`` indexes it by head. A firing is
     recorded even when its head was already known, because each firing is
     a separate AND node (another way in for the OR above it).
+
+    ``known``, ``derived``, ``fired`` and ``fired_by_head`` are the same in
+    ``Atom`` and ``HornRule`` terms, built on first read. ``atom(id)`` gives
+    one object per id: the object the evaluation was given, where it was
+    given one.
     """
 
-    known: set[Atom] = field(default_factory=set)
-    derived: set[Atom] = field(default_factory=set)
-    fired: list[HornRule] = field(default_factory=list)
-    fired_by_head: dict[Atom, list[int]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.ids: dict[str, dict[tuple[str, ...], int]] = {}
+        self.preds: list[str] = []
+        self.args: list[tuple[str, ...]] = []
+        self.objects: list[Atom | None] = []
+        self.state = bytearray()
+        self.rows: list[Row] = []
 
-    def fire(self, rule: HornRule) -> None:
-        """Record a firing of ``rule``; its head's derivation is the caller's."""
+    def intern(self, atoms: Iterable[Atom]) -> list[int]:
+        """The ids of ``atoms``; a new atom takes the next id and keeps its object."""
 
-        self.fired_by_head.setdefault(rule.head, []).append(len(self.fired))
-        self.fired.append(rule)
+        ids, preds, arglist, objects = self.ids, self.preds, self.args, self.objects
+        out = []
+        for atom in atoms:
+            pred, args = atom.pred, atom.args
+            table = ids.get(pred)
+            if table is None:
+                table = ids[pred] = {}
+            i = table.get(args)
+            if i is None:
+                i = table[args] = len(preds)
+                preds.append(pred)
+                arglist.append(args)
+                objects.append(atom)
+                self.state.append(0)
+            out.append(i)
+        return out
 
+    def atom(self, i: int) -> Atom:
+        atom = self.objects[i]
+        if atom is None:
+            atom = self.objects[i] = Atom.instance(self.preds[i], self.args[i])
+        return atom
 
-def _atom_key(atom: Atom) -> str:
-    return atom.render()
+    def derived_ids(self) -> list[int]:
+        return [i for i, state in enumerate(self.state) if state == DERIVED]
+
+    def rows_by_head(self) -> dict[int, list[int]]:
+        """The row numbers of each head's firings, built anew on each call."""
+
+        by_head: dict[int, list[int]] = {}
+        for k, (_, head, _) in enumerate(self.rows):
+            by_head.setdefault(head, []).append(k)
+        return by_head
+
+    def rule(self, row: Row) -> HornRule:
+        label, head, body = row
+        return HornRule.instance(self.atom(head), tuple([self.atom(b) for b in body]), label)
+
+    @cached_property
+    def known(self) -> set[Atom]:
+        return {self.atom(i) for i, state in enumerate(self.state) if state}
+
+    @cached_property
+    def derived(self) -> set[Atom]:
+        return set(map(self.atom, self.derived_ids()))
+
+    @cached_property
+    def fired(self) -> list[HornRule]:
+        return [self.rule(row) for row in self.rows]
+
+    @cached_property
+    def fired_by_head(self) -> dict[Atom, list[int]]:
+        return {self.atom(h): firings for h, firings in self.rows_by_head().items()}
 
 
 def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> AttackGraph:
-    """Backward-slice the saturation trace from the reachable goals.
+    """Backward-slice the saturation's rows from the reachable goals.
 
     Only facts and firings that feed some goal make it into the graph.
     Every atom the slice meets is in the model, so an atom is a fact
-    exactly when it is not derived.
+    exactly when it is not derived. The slice works on ids: each needed
+    atom's text is rendered once, the nodes sort by those texts, and atoms
+    and rules are built only for the slice's nodes.
     """
 
-    derived = result.derived
+    rows, by_head, state = result.rows, result.rows_by_head(), result.state
 
-    reachable_goals = [g for g in goals if g in result.known]
-    needed_atoms: set[Atom] = set()
-    needed_firings: list[int] = []
-    stack: list[Atom] = []
-    for g in reachable_goals:
-        if g not in needed_atoms:
-            needed_atoms.add(g)
-            stack.append(g)
+    goal_ids = {}
+    for g in goals:
+        i = result.ids.get(g.pred, {}).get(g.args)
+        if i is not None and state[i]:
+            goal_ids[g] = i
+    needed = set(goal_ids.values())
+    needed_rows: list[int] = []
+    stack = list(needed)
     while stack:
-        atom = stack.pop()
-        if atom not in derived:
+        i = stack.pop()
+        if state[i] != DERIVED:
             continue
         # Each firing has one head and each head is expanded once, so no
         # firing is met twice.
-        for firing_id in result.fired_by_head.get(atom, []):
-            needed_firings.append(firing_id)
-            rule = result.fired[firing_id]
-            for body_atom in rule.body:
-                if body_atom not in needed_atoms:
-                    needed_atoms.add(body_atom)
-                    stack.append(body_atom)
+        for k in by_head[i]:
+            needed_rows.append(k)
+            for b in rows[k][2]:
+                if b not in needed:
+                    needed.add(b)
+                    stack.append(b)
 
-    derived_atoms = sorted((a for a in needed_atoms if a in derived), key=_atom_key)
-    primitive_atoms = sorted((a for a in needed_atoms if a not in derived), key=_atom_key)
-
+    atom = {i: result.atom(i) for i in needed}
+    text = {i: a.render() for i, a in atom.items()}
+    by_text = text.__getitem__
+    derived_atoms = sorted([i for i in needed if state[i] == DERIVED], key=by_text)
+    primitive_atoms = sorted([i for i in needed if state[i] != DERIVED], key=by_text)
     keyed = []
-    for fid in needed_firings:
-        rule = result.fired[fid]
-        keyed.append((rule.label, rule.head.render(), tuple([a.render() for a in rule.body]), fid))
+    for k in needed_rows:
+        label, head, body = rows[k]
+        keyed.append((label, text[head], tuple([text[b] for b in body]), k))
     keyed.sort()
-    fired = [result.fired[key[-1]] for key in keyed]
 
     first_rule = len(primitive_atoms) + 1
-    first_derived = first_rule + len(fired)
-    nodes = [Node(i, FACT, render_fact(a), a) for i, a in enumerate(primitive_atoms, 1)]
-    nodes += [
-        Node(i, RULE, r.label or r.head.render(), None, r) for i, r in enumerate(fired, first_rule)
-    ]
-    nodes += [
-        Node(i, DERIVATION, a.render(), a) for i, a in enumerate(derived_atoms, first_derived)
-    ]
-    atom_node = {n.atom: n.node_id for n in nodes if n.kind != RULE}
-
+    first_derived = first_rule + len(keyed)
+    nodes = [Node(n, FACT, text[i] + ".", atom[i]) for n, i in enumerate(primitive_atoms, 1)]
+    node_of = {i: n for n, i in enumerate(primitive_atoms, 1)}
+    node_of.update((i, n) for n, i in enumerate(derived_atoms, first_derived))
     parents: dict[int, tuple[int, ...]] = {}
     derivation_parents: dict[int, list[int]] = {}
-    for node_id, rule in enumerate(fired, first_rule):
-        parents[node_id] = tuple(dict.fromkeys([atom_node[a] for a in rule.body]))
-        derivation_parents.setdefault(atom_node[rule.head], []).append(node_id)
+    for node_id, (label, head_text, _, k) in enumerate(keyed, first_rule):
+        _, head, body = rows[k]
+        rule = HornRule.instance(atom[head], tuple([atom[b] for b in body]), label)
+        nodes.append(Node(node_id, RULE, label or head_text, None, rule))
+        parents[node_id] = tuple(dict.fromkeys([node_of[b] for b in body]))
+        derivation_parents.setdefault(node_of[head], []).append(node_id)
+    nodes += [
+        Node(n, DERIVATION, text[i], atom[i]) for n, i in enumerate(derived_atoms, first_derived)
+    ]
     # Firing nodes are numbered in sorted order, so each list ascends.
     for nid, ps in derivation_parents.items():
         parents[nid] = tuple(ps)
@@ -292,7 +363,7 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
         nodes=nodes,
         parents=parents,
         goals=tuple(goals),
-        goal_nodes={g: atom_node[g] for g in reachable_goals},
+        goal_nodes={g: node_of[i] for g, i in goal_ids.items()},
     )
 
 
@@ -306,6 +377,7 @@ def default_goals(result: SaturationResult) -> tuple[Atom, ...]:
         "attackerEventAccess",
         "attackerInNetwork",
     }
-    picked = [a for a in result.derived if a.pred in privilege_preds]
-    picked.sort(key=_atom_key)
+    preds = result.preds
+    picked = [result.atom(i) for i in result.derived_ids() if preds[i] in privilege_preds]
+    picked.sort(key=Atom.render)
     return tuple(picked)

@@ -5,16 +5,20 @@ exploit rules instantiated from classified CVEs and app rules, both ground,
 and the static rule libraries (attacker privilege propagation, physical
 dependencies, attacker capabilities over actuators/sensors/voice), which are
 written with variables. ``ground_static_rules`` evaluates the library
-semi-naively over the facts and the ground rules, in one loop that processes
-each atom, fact or derived, once, and builds only the library instances
-whose bodies hold; the compiled program is the ground rules plus those
-instances. Each seed, a body atom the loop matches first, joins the rest of
-its body bound-first, so the work grows with the home. The same loop is the program's one saturation: it records
-every firing and derived atom, so ``compile_system`` hands the analysis the
-least model the attack graph is sliced from. The library is built and
-compiled once per process, whole: no evaluation changes its compiled form.
-The voice rules' ``Cmd``, which no body atom binds, ranges over the commands
-the apps listen for.
+semi-naively over the facts and the ground rules, on integer atom ids: it
+interns each ground atom once, in one table of predicate and arguments, and
+records each firing as a row of label, head id and body ids. The facts are
+all indexed before any seed runs, and only derived atoms and facts of the
+library's head predicates seed; a rule whose body holds no head predicate
+is seeded from its first body atom over the facts. Each seed joins the
+rest of its body bound-first, so the work grows with the home. The same
+loop is the program's one saturation: its rows are the least model the
+attack graph is sliced from. The compiled program is the ground rules plus
+the library instances that fire, which ``CompiledSystem.program`` builds
+as ``HornRule``s on first read; nothing in ``analyze`` or the writers reads
+it. The library is built and compiled once per process, whole: no
+evaluation changes its compiled form. The voice rules' ``Cmd``, which no
+body atom binds, ranges over the commands the apps listen for.
 
 ``saturate`` is the evaluator run with no library, the package's only
 least-model engine, for callers that hold only a program, such as a what-if
@@ -26,7 +30,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import count, product
+from itertools import count, islice, product
 
 from .apps import BoundApp
 from .exploits import EFFECTS, PRECONDITIONS, ExploitModel
@@ -42,7 +46,7 @@ from .logic import (
 from .model import (
     DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
 )
-from .reasoner import SaturationResult
+from .reasoner import DERIVED, GIVEN, Row, SaturationResult
 
 def _var(name: str) -> str:
     return name[0].upper() + name[1:]
@@ -217,14 +221,16 @@ def build_capability_rules() -> list[HornRule]:
     return rules
 
 
-def build_exploit_schemas() -> list[HornRule]:
+@functools.cache
+def build_exploit_schemas() -> tuple[HornRule, ...]:
     """The thirty generic exploit rules, one per (precondition, effect).
 
     These document the semantics and are rendered at the head of
     ``program.pl``; the reasoner works on the ground rules that
     ``exploits.models_for`` instantiates per classified CVE from the same
     tables, whose vulProperty terms also name the adjacent network's protocol
-    and whether a granted network is wifi.
+    and whether a granted network is wifi. Built once per process, like
+    ``static_library``.
     """
 
     out = []
@@ -237,7 +243,7 @@ def build_exploit_schemas() -> list[HornRule]:
                 *pre_atoms,
             )
             out.append(HornRule(head, body, label=f"exploit schema: {effect} via {pre_kind}"))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -258,15 +264,6 @@ def static_library() -> tuple[HornRule, ...]:
         *build_voice_rules(),
         *build_capability_rules(),
     )
-
-
-AtomTable = dict[str, dict[tuple[str, ...], Atom]]
-
-
-def intern(atoms: AtomTable, atom: Atom) -> Atom:
-    """The atom of ``atoms`` equal to ``atom``, entering ``atom`` if there is none."""
-
-    return atoms.setdefault(atom.pred, {}).setdefault(atom.args, atom)
 
 
 def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
@@ -298,16 +295,20 @@ class _Library:
     of that predicate, each the rule joined from that atom (``_seed``):
     grouped by pattern, so an atom is bound once per pattern, then by guard,
     so a binding tests each guard once; their places in rule order order
-    the seeds that pass. ``pools`` holds the seeds' distinct pool names and
-    ``filled`` the predicates of their fills. Known atoms are indexed only
-    where a seed's join looks them up: at the ``keyed`` positions, and
-    whole for ``scanned`` predicates. Nothing here changes after
-    construction.
+    the seeds that pass. ``heads`` holds the predicates the rules derive,
+    and ``base_seeds`` gives each rule whose body holds none of them, in
+    rule order, the predicate and seed of its first body atom, in the same
+    form. ``pools`` holds the seeds' distinct pool names and ``filled`` the
+    predicates of their fills. Known atoms are indexed only where a seed's
+    join looks them up: at the ``keyed`` positions, and whole for
+    ``scanned`` predicates. Nothing here changes after construction.
     """
 
     def __init__(self, rules: tuple[HornRule, ...]) -> None:
         self.keyed: dict[str, tuple[int, ...]] = {}
         self.scanned: set[str] = set()
+        self.heads = frozenset(r.head.pred for r in rules)
+        self.base_seeds: list[tuple[str, list[tuple]]] = []
         patterns: dict[str, dict[tuple, dict]] = {}
         pools: dict[tuple[str, ...], None] = {}
         places = count()
@@ -317,6 +318,8 @@ class _Library:
                 by_guard = patterns.setdefault(atom.pred, {}).setdefault(pattern, {})
                 by_guard.setdefault(guard, []).append(seed)
                 pools[seed[2]] = None
+                if pos == 0 and self.heads.isdisjoint(a.pred for a in rule.body):
+                    self.base_seeds.append((atom.pred, [(*pattern, [(guard, [seed])])]))
         self.seeds = {
             pred: [(*p, [*guards.items()]) for p, guards in by_pattern.items()]
             for pred, by_pattern in patterns.items()
@@ -377,7 +380,7 @@ _compile = functools.lru_cache(maxsize=8)(_Library)
 def _extend(
     bindings: list[tuple], joins: list[tuple], by_pred: dict, by_position: dict
 ) -> list[tuple]:
-    """The bindings that also match each of ``joins`` against the known atoms."""
+    """The bindings that also match each of ``joins`` against the known atoms' arguments."""
 
     for pred, arity, new, checks, lookup in joins:
         extended = []
@@ -386,8 +389,7 @@ def _extend(
                 pool = by_pred.get(pred, ())
             else:
                 pool = by_position.get((pred, lookup[0], b[lookup[1]]), ())
-            for f in pool:
-                fa = f.args
+            for fa in pool:
                 if len(fa) != arity:
                     continue
                 nb = b + tuple([fa[pos] for pos in new])
@@ -399,83 +401,117 @@ def _extend(
     return bindings
 
 
+@dataclass
+class Grounding:
+    """One evaluation: its saturation, and the library instances among its rows.
+
+    ``ground_rows`` holds each ground rule's row, fired or not, in the order
+    given; ``instance_rows`` the rows of the instances, in the order they
+    were built. ``len()`` counts the instances; iterating gives them as
+    ``HornRule``s, built on first read.
+    """
+
+    saturation: SaturationResult
+    ground_rows: list[Row]
+    instance_rows: list[Row]
+
+    def __len__(self) -> int:
+        return len(self.instance_rows)
+
+    def __iter__(self) -> Iterator[HornRule]:
+        return iter(self.instances)
+
+    @functools.cached_property
+    def instances(self) -> tuple[HornRule, ...]:
+        return tuple(map(self.saturation.rule, self.instance_rows))
+
+
 def ground_static_rules(
     rules: Sequence[HornRule],
-    facts: list[Atom],
+    facts: Sequence[Atom],
     domains: dict[str, list[str]],
     ground: Sequence[HornRule] = (),
-    atoms: AtomTable | None = None,
-    saturation: SaturationResult | None = None,
-) -> list[HornRule]:
+) -> Grounding:
     """The instances of the library ``rules`` that fire, by semi-naive evaluation.
 
-    One loop processes each atom once: the facts in order, then each atom
-    that becomes known. Processing an atom indexes it, counts down the rules
-    of ``ground`` (exploit and app rules) that wait for it, and seeds the
-    body atoms with its predicate: the rest of the body joins against the
-    atoms processed so far, and each binding fills the rule's templates into
-    an instance whose body holds, so its head becomes known in turn. Each
-    ground rule counts its distinct body atoms and makes its head known when
-    the count reaches zero. An instance is built when its last body atom is
-    processed, and the seeds that pass run in ``rules`` order, so each
-    ``(head, body)`` is built once, by the first rule that gives it.
+    Atoms are interned to ids in the saturation's table, the facts first,
+    so a fact keeps its object and is known from the start. Every fact is
+    indexed before any seed runs; then the facts, in order, and each atom
+    that becomes known are processed once. Processing an atom counts down
+    the rules of ``ground`` (exploit and app rules) that wait for it, and
+    seeds the body atoms with its predicate if the atom is derived or its
+    predicate heads a rule of ``rules``: the rest of the body joins against
+    the indexed atoms, and each binding fills the rule's templates into an
+    instance whose body holds, so its head becomes known in turn. Facts of
+    the other, base, predicates are only looked up, except that a rule whose
+    body holds no head predicate is seeded from its first body atom over
+    the facts. Each ground rule counts its distinct body atoms and fires
+    when the count reaches zero. An instance is built when the last of its
+    seeded body atoms is processed, and the seeds that pass run in
+    ``rules`` order, so each ``(head, body)`` is built once, by the first
+    rule that gives it.
 
-    ``rules`` is compiled whole once per distinct list (``_Library``), the
-    seeds of every body predicate included, and no call changes it; pools
-    are read from ``domains`` on each call. An atom whose predicate no body
-    uses seeds nothing. Atoms are interned in ``atoms`` (predicate, then
-    arguments); a caller that passes it passes ``facts`` and the atoms of
-    ``ground`` interned in it.
-
-    The evaluation is the saturation of the facts, ``ground`` and the
-    returned instances. When ``saturation`` is given, an empty
-    ``SaturationResult``, it is filled with that least model: each ground
-    rule fires when its count reaches zero, each instance when it is first
-    built, and every atom that becomes known and is not a fact is derived.
+    ``rules`` is compiled whole once per distinct list (``_Library``) and no
+    call changes it; pools are read from ``domains`` on each call. The
+    evaluation is the saturation of the facts, ``ground`` and the
+    instances: each ground rule fires when its count reaches zero, each
+    instance when it is first built, and every atom that becomes known and
+    is not a fact is derived.
     """
 
     library = _compile(tuple(rules))
-    if atoms is None:
-        atoms = {}
-        facts = [intern(atoms, fact) for fact in facts]
-    if saturation is None:
-        saturation = SaturationResult()
-    known, derived, fire = saturation.known, saturation.derived, saturation.fire
+    sat = SaturationResult()
+    ids, preds, arglist, objects, state = sat.ids, sat.preds, sat.args, sat.objects, sat.state
+    rows = sat.rows
     keyed, scanned, dispatch = library.keyed, library.scanned, library.seeds
-    by_pred: dict[str, list[Atom]] = {}
-    by_position: dict[tuple, list[Atom]] = {}
-    # Known from the start, so that no fact is derived.
-    known.update(facts)
-    queue: list[Atom] = []
+    fact_ids = list(dict.fromkeys(sat.intern(facts)))
+    for i in fact_ids:
+        state[i] = GIVEN
+    flat = iter(sat.intern([a for rule in ground for a in (rule.head, *rule.body)]))
+    ground_rows = [(rule.label, next(flat), tuple(islice(flat, len(rule.body)))) for rule in ground]
+    for pred in library.filled:
+        ids.setdefault(pred, {})
+    queue: list[int] = []
 
-    def derive(head: Atom) -> None:
-        if head not in known:
-            known.add(head)
-            derived.add(head)
+    def fire(row: Row) -> None:
+        head = row[1]
+        rows.append(row)
+        if not state[head]:
+            state[head] = DERIVED
             queue.append(head)
 
-    def pending() -> Iterator[Atom]:
-        yield from dict.fromkeys(facts)
-        while queue:
-            yield queue.pop()
-
     counts: list[int] = []
-    watchers: dict[Atom, list[int]] = {}
-    for i, rule in enumerate(ground):
-        body = set(rule.body)
-        counts.append(len(body))
-        for a in body:
-            watchers.setdefault(a, []).append(i)
+    watchers: dict[int, list[int]] = {}
+    for k, (_, _, body) in enumerate(ground_rows):
+        distinct = set(body)
+        counts.append(len(distinct))
+        for a in distinct:
+            watchers.setdefault(a, []).append(k)
+
+    def count_down(i: int) -> None:
+        for k in watchers.pop(i):
+            counts[k] -= 1
+            if not counts[k]:
+                fire(ground_rows[k])
+
+    # Known atoms' arguments, where a seed's join looks them up.
+    by_pred: dict[str, list[tuple[str, ...]]] = {}
+    by_position: dict[tuple, list[tuple[str, ...]]] = {}
+
+    def index(pred: str, fa: tuple[str, ...]) -> None:
+        if pred in scanned:
+            by_pred.setdefault(pred, []).append(fa)
+        for pos in keyed.get(pred, ()):
+            if pos < len(fa):
+                by_position.setdefault((pred, pos, fa[pos]), []).append(fa)
 
     # Each seed's pooled values, every combination of them; [()] for most.
     combos = {p: list(product(*[domains.get(name, []) for name in p])) for p in library.pools}
-    for pred in library.filled:
-        atoms.setdefault(pred, {})
-    # Instance atoms, head first, -> the instance.
-    instances: dict[tuple[Atom, ...], HornRule] = {}
+    # Each instance's row by its atom ids, head first, in the order built.
+    instances: dict[tuple[int, ...], Row] = {}
 
     def emit(seed: tuple, b: tuple) -> None:
-        """Join the rest of ``seed`` from its binding ``b`` and build each instance."""
+        """Join the rest of ``seed`` from its binding ``b`` and record each new instance."""
 
         _, rest, pools, fills, label = seed
         for b in _extend([b], rest, by_pred, by_position) if rest else (b,):
@@ -484,31 +520,25 @@ def ground_static_rules(
                 key = []
                 for pred, fill in fills:
                     args = fill(values)
-                    table = atoms[pred]
-                    atom = table.get(args)
-                    if atom is None:
-                        atom = table[args] = Atom.instance(pred, args)
-                    key.append(atom)
+                    table = ids[pred]
+                    i = table.get(args)
+                    if i is None:
+                        i = table[args] = len(preds)
+                        preds.append(pred)
+                        arglist.append(args)
+                        objects.append(None)
+                        state.append(0)
+                    key.append(i)
                 key = tuple(key)
                 if key not in instances:
-                    rule = instances[key] = HornRule.instance(key[0], key[1:], label)
-                    fire(rule)
-                    derive(key[0])
+                    row = instances[key] = (label, key[0], key[1:])
+                    fire(row)
 
-    for atom in pending():
-        pred, fa = atom.pred, atom.args
-        if pred in scanned:
-            by_pred.setdefault(pred, []).append(atom)
-        for pos in keyed.get(pred, ()):
-            if pos < len(fa):
-                by_position.setdefault((pred, pos, fa[pos]), []).append(atom)
-        for i in watchers.pop(atom, ()):
-            counts[i] -= 1
-            if not counts[i]:
-                fire(ground[i])
-                derive(ground[i].head)
+    def run_seeds(fa: tuple[str, ...], patterns: list[tuple]) -> None:
+        """Run the seeds of ``patterns`` that the atom with arguments ``fa`` binds."""
+
         passed = []
-        for arity, consts, new, checks, guards in dispatch.get(pred, ()):
+        for arity, consts, new, checks, guards in patterns:
             if len(fa) != arity:
                 continue
             b = consts + tuple([fa[pos] for pos in new])
@@ -519,13 +549,37 @@ def ground_static_rules(
                     gpred, pos, slot = guard
                     if (gpred, pos, b[slot]) not in by_position:
                         continue
-                passed += [(seed, b) for seed in seeds]
+                passed += [(s, b) for s in seeds]
         # Seeds lead with their places, which are distinct: only places compare.
         passed.sort()
-        for seed, b in passed:
-            emit(seed, b)
+        for s, b in passed:
+            emit(s, b)
 
-    return list(instances.values())
+    for i in fact_ids:
+        index(preds[i], arglist[i])
+    heads = library.heads
+    # The facts that start a rule whose body holds no head predicate.
+    base: dict[str, list[tuple[str, ...]]] = {pred: [] for pred, _ in library.base_seeds}
+    for i in fact_ids:
+        if i in watchers:
+            count_down(i)
+        pred, fa = preds[i], arglist[i]
+        if pred in heads:
+            run_seeds(fa, dispatch.get(pred, ()))
+        elif pred in base:
+            base[pred].append(fa)
+    for pred, patterns in library.base_seeds:
+        for fa in base[pred]:
+            run_seeds(fa, patterns)
+    while queue:
+        i = queue.pop()
+        pred, fa = preds[i], arglist[i]
+        index(pred, fa)
+        if i in watchers:
+            count_down(i)
+        run_seeds(fa, dispatch.get(pred, ()))
+
+    return Grounding(sat, ground_rows, list(instances.values()))
 
 
 def saturate(program: LogicProgram) -> SaturationResult:
@@ -538,9 +592,7 @@ def saturate(program: LogicProgram) -> SaturationResult:
     for fact in program.facts:
         if not fact.is_ground():
             raise LogicError(f"fact is not ground: {fact.render()}")
-    result = SaturationResult()
-    ground_static_rules([], list(program.facts), {}, program.rules, saturation=result)
-    return result
+    return ground_static_rules([], program.facts, {}, program.rules).saturation
 
 
 # ---------------------------------------------------------------------------
@@ -549,23 +601,34 @@ def saturate(program: LogicProgram) -> SaturationResult:
 
 @dataclass
 class CompiledSystem:
-    """The compiled program and goals, with where each part of the program starts.
+    """The compiled program and goals, in the parts ``program.pl`` prints.
 
-    ``program.rules`` holds the exploit rules, then the instances of
-    ``library`` that fire from ``static_start``, then the app rules from
-    ``app_start``; every atom in it is one object per distinct atom.
-    ``program.facts`` holds the configuration facts in blocks of
-    ``block_sizes`` facts, then the attacker facts, then the vulnerability
-    facts from ``vul_start``.
+    ``facts`` holds the configuration facts in blocks of ``block_sizes``
+    facts, then the attacker facts, then the vulnerability facts from
+    ``vul_start``. ``grounding`` evaluates ``library`` over the facts and the
+    exploit and app rules, whose atoms are one object per distinct atom (the
+    fact's, where it is a fact). The program's rules are ``exploit_rules``,
+    the library instances that fire, and ``app_rules``: ``program`` builds
+    the instances on first read, and ``rule_count`` counts without them.
     """
 
-    program: LogicProgram
+    facts: tuple[Atom, ...]
+    exploit_rules: tuple[HornRule, ...]
+    app_rules: tuple[HornRule, ...]
+    grounding: Grounding
     goals: tuple[Atom, ...]
     library: tuple[HornRule, ...]
-    static_start: int
-    app_start: int
     block_sizes: tuple[int, ...]
     vul_start: int
+
+    @property
+    def rule_count(self) -> int:
+        return len(self.exploit_rules) + len(self.grounding) + len(self.app_rules)
+
+    @functools.cached_property
+    def program(self) -> LogicProgram:
+        rules = (*self.exploit_rules, *self.grounding, *self.app_rules)
+        return LogicProgram(facts=self.facts, rules=rules)
 
 
 def compile_system(
@@ -573,45 +636,36 @@ def compile_system(
     models: list[ExploitModel],
     bound_apps: list[BoundApp],
     extra_goals: tuple[Atom, ...] = (),
-    saturation: SaturationResult | None = None,
 ) -> CompiledSystem:
-    """Compile the deployment; ``saturation``, if given, receives its least model.
-
-    ``saturation`` is an empty ``SaturationResult`` that the library
-    evaluation fills (see ``ground_static_rules``).
-    """
+    """Compile the deployment and evaluate its library (see ``ground_static_rules``)."""
 
     blocks = config_fact_blocks(config)
     config_facts = [a for block in blocks for a in block]
     atk_facts = attacker_facts(config)
     vul_facts = list(dict.fromkeys(fact for model in models for fact in model.facts))
-    # One table for every atom of the program, starting from the facts.
-    atoms: AtomTable = {}
-    facts = [intern(atoms, fact) for fact in config_facts + atk_facts + vul_facts]
-
-    def interned(rule: HornRule) -> HornRule:
-        body = tuple([intern(atoms, a) for a in rule.body])
-        return HornRule.instance(intern(atoms, rule.head), body, rule.label)
-
+    facts = (*config_facts, *atk_facts, *vul_facts)
     # Rules with one head and body are equal: the body's vulExists names the
     # CVE and the device that make up the label.
-    exploit_rules = [interned(rule) for rule in dict.fromkeys(model.rule for model in models)]
-    app_rules = [interned(rule) for bound in bound_apps for rule in bound.rules]
+    exploit_rules = list(dict.fromkeys(model.rule for model in models))
+    app_rules = [rule for bound in bound_apps for rule in bound.rules]
 
     alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
     library = static_library()
-    fired = ground_static_rules(
-        library, facts, {"commands": alphabet}, exploit_rules + app_rules, atoms, saturation
+    grounding = ground_static_rules(
+        library, facts, {"commands": alphabet}, exploit_rules + app_rules
     )
+    # The exploit and app rules again, over the evaluation's atom objects.
+    sat = grounding.saturation
+    ground = [sat.rule(row) for row in grounding.ground_rows]
+    split = len(exploit_rules)
 
-    goals = tuple(dict.fromkeys((*config.goals, *extra_goals)))
-    program = LogicProgram(facts=tuple(facts), rules=(*exploit_rules, *fired, *app_rules))
     return CompiledSystem(
-        program=program,
-        goals=goals,
+        facts=facts,
+        exploit_rules=tuple(ground[:split]),
+        app_rules=tuple(ground[split:]),
+        grounding=grounding,
+        goals=tuple(dict.fromkeys((*config.goals, *extra_goals))),
         library=library,
-        static_start=len(exploit_rules),
-        app_start=len(exploit_rules) + len(fired),
         block_sizes=tuple(map(len, blocks)),
         vul_start=len(config_facts) + len(atk_facts),
     )
@@ -624,16 +678,16 @@ def _pools(rule: HornRule) -> str:
 def render_program(compiled: CompiledSystem) -> str:
     """Readable clause file: schemas, exploit rules, the library, app rules, facts, goals."""
 
-    rules, facts = compiled.program.rules, compiled.program.facts
+    facts = compiled.facts
     blocks, start = [], 0
     for size in compiled.block_sizes:
         blocks.append(facts[start : start + size])
         start += size
     rule_sections = (
         ("exploit rule schemas (reference)", "", build_exploit_schemas()),
-        ("attack rules instantiated from CVEs", "", rules[: compiled.static_start]),
+        ("attack rules instantiated from CVEs", "", compiled.exploit_rules),
         ("propagation, dependency, voice, and capability rules", "", compiled.library),
-        ("app rules", "app: ", rules[compiled.app_start :]),
+        ("app rules", "app: ", compiled.app_rules),
     )
     fact_sections = (
         ("facts: attacker", facts[start : compiled.vul_start]),

@@ -607,6 +607,34 @@ def test_goal_with_a_variable_in_config_exits_2(store_path, tmp_path, capsys):
     assert "'unlock(L)' has a variable" in err
 
 
+TWO_LINE_GOAL = "unlock('front\nLock')"
+
+
+@pytest.mark.parametrize("command", ["compile", "analyze", "metrics"])
+def test_goal_with_a_line_break_exits_2(store_path, tmp_path, capsys, command):
+    out_dir = tmp_path / "run"
+    argv = [command, "--store", store_path, "--config", fixture_path("fig2")]
+    if command == "analyze":
+        argv += ["--out", str(out_dir)]
+    code = main([*argv, "--goals", TWO_LINE_GOAL])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: bad goal {TWO_LINE_GOAL!r}: it spans lines")
+    assert not out_dir.exists()
+
+
+def test_goal_with_a_line_break_in_config_exits_2(store_path, tmp_path, capsys):
+    doc = json.loads(pathlib.Path(fixture_path("fig2")).read_text())
+    doc["goals"] = [TWO_LINE_GOAL]
+    cfg = tmp_path / "home.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["compile", "--store", store_path, "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: invalid config")
+    assert f"bad goal: {TWO_LINE_GOAL!r} spans lines" in err
+
+
 def test_analyze_writes_outputs(store_path, tmp_path, capsys):
     out_dir = tmp_path / "run"
     code = main(

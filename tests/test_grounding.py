@@ -28,7 +28,6 @@ from iotgraph import logic, pipeline, rules
 from iotgraph.logic import Atom, HornRule, LogicError, LogicProgram
 from iotgraph.model import parse_config
 from iotgraph.pipeline import analyze, bind_apps, build_models, scan_devices
-from iotgraph.reasoner import SaturationResult
 from iotgraph.rules import saturate
 from iotgraph.synth import synth_document, synthesize
 
@@ -108,8 +107,8 @@ def _compile_saturating(config, store):
 
     models = build_models(config, scan_devices(config, store))
     bound, _ = bind_apps(config)
-    saturation = SaturationResult()
-    return rules.compile_system(config, models, bound, saturation=saturation), saturation
+    compiled = rules.compile_system(config, models, bound)
+    return compiled, compiled.grounding.saturation
 
 
 @pytest.mark.parametrize("home", HOMES, ids=_home_id)
@@ -403,14 +402,145 @@ def join_inputs(draw):
 def test_join_shapes_match_earlier_grounder(inputs, commands):
     facts, ground = inputs
     domains = {"devices": ["d1", "d2"], "commands": commands}
-    got = SaturationResult()
-    fired = rules.ground_static_rules(list(JOIN_RULES), facts, domains, ground, saturation=got)
+    fired = rules.ground_static_rules(list(JOIN_RULES), facts, domains, ground)
+    got = fired.saturation
     want_fired, want_derived = oracles.fired_library_instances(JOIN_RULES, facts, ground, domains)
     assert _fired_set(fired) == want_fired
     assert len(fired) == len(want_fired)
     assert oracles.least_model(facts, [*ground, *fired]) - set(facts) == want_derived
     _assert_least_model(got, facts, [*ground, *fired])
     _assert_one_object_per_atom(atom for rule in fired for atom in (rule.head, *rule.body))
+
+
+# The base/derived split. The facts are all indexed before any seed runs. A
+# fact seeds only if a library rule heads its predicate, every derived atom
+# seeds, and a rule whose body holds no head predicate is seeded from its
+# first body atom over the facts.
+
+
+def _assert_split_grounding(library, facts, ground, domains):
+    """The grounder on these inputs fires what the earlier grounder fires, and
+    its saturation is the naive least model of the facts and the firings."""
+
+    grounding = rules.ground_static_rules(library, facts, domains, ground)
+    want_fired, want_derived = oracles.fired_library_instances(library, facts, ground, domains)
+    assert _fired_set(grounding) == want_fired
+    assert len(grounding) == len(want_fired)
+    _assert_least_model(grounding.saturation, facts, [*ground, *grounding])
+    assert grounding.saturation.derived == want_derived
+    return grounding
+
+
+def _evaluation_inputs(config, store):
+    """The facts, ground rules and pools ``compile_system`` evaluates the library over."""
+
+    models = build_models(config, scan_devices(config, store))
+    bound, _ = bind_apps(config)
+    compiled = rules.compile_system(config, models, bound)
+    alphabet = list(dict.fromkeys(cmd for b in bound for cmd in b.voice_commands))
+    ground = [*compiled.exploit_rules, *compiled.app_rules]
+    return list(compiled.facts), ground, {"commands": alphabet}
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), rnd=st.randoms(use_true_random=False))
+def test_fact_order_does_not_change_the_grounding(n, seed, rnd, store):
+    facts, ground, domains = _evaluation_inputs(synthesize(n, seed=seed), store)
+    in_order = rules.ground_static_rules(rules.static_library(), facts, domains, ground)
+    shuffled = rnd.sample(facts, len(facts))
+    got = _assert_split_grounding(rules.static_library(), shuffled, ground, domains)
+    assert _fired_set(got) == _fired_set(in_order)
+    assert got.saturation.known == in_order.saturation.known
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+    with_ground=st.booleans(),
+    data=st.data(),
+)
+def test_facts_of_derived_predicates_seed_the_library(n, seed, with_ground, data, store):
+    config = synthesize(n, seed=seed)
+    facts, ground, domains = _evaluation_inputs(config, store)
+    if not with_ground:
+        # Then nothing derives attackerRoot: its atoms are all facts.
+        ground = []
+    devices = [d.atom for d in config.devices]
+    networks = [net.atom for net in config.networks]
+    extra = st.one_of(
+        st.builds(lambda d: Atom("attackerRoot", (d,)), st.sampled_from(devices)),
+        st.builds(lambda d: Atom("on", (d,)), st.sampled_from(devices)),
+        st.builds(lambda d: Atom("off", (d,)), st.sampled_from(devices)),
+        st.builds(lambda net: Atom("attackerInNetwork", (net,)), st.sampled_from(networks)),
+    )
+    for atom in data.draw(st.lists(extra, min_size=1, max_size=4)):
+        facts.insert(data.draw(st.integers(0, len(facts))), atom)
+    _assert_split_grounding(rules.static_library(), facts, ground, domains)
+
+
+def test_rule_over_base_facts_only_fires():
+    facts = [Atom("wifi", ("wifi1",)), Atom("attackerRadioAdjacent", ("wifi1",))]
+    fired = _assert_split_grounding(rules.static_library(), facts, [], {})
+    assert [(r.label, r.head.render()) for r in fired] == [
+        ("radio range grants physical adjacency", "attackerAdjacentPhysically(wifi1)")
+    ]
+
+
+# root and member are base predicates of these rules, but a drawn ground
+# rule may derive root, which then seeds as well.
+SPLIT_RULES = (
+    _rule("reach(D) :- root(D)", "root reaches"),
+    _rule("reach(D) :- link(D,E), reach(E)", "links reach"),
+    _rule("near(N) :- radio(N)", "radio is near"),
+    _rule("hop(D) :- member(D,N), near(N)", "members of near networks"),
+    _rule("both(D) :- root(D), member(D,N)", "rooted member"),
+    _rule("near(N) :- member(D,N), root(D)", "a rooted member's network is near"),
+    _rule("both(D) :- member(D,N), root(D)", "rooted member, body reordered"),
+)
+SPLIT_ARITIES = {"root": 1, "link": 2, "radio": 1, "member": 2, "reach": 1, "near": 1}
+
+
+@st.composite
+def split_inputs(draw):
+    """Facts over base and derivable predicates, and ground rules that may
+    make root derivable."""
+
+    atoms = _atoms_over(sorted(SPLIT_ARITIES), SPLIT_ARITIES)
+    facts = draw(st.lists(atoms, min_size=1, max_size=12))
+    heads = _atoms_over(["root", "reach", "near"], {"root": 1, "reach": 1, "near": 1})
+    ground = draw(
+        st.lists(
+            st.builds(
+                lambda head, body: HornRule(head, tuple(body), label="ground"),
+                heads,
+                st.lists(st.one_of(st.sampled_from(facts), atoms), min_size=1, max_size=2),
+            ),
+            max_size=3,
+        )
+    )
+    return facts, ground
+
+
+@settings(max_examples=200)
+@given(inputs=split_inputs())
+# Nothing derives root: five rules are seeded from their first atom only.
+@example(
+    inputs=(
+        [Atom("root", ("d1",)), Atom("member", ("d1", "w1")), Atom("radio", ("w1",))],
+        [],
+    )
+)
+# A ground rule derives root, which is also given as a fact.
+@example(
+    inputs=(
+        [Atom("root", ("d1",)), Atom("member", ("d1", "w1")), Atom("link", ("w1", "d1"))],
+        [HornRule(Atom("root", ("w1",)), (Atom("member", ("d1", "w1")),), label="ground")],
+    )
+)
+def test_base_only_rules_fire_whatever_the_ground_rules_derive(inputs):
+    facts, ground = inputs
+    _assert_split_grounding(SPLIT_RULES, facts, ground, {})
 
 
 # What each rule of the test below gives on its facts: two rules rename one
@@ -532,7 +662,7 @@ def test_compiled_library_is_whole_and_fixed(store):
     assert "unread" not in body_preds
     ground = [HornRule(Atom("unread", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
     facts = [Atom("attackerOnInternet")]
-    assert rules.ground_static_rules(rules.static_library(), facts, {}, ground) == []
+    assert not rules.ground_static_rules(rules.static_library(), facts, {}, ground)
 
     assert rules._compile(rules.static_library()) is library
     assert _compiled_form(library) == before
@@ -555,7 +685,7 @@ def test_seeds_compiled_by_a_later_call_are_indexed():
     ]
     facts = [Atom("attackerOnInternet"), Atom("inNetwork", ("cam1", "wifi1"))]
     ground = [HornRule(Atom("attackerInNetwork", ("wifi1",)), (Atom("attackerOnInternet"),), "g")]
-    assert rules.ground_static_rules(library, facts, {}) == []
+    assert not rules.ground_static_rules(library, facts, {})
     fired = rules.ground_static_rules(library, facts, {}, ground)
     assert [r.head.render() for r in fired] == ["reached(cam1)"]
 
@@ -626,8 +756,7 @@ def _counting_extend(counts):
                 else:
                     pool = by_position.get((pred, lookup[0], b[lookup[1]]), ())
                 counts["candidates"] += len(pool)
-                for f in pool:
-                    fa = f.args
+                for fa in pool:
                     if len(fa) != arity:
                         continue
                     nb = b + tuple(fa[pos] for pos in new)

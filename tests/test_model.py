@@ -249,6 +249,21 @@ def test_app_name_with_a_line_break_rejected(name):
         parse_config(doc, source="test")
 
 
+@pytest.mark.parametrize("goal", ["unlock('front\nLock')", "unlock('a\rb')", "on('x\u2028y')"])
+def test_goal_with_a_line_break_rejected(goal):
+    doc = minimal_doc()
+    doc["goals"] = [goal]
+    with pytest.raises(ConfigError, match="bad goal: .* spans lines"):
+        parse_config(doc, source="test")
+
+
+def test_goal_text_may_end_in_a_line_break():
+    # The break is outside the atom, whose text is one line.
+    doc = minimal_doc()
+    doc["goals"] = ["attackerRoot(dLinkRouter)\n"]
+    assert parse_config(doc, source="test").goals == (Atom("attackerRoot", ("dLinkRouter",)),)
+
+
 @pytest.mark.parametrize(
     "key, entries",
     [

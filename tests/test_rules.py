@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 from itertools import product
 
 import pytest
@@ -35,7 +36,9 @@ from iotgraph.rules import (
 )
 
 import oracles
-from iotgraph.pipeline import bind_apps, build_models, scan_devices
+from iotgraph.pipeline import (
+    analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
+)
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, load_fixture_config
@@ -167,6 +170,9 @@ def test_exploit_schemas_enumerate_all_combinations():
     assert len(schemas) == 30
     labels = {s.label for s in schemas}
     assert len(labels) == 30
+    # Built once per process, like the static library.
+    assert isinstance(schemas, tuple)
+    assert build_exploit_schemas() is schemas
 
 
 def test_ground_static_rules_joins_config_facts():
@@ -193,7 +199,7 @@ def test_ground_static_rules_uses_domain_fallback():
     )
     grounded = ground_static_rules([rule], facts, {"commands": ["openUp", "lightsOff"]})
     assert [g.head.render() for g in grounded] == ["voiceCommand(openUp)", "voiceCommand(lightsOff)"]
-    assert ground_static_rules([rule], facts, {"commands": []}) == []
+    assert not ground_static_rules([rule], facts, {"commands": []})
 
 
 def test_ground_static_rules_builds_only_instances_that_fire():
@@ -371,12 +377,31 @@ def test_compile_system_dedupes_exploit_rules(store):
     models = build_models(cfg, scan_devices(cfg, store))
     doubled = models + models
     compiled = compile_system(cfg, doubled, [])
-    labels = [r.label for r in compiled.program.rules[: compiled.static_start]]
+    labels = [r.label for r in compiled.exploit_rules]
     assert labels and all(label.startswith("exploit ") for label in labels)
     assert len(labels) == len(set(labels))
     vul_facts = compiled.program.facts[compiled.vul_start :]
     assert vul_facts and all(f.pred in ("vulExists", "vulProperty") for f in vul_facts)
     assert len(vul_facts) == len(set(vul_facts))
+
+
+@pytest.mark.parametrize("name", ["fig2", "system37"])
+def test_outputs_count_the_library_instances_without_building_them(name, store, tmp_path):
+    result = analyze(load_fixture_config(name), store)
+    compiled = result.compiled
+    write_outputs(result, tmp_path)
+    summary = render_summary(result)
+    # Neither the program nor the instances were built on the way.
+    assert "program" not in vars(compiled)
+    assert "instances" not in vars(compiled.grounding)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    program = compiled.program
+    assert len(compiled.grounding) > 0
+    assert manifest["rules"] == compiled.rule_count == len(program.rules)
+    assert manifest["facts"] == len(program.facts)
+    assert f"program: {len(program.facts)} facts, {len(program.rules)} rules;" in summary
+    instances = compiled.grounding.instances
+    assert program.rules == (*compiled.exploit_rules, *instances, *compiled.app_rules)
 
 
 @pytest.mark.parametrize("home", ["fig2", 64])
@@ -389,7 +414,7 @@ def test_exploit_rules_share_the_vulnerability_fact_objects(home, store):
     compiled = compile_system(cfg, models, [])
     facts = compiled.program.facts[compiled.vul_start :]
     by_value = {fact: fact for fact in facts}
-    rules = compiled.program.rules[: compiled.static_start]
+    rules = compiled.exploit_rules
     assert rules
     for rule in rules:
         vul_atoms = [a for a in rule.body if a.pred in ("vulExists", "vulProperty")]
@@ -424,16 +449,16 @@ def _kept_render_blocks(blocks) -> str:
 
 
 def _kept_render_program(compiled) -> str:
-    rules, facts = compiled.program.rules, compiled.program.facts
+    facts = compiled.facts
     blocks, start = [], 0
     for size in compiled.block_sizes:
         blocks.append(facts[start : start + size])
         start += size
     rule_sections = (
         ("exploit rule schemas (reference)", "", build_exploit_schemas()),
-        ("attack rules instantiated from CVEs", "", rules[: compiled.static_start]),
+        ("attack rules instantiated from CVEs", "", compiled.exploit_rules),
         ("propagation, dependency, voice, and capability rules", "", compiled.library),
-        ("app rules", "app: ", rules[compiled.app_start :]),
+        ("app rules", "app: ", compiled.app_rules),
     )
     fact_sections = (
         ("facts: attacker", facts[start : compiled.vul_start]),
