@@ -80,14 +80,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",") if s]
+    if any(n < 2 for n in sizes):
+        parser.error("every size must be at least 2: a synthetic home needs a router and a hub")
 
     rows = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, CveStore(Path(tmp) / "store.db") as store:
         feed = resources.files("iotgraph") / "fixtures" / "mini_feed.json"
         if args.cves_per_product is not None:
             feed = Path(tmp) / "feed.json"
             feed.write_text(synth_feed(args.cves_per_product, args.seed))
-        store = CveStore(Path(tmp) / "store.db")
         store.ingest_feed(str(feed))
 
         stage_heads = " ".join(f"{name:>9}" for name in STAGES)
@@ -156,7 +157,6 @@ def main(argv: list[str] | None = None) -> int:
                 [math.log(n) for n in sizes], [math.log(max(r["best_s"], 1e-6)) for r in rows]
             )
             print(f"\nfitted growth: cost ~ n^{slope:.2f} (intercept {intercept:.2f})")
-        store.close()
     summary = {
         "seed": args.seed,
         "repeats": args.repeats,

@@ -12,13 +12,14 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .apps import AppBindError, AppParseError, bind_app, parse_app_description
 from .cvestore import CveStore, StoreError
 from .exploits import parse_overrides
-from .logic import LogicError, parse_atom
-from .model import ConfigError, SystemConfig, is_one_line, parse_config
+from .logic import LogicError
+from .model import ConfigError, SystemConfig, parse_config, parse_goal
 from .pipeline import analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
 from .rules import compile_system, render_program
 from .synth import render_synth
@@ -63,21 +64,6 @@ def _load_config(path: str):
         raise CliError(f"invalid config {path}: {exc}", EXIT_CONFIG) from exc
 
 
-def _parse_goals(texts: list[str]) -> tuple:
-    goals = []
-    for text in texts:
-        try:
-            goal = parse_atom(text)
-        except LogicError as exc:
-            raise CliError(f"bad goal {text!r}: {exc}", EXIT_CONFIG) from exc
-        if not goal.is_ground():
-            raise CliError(f"bad goal {text!r}: it has a variable", EXIT_CONFIG)
-        if not is_one_line(goal.render()):
-            raise CliError(f"bad goal {text!r}: it spans lines", EXIT_CONFIG)
-        goals.append(goal)
-    return tuple(goals)
-
-
 def _load_overrides(path: str | None) -> dict | None:
     if path is None:
         return None
@@ -93,11 +79,17 @@ def _load_overrides(path: str | None) -> dict | None:
 
 
 def _inputs(args: argparse.Namespace) -> tuple[SystemConfig, dict | None, CveStore]:
-    """The config, overrides and open store of a command, checked in that order."""
+    """The config with any ``--goals`` added to its goals, the overrides and
+    the open store of a command, checked in that order."""
 
     config = _load_config(args.config)
+    try:
+        # ``model`` takes no --goals.
+        goals = tuple(map(parse_goal, getattr(args, "goals", ())))
+    except ConfigError as exc:
+        raise CliError(str(exc), EXIT_CONFIG) from exc
     overrides = _load_overrides(args.overrides)
-    return config, overrides, _open_store(args)
+    return replace(config, goals=(*config.goals, *goals)), overrides, _open_store(args)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -174,7 +166,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     config, models = _models(args)
     bound, _skipped = bind_apps(config)
     try:
-        compiled = compile_system(config, models, bound, extra_goals=_parse_goals(args.goals))
+        compiled = compile_system(config, models, bound)
     except (LogicError, ConfigError) as exc:
         raise CliError(f"compile failed: {exc}", EXIT_STAGE) from exc
     _emit(render_program(compiled), out)
@@ -185,12 +177,7 @@ def _run_analysis(args: argparse.Namespace):
     config, overrides, store = _inputs(args)
     with store:
         try:
-            return analyze(
-                config,
-                store,
-                extra_goals=_parse_goals(args.goals),
-                overrides=overrides,
-            )
+            return analyze(config, store, overrides=overrides)
         except (LogicError, ConfigError) as exc:
             raise CliError(f"analysis failed: {exc}", EXIT_STAGE) from exc
 

@@ -260,6 +260,20 @@ def _list_field(stanza: dict, key: str, where: str) -> list:
     return value
 
 
+def parse_goal(text: str) -> Atom:
+    """A goal atom, from a config's ``goals`` or the command line."""
+
+    try:
+        goal = parse_atom(text)
+    except LogicError as exc:
+        raise ConfigError(f"bad goal {text!r}: {exc}") from None
+    # No derived atom has a variable, so such a goal could never be reached.
+    _require(goal.is_ground(), f"bad goal {text!r}: it has a variable")
+    # program.pl prints each goal on a line of its own.
+    _require(is_one_line(goal.render()), f"bad goal {text!r}: it spans lines")
+    return goal
+
+
 def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     """Parse and validate a configuration document (JSON text or dict)."""
 
@@ -391,14 +405,9 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     for g in _list_field(raw, "goals", source):
         _require(isinstance(g, str) and g.strip() != "", f"{source}: goals must be atom strings")
         try:
-            goal = parse_atom(g)
-        except LogicError as exc:
-            raise ConfigError(f"{source}: bad goal: {exc}") from None
-        # No derived atom has a variable, so such a goal could never be reached.
-        _require(goal.is_ground(), f"{source}: bad goal: {g!r} has a variable")
-        # program.pl prints each goal on a line of its own.
-        _require(is_one_line(goal.render()), f"{source}: bad goal: {g!r} spans lines")
-        goals.append(goal)
+            goals.append(parse_goal(g))
+        except ConfigError as exc:
+            raise ConfigError(f"{source}: {exc}") from None
 
     return SystemConfig(
         devices=tuple(devices),

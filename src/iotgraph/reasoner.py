@@ -15,9 +15,11 @@ are OR nodes (any one firing suffices). Node ids are assigned in a pinned
 order so identical inputs always serialize identically: facts sorted by
 clause text, then rule firings, then derived atoms.
 
-A goal is reachable exactly when it has a node: the slice starts from every
-goal the saturation reached, so ``goal_nodes`` holds those goals and no
-others. Edges are given as ``parents``; the graph inverts them once, in node
+Where no goal is configured, ``default_goals`` takes every derived attacker
+privilege: the head of each effect in ``exploits.EFFECTS`` but denial of
+service. A goal is reachable exactly when it has a node: the slice starts
+from every goal the saturation reached, so ``goal_nodes`` holds those goals
+and no others. Edges are given as ``parents``; the graph inverts them once, in node
 order, into ``children`` for the metrics that walk forward, and condenses
 them once into ``schedule``, the evaluation order of the graph metrics.
 """
@@ -30,6 +32,7 @@ from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import NamedTuple
 
+from .exploits import EFFECTS
 from .logic import Atom, HornRule
 
 FACT = "fact"
@@ -223,10 +226,10 @@ class SaturationResult:
     recorded even when its head was already known, because each firing is
     a separate AND node (another way in for the OR above it).
 
-    ``known``, ``derived``, ``fired`` and ``fired_by_head`` are the same in
-    ``Atom`` and ``HornRule`` terms, built on first read. ``atom(id)`` gives
-    one object per id: the object the evaluation was given, where it was
-    given one.
+    ``derived`` and ``fired`` give the derived atoms and the firings as
+    ``Atom``s and ``HornRule``s, built on first read. ``atom(id)`` gives one
+    object per id: the object the evaluation was given, where it was given
+    one.
     """
 
     def __init__(self) -> None:
@@ -279,20 +282,12 @@ class SaturationResult:
         return HornRule.instance(self.atom(head), tuple([self.atom(b) for b in body]), label)
 
     @cached_property
-    def known(self) -> set[Atom]:
-        return {self.atom(i) for i, state in enumerate(self.state) if state}
-
-    @cached_property
     def derived(self) -> set[Atom]:
         return set(map(self.atom, self.derived_ids()))
 
     @cached_property
     def fired(self) -> list[HornRule]:
         return [self.rule(row) for row in self.rows]
-
-    @cached_property
-    def fired_by_head(self) -> dict[Atom, list[int]]:
-        return {self.atom(h): firings for h, firings in self.rows_by_head().items()}
 
 
 def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> AttackGraph:
@@ -367,17 +362,14 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
     )
 
 
+# The attacker privileges: the head of every exploit effect but denial of service.
+PRIVILEGES = frozenset(head.pred for kind, (_, head) in EFFECTS.items() if kind != "dos")
+
+
 def default_goals(result: SaturationResult) -> tuple[Atom, ...]:
     """When no goals are configured: every derived attacker privilege."""
 
-    privilege_preds = {
-        "attackerRoot",
-        "attackerDeviceControl",
-        "attackerCommandInjection",
-        "attackerEventAccess",
-        "attackerInNetwork",
-    }
     preds = result.preds
-    picked = [result.atom(i) for i in result.derived_ids() if preds[i] in privilege_preds]
+    picked = [result.atom(i) for i in result.derived_ids() if preds[i] in PRIVILEGES]
     picked.sort(key=Atom.render)
     return tuple(picked)

@@ -10,14 +10,14 @@ interns each ground atom once, in one table of predicate and arguments, and
 records each firing as a row of label, head id and body ids. The facts are
 all indexed before any seed runs, and only derived atoms and facts of the
 library's head predicates seed; a rule whose body holds no head predicate
-is seeded from its first body atom over the facts. Each seed joins the
-rest of its body bound-first, so the work grows with the home. The same
-loop is the program's one saturation: its rows are the least model the
-attack graph is sliced from. The compiled program is the ground rules plus
-the library instances that fire, which ``CompiledSystem.program`` builds
-as ``HornRule``s on first read; nothing in ``analyze`` or the writers reads
-it. The library is built and compiled once per process, whole: no
-evaluation changes its compiled form. The voice rules' ``Cmd``, which no
+is seeded from its first body atom over the facts. Facts seed through one
+table for both. Each seed joins the rest of its body bound-first, so the
+work grows with the home. The same loop is the program's one saturation:
+its rows are the least model the attack graph is sliced from. The compiled
+program is the ground rules plus the library instances that fire, which
+``CompiledSystem.program`` builds as ``HornRule``s on first read; nothing
+in ``analyze`` or the writers reads it. The library is built and compiled
+once per process, whole: no evaluation changes its compiled form. The voice rules' ``Cmd``, which no
 body atom binds, ranges over the commands the apps listen for.
 
 ``saturate`` is the evaluator run with no library, the package's only
@@ -295,35 +295,41 @@ class _Library:
     of that predicate, each the rule joined from that atom (``_seed``):
     grouped by pattern, so an atom is bound once per pattern, then by guard,
     so a binding tests each guard once; their places in rule order order
-    the seeds that pass. ``heads`` holds the predicates the rules derive,
-    and ``base_seeds`` gives each rule whose body holds none of them, in
-    rule order, the predicate and seed of its first body atom, in the same
-    form. ``pools`` holds the seeds' distinct pool names and ``filled`` the
-    predicates of their fills. Known atoms are indexed only where a seed's
-    join looks them up: at the ``keyed`` positions, and whole for
-    ``scanned`` predicates. Nothing here changes after construction.
+    the seeds that pass. Derived atoms run ``seeds``; facts run
+    ``fact_seeds``, in the same form, the one table facts are seeded from.
+    It gives a predicate the rules derive (a head predicate) its ``seeds``
+    entry, and any other (base) predicate the seeds of its atoms that come
+    first in a body holding no head predicate. ``pools`` holds the seeds'
+    distinct pool names and ``filled`` the predicates of their fills. Known
+    atoms are indexed only where a seed's join looks them up: at the
+    ``keyed`` positions, and whole for ``scanned`` predicates. Nothing here
+    changes after construction.
     """
 
     def __init__(self, rules: tuple[HornRule, ...]) -> None:
         self.keyed: dict[str, tuple[int, ...]] = {}
         self.scanned: set[str] = set()
-        self.heads = frozenset(r.head.pred for r in rules)
-        self.base_seeds: list[tuple[str, list[tuple]]] = []
+        heads = {r.head.pred for r in rules}
         patterns: dict[str, dict[tuple, dict]] = {}
+        fact_patterns: dict[str, dict[tuple, dict]] = {}
         pools: dict[tuple[str, ...], None] = {}
         places = count()
         for rule in rules:
+            base = heads.isdisjoint(a.pred for a in rule.body)
             for pos, atom in enumerate(rule.body):
                 pattern, guard, seed = self._seed(rule, pos, next(places))
-                by_guard = patterns.setdefault(atom.pred, {}).setdefault(pattern, {})
-                by_guard.setdefault(guard, []).append(seed)
                 pools[seed[2]] = None
-                if pos == 0 and self.heads.isdisjoint(a.pred for a in rule.body):
-                    self.base_seeds.append((atom.pred, [(*pattern, [(guard, [seed])])]))
-        self.seeds = {
-            pred: [(*p, [*guards.items()]) for p, guards in by_pattern.items()]
-            for pred, by_pattern in patterns.items()
-        }
+                seeded_by_facts = atom.pred in heads or (base and pos == 0)
+                for table in (patterns, fact_patterns) if seeded_by_facts else (patterns,):
+                    by_guard = table.setdefault(atom.pred, {}).setdefault(pattern, {})
+                    by_guard.setdefault(guard, []).append(seed)
+        self.seeds, self.fact_seeds = (
+            {
+                pred: [(*p, [*guards.items()]) for p, guards in by_pattern.items()]
+                for pred, by_pattern in table.items()
+            }
+            for table in (patterns, fact_patterns)
+        )
         self.pools = tuple(pools)
         self.filled = tuple(dict.fromkeys(a.pred for r in rules for a in (r.head, *r.body)))
 
@@ -439,17 +445,16 @@ def ground_static_rules(
     indexed before any seed runs; then the facts, in order, and each atom
     that becomes known are processed once. Processing an atom counts down
     the rules of ``ground`` (exploit and app rules) that wait for it, and
-    seeds the body atoms with its predicate if the atom is derived or its
-    predicate heads a rule of ``rules``: the rest of the body joins against
-    the indexed atoms, and each binding fills the rule's templates into an
-    instance whose body holds, so its head becomes known in turn. Facts of
-    the other, base, predicates are only looked up, except that a rule whose
-    body holds no head predicate is seeded from its first body atom over
-    the facts. Each ground rule counts its distinct body atoms and fires
-    when the count reaches zero. An instance is built when the last of its
-    seeded body atoms is processed, and the seeds that pass run in
-    ``rules`` order, so each ``(head, body)`` is built once, by the first
-    rule that gives it.
+    runs its predicate's seeds: every one for a derived atom, and for a
+    fact those of ``fact_seeds``, that is, every one if its predicate heads
+    a rule of ``rules``, else those of the rules whose bodies hold no head
+    predicate and start with it. The rest of the body joins against the
+    indexed atoms, and each binding fills the rule's templates into an
+    instance whose body holds, so its head becomes known in turn. Each
+    ground rule counts its distinct body atoms and fires when the count
+    reaches zero. An instance is built when the last of its seeded body
+    atoms is processed, and the seeds that pass run in ``rules`` order, so
+    each ``(head, body)`` is built once, by the first rule that gives it.
 
     ``rules`` is compiled whole once per distinct list (``_Library``) and no
     call changes it; pools are read from ``domains`` on each call. The
@@ -463,7 +468,8 @@ def ground_static_rules(
     sat = SaturationResult()
     ids, preds, arglist, objects, state = sat.ids, sat.preds, sat.args, sat.objects, sat.state
     rows = sat.rows
-    keyed, scanned, dispatch = library.keyed, library.scanned, library.seeds
+    keyed, scanned = library.keyed, library.scanned
+    dispatch, fact_seeds = library.seeds, library.fact_seeds
     fact_ids = list(dict.fromkeys(sat.intern(facts)))
     for i in fact_ids:
         state[i] = GIVEN
@@ -557,20 +563,13 @@ def ground_static_rules(
 
     for i in fact_ids:
         index(preds[i], arglist[i])
-    heads = library.heads
-    # The facts that start a rule whose body holds no head predicate.
-    base: dict[str, list[tuple[str, ...]]] = {pred: [] for pred, _ in library.base_seeds}
     for i in fact_ids:
         if i in watchers:
             count_down(i)
-        pred, fa = preds[i], arglist[i]
-        if pred in heads:
-            run_seeds(fa, dispatch.get(pred, ()))
-        elif pred in base:
-            base[pred].append(fa)
-    for pred, patterns in library.base_seeds:
-        for fa in base[pred]:
-            run_seeds(fa, patterns)
+        # Most facts (types, wiring, vulnerabilities) start no seed: skip the call.
+        patterns = fact_seeds.get(preds[i])
+        if patterns:
+            run_seeds(arglist[i], patterns)
     while queue:
         i = queue.pop()
         pred, fa = preds[i], arglist[i]

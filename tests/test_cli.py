@@ -604,7 +604,7 @@ def test_goal_with_a_variable_in_config_exits_2(store_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: invalid config")
-    assert "'unlock(L)' has a variable" in err
+    assert "'unlock(L)': it has a variable" in err
 
 
 TWO_LINE_GOAL = "unlock('front\nLock')"
@@ -632,7 +632,52 @@ def test_goal_with_a_line_break_in_config_exits_2(store_path, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: invalid config")
-    assert f"bad goal: {TWO_LINE_GOAL!r} spans lines" in err
+    assert f"bad goal {TWO_LINE_GOAL!r}: it spans lines" in err
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [("attackerRoot(X)", "it has a variable"), (TWO_LINE_GOAL, "it spans lines"), ("on(x", "")],
+    ids=["variable", "line break", "unparsable"],
+)
+def test_config_and_command_line_refuse_the_same_goals(store_path, tmp_path, capsys, text, reason):
+    doc = json.loads(pathlib.Path(fixture_path("fig2")).read_text())
+    doc["goals"] = [text]
+    cfg = tmp_path / "home.json"
+    cfg.write_text(json.dumps(doc))
+    refusals = []
+    for argv in (["--config", str(cfg)], ["--config", fixture_path("fig2"), "--goals", text]):
+        code = main(["compile", "--store", store_path, *argv])
+        err = capsys.readouterr().err
+        assert code == 2
+        refusals.append(err[err.index("bad goal ") :])
+    assert refusals[0] == refusals[1]
+    assert refusals[0].startswith(f"bad goal {text!r}: {reason}")
+
+
+VARIABLE_GOAL_REFUSAL = "error: bad goal 'attackerRoot(X)': it has a variable"
+
+
+@pytest.mark.parametrize("command", ["compile", "analyze", "metrics"])
+def test_bad_goal_is_refused_before_the_store_is_opened(tmp_path, capsys, command):
+    out_dir = tmp_path / "run"
+    argv = [command, "--store", str(tmp_path / "missing.db"), "--config", fixture_path("fig2")]
+    if command == "analyze":
+        argv += ["--out", str(out_dir)]
+    code = main([*argv, "--goals", "attackerRoot(X)"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(VARIABLE_GOAL_REFUSAL)
+    assert not out_dir.exists()
+
+
+def test_compile_refuses_a_bad_goal_before_scanning(store_path, capsys, monkeypatch):
+    def scan(config, store):
+        raise AssertionError("devices scanned before the goals were checked")
+
+    monkeypatch.setattr(cli, "scan_devices", scan)
+    argv = ["compile", "--store", store_path, "--config", fixture_path("fig2")]
+    assert main([*argv, "--goals", "attackerRoot(X)"]) == 2
+    assert capsys.readouterr().err.startswith(VARIABLE_GOAL_REFUSAL)
 
 
 def test_analyze_writes_outputs(store_path, tmp_path, capsys):

@@ -88,14 +88,21 @@ def _assert_least_model(got, facts, program_rules):
     """
 
     model = oracles.least_model(facts, program_rules)
-    assert got.known == model
+    assert _known(got) == model
     assert got.derived == model - set(facts)
     want = [rule for rule in program_rules if all(a in model for a in rule.body)]
     assert Counter(_firings(got.fired)) == Counter(_firings(want))
     # The index names each firing once, under its own head.
-    assert sorted(i for ids in got.fired_by_head.values() for i in ids) == list(range(len(got.fired)))
-    for head, ids in got.fired_by_head.items():
-        assert all(got.fired[i].head == head for i in ids)
+    by_head = got.rows_by_head()
+    assert sorted(k for ks in by_head.values() for k in ks) == list(range(len(got.fired)))
+    for head, ks in by_head.items():
+        assert all(got.fired[k].head == got.atom(head) for k in ks)
+
+
+def _known(sat):
+    """The atoms the saturation knows, facts and derived."""
+
+    return {sat.atom(i) for i, state in enumerate(sat.state) if state}
 
 
 def _firings(fired):
@@ -450,7 +457,7 @@ def test_fact_order_does_not_change_the_grounding(n, seed, rnd, store):
     shuffled = rnd.sample(facts, len(facts))
     got = _assert_split_grounding(rules.static_library(), shuffled, ground, domains)
     assert _fired_set(got) == _fired_set(in_order)
-    assert got.saturation.known == in_order.saturation.known
+    assert _known(got.saturation) == _known(in_order.saturation)
 
 
 @settings(max_examples=10, deadline=None)
@@ -669,6 +676,36 @@ def test_compiled_library_is_whole_and_fixed(store):
     assert {name: id(value) for name, value in vars(library).items()} == bound
     assert library.seeds.keys() == body_preds
     assert all(library.seeds.values())
+
+
+def test_facts_seed_through_one_table():
+    """A fact of a head predicate runs every seed of its predicate, as a
+    derived atom does; a fact of a base predicate only the seeds of the
+    rules it starts whose bodies hold no head predicate."""
+
+    library = rules.static_library()
+    compiled = rules._Library(library)
+    heads = {rule.head.pred for rule in library}
+    base = {"attackerRoot", "attackerRadioAdjacent", "dos"}
+    assert compiled.fact_seeds.keys() == (heads & compiled.seeds.keys()) | base
+    for pred in heads & compiled.seeds.keys():
+        assert compiled.fact_seeds[pred] == compiled.seeds[pred]
+    labels = {
+        pred: [seed[-1] for *_, guards in patterns for _, group in guards for seed in group]
+        for pred, patterns in compiled.fact_seeds.items()
+        if pred in base
+    }
+    assert labels == {
+        "attackerRoot": [
+            "root grants device control",
+            "root grants local access",
+            "rooted device joins its networks",
+        ],
+        "attackerRadioAdjacent": ["radio range grants physical adjacency"],
+        "dos": ["denial of service turns the device off"],
+    }
+    first = {rule.label: rule.body[0].pred for rule in library}
+    assert all(first[label] == pred for pred, group in labels.items() for label in group)
 
 
 def test_seeds_compiled_by_a_later_call_are_indexed():

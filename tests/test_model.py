@@ -216,7 +216,7 @@ def test_malformed_goal_rejected():
 def test_goal_with_a_variable_rejected(goal):
     doc = minimal_doc()
     doc["goals"] = [goal]
-    with pytest.raises(ConfigError, match=f"bad goal: '{re.escape(goal)}' has a variable"):
+    with pytest.raises(ConfigError, match=f"bad goal '{re.escape(goal)}': it has a variable"):
         parse_config(doc, source="test")
 
 
@@ -253,7 +253,7 @@ def test_app_name_with_a_line_break_rejected(name):
 def test_goal_with_a_line_break_rejected(goal):
     doc = minimal_doc()
     doc["goals"] = [goal]
-    with pytest.raises(ConfigError, match="bad goal: .* spans lines"):
+    with pytest.raises(ConfigError, match="bad goal .*: it spans lines"):
         parse_config(doc, source="test")
 
 

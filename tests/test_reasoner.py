@@ -6,10 +6,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from iotgraph.exploits import EFFECTS
 from iotgraph.logic import Atom, HornRule, LogicProgram
 from iotgraph.reasoner import (
     DERIVATION,
     FACT,
+    PRIVILEGES,
     RULE,
     AttackGraph,
     Node,
@@ -68,7 +70,7 @@ def test_saturate_records_firing_for_already_derived_head():
     result = saturate(program)
     assert result.derived == {atom("g(x)")}
     assert len(result.fired) == 2
-    assert len(result.fired_by_head[atom("g(x)")]) == 2
+    assert len(result.rows_by_head()[result.ids["g"][("x",)]]) == 2
 
 
 def test_graph_node_order_is_pinned():
@@ -196,6 +198,17 @@ def test_to_text_lists_nodes_and_goal_status():
     text = two_path_graph().to_text()
     assert "[   5] OR   g(x)  <- 3, 4" in text
     assert "goal g(x): reachable" in text
+
+
+def test_privileges_are_the_exploit_effects_but_denial_of_service():
+    assert PRIVILEGES == {head.pred for _, head in EFFECTS.values()} - {"dos"}
+    assert PRIVILEGES == {
+        "attackerRoot",
+        "attackerDeviceControl",
+        "attackerCommandInjection",
+        "attackerEventAccess",
+        "attackerInNetwork",
+    }
 
 
 def test_default_goals_pick_attacker_privileges_sorted():

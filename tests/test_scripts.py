@@ -13,6 +13,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -59,6 +61,17 @@ def test_run_scaling_ingests_a_synthetic_feed(capsys):
     # Two CVEs for every catalog product reach more of the home than the
     # bundled feed, which matches few of the synthetic products.
     assert dense["rows"][0]["graph_nodes"] > bundled["rows"][0]["graph_nodes"]
+
+
+def test_run_scaling_refuses_a_size_below_two(capsys):
+    script = load_script("run_scaling")
+    with pytest.raises(SystemExit) as refused:
+        script.main(["--sizes", "10,1", "--repeats", "1"])
+    assert refused.value.code == 2
+    out, err = capsys.readouterr()
+    # Refused before any work: no store built, no row printed.
+    assert out == ""
+    assert "every size must be at least 2" in err
 
 
 def _run_plain(script: str, *argv: str, cwd) -> subprocess.CompletedProcess:
