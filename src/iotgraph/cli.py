@@ -12,13 +12,12 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .apps import AppBindError, AppParseError, bind_app, parse_app_description
 from .cvestore import CveStore, StoreError
 from .exploits import parse_overrides
-from .logic import LogicError
+from .logic import Atom, LogicError
 from .model import ConfigError, SystemConfig, parse_config, parse_goal
 from .pipeline import analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
 from .rules import compile_system, render_program
@@ -78,9 +77,11 @@ def _load_overrides(path: str | None) -> dict | None:
     return data
 
 
-def _inputs(args: argparse.Namespace) -> tuple[SystemConfig, dict | None, CveStore]:
-    """The config with any ``--goals`` added to its goals, the overrides and
-    the open store of a command, checked in that order."""
+def _inputs(
+    args: argparse.Namespace,
+) -> tuple[SystemConfig, tuple[Atom, ...], dict | None, CveStore]:
+    """The config, ``--goals``, overrides and open store of a command, checked
+    in that order."""
 
     config = _load_config(args.config)
     try:
@@ -89,7 +90,7 @@ def _inputs(args: argparse.Namespace) -> tuple[SystemConfig, dict | None, CveSto
     except ConfigError as exc:
         raise CliError(str(exc), EXIT_CONFIG) from exc
     overrides = _load_overrides(args.overrides)
-    return replace(config, goals=(*config.goals, *goals)), overrides, _open_store(args)
+    return config, goals, overrides, _open_store(args)
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -116,16 +117,17 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _models(args: argparse.Namespace) -> tuple[SystemConfig, list]:
-    """A command's config and the exploit models of the CVEs found on it."""
+def _models(args: argparse.Namespace) -> tuple[SystemConfig, tuple[Atom, ...], list]:
+    """A command's config, ``--goals`` and the exploit models of the CVEs
+    found on it."""
 
-    config, overrides, store = _inputs(args)
+    config, goals, overrides, store = _inputs(args)
     with store:
-        return config, build_models(config, scan_devices(config, store), overrides)
+        return config, goals, build_models(config, scan_devices(config, store), overrides)
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    _, models = _models(args)
+    _, _, models = _models(args)
     for m in models:
         print(
             f"{m.cve_id} @ {m.device}: precondition={m.precondition} effect={m.effect} "
@@ -163,10 +165,10 @@ def cmd_extract_apps(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     out = _out_path(args.out) if args.out else None
-    config, models = _models(args)
+    config, goals, models = _models(args)
     bound, _skipped = bind_apps(config)
     try:
-        compiled = compile_system(config, models, bound)
+        compiled = compile_system(config, models, bound, extra_goals=goals)
     except (LogicError, ConfigError) as exc:
         raise CliError(f"compile failed: {exc}", EXIT_STAGE) from exc
     _emit(render_program(compiled), out)
@@ -174,10 +176,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def _run_analysis(args: argparse.Namespace):
-    config, overrides, store = _inputs(args)
+    config, goals, overrides, store = _inputs(args)
     with store:
         try:
-            return analyze(config, store, overrides=overrides)
+            return analyze(config, store, extra_goals=goals, overrides=overrides)
         except (LogicError, ConfigError) as exc:
             raise CliError(f"analysis failed: {exc}", EXIT_STAGE) from exc
 

@@ -17,8 +17,9 @@ its rows are the least model the attack graph is sliced from. The compiled
 program is the ground rules plus the library instances that fire, which
 ``CompiledSystem.program`` builds as ``HornRule``s on first read; nothing
 in ``analyze`` or the writers reads it. The library is built and compiled
-once per process, whole: no evaluation changes its compiled form. The voice rules' ``Cmd``, which no
-body atom binds, ranges over the commands the apps listen for.
+once per process, whole: no evaluation changes its compiled form. The voice
+rules' ``Cmd``, which no body atom binds, ranges over the commands the apps
+listen for.
 
 ``saturate`` is the evaluator run with no library, the package's only
 least-model engine, for callers that hold only a program, such as a what-if
