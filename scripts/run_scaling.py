@@ -18,9 +18,14 @@ Times are the best of ``--repeats`` plain runs, each from a collected heap;
 peak traced memory comes from one further run under ``tracemalloc``, which
 is not timed.
 
+Refuses, with exit code 2 and before any work, a ``--sizes`` that lists no
+size, a size that is not an integer, is below 2 or is listed twice (the
+fit needs distinct sizes), and a ``--repeats`` or ``--cves-per-product``
+below 1.
+
 Usage:
     python3 scripts/run_scaling.py [--sizes 10,20,30,40,50] [--seed 20260816]
-        [--cves-per-product K]
+        [--repeats 3] [--cves-per-product K]
 """
 
 from __future__ import annotations
@@ -67,21 +72,49 @@ class CollectorClock:
             self.seconds += time.perf_counter() - self._start
 
 
+def sizes_arg(text: str) -> list[int]:
+    """``--sizes``: comma-separated distinct integers, each at least 2."""
+
+    try:
+        sizes = [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"sizes must be integers, not {text!r}") from None
+    if not sizes:
+        raise argparse.ArgumentTypeError("sizes must list at least one size")
+    if any(n < 2 for n in sizes):
+        raise argparse.ArgumentTypeError(
+            "every size must be at least 2: a synthetic home needs a router and a hub"
+        )
+    if len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError("each size may be listed once: the fit needs distinct sizes")
+    return sizes
+
+
+def positive_arg(text: str) -> int:
+    """An integer of at least 1."""
+
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, not {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {n}")
+    return n
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", default="10,20,30,40,50")
+    parser.add_argument("--sizes", type=sizes_arg, default="10,20,30,40,50")
     parser.add_argument("--seed", type=int, default=20260816)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=positive_arg, default=3)
     parser.add_argument(
         "--cves-per-product",
-        type=int,
+        type=positive_arg,
         metavar="K",
         help="ingest a synthetic feed with K CVEs per catalog product, not the bundled feed",
     )
     args = parser.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",") if s]
-    if any(n < 2 for n in sizes):
-        parser.error("every size must be at least 2: a synthetic home needs a router and a hub")
+    sizes = args.sizes
 
     rows = []
     with tempfile.TemporaryDirectory() as tmp, CveStore(Path(tmp) / "store.db") as store:

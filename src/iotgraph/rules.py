@@ -8,18 +8,18 @@ written with variables. ``ground_static_rules`` evaluates the library
 semi-naively over the facts and the ground rules, on integer atom ids: it
 interns each ground atom once, in one table of predicate and arguments, and
 records each firing as a row of label, head id and body ids. The facts are
-all indexed before any seed runs, and only derived atoms and facts of the
-library's head predicates seed; a rule whose body holds no head predicate
-is seeded from its first body atom over the facts. Facts seed through one
-table for both. Each seed joins the rest of its body bound-first, so the
-work grows with the home. The same loop is the program's one saturation:
-its rows are the least model the attack graph is sliced from. The compiled
+all indexed before any seed runs, and a rule is seeded only from its body
+atoms of predicates that some library or ground rule heads, or from its
+first body atom when its body holds none; facts and derived atoms run one
+seed table. Each seed joins the rest of its body bound-first, so the work
+grows with the home. The same loop is the program's one saturation: its
+rows are the least model the attack graph is sliced from. The compiled
 program is the ground rules plus the library instances that fire, which
 ``CompiledSystem.program`` builds as ``HornRule``s on first read; nothing
-in ``analyze`` or the writers reads it. The library is built and compiled
-once per process, whole: no evaluation changes its compiled form. The voice
-rules' ``Cmd``, which no body atom binds, ranges over the commands the apps
-listen for.
+in ``analyze`` or the writers reads it. The library is built once per
+process and compiled once per set of derivable predicates; no evaluation
+changes its compiled form. The voice rules' ``Cmd``, which no body atom
+binds, ranges over the commands the apps listen for.
 
 ``saturate`` is the evaluator run with no library, the package's only
 least-model engine, for callers that hold only a program, such as a what-if
@@ -256,7 +256,7 @@ def static_library() -> tuple[HornRule, ...]:
     """Every static library rule, in the order that decides a shared instance's label.
 
     Built once per process, so its compiled form (``_compile``) is found
-    again on every later evaluation.
+    again on every later evaluation with the same derivable predicates.
     """
 
     return (
@@ -290,47 +290,40 @@ def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
 
 
 class _Library:
-    """A rule list compiled for evaluation, once per distinct list (``_compile``).
+    """A rule list compiled for evaluation with the predicates that can be derived.
 
-    ``seeds`` gives each predicate of a body its seeds, one per body atom
-    of that predicate, each the rule joined from that atom (``_seed``):
-    grouped by pattern, so an atom is bound once per pattern, then by guard,
-    so a binding tests each guard once; their places in rule order order
-    the seeds that pass. Derived atoms run ``seeds``; facts run
-    ``fact_seeds``, in the same form, the one table facts are seeded from.
-    It gives a predicate the rules derive (a head predicate) its ``seeds``
-    entry, and any other (base) predicate the seeds of its atoms that come
-    first in a body holding no head predicate. ``pools`` holds the seeds'
-    distinct pool names and ``filled`` the predicates of their fills. Known
-    atoms are indexed only where a seed's join looks them up: at the
-    ``keyed`` positions, and whole for ``scanned`` predicates. Nothing here
-    changes after construction.
+    ``derivable`` holds every predicate some rule of the evaluation heads. A
+    rule is seeded from each body atom of a derivable predicate, and from
+    its first body atom when its body holds none: atoms of the other
+    predicates are all facts, indexed before any seed runs, so a join
+    started later finds them. ``seeds`` gives each seeded predicate its
+    seeds, each the rule joined from one body atom (``_seed``): grouped by
+    pattern, so an atom is bound once per pattern, then by guard, so a
+    binding tests each guard once; their places in rule order order the
+    seeds that pass. Facts and derived atoms both run ``seeds``. ``pools``
+    holds the seeds' distinct pool names and ``filled`` the predicates of
+    their fills. Known atoms are indexed only where a seed's join looks them
+    up: at the ``keyed`` positions, and whole for ``scanned`` predicates.
+    Nothing here changes after construction.
     """
 
-    def __init__(self, rules: tuple[HornRule, ...]) -> None:
+    def __init__(self, rules: tuple[HornRule, ...], derivable: frozenset[str]) -> None:
         self.keyed: dict[str, tuple[int, ...]] = {}
         self.scanned: set[str] = set()
-        heads = {r.head.pred for r in rules}
         patterns: dict[str, dict[tuple, dict]] = {}
-        fact_patterns: dict[str, dict[tuple, dict]] = {}
         pools: dict[tuple[str, ...], None] = {}
         places = count()
         for rule in rules:
-            base = heads.isdisjoint(a.pred for a in rule.body)
-            for pos, atom in enumerate(rule.body):
+            starts = [pos for pos, a in enumerate(rule.body) if a.pred in derivable] or [0]
+            for pos in starts:
                 pattern, guard, seed = self._seed(rule, pos, next(places))
                 pools[seed[2]] = None
-                seeded_by_facts = atom.pred in heads or (base and pos == 0)
-                for table in (patterns, fact_patterns) if seeded_by_facts else (patterns,):
-                    by_guard = table.setdefault(atom.pred, {}).setdefault(pattern, {})
-                    by_guard.setdefault(guard, []).append(seed)
-        self.seeds, self.fact_seeds = (
-            {
-                pred: [(*p, [*guards.items()]) for p, guards in by_pattern.items()]
-                for pred, by_pattern in table.items()
-            }
-            for table in (patterns, fact_patterns)
-        )
+                by_guard = patterns.setdefault(rule.body[pos].pred, {}).setdefault(pattern, {})
+                by_guard.setdefault(guard, []).append(seed)
+        self.seeds = {
+            pred: [(*p, [*guards.items()]) for p, guards in by_pattern.items()]
+            for pred, by_pattern in patterns.items()
+        }
         self.pools = tuple(pools)
         self.filled = tuple(dict.fromkeys(a.pred for r in rules for a in (r.head, *r.body)))
 
@@ -446,31 +439,32 @@ def ground_static_rules(
     indexed before any seed runs; then the facts, in order, and each atom
     that becomes known are processed once. Processing an atom counts down
     the rules of ``ground`` (exploit and app rules) that wait for it, and
-    runs its predicate's seeds: every one for a derived atom, and for a
-    fact those of ``fact_seeds``, that is, every one if its predicate heads
-    a rule of ``rules``, else those of the rules whose bodies hold no head
-    predicate and start with it. The rest of the body joins against the
-    indexed atoms, and each binding fills the rule's templates into an
-    instance whose body holds, so its head becomes known in turn. Each
-    ground rule counts its distinct body atoms and fires when the count
-    reaches zero. An instance is built when the last of its seeded body
-    atoms is processed, and the seeds that pass run in ``rules`` order, so
-    each ``(head, body)`` is built once, by the first rule that gives it.
+    runs its predicate's seeds: a rule of ``rules`` is seeded from each body
+    atom whose predicate a rule of ``rules`` or ``ground`` heads, and from
+    its first body atom when its body holds none. The rest of the body
+    joins against the indexed atoms, and each binding fills the rule's
+    templates into an instance whose body holds, so its head becomes known
+    in turn. Each ground rule counts its distinct body atoms and fires when
+    the count reaches zero. An instance is built when the last of its
+    seeded body atoms is processed, and the seeds that pass run in
+    ``rules`` order, so each ``(head, body)`` is built once, by the first
+    rule that gives it.
 
-    ``rules`` is compiled whole once per distinct list (``_Library``) and no
-    call changes it; pools are read from ``domains`` on each call. The
-    evaluation is the saturation of the facts, ``ground`` and the
-    instances: each ground rule fires when its count reaches zero, each
-    instance when it is first built, and every atom that becomes known and
-    is not a fact is derived.
+    ``rules`` is compiled once per distinct list and set of derivable
+    predicates (``_Library``) and no call changes it; pools are read from
+    ``domains`` on each call. The evaluation is the saturation of the
+    facts, ``ground`` and the instances: each ground rule fires when its
+    count reaches zero, each instance when it is first built, and every
+    atom that becomes known and is not a fact is derived.
     """
 
-    library = _compile(tuple(rules))
+    rules = tuple(rules)
+    library = _compile(rules, frozenset([r.head.pred for r in (*rules, *ground)]))
     sat = SaturationResult()
     ids, preds, arglist, objects, state = sat.ids, sat.preds, sat.args, sat.objects, sat.state
     rows = sat.rows
     keyed, scanned = library.keyed, library.scanned
-    dispatch, fact_seeds = library.seeds, library.fact_seeds
+    dispatch = library.seeds
     fact_ids = list(dict.fromkeys(sat.intern(facts)))
     for i in fact_ids:
         state[i] = GIVEN
@@ -568,7 +562,7 @@ def ground_static_rules(
         if i in watchers:
             count_down(i)
         # Most facts (types, wiring, vulnerabilities) start no seed: skip the call.
-        patterns = fact_seeds.get(preds[i])
+        patterns = dispatch.get(preds[i])
         if patterns:
             run_seeds(arglist[i], patterns)
     while queue:
@@ -577,7 +571,9 @@ def ground_static_rules(
         index(pred, fa)
         if i in watchers:
             count_down(i)
-        run_seeds(fa, dispatch.get(pred, ()))
+        patterns = dispatch.get(pred)
+        if patterns:
+            run_seeds(fa, patterns)
 
     return Grounding(sat, ground_rows, list(instances.values()))
 

@@ -419,10 +419,10 @@ def test_join_shapes_match_earlier_grounder(inputs, commands):
     _assert_one_object_per_atom(atom for rule in fired for atom in (rule.head, *rule.body))
 
 
-# The base/derived split. The facts are all indexed before any seed runs. A
-# fact seeds only if a library rule heads its predicate, every derived atom
-# seeds, and a rule whose body holds no head predicate is seeded from its
-# first body atom over the facts.
+# The base/derived split. The facts are all indexed before any seed runs. An
+# atom seeds only if a library or ground rule heads its predicate, whether
+# it is a fact or derived, and a rule whose body holds no such predicate is
+# seeded from its first body atom over the facts.
 
 
 def _assert_split_grounding(library, facts, ground, domains):
@@ -620,16 +620,25 @@ def test_library_is_compiled_once_per_distinct_rule_list(store):
     analyze(config, store)
     assert rules._compile.cache_info()[:2] == (1, 1)  # hits, misses
 
-    # A relabelled rule makes another list, with its own compiled form; an
-    # equal list finds the one already compiled.
+    # An equal list with the same derivable predicates finds the form already
+    # compiled; a relabelled rule makes another list, and a ground rule with
+    # another head another derivable set, each with its own compiled form.
+    rules._compile.cache_clear()
     library = list(rules.static_library())
     facts = [Atom("attackerOnInternet"), Atom("inNetwork", ("cam1", "wifi1"))]
     ground = [HornRule(Atom("attackerRoot", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
     fired = rules.ground_static_rules(list(library), facts, {}, ground)
+    assert rules.ground_static_rules(list(library), facts, {}, ground).instance_rows == (
+        fired.instance_rows
+    )
+    assert rules._compile.cache_info()[:2] == (1, 1)
     joins = library[1]
     library[1] = HornRule(joins.head, joins.body, label="relabelled")
     relabelled = rules.ground_static_rules(library, facts, {}, ground)
-    assert rules._compile.cache_info()[:2] == (2, 2)
+    assert rules._compile.cache_info()[:2] == (1, 2)
+    dos = [*ground, HornRule(Atom("dos", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
+    rules.ground_static_rules(library, facts, {}, dos)
+    assert rules._compile.cache_info()[:2] == (1, 3)
     assert joins.label in {r.label for r in fired}
     assert {r.label for r in relabelled} == {r.label for r in fired} - {joins.label} | {"relabelled"}
     for got, rules_ in ((fired, rules.static_library()), (relabelled, library)):
@@ -656,45 +665,77 @@ def _compiled_form(library):
     return copy.deepcopy({"seeds": seeds, **{name: getattr(library, name) for name in fixed}})
 
 
-def test_compiled_library_is_whole_and_fixed(store):
-    rules._compile.cache_clear()
-    library = rules._compile(rules.static_library())
-    before = _compiled_form(library)
-    bound = {name: id(value) for name, value in vars(library).items()}
+def _heads(rules_):
+    return frozenset(rule.head.pred for rule in rules_)
 
-    for name in ("system37", "fig2"):
-        result = analyze(load_fixture_config(name), store)
+
+def _seed_labels(patterns):
+    return [seed[-1] for *_, guards in patterns for _, group in guards for seed in group]
+
+
+def test_compiled_library_is_fixed(store, monkeypatch):
+    # The forms real analyses compile stay as they were built through later
+    # evaluations, and a repeated analysis finds each in the cache. Their
+    # derivable predicates hold the heads of the exploit and app rules too:
+    # fig2's exploit rules head attackerRoot, which no library rule heads.
+    rules._compile.cache_clear()
+    calls, built = [], {}
+    real = rules._compile
+
+    def recording(library, derivable):
+        compiled = real(library, derivable)
+        calls.append((library, derivable, compiled))
+        if id(compiled) not in built:
+            bound = {name: id(value) for name, value in vars(compiled).items()}
+            built[id(compiled)] = (_compiled_form(compiled), bound)
+        return compiled
+
+    monkeypatch.setattr(rules, "_compile", recording)
+    configs = [load_fixture_config(name) for name in ("system37", "fig2")]
+    for config in configs:
+        result = analyze(config, store)
+    used = list(calls)
+    assert len(used) == len(configs)
+    for library, derivable, form in used:
+        assert _heads(library) <= derivable
+        assert all(form.seeds.values())
+    (_, system37, _), (library, fig2, _) = used
+    assert "attackerRoot" in fig2 - _heads(library) - system37
+
     saturate(result.compiled.program)
     body_preds = {atom.pred for rule in rules.static_library() for atom in rule.body}
     assert "unread" not in body_preds
     ground = [HornRule(Atom("unread", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
     facts = [Atom("attackerOnInternet")]
     assert not rules.ground_static_rules(rules.static_library(), facts, {}, ground)
+    assert not rules.ground_static_rules(rules.static_library(), facts, {})
+    calls.clear()
+    for config in configs:
+        analyze(config, store)
+    assert [id(form) for *_, form in calls] == [id(form) for *_, form in used]
 
-    assert rules._compile(rules.static_library()) is library
-    assert _compiled_form(library) == before
-    assert {name: id(value) for name, value in vars(library).items()} == bound
-    assert library.seeds.keys() == body_preds
-    assert all(library.seeds.values())
+    for library, derivable, form in used:
+        snapshot, bound = built[id(form)]
+        assert real(library, derivable) is form
+        assert _compiled_form(form) == snapshot
+        assert {name: id(value) for name, value in vars(form).items()} == bound
 
 
 def test_facts_seed_through_one_table():
-    """A fact of a head predicate runs every seed of its predicate, as a
-    derived atom does; a fact of a base predicate only the seeds of the
-    rules it starts whose bodies hold no head predicate."""
+    """Facts and derived atoms run one table: a predicate some rule heads
+    has a seed for each body atom of it, and any other predicate only the
+    seeds of the rules it starts whose bodies hold no derivable predicate."""
 
     library = rules.static_library()
-    compiled = rules._Library(library)
-    heads = {rule.head.pred for rule in library}
+    heads = _heads(library)
+    compiled = rules._Library(library, heads)
+    body_preds = {atom.pred for rule in library for atom in rule.body}
     base = {"attackerRoot", "attackerRadioAdjacent", "dos"}
-    assert compiled.fact_seeds.keys() == (heads & compiled.seeds.keys()) | base
-    for pred in heads & compiled.seeds.keys():
-        assert compiled.fact_seeds[pred] == compiled.seeds[pred]
-    labels = {
-        pred: [seed[-1] for *_, guards in patterns for _, group in guards for seed in group]
-        for pred, patterns in compiled.fact_seeds.items()
-        if pred in base
-    }
+    assert compiled.seeds.keys() == (heads & body_preds) | base
+    for pred in heads & body_preds:
+        atoms = [a for rule in library for a in rule.body if a.pred == pred]
+        assert len(_seed_labels(compiled.seeds[pred])) == len(atoms)
+    labels = {pred: _seed_labels(compiled.seeds[pred]) for pred in base}
     assert labels == {
         "attackerRoot": [
             "root grants device control",
@@ -707,12 +748,53 @@ def test_facts_seed_through_one_table():
     first = {rule.label: rule.body[0].pred for rule in library}
     assert all(first[label] == pred for pred, group in labels.items() for label in group)
 
+    # The same atom, given or derived, runs the same seeds.
+    facts = [
+        Atom("attackerOnInternet"), Atom("camera", ("cam1",)), Atom("inNetwork", ("cam1", "wifi1"))
+    ]
+    root = Atom("attackerRoot", ("cam1",))
+    given = rules.ground_static_rules(library, [*facts, root], {}, [])
+    derived = rules.ground_static_rules(
+        library, facts, {}, [HornRule(root, (Atom("attackerOnInternet"),), "g")]
+    )
+    assert _fired_set(given) == _fired_set(derived)
+    assert "rooted device joins its networks" in {r.label for r in given}
+
+
+# Predicates that no join of a seed of a derivable predicate looks up: only
+# seeds of base predicates, which never run, would index them.
+UNREAD = ("on", "off", "attackerRoot", "attackerDeviceControl", "attackerEventAccess", "high", "low")
+
+
+@pytest.mark.parametrize("home", [("system37", None), (60, 7)], ids=_home_id)
+def test_library_is_seeded_from_derivable_predicates(home, store, monkeypatch):
+    calls = []
+    real = rules._compile
+
+    def recording(library, derivable):
+        compiled = real(library, derivable)
+        calls.append((library, derivable, compiled))
+        return compiled
+
+    monkeypatch.setattr(rules, "_compile", recording)
+    analyze(_config(home), store)
+    [(library, derivable, compiled)] = calls
+    assert _heads(library) <= derivable
+    seeded = {atom.pred for rule in library for atom in rule.body if atom.pred in derivable}
+    seeded |= {
+        rule.body[0].pred
+        for rule in library
+        if not any(atom.pred in derivable for atom in rule.body)
+    }
+    assert compiled.seeds.keys() == seeded
+    assert not compiled.keyed.keys() & set(UNREAD), compiled.keyed
+
 
 def test_seeds_compiled_by_a_later_call_are_indexed():
     # Only a seed of attackerInNetwork looks inNetwork up by its network. The
     # first call derives no such atom; the second derives one, and the facts
-    # are indexed at that position because every seed is compiled with the
-    # library, so the lookup finds them.
+    # are indexed at that position because the second call compiles the
+    # library with attackerInNetwork derivable, so the lookup finds them.
     library = [
         HornRule(
             Atom("reached", ("D",)),
@@ -757,7 +839,9 @@ def test_seeded_joins_look_up_bound_atoms_first(library):
     argument bound in a slot (a constant or an already-bound variable) to
     look it up by."""
 
-    compiled = rules._Library(tuple(library))
+    # Every predicate derivable: each body atom of each rule is a seed.
+    preds = {atom.pred for rule in library for atom in (rule.head, *rule.body)}
+    compiled = rules._Library(tuple(library), frozenset(preds))
     scans = 0
     for by_pattern in compiled.seeds.values():
         for _, consts, new, _, guards in by_pattern:

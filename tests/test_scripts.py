@@ -63,15 +63,28 @@ def test_run_scaling_ingests_a_synthetic_feed(capsys):
     assert dense["rows"][0]["graph_nodes"] > bundled["rows"][0]["graph_nodes"]
 
 
-def test_run_scaling_refuses_a_size_below_two(capsys):
+# Each argument run_scaling refuses, with what its usage error names.
+REFUSED = {
+    "no-sizes": (["--sizes", ""], "sizes must list at least one size"),
+    "only-commas": (["--sizes", ","], "sizes must list at least one size"),
+    "size-below-two": (["--sizes", "10,1"], "every size must be at least 2"),
+    "size-not-an-integer": (["--sizes", "x"], "sizes must be integers"),
+    "size-listed-twice": (["--sizes", "10,10"], "each size may be listed once"),
+    "no-repeats": (["--repeats", "0"], "argument --repeats"),
+    "no-cves": (["--cves-per-product", "0"], "argument --cves-per-product"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSED.values(), ids=REFUSED.keys())
+def test_run_scaling_refuses_bad_arguments(argv, message, capsys):
     script = load_script("run_scaling")
     with pytest.raises(SystemExit) as refused:
-        script.main(["--sizes", "10,1", "--repeats", "1"])
+        script.main(argv)
     assert refused.value.code == 2
     out, err = capsys.readouterr()
     # Refused before any work: no store built, no row printed.
     assert out == ""
-    assert "every size must be at least 2" in err
+    assert message in err
 
 
 def _run_plain(script: str, *argv: str, cwd) -> subprocess.CompletedProcess:
