@@ -5,6 +5,10 @@ For every packaged fixture configuration this ingests the bundled CVE feed,
 runs the full analysis, and prints the goal verdicts, the shortest attack
 trace for each reachable goal, and the recommended patch set.
 
+Refuses, with exit code 2 and before any work, a ``--fixtures`` that lists
+no fixture, names one that is not a packaged configuration (``mini_feed``
+is the CVE feed, not a deployment) or lists one twice.
+
 Usage:
     python3 scripts/run_case_studies.py [--fixtures fig2,system28] [--out DIR]
 """
@@ -25,15 +29,31 @@ from iotgraph.cvestore import CveStore
 from iotgraph.model import parse_config
 from iotgraph.pipeline import analyze, render_summary, write_outputs
 
-DEFAULT_FIXTURES = ("listing10", "hall_light", "fig2", "system28", "system37")
+FIXTURES = ("listing10", "hall_light", "fig2", "system28", "system37")
+
+
+def fixtures_arg(text: str) -> list[str]:
+    """``--fixtures``: comma-separated distinct names from ``FIXTURES``."""
+
+    names = [n for n in text.split(",") if n]
+    if not names:
+        raise argparse.ArgumentTypeError("fixtures must list at least one fixture")
+    for name in names:
+        if name not in FIXTURES:
+            raise argparse.ArgumentTypeError(
+                f"unknown fixture {name!r}: choose from {', '.join(FIXTURES)}"
+            )
+    if len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError("each fixture may be listed once")
+    return names
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--fixtures", default=",".join(DEFAULT_FIXTURES))
+    parser.add_argument("--fixtures", type=fixtures_arg, default=",".join(FIXTURES))
     parser.add_argument("--out", help="also write full outputs under this directory")
     args = parser.parse_args(argv)
-    names = [n for n in args.fixtures.split(",") if n]
+    names = args.fixtures
 
     fixtures = resources.files("iotgraph") / "fixtures"
     with tempfile.TemporaryDirectory() as tmp:

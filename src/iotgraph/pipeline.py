@@ -107,6 +107,7 @@ def build_models(
     chosen = parse_overrides(overrides) if overrides is not None else {}
     preconditions: dict[tuple[CveRecord, tuple[str, ...]], str] = {}
     effects: dict[CveRecord, str] = {}
+    atoms: dict[Atom, Atom] = {}
     out: list[ExploitModel] = []
     for finding in findings:
         device = devices[finding.device]
@@ -122,7 +123,7 @@ def build_models(
                 if record not in effects:
                     effects[record] = classify_effect(record)
                 effect = effects[record]
-            out.extend(models_for(device, record, networks, (pre, effect)))
+            out.extend(models_for(device, record, networks, (pre, effect), atoms))
     found = {record.cve_id for finding in findings for record in finding.records}
     for cve_id in sorted(chosen.keys() - found):
         log.warning("override for %s matches no CVE found on a device; ignored", cve_id)

@@ -323,8 +323,8 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
                     needed.add(b)
                     stack.append(b)
 
-    atom = {i: result.atom(i) for i in needed}
-    text = {i: a.render() for i, a in atom.items()}
+    atom = result.atom
+    text = {i: atom(i).render() for i in needed}
     by_text = text.__getitem__
     derived_atoms = sorted([i for i in needed if state[i] == DERIVED], key=by_text)
     primitive_atoms = sorted([i for i in needed if state[i] != DERIVED], key=by_text)
@@ -336,19 +336,18 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
 
     first_rule = len(primitive_atoms) + 1
     first_derived = first_rule + len(keyed)
-    nodes = [Node(n, FACT, text[i] + ".", atom[i]) for n, i in enumerate(primitive_atoms, 1)]
+    nodes = [Node(n, FACT, text[i] + ".", atom(i)) for n, i in enumerate(primitive_atoms, 1)]
     node_of = {i: n for n, i in enumerate(primitive_atoms, 1)}
     node_of.update((i, n) for n, i in enumerate(derived_atoms, first_derived))
     parents: dict[int, tuple[int, ...]] = {}
     derivation_parents: dict[int, list[int]] = {}
     for node_id, (label, head_text, _, k) in enumerate(keyed, first_rule):
-        _, head, body = rows[k]
-        rule = HornRule.instance(atom[head], tuple([atom[b] for b in body]), label)
-        nodes.append(Node(node_id, RULE, label or head_text, None, rule))
+        _, head, body = row = rows[k]
+        nodes.append(Node(node_id, RULE, label or head_text, None, result.rule(row)))
         parents[node_id] = tuple(dict.fromkeys([node_of[b] for b in body]))
         derivation_parents.setdefault(node_of[head], []).append(node_id)
     nodes += [
-        Node(n, DERIVATION, text[i], atom[i]) for n, i in enumerate(derived_atoms, first_derived)
+        Node(n, DERIVATION, text[i], atom(i)) for n, i in enumerate(derived_atoms, first_derived)
     ]
     # Firing nodes are numbered in sorted order, so each list ascends.
     for nid, ps in derivation_parents.items():

@@ -405,14 +405,11 @@ def _extend(
 class Grounding:
     """One evaluation: its saturation, and the library instances among its rows.
 
-    ``ground_rows`` holds each ground rule's row, fired or not, in the order
-    given; ``instance_rows`` the rows of the instances, in the order they
-    were built. ``len()`` counts the instances; iterating gives them as
-    ``HornRule``s, built on first read.
+    ``instance_rows`` holds the instances' rows in the order built. ``len()``
+    counts them; iterating gives them as ``HornRule``s, built on first read.
     """
 
     saturation: SaturationResult
-    ground_rows: list[Row]
     instance_rows: list[Row]
 
     def __len__(self) -> int:
@@ -575,7 +572,7 @@ def ground_static_rules(
         if patterns:
             run_seeds(fa, patterns)
 
-    return Grounding(sat, ground_rows, list(instances.values()))
+    return Grounding(sat, list(instances.values()))
 
 
 def saturate(program: LogicProgram) -> SaturationResult:
@@ -601,11 +598,11 @@ class CompiledSystem:
 
     ``facts`` holds the configuration facts in blocks of ``block_sizes``
     facts, then the attacker facts, then the vulnerability facts from
-    ``vul_start``. ``grounding`` evaluates ``library`` over the facts and the
-    exploit and app rules, whose atoms are one object per distinct atom (the
-    fact's, where it is a fact). The program's rules are ``exploit_rules``,
-    the library instances that fire, and ``app_rules``: ``program`` builds
-    the instances on first read, and ``rule_count`` counts without them.
+    ``vul_start``. ``grounding`` evaluates ``library`` over the facts,
+    ``exploit_rules`` (the exploit models' own rules) and ``app_rules`` (the
+    bound apps' own). The program's rules are ``exploit_rules``, the library
+    instances that fire, and ``app_rules``: ``program`` builds the instances
+    on first read, and ``rule_count`` counts without them.
     """
 
     facts: tuple[Atom, ...]
@@ -642,23 +639,19 @@ def compile_system(
     facts = (*config_facts, *atk_facts, *vul_facts)
     # Rules with one head and body are equal: the body's vulExists names the
     # CVE and the device that make up the label.
-    exploit_rules = list(dict.fromkeys(model.rule for model in models))
-    app_rules = [rule for bound in bound_apps for rule in bound.rules]
+    exploit_rules = tuple(dict.fromkeys(model.rule for model in models))
+    app_rules = tuple(rule for bound in bound_apps for rule in bound.rules)
 
     alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
     library = static_library()
     grounding = ground_static_rules(
         library, facts, {"commands": alphabet}, exploit_rules + app_rules
     )
-    # The exploit and app rules again, over the evaluation's atom objects.
-    sat = grounding.saturation
-    ground = [sat.rule(row) for row in grounding.ground_rows]
-    split = len(exploit_rules)
 
     return CompiledSystem(
         facts=facts,
-        exploit_rules=tuple(ground[:split]),
-        app_rules=tuple(ground[split:]),
+        exploit_rules=exploit_rules,
+        app_rules=app_rules,
         grounding=grounding,
         goals=tuple(dict.fromkeys((*config.goals, *extra_goals))),
         library=library,

@@ -234,12 +234,14 @@ def test_grounding_fills_templates_and_interns_atoms(home, store, monkeypatch):
     result, (_, fired) = _analyze_recording_evaluation(home, store, monkeypatch)
     assert fired
     assert substitutions == []
-    # One table for the whole program: exploit, library and app rule atoms
-    # alike are the fact objects or one shared object per derived atom.
-    program = result.compiled.program
-    atoms = [atom for rule in program.rules for atom in (rule.head, *rule.body)]
-    _assert_one_object_per_atom(atoms, program.facts)
-    assert set(fired) <= set(program.rules)
+    # The library instances are built over the evaluation's table: one
+    # object per distinct atom, the fact's where the atom is a fact. The
+    # exploit and app rules are the models' and apps' own, with their own
+    # objects (test_rules.py).
+    compiled = result.compiled
+    atoms = [atom for rule in compiled.grounding.instances for atom in (rule.head, *rule.body)]
+    _assert_one_object_per_atom(atoms, compiled.facts)
+    assert set(fired) <= set(compiled.program.rules)
 
 
 # Join shapes the static libraries do not have: a lookup on a later

@@ -353,6 +353,7 @@ def reference_scan_devices(config, store):
 def reference_build_models(config, findings, overrides=None):
     networks = config.network_index()
     devices = config.device_index()
+    atoms = {}
     out = []
     for finding in findings:
         device = devices[finding.device]
@@ -363,7 +364,7 @@ def reference_build_models(config, findings, overrides=None):
                 entry.get("precondition") or exploits.classify_precondition(record, protocols),
                 entry.get("effect") or exploits.classify_effect(record),
             )
-            out.extend(models_for(device, record, networks, kinds))
+            out.extend(models_for(device, record, networks, kinds, atoms))
     found = {record.cve_id for finding in findings for record in finding.records}
     for cve_id in sorted((overrides or {}).keys() - found):
         logging.getLogger("iotgraph.pipeline").warning(

@@ -422,6 +422,26 @@ def test_exploit_rules_share_the_vulnerability_fact_objects(home, store):
         assert all(a is by_value[a] for a in vul_atoms)
 
 
+@pytest.mark.parametrize("home", ["fig2", 200])
+def test_program_rules_are_the_models_and_apps_own(home, store):
+    cfg = load_fixture_config("fig2") if home == "fig2" else synthesize(home, seed=3)
+    result = analyze(cfg, store)
+    compiled = result.compiled
+    # Equal rules (one CVE on one device, bound the same way) are kept once,
+    # as the first model's.
+    want = list(dict.fromkeys(model.rule for model in result.models))
+    assert want and len(compiled.exploit_rules) == len(want)
+    assert all(got is rule for got, rule in zip(compiled.exploit_rules, want))
+    want = [rule for bound in result.bound_apps for rule in bound.rules]
+    assert want and len(compiled.app_rules) == len(want)
+    assert all(got is rule for got, rule in zip(compiled.app_rules, want))
+    # The models share one atom table: one object per distinct atom.
+    objects = {}
+    for model in result.models:
+        for atom in (model.rule.head, *model.rule.body):
+            assert objects.setdefault(atom, atom) is atom, atom.render()
+
+
 # The program file as it was assembled before each rule became one f-string
 # and each fact block one join: every atom through ``render_arg`` (here the
 # oracle's), every rule through a helper that joins its pools generator, and

@@ -87,6 +87,27 @@ def test_run_scaling_refuses_bad_arguments(argv, message, capsys):
     assert message in err
 
 
+# Each --fixtures value run_case_studies refuses, with what its usage error names.
+REFUSED_FIXTURES = {
+    "unknown": (["--fixtures", "nosuch"], "unknown fixture 'nosuch'"),
+    "the-feed": (["--fixtures", "mini_feed"], "unknown fixture 'mini_feed'"),
+    "no-fixtures": (["--fixtures", ""], "fixtures must list at least one fixture"),
+    "listed-twice": (["--fixtures", "fig2,fig2"], "each fixture may be listed once"),
+}
+
+
+@pytest.mark.parametrize("argv, message", REFUSED_FIXTURES.values(), ids=REFUSED_FIXTURES.keys())
+def test_run_case_studies_refuses_bad_arguments(argv, message, capsys):
+    script = load_script("run_case_studies")
+    with pytest.raises(SystemExit) as refused:
+        script.main(argv)
+    assert refused.value.code == 2
+    out, err = capsys.readouterr()
+    # Refused before any work: no store built, no fixture analysed.
+    assert out == ""
+    assert message in err
+
+
 def _run_plain(script: str, *argv: str, cwd) -> subprocess.CompletedProcess:
     """Run a script as a fresh process from outside the checkout, with no PYTHONPATH."""
 
