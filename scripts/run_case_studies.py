@@ -7,7 +7,8 @@ trace for each reachable goal, and the recommended patch set.
 
 Refuses, with exit code 2 and before any work, a ``--fixtures`` that lists
 no fixture, names one that is not a packaged configuration (``mini_feed``
-is the CVE feed, not a deployment) or lists one twice.
+is the CVE feed, not a deployment) or lists one twice. A reader that closes
+early (``... | head -1``) ends the run quietly, with exit code 1.
 
 Usage:
     python3 scripts/run_case_studies.py [--fixtures fig2,system28] [--out DIR]
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import tempfile
 from importlib import resources
@@ -79,4 +81,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        # Flush here, so that a closed reader shows inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout on exit; point it at devnull so
+        # that this flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -11,9 +11,13 @@ seconds each stage of ``analyze`` took in that run
 (``AnalysisResult.timings``), then the fitted growth exponent of ``analyze``,
 then all of it as one JSON line. Each JSON row also holds the garbage
 collector's seconds during the fastest run (``gc_s``, from
-``gc.callbacks``) and the objects the collector tracks for that run's
-result (``tracked_objects``: ``gc.get_objects()`` after the run and a
-collection, less the count before the run).
+``gc.callbacks``; ``analyze`` pauses the collector, so about 0) and the
+objects the collector tracks for that run's result (``tracked_objects``:
+``gc.get_objects()`` after the run, less the count before it, each counted
+once further collections leave it unchanged). A collection untracks a tuple
+only once the tuples inside it are untracked, one level per collection, and
+the paused collector leaves that work to the collections after the run; a
+single collection would count the tuples it has yet to untrack.
 Times are the best of ``--repeats`` plain runs, each from a collected heap;
 peak traced memory comes from one further run under ``tracemalloc``, which
 is not timed.
@@ -70,6 +74,18 @@ class CollectorClock:
             self._start = time.perf_counter()
         else:
             self.seconds += time.perf_counter() - self._start
+
+
+def settled_object_count() -> int:
+    """``len(gc.get_objects())`` once a further collection leaves it unchanged."""
+
+    last = None
+    while True:
+        gc.collect()
+        count = len(gc.get_objects())
+        if count == last:
+            return count
+        last = count
 
 
 def sizes_arg(text: str) -> list[int]:
@@ -137,8 +153,7 @@ def main(argv: list[str] | None = None) -> int:
                 best, fastest, gc_s, tracked = math.inf, None, 0.0, 0
                 for _ in range(args.repeats):
                     result = None
-                    gc.collect()
-                    before = len(gc.get_objects())
+                    before = settled_object_count()
                     clock.seconds, clock.running = 0.0, True
                     t0 = time.perf_counter()
                     result = analyze(cfg, store)
@@ -147,8 +162,7 @@ def main(argv: list[str] | None = None) -> int:
                     if took < best:
                         # Counted before the previous fastest result, which
                         # ``before`` includes, is dropped.
-                        gc.collect()
-                        gc_s, tracked = clock.seconds, len(gc.get_objects()) - before
+                        gc_s, tracked = clock.seconds, settled_object_count() - before
                         best, fastest = took, result
                 result = None
                 timings = fastest.timings

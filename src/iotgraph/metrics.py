@@ -459,7 +459,12 @@ def _minimum_cover(masks: list[int], bits: list[int], upper: list[int]) -> list[
             if pivot & b:
                 search([t for t in unhit if not t & b], chosen + [b])
 
-    search(sorted(masks, key=lambda t: (t.bit_count(), t)), [])
+    try:
+        search(sorted(masks, key=lambda t: (t.bit_count(), t)), [])
+    finally:
+        # ``search`` reaches itself through its closure; emptying that cell
+        # lets reference counting free it, with no collector pass.
+        del search
     return best
 
 

@@ -312,26 +312,43 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         networks.append(NetworkSpec(name, claim(name, "network"), proto))
     net_by_name = _by_key(networks)
 
+    def device_error(name: str, problem: str) -> ConfigError:
+        return ConfigError(f"{source}: device {name!r}: {problem}")
+
     devices: list[DeviceSpec] = []
     # (index in devices, wiring key -> target) for devices with wiring: the
     # targets resolve once every device is known.
     wiring: list[tuple[int, dict[str, object]]] = []
+    # The checks of _string_field and _lookup, inline: a home has thousands
+    # of devices, so a message is formatted only for a check that fails.
     for stanza in _list_field(raw, "devices", source):
-        _require(isinstance(stanza, dict), f"{source}: device stanza must be an object")
-        name = _string_field(stanza, "name", f"{source}: device")
-        where = f"{source}: device {name!r}"
-        dtype = _string_field(stanza, "type", where).lower()
-        _require(dtype in DEVICE_TYPES, f"{where}: unknown device type {dtype!r}")
+        if not isinstance(stanza, dict):
+            raise ConfigError(f"{source}: device stanza must be an object")
+        name = stanza.get("name")
+        if not isinstance(name, str) or name.strip() == "":
+            raise ConfigError(f"{source}: device: missing or empty 'name'")
+        dtype = stanza.get("type")
+        if not isinstance(dtype, str) or dtype.strip() == "":
+            raise device_error(name, "missing or empty 'type'")
+        dtype = dtype.lower()
+        if dtype not in DEVICE_TYPES:
+            raise device_error(name, f"unknown device type {dtype!r}")
         nets = stanza.get("network", [])
         if isinstance(nets, str):
             nets = [nets]
-        _require(isinstance(nets, list), f"{where}: network must be a list")
-        net_atoms = [
-            _lookup(net_by_name, net, f"{where}: unknown network {net!r}").atom for net in nets
-        ]
-        _require(len(set(net_atoms)) == len(net_atoms), f"{where}: duplicate network entries")
+        if not isinstance(nets, list):
+            raise device_error(name, "network must be a list")
+        net_atoms = []
+        for net in nets:
+            spec = net_by_name.get(net) if isinstance(net, str) else None
+            if spec is None:
+                raise device_error(name, f"unknown network {net!r}")
+            net_atoms.append(spec.atom)
+        if len(set(net_atoms)) != len(net_atoms):
+            raise device_error(name, "duplicate network entries")
         exposed = stanza.get("physically_exposed", False)
-        _require(isinstance(exposed, bool), f"{where}: physically_exposed must be a boolean")
+        if not isinstance(exposed, bool):
+            raise device_error(name, "physically_exposed must be a boolean")
         wired = {key: stanza[key] for key in _WIRING if stanza.get(key) is not None}
         if wired:
             wiring.append((len(devices), wired))

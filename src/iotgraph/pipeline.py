@@ -9,12 +9,29 @@ from that saturation, and evaluate metrics per goal.
 
 ``analyze`` computes every result once and holds it in ``AnalysisResult``;
 ``write_outputs`` and ``render_summary`` only render what it holds.
+
+Nearly every object ``analyze`` allocates lives on in its result, so the
+cyclic garbage collector's young-generation passes would scan it over and
+over and reclaim next to nothing. ``analyze`` therefore runs its stages with
+the collector paused (``gc.disable()``), and on the way out, whether it
+returns or raises, hands every tracked object of the process to the oldest
+generation (``gc.freeze()`` then ``gc.unfreeze()``), so that the first
+collections after it do not scan the result either. It then restores the
+collector's enabled state; the thresholds are never touched. A caller that
+has frozen objects itself (``gc.get_freeze_count()`` not 0) keeps them
+frozen: the hand-off is skipped. Calls that overlap in threads pause the
+collector once and restore it once, when the last of them leaves. The
+hand-off moves the caller's young objects too, so a reference cycle the
+caller dropped just before the call waits for a full collection
+(``gc.collect()``); ``analyze`` itself leaves no cycle behind.
 """
 
 from __future__ import annotations
 
+import gc
 import logging
 import math
+import threading
 import time
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -107,7 +124,7 @@ def build_models(
     chosen = parse_overrides(overrides) if overrides is not None else {}
     preconditions: dict[tuple[CveRecord, tuple[str, ...]], str] = {}
     effects: dict[CveRecord, str] = {}
-    atoms: dict[Atom, Atom] = {}
+    atoms: dict[tuple[str, tuple[str, ...]], Atom] = {}
     out: list[ExploitModel] = []
     for finding in findings:
         device = devices[finding.device]
@@ -144,63 +161,110 @@ def bind_apps(config: SystemConfig) -> tuple[list[BoundApp], list[tuple[str, str
     return bound, skipped
 
 
+# The ``analyze`` calls running now, and whether the collector was enabled
+# when the first of them started; both under the lock. The collector is one
+# per process, so this state is too.
+_collector_lock = threading.Lock()
+_collector_users = 0
+_collector_was_enabled = False
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Run the body with the cyclic collector paused; on the way out, hand
+    every tracked object to the oldest generation and restore the collector.
+
+    Overlapping calls pause it once and restore it once. The hand-off is
+    skipped while the caller holds frozen objects, which ``gc.unfreeze()``
+    would release.
+    """
+
+    global _collector_users, _collector_was_enabled
+    with _collector_lock:
+        if _collector_users == 0:
+            _collector_was_enabled = gc.isenabled()
+            gc.disable()
+        _collector_users += 1
+    try:
+        yield
+    finally:
+        with _collector_lock:
+            _collector_users -= 1
+            if _collector_users == 0:
+                if gc.get_freeze_count() == 0:
+                    gc.freeze()
+                    gc.unfreeze()
+                if _collector_was_enabled:
+                    gc.enable()
+
+
 def analyze(
     config: SystemConfig,
     store: CveStore,
     extra_goals: tuple[Atom, ...] = (),
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> AnalysisResult:
-    timings: dict[str, float] = {}
+    """Run every stage on ``config`` and hold each result once.
 
-    @contextmanager
-    def stage(name: str) -> Iterator[None]:
-        t0 = time.perf_counter()
-        yield
-        timings[name] = time.perf_counter() - t0
+    The stages run with the garbage collector paused. On the way out, also
+    when a stage raises, every tracked object goes to the oldest generation
+    (unless the caller holds frozen objects, which stay frozen) and the
+    collector's enabled state is restored; overlapping calls in threads
+    pause and restore it once. The module docstring says why.
+    """
 
-    with stage("scan"):
-        findings = scan_devices(config, store)
-    with stage("classify"):
-        models = build_models(config, findings, overrides)
-    with stage("apps"):
-        bound, skipped = bind_apps(config)
-    with stage("compile"):
-        compiled = compile_system(config, models, bound, extra_goals=extra_goals)
-    with stage("reason"):
-        sat = compiled.grounding.saturation
-        goals = compiled.goals or default_goals(sat)
-        graph = build_attack_graph(sat, goals)
-    with stage("metrics"):
-        depths = metrics_mod.node_depths(graph)
-        evidence = metrics_mod.attack_evidence(graph)
-        goal_results = []
-        for goal in goals:
-            reachable = goal in graph.goal_nodes
-            trace = metrics_mod.shortest_trace(graph, goal, depths) if reachable else None
-            patch = metrics_mod.patch_set(graph, evidence, goal)
-            goal_results.append(
-                GoalResult(
-                    goal=goal,
-                    reachable=reachable,
-                    depth=trace.depth if trace else None,
-                    trace=trace,
-                    patch=patch,
-                    exact=graph.goal_nodes.get(goal) not in evidence.approximate,
+    with _collector_paused():
+        timings: dict[str, float] = {}
+
+        @contextmanager
+        def stage(name: str) -> Iterator[None]:
+            t0 = time.perf_counter()
+            yield
+            timings[name] = time.perf_counter() - t0
+
+        with stage("scan"):
+            findings = scan_devices(config, store)
+        with stage("classify"):
+            models = build_models(config, findings, overrides)
+        with stage("apps"):
+            bound, skipped = bind_apps(config)
+        with stage("compile"):
+            compiled = compile_system(config, models, bound, extra_goals=extra_goals)
+        with stage("reason"):
+            sat = compiled.grounding.saturation
+            goals = compiled.goals or default_goals(sat)
+            graph = build_attack_graph(sat, goals)
+        with stage("metrics"):
+            depths = metrics_mod.node_depths(graph)
+            evidence = metrics_mod.attack_evidence(graph)
+            goal_results = []
+            for goal in goals:
+                reachable = goal in graph.goal_nodes
+                trace = metrics_mod.shortest_trace(graph, goal, depths) if reachable else None
+                patch = metrics_mod.patch_set(graph, evidence, goal)
+                goal_results.append(
+                    GoalResult(
+                        goal=goal,
+                        reachable=reachable,
+                        depth=trace.depth if trace else None,
+                        trace=trace,
+                        patch=patch,
+                        exact=graph.goal_nodes.get(goal) not in evidence.approximate,
+                    )
                 )
-            )
 
-    return AnalysisResult(
-        config=config,
-        findings=tuple(findings),
-        models=tuple(models),
-        bound_apps=tuple(bound),
-        skipped_apps=tuple(skipped),
-        compiled=compiled,
-        graph=graph,
-        evidence=evidence,
-        goal_results=tuple(goal_results),
-        timings=timings,
-    )
+        return AnalysisResult(
+            config=config,
+            findings=tuple(findings),
+            models=tuple(models),
+            bound_apps=tuple(bound),
+            skipped_apps=tuple(skipped),
+            compiled=compiled,
+            graph=graph,
+            evidence=evidence,
+            goal_results=tuple(goal_results),
+            timings=timings,
+        )
 
 
 def _json_text(value: object, indent: str = "\n") -> str:

@@ -276,3 +276,31 @@ def test_duplicate_attacker_entries_rejected(key, entries):
     doc["attacker"] = {key: entries}
     with pytest.raises(ConfigError, match=f"attacker: duplicate {key} entries"):
         parse_config(doc, source="test")
+
+
+# Each per-device refusal, as (change to the router's stanza, exact message).
+DEVICE_REFUSALS = [
+    ({"name": None}, "test: device: missing or empty 'name'"),
+    ({"name": "  "}, "test: device: missing or empty 'name'"),
+    ({"type": None}, "test: device 'D-Link Router': missing or empty 'type'"),
+    ({"type": 7}, "test: device 'D-Link Router': missing or empty 'type'"),
+    ({"type": "Toaster"}, "test: device 'D-Link Router': unknown device type 'toaster'"),
+    ({"network": {"wifi1": True}}, "test: device 'D-Link Router': network must be a list"),
+    ({"network": ["wifi9"]}, "test: device 'D-Link Router': unknown network 'wifi9'"),
+    ({"network": "wifi9"}, "test: device 'D-Link Router': unknown network 'wifi9'"),
+    ({"network": ["wifi1", ["zigbee1"]]}, "test: device 'D-Link Router': unknown network ['zigbee1']"),
+    ({"network": ["wifi1", "wifi1"]}, "test: device 'D-Link Router': duplicate network entries"),
+    (
+        {"physically_exposed": "yes"},
+        "test: device 'D-Link Router': physically_exposed must be a boolean",
+    ),
+]
+
+
+@pytest.mark.parametrize("change, message", DEVICE_REFUSALS)
+def test_device_refusals_keep_their_text(change, message):
+    doc = minimal_doc()
+    doc["devices"][0].update(change)
+    with pytest.raises(ConfigError) as refused:
+        parse_config(doc, source="test")
+    assert str(refused.value) == message

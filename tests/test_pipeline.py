@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
 import logging
+import sys
+import threading
 
 import pytest
 
@@ -535,3 +538,142 @@ def test_build_models_classifies_each_record_and_protocol_set_once(store, monkey
     assert sorted(map(repr, calls["precondition"])) == sorted(map(repr, pairs))
     assert sorted(map(repr, calls["effect"])) == sorted(repr((r,)) for r in records)
     assert len(records) < len(pairs) < sum(len(f.records) for f in findings)
+
+
+# The collector contract of ``analyze``: paused while it runs, its objects
+# handed to the oldest generation, the enabled state, thresholds and frozen
+# objects as the caller left them.
+
+
+def collector_state():
+    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
+
+
+def test_analyze_starts_no_collection(system37_config, store):
+    assert gc.isenabled()
+    started = []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        analyze(system37_config, store)
+    finally:
+        gc.callbacks.remove(record)
+    assert started == []
+
+
+def test_analyze_hands_its_result_to_the_oldest_generation(system37_config, store):
+    result = analyze(system37_config, store)
+    assert any(o is result.graph.nodes for o in gc.get_objects(generation=2))
+
+
+def test_analyze_leaves_no_cyclic_garbage(system37_config, store):
+    # Its objects go to the oldest generation, where a cycle waits for a
+    # full collection.
+    gc.collect()
+    analyze(system37_config, store)
+    assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("case", ["enabled", "disabled", "raises", "frozen"])
+def test_analyze_restores_the_collector(case, fig2_config, store):
+    try:
+        if case == "disabled":
+            gc.disable()
+        if case == "frozen":
+            gc.freeze()
+            assert gc.get_freeze_count() > 0
+        before = collector_state()
+        if case == "raises":
+            with pytest.raises(ConfigError, match="overrides must be a JSON object"):
+                analyze(fig2_config, store, overrides=["not", "an", "object"])
+        else:
+            analyze(fig2_config, store)
+        assert collector_state() == before
+    finally:
+        gc.unfreeze()
+        gc.enable()
+
+
+def test_overlapping_analyze_calls_restore_the_collector_once(monkeypatch, fig2_config, store_path):
+    # Both calls wait for each other inside; the first to enter then returns
+    # while the second is still inside, which must find the collector paused.
+    barrier = threading.Barrier(2, timeout=60)
+    first_inside, first_returned = threading.Event(), threading.Event()
+    compile_system = pipeline.compile_system
+    paused, failed = [], []
+
+    def both_inside(*args, **kwargs):
+        if threading.current_thread().name == "first":
+            first_inside.set()
+        barrier.wait()
+        if threading.current_thread().name == "second":
+            assert first_returned.wait(timeout=60)
+            paused.append(not gc.isenabled())
+        return compile_system(*args, **kwargs)
+
+    def run():
+        try:
+            with CveStore.open_existing(store_path) as own:
+                analyze(fig2_config, own)
+        except BaseException as exc:
+            failed.append(exc)
+            barrier.abort()
+        if threading.current_thread().name == "first":
+            first_returned.set()
+
+    monkeypatch.setattr(pipeline, "compile_system", both_inside)
+    assert gc.isenabled()
+    first = threading.Thread(target=run, name="first")
+    second = threading.Thread(target=run, name="second")
+    first.start()
+    assert first_inside.wait(timeout=60)
+    second.start()
+    for t in (first, second):
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert failed == []
+    assert paused == [True]
+    assert gc.isenabled()
+
+
+def test_many_overlapping_analyze_calls_leave_the_collector_enabled(
+    monkeypatch, listing10_config, store_path
+):
+    # More threads than cores, switching often: a lost update of the count
+    # of running calls would leave the collector paused, or restore it while
+    # a call still runs.
+    compile_system = pipeline.compile_system
+    enabled_inside, failed = [], []
+
+    def record(*args, **kwargs):
+        enabled_inside.append(gc.isenabled())
+        return compile_system(*args, **kwargs)
+
+    def run():
+        try:
+            with CveStore.open_existing(store_path) as own:
+                for _ in range(5):
+                    analyze(listing10_config, own)
+        except BaseException as exc:
+            failed.append(exc)
+
+    monkeypatch.setattr(pipeline, "compile_system", record)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert failed == []
+    assert enabled_inside == [False] * 30
+    assert gc.isenabled()
+    assert pipeline._collector_users == 0

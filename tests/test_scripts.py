@@ -125,3 +125,19 @@ def test_scripts_run_from_a_plain_checkout(tmp_path):
     scaling = _run_plain("run_scaling", "--sizes", "10", "--repeats", "1", cwd=tmp_path)
     assert scaling.returncode == 0, scaling.stderr
     assert [row["devices"] for row in json.loads(scaling.stdout.splitlines()[-1])["rows"]] == [10]
+
+
+def test_run_case_studies_ends_quietly_when_its_reader_closes(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    # Unbuffered, so the first line arrives while four fixtures are still to run.
+    env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, str(SCRIPTS / "run_case_studies.py"), "--out", str(tmp_path / "out")]
+    with subprocess.Popen(
+        argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as child:
+        assert child.stdout.readline().startswith("==== listing10 ")
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert "Traceback" not in err
+    assert code == 1
