@@ -25,7 +25,8 @@ is not timed.
 Refuses, with exit code 2 and before any work, a ``--sizes`` that lists no
 size, a size that is not an integer, is below 2 or is listed twice (the
 fit needs distinct sizes), and a ``--repeats`` or ``--cves-per-product``
-below 1.
+below 1. A reader that closes early (``... | head -1``) ends the run
+quietly, with exit code 1.
 
 Usage:
     python3 scripts/run_scaling.py [--sizes 10,20,30,40,50] [--seed 20260816]
@@ -38,6 +39,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import statistics
 import sys
 import tempfile
@@ -216,4 +218,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        # Flush here, so that a closed reader shows inside the try.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout on exit; point it at devnull so
+        # that this flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

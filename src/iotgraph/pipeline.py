@@ -21,9 +21,13 @@ collector's enabled state; the thresholds are never touched. A caller that
 has frozen objects itself (``gc.get_freeze_count()`` not 0) keeps them
 frozen: the hand-off is skipped. Calls that overlap in threads pause the
 collector once and restore it once, when the last of them leaves. The
-hand-off moves the caller's young objects too, so a reference cycle the
-caller dropped just before the call waits for a full collection
-(``gc.collect()``); ``analyze`` itself leaves no cycle behind.
+hand-off moves the caller's young objects too, and the objects it moves
+never start a full collection, so a reference cycle the caller dropped just
+before the call would wait for an explicit ``gc.collect()``. The first call
+in therefore collects the two young generations (``gc.collect(1)``) before
+the pause, when the collector is enabled: a cycle that outlived one
+collection of the youngest sits in the middle one. ``analyze`` itself leaves
+no cycle behind.
 """
 
 from __future__ import annotations
@@ -116,31 +120,33 @@ def build_models(
     and its effect only on the record and the override, so each (record,
     protocols) pair is classified for its precondition once per call, each
     record for its effect once, and a classifier runs only for a kind the
-    override leaves open.
+    override leaves open. Every model's atoms come from one table.
     """
 
     networks = config.network_index()
     devices = config.device_index()
     chosen = parse_overrides(overrides) if overrides is not None else {}
-    preconditions: dict[tuple[CveRecord, tuple[str, ...]], str] = {}
-    effects: dict[CveRecord, str] = {}
+    # Keyed by CVE id, as overrides are: the store holds one record per id.
+    preconditions: dict[tuple[str, tuple[str, ...]], str] = {}
+    effects: dict[str, str] = {}
     atoms: dict[tuple[str, tuple[str, ...]], Atom] = {}
     out: list[ExploitModel] = []
     for finding in findings:
         device = devices[finding.device]
         protocols = tuple(networks[n].protocol for n in device.networks)
         for record in finding.records:
-            pre, effect = chosen.get(record.cve_id, (None, None))
+            cve_id = record.cve_id
+            pre, effect = chosen.get(cve_id, (None, None))
             if pre is None:
-                key = (record, protocols)
+                key = (cve_id, protocols)
                 if key not in preconditions:
                     preconditions[key] = classify_precondition(record, protocols)
                 pre = preconditions[key]
             if effect is None:
-                if record not in effects:
-                    effects[record] = classify_effect(record)
-                effect = effects[record]
-            out.extend(models_for(device, record, networks, (pre, effect), atoms))
+                if cve_id not in effects:
+                    effects[cve_id] = classify_effect(record)
+                effect = effects[cve_id]
+            out.extend(models_for(device, record, protocols, (pre, effect), atoms))
     found = {record.cve_id for finding in findings for record in finding.records}
     for cve_id in sorted(chosen.keys() - found):
         log.warning("override for %s matches no CVE found on a device; ignored", cve_id)
@@ -163,8 +169,9 @@ def bind_apps(config: SystemConfig) -> tuple[list[BoundApp], list[tuple[str, str
 
 # The ``analyze`` calls running now, and whether the collector was enabled
 # when the first of them started; both under the lock. The collector is one
-# per process, so this state is too.
-_collector_lock = threading.Lock()
+# per process, so this state is too. The lock is reentrant because the
+# collection on entry may run a finalizer that calls ``analyze``.
+_collector_lock = threading.RLock()
 _collector_users = 0
 _collector_was_enabled = False
 
@@ -174,15 +181,19 @@ def _collector_paused() -> Iterator[None]:
     """Run the body with the cyclic collector paused; on the way out, hand
     every tracked object to the oldest generation and restore the collector.
 
-    Overlapping calls pause it once and restore it once. The hand-off is
-    skipped while the caller holds frozen objects, which ``gc.unfreeze()``
-    would release.
+    Overlapping calls pause it once and restore it once. The first collects
+    the young generations before the pause, if the collector is enabled, so
+    that the hand-off does not carry the caller's young garbage. The
+    hand-off is skipped while the caller holds frozen objects, which
+    ``gc.unfreeze()`` would release.
     """
 
     global _collector_users, _collector_was_enabled
     with _collector_lock:
         if _collector_users == 0:
             _collector_was_enabled = gc.isenabled()
+            if _collector_was_enabled:
+                gc.collect(1)
             gc.disable()
         _collector_users += 1
     try:
@@ -206,7 +217,8 @@ def analyze(
 ) -> AnalysisResult:
     """Run every stage on ``config`` and hold each result once.
 
-    The stages run with the garbage collector paused. On the way out, also
+    The stages run with the garbage collector paused, after one collection
+    of the young generations when it is enabled. On the way out, also
     when a stage raises, every tracked object goes to the oldest generation
     (unless the caller holds frozen objects, which stay frozen) and the
     collector's enabled state is restored; overlapping calls in threads

@@ -228,9 +228,11 @@ def build_exploit_schemas() -> tuple[HornRule, ...]:
 
     These document the semantics and are rendered at the head of
     ``program.pl``; the reasoner works on the ground rules that
-    ``exploits.models_for`` instantiates per classified CVE from the same
-    tables, whose vulProperty terms also name the adjacent network's protocol
-    and whether a granted network is wifi. Built once per process, like
+    ``exploits.models_for`` fills in per classified CVE and device from the
+    templates ``exploits.exploit_shape`` builds out of the same tables, once
+    per (precondition, effect, network protocols) and process.
+    Their vulProperty terms also name the adjacent network's protocol and
+    whether a granted network is wifi. Built once per process, like
     ``static_library``.
     """
 

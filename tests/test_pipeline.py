@@ -5,6 +5,7 @@ import json
 import logging
 import sys
 import threading
+import weakref
 
 import pytest
 
@@ -367,7 +368,7 @@ def reference_build_models(config, findings, overrides=None):
                 entry.get("precondition") or exploits.classify_precondition(record, protocols),
                 entry.get("effect") or exploits.classify_effect(record),
             )
-            out.extend(models_for(device, record, networks, kinds, atoms))
+            out.extend(models_for(device, record, protocols, kinds, atoms))
     found = {record.cve_id for finding in findings for record in finding.records}
     for cve_id in sorted((overrides or {}).keys() - found):
         logging.getLogger("iotgraph.pipeline").warning(
@@ -540,29 +541,129 @@ def test_build_models_classifies_each_record_and_protocol_set_once(store, monkey
     assert len(records) < len(pairs) < sum(len(f.records) for f in findings)
 
 
-# The collector contract of ``analyze``: paused while it runs, its objects
-# handed to the oldest generation, the enabled state, thresholds and frozen
-# objects as the caller left them.
+# The collector contract of ``analyze``: the young generations collected on
+# entry, then paused while it runs, its objects handed to the oldest
+# generation, the enabled state, thresholds and frozen objects as the caller
+# left them.
 
 
 def collector_state():
     return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()
 
 
-def test_analyze_starts_no_collection(system37_config, store):
+def test_analyze_collects_the_young_generations_once_at_entry(
+    monkeypatch, system37_config, store
+):
     assert gc.isenabled()
+    started, before_scan = [], []
+
+    def record(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    scan = pipeline.scan_devices
+
+    def scan_devices(*args):
+        before_scan.extend(started)
+        return scan(*args)
+
+    monkeypatch.setattr(pipeline, "scan_devices", scan_devices)
+    gc.callbacks.append(record)
+    try:
+        analyze(system37_config, store)
+    finally:
+        gc.callbacks.remove(record)
+    assert started == before_scan == [1]
+
+
+def test_analyze_with_the_collector_disabled_starts_no_collection(system37_config, store):
     started = []
 
     def record(phase, info):
         if phase == "start":
             started.append(info["generation"])
 
+    gc.disable()
     gc.callbacks.append(record)
     try:
         analyze(system37_config, store)
     finally:
         gc.callbacks.remove(record)
+        gc.enable()
     assert started == []
+
+
+class Cycle:
+    """A weakly referable object that will refer to itself."""
+
+
+def test_analyze_frees_a_cycle_the_caller_just_dropped(fig2_config, store):
+    # The hand-off on the way out would carry a young cycle to the oldest
+    # generation, where only a full collection, which nothing starts, frees it.
+    gc.collect()
+    cycle = Cycle()
+    cycle.itself = cycle
+    alive = weakref.ref(cycle)
+    del cycle
+    analyze(fig2_config, store)
+    assert alive() is None
+
+
+def test_analyze_frees_a_cycle_that_outlived_one_young_collection(fig2_config, store):
+    # A collection of the youngest generation moves a live cycle to the
+    # middle one; dropped there, it must not ride the hand-off either.
+    gc.collect()
+    cycle = Cycle()
+    cycle.itself = cycle
+    alive = weakref.ref(cycle)
+    gc.collect(0)
+    del cycle
+    analyze(fig2_config, store)
+    assert alive() is None
+
+
+def test_a_finalizer_run_by_the_entry_collection_may_call_analyze(fig2_config, store_path):
+    # The collection on entry runs under the collector lock; a finalizer
+    # that calls analyze there must not wait on that lock.
+    inner, outer = [], []
+
+    def run():
+        with CveStore.open_existing(store_path) as own:
+
+            class Analyzes:
+                def __del__(self):
+                    inner.append(analyze(fig2_config, own))
+
+            gc.collect()
+            cycle = Analyzes()
+            cycle.itself = cycle
+            del cycle
+            outer.append(analyze(fig2_config, own))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert len(inner) == len(outer) == 1
+    assert gc.isenabled()
+    assert pipeline._collector_users == 0
+
+
+def test_repeated_analyze_calls_keep_the_tracked_objects_bounded(fig2_config, store):
+    # Each call drops 200 cycles first, as a long-lived caller's work might.
+    def calls(n):
+        for _ in range(n):
+            dropped = [[] for _ in range(200)]
+            for item in dropped:
+                item.append(item)
+            del dropped, item
+            analyze(fig2_config, store)
+
+    gc.collect()
+    calls(10)
+    settled = len(gc.get_objects())
+    calls(40)
+    assert len(gc.get_objects()) - settled < 2000
 
 
 def test_analyze_hands_its_result_to_the_oldest_generation(system37_config, store):

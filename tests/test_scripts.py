@@ -141,3 +141,20 @@ def test_run_case_studies_ends_quietly_when_its_reader_closes(tmp_path):
         code = child.wait(timeout=120)
     assert "Traceback" not in err
     assert code == 1
+
+
+def test_run_scaling_ends_quietly_when_its_reader_closes(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    # Unbuffered, so the header arrives while three sizes are still to run.
+    env["PYTHONUNBUFFERED"] = "1"
+    argv = [sys.executable, str(SCRIPTS / "run_scaling.py"), "--sizes", "10,20,40"]
+    argv += ["--repeats", "1"]
+    with subprocess.Popen(
+        argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    ) as child:
+        assert child.stdout.readline().split()[0] == "devices"
+        child.stdout.close()
+        err = child.stderr.read()
+        code = child.wait(timeout=120)
+    assert "Traceback" not in err
+    assert code == 1
