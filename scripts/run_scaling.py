@@ -14,7 +14,10 @@ collector's seconds during the fastest run (``gc_s``, from
 ``gc.callbacks``; ``analyze`` pauses the collector, so about 0) and the
 objects the collector tracks for that run's result (``tracked_objects``:
 ``gc.get_objects()`` after the run, less the count before it, each counted
-once further collections leave it unchanged). A collection untracks a tuple
+once further collections leave it unchanged), and ``best_ref``, the best
+seconds over the mean of ``perfbench.run.reference()`` timed just before
+and just after the size's timed runs, so sizes timed minutes apart on a
+drifting host compare in the benchmark's units. A collection untracks a tuple
 only once the tuples inside it are untracked, one level per collection, and
 the paused collector leaves that work to the collections after the run; a
 single collection would count the tuples it has yet to untrack.
@@ -57,6 +60,7 @@ from iotgraph.cvestore import CveStore
 from iotgraph.pipeline import analyze, write_outputs
 from iotgraph.synth import synthesize
 from perfbench.feed import synth_feed
+from perfbench.run import reference
 
 STAGES = ("scan", "classify", "apps", "compile", "reason", "metrics")
 
@@ -153,6 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             for n in sizes:
                 cfg = synthesize(n, seed=args.seed)
                 best, fastest, gc_s, tracked = math.inf, None, 0.0, 0
+                ref_before = reference()
                 for _ in range(args.repeats):
                     result = None
                     before = settled_object_count()
@@ -166,6 +171,7 @@ def main(argv: list[str] | None = None) -> int:
                         # ``before`` includes, is dropped.
                         gc_s, tracked = clock.seconds, settled_object_count() - before
                         best, fastest = took, result
+                ref_s = (ref_before + reference()) / 2
                 result = None
                 timings = fastest.timings
                 write = math.inf
@@ -183,6 +189,7 @@ def main(argv: list[str] | None = None) -> int:
                 row = {
                     "devices": n,
                     "best_s": best,
+                    "best_ref": best / ref_s,
                     "write_s": write,
                     "peak_mb": peak / 1e6,
                     "graph_nodes": len(result.graph.nodes),

@@ -42,7 +42,11 @@ GENERIC_TOKENS = frozenset({"smart", "wifi", "device", "the", "a"})
 COLOR_TOKENS = frozenset({"white", "black", "red", "green", "blue", "yellow", "gray", "grey"})
 SIZE_TOKENS = frozenset({"mini", "small", "large", "big"})
 
+NOISE_TOKENS = GENERIC_TOKENS | COLOR_TOKENS | SIZE_TOKENS
+
 _WORD = re.compile(r"[a-z0-9]+")
+# A ``_WORD`` token with a letter in it: digit-only tokens never match.
+_KEYWORD = re.compile(r"[a-z0-9]*[a-z][a-z0-9]*")
 _CVE_ID = re.compile(r"CVE-([0-9]{4})-[0-9]+")
 
 _IMPACT_LEVELS = ("none", "low", "high")
@@ -68,16 +72,17 @@ def tokenize(text: str) -> list[str]:
 
 
 def query_tokens(device_name: str) -> list[str]:
-    """Search keywords for a device name, with noise words removed."""
+    """Search keywords for a device name, in order, without duplicates: its
+    tokens with a letter in them, with noise words removed."""
 
-    out = []
-    for token in tokenize(device_name):
-        if token in GENERIC_TOKENS or token in COLOR_TOKENS or token in SIZE_TOKENS:
-            continue
-        if token.isdigit():
-            continue
-        out.append(token)
-    return out
+    tokens = dict.fromkeys(_KEYWORD.findall(device_name.lower()))
+    return [t for t in tokens if t not in NOISE_TOKENS]
+
+
+def keyword_set(device_name: str) -> frozenset[str]:
+    """The set of ``query_tokens(device_name)``, without building the list."""
+
+    return frozenset(_KEYWORD.findall(device_name.lower())) - NOISE_TOKENS
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,7 @@ class CveStore:
 
         keyword_sets = []
         for name in device_names:
-            keywords = frozenset(query_tokens(name))
+            keywords = keyword_set(name)
             if not keywords:
                 log.warning("device name %r has no searchable keywords", name)
             keyword_sets.append(keywords)

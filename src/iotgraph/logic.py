@@ -69,6 +69,16 @@ def substitute_arg(arg: str, binding: dict[str, str]) -> str:
     return arg
 
 
+def picker(keys: list[int]) -> Callable[[tuple], tuple]:
+    """A function from a tuple to its items at ``keys``, as a tuple."""
+
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    # One key would give the bare item and none would raise; a slice gives a
+    # tuple.
+    return itemgetter(slice(keys[0], keys[0] + 1) if keys else slice(0))
+
+
 def args_template(
     args: tuple[str, ...], slots: dict[str, int]
 ) -> Callable[[tuple[str, ...]], tuple[str, ...]]:
@@ -81,12 +91,7 @@ def args_template(
     """
 
     if all(map(is_variable, args)):
-        keys = [slots[a] for a in args]
-        if len(keys) > 1:
-            return itemgetter(*keys)
-        # One key would give the bare item and none would raise; a slice
-        # gives a tuple.
-        return itemgetter(slice(keys[0], keys[0] + 1) if keys else slice(0))
+        return picker([slots[a] for a in args])
     names = list(slots)
 
     def fill(values: tuple[str, ...]) -> tuple[str, ...]:

@@ -7,7 +7,8 @@ firing is a row of label, head id and body ids. Its ``Atom`` and
 saturation: the evaluator in ``rules`` fills it, for ``analyze`` as it
 grounds the library (``rules.ground_static_rules``) and for a bare program
 through ``rules.saturate``. ``build_attack_graph`` only slices the rows it
-is handed, and builds atoms and rules for the slice's nodes only.
+is handed, and builds atoms for the slice's nodes only; a rule node keeps
+its row and builds its ``HornRule`` (``Node.rule``) on first read.
 
 The graph is tripartite. Primitive facts are boxes with no incoming edges,
 rule firings are AND nodes (every body atom must hold), and derived atoms
@@ -30,7 +31,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import NamedTuple
 
 from .exploits import EFFECTS
 from .logic import Atom, HornRule
@@ -40,18 +40,46 @@ RULE = "rule"
 DERIVATION = "derivation"
 
 
+Row = tuple[str, int, tuple[int, ...]]
+
+
 def _json_list(items: list[str]) -> str:
     """A list of rendered items at the second level of an ``indent=2`` document."""
 
     return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
 
 
-class Node(NamedTuple):
-    node_id: int
-    kind: str
-    text: str
-    atom: Atom | None = None
-    rule: HornRule | None = None
+class Node:
+    """One graph node: its id, kind and text, and the atom a fact or
+    derivation node stands for.
+
+    A rule node of ``build_attack_graph`` keeps the saturation and its row,
+    and builds ``rule`` from them on first read; nothing in ``analyze`` or
+    the writers reads it.
+    """
+
+    __slots__ = ("node_id", "kind", "text", "atom", "_rule", "_row", "_source")
+
+    def __init__(self, node_id: int, kind: str, text: str, atom: Atom | None = None) -> None:
+        self.node_id, self.kind, self.text, self.atom = node_id, kind, text, atom
+        self._rule = self._row = self._source = None
+
+    @classmethod
+    def firing(cls, node_id: int, text: str, source: "SaturationResult", row: Row) -> "Node":
+        """The rule node of a firing, its rule left to build on first read."""
+
+        node = cls(node_id, RULE, text)
+        node._row, node._source = row, source
+        return node
+
+    @property
+    def rule(self) -> HornRule | None:
+        if self._rule is None and self._source is not None:
+            self._rule = self._source.rule(self._row)
+        return self._rule
+
+    def __repr__(self) -> str:
+        return f"Node({self.node_id!r}, {self.kind!r}, {self.text!r}, atom={self.atom!r})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,8 +235,6 @@ class AttackGraph:
         return "\n".join(lines) + "\n"
 
 
-Row = tuple[str, int, tuple[int, ...]]
-
 # An atom's ``SaturationResult.state``: not known (0), a fact, or derived.
 GIVEN, DERIVED = 1, 2
 
@@ -297,7 +323,8 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
     Every atom the slice meets is in the model, so an atom is a fact
     exactly when it is not derived. The slice works on ids: each needed
     atom's text is rendered once, the nodes sort by those texts, and atoms
-    and rules are built only for the slice's nodes.
+    are built only for the slice's nodes. A rule node builds its rule from
+    its row on first read.
     """
 
     rows, by_head, state = result.rows, result.rows_by_head(), result.state
@@ -343,7 +370,7 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
     derivation_parents: dict[int, list[int]] = {}
     for node_id, (label, head_text, _, k) in enumerate(keyed, first_rule):
         _, head, body = row = rows[k]
-        nodes.append(Node(node_id, RULE, label or head_text, None, result.rule(row)))
+        nodes.append(Node.firing(node_id, label or head_text, result, row))
         parents[node_id] = tuple(dict.fromkeys([node_of[b] for b in body]))
         derivation_parents.setdefault(node_of[head], []).append(node_id)
     nodes += [

@@ -7,19 +7,22 @@ dependencies, attacker capabilities over actuators/sensors/voice), which are
 written with variables. ``ground_static_rules`` evaluates the library
 semi-naively over the facts and the ground rules, on integer atom ids: it
 interns each ground atom once, in one table of predicate and arguments, and
-records each firing as a row of label, head id and body ids. The facts are
-all indexed before any seed runs, and a rule is seeded only from its body
-atoms of predicates that some library or ground rule heads, or from its
-first body atom when its body holds none; facts and derived atoms run one
-seed table. Each seed joins the rest of its body bound-first, so the work
-grows with the home. The same loop is the program's one saturation: its
-rows are the least model the attack graph is sliced from. The compiled
-program is the ground rules plus the library instances that fire, which
-``CompiledSystem.program`` builds as ``HornRule``s on first read; nothing
-in ``analyze`` or the writers reads it. The library is built once per
-process and compiled once per set of derivable predicates; no evaluation
-changes its compiled form. The voice rules' ``Cmd``, which no body atom
-binds, ranges over the commands the apps listen for.
+records each firing as a row of label, head id and body ids. The facts go
+in in one pass, interned, marked given and indexed before any seed runs,
+and a rule is seeded only from its body atoms of predicates that some
+library or ground rule heads, or from its first body atom when its body
+holds none; facts and derived atoms run one seed table. Each seed joins the
+rest of its body bound-first, so the work grows with the home, and the join
+hands over the ids of the atoms it matched: an instance's body is never
+filled or looked up again, and only its head is interned. The same loop is
+the program's one saturation: its rows are the least model the attack
+graph is sliced from. The compiled program is the ground rules plus the
+library instances that fire, which ``CompiledSystem.program`` builds as
+``HornRule``s on first read; nothing in ``analyze`` or the writers reads
+it. The library is built once per process and compiled once per set of
+derivable predicates; no evaluation changes its compiled form. The voice
+rules' ``Cmd``, which no body atom binds, ranges over the commands the apps
+listen for.
 
 ``saturate`` is the evaluator run with no library, the package's only
 least-model engine, for callers that hold only a program, such as a what-if
@@ -43,6 +46,7 @@ from .logic import (
     args_template,
     is_variable,
     parse_atom,
+    picker,
 )
 from .model import (
     DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
@@ -269,14 +273,15 @@ def static_library() -> tuple[HornRule, ...]:
     )
 
 
-def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
+def _join_plan(atom: Atom, slots: dict, key: int) -> tuple:
     """How a body atom joins against known atoms, giving its new variables slots.
 
     ``slots`` already holds the atom's constants. A known atom of the right
     arity matches when each checked position holds the slot value its check
     names; the slots of the atom's new variables take the atom's values at
-    their first positions. The lookup key is the first check whose slot is
-    bound before the atom is joined.
+    their first positions, and one more slot, entered under ``key``, takes
+    the atom's id. The lookup key is the first check whose slot is bound
+    before the atom is joined.
     """
 
     bound_before = len(slots)
@@ -287,6 +292,7 @@ def _join_plan(atom: Atom, slots: dict[str, int]) -> tuple:
         else:
             slots[arg] = len(slots)
             new.append(pos)
+    slots[key] = len(slots)
     lookup = next((ch for ch in checks if ch[1] < bound_before), None)
     return atom.pred, len(atom.args), tuple(new), tuple(checks), lookup
 
@@ -304,8 +310,9 @@ class _Library:
     binding tests each guard once; their places in rule order order the
     seeds that pass. Facts and derived atoms both run ``seeds``. ``pools``
     holds the seeds' distinct pool names and ``filled`` the predicates of
-    their fills. Known atoms are indexed only where a seed's join looks them
-    up: at the ``keyed`` positions, and whole for ``scanned`` predicates.
+    their heads, the only atoms an instance fills. ``index`` gives each
+    predicate that a seed's join looks up whether the join scans it whole
+    and the positions it is looked up at; no other predicate is indexed.
     Nothing here changes after construction.
     """
 
@@ -327,7 +334,11 @@ class _Library:
             for pred, by_pattern in patterns.items()
         }
         self.pools = tuple(pools)
-        self.filled = tuple(dict.fromkeys(a.pred for r in rules for a in (r.head, *r.body)))
+        self.filled = tuple(dict.fromkeys(r.head.pred for r in rules))
+        self.index = {
+            pred: (pred in self.scanned, self.keyed.get(pred, ()))
+            for pred in (*self.scanned, *self.keyed)
+        }
 
     def _seed(self, rule: HornRule, seed: int, place: int) -> tuple:
         """``rule`` joined from body atom ``seed``, then the rest bound-first.
@@ -337,30 +348,36 @@ class _Library:
         join comes the first remaining body atom with an argument in a slot,
         else the first remaining one, so the join looks atoms up by a known
         value wherever the body allows. The seed's slots are the constants,
-        then its join's variables in the order it binds them, then the
-        pooled ones, sorted. Gives the seed's pattern (arity, the constants
-        that start each binding, new slots, checks); its guard, the key of
-        the first lookup after it, where most library seeds fail (on the
-        device's type); and the seed: its place, the rest of its join, the
-        rule's pools, fill templates for the rule's head and body over the
-        seed's slots, and the label. Registers the join's lookups in
-        ``keyed`` and ``scanned``.
+        then for each atom of its join the variables it binds and its id,
+        then the pooled variables, sorted. Gives the seed's pattern (arity,
+        the constants that start each binding, new slots, checks); its
+        guard, the key of the first lookup after it, where most library
+        seeds fail (on the device's type); and the seed: its place, the rest
+        of its join, the rule's pools, the head's predicate and fill
+        template over the seed's slots, the pick of the body's ids in body
+        order, whether the head reads only the seed atom's slots (and the
+        rule pools nothing), so it is filled once per seed binding, and the
+        label. Registers the join's lookups in ``keyed`` and ``scanned``.
         """
 
         consts = tuple(dict.fromkeys(x for a in rule.body for x in a.args if not is_variable(x)))
-        slots = {x: i for i, x in enumerate(consts)}
-        _, arity, new, checks, _ = _join_plan(rule.body[seed], slots)
-        rest = [atom for i, atom in enumerate(rule.body) if i != seed]
+        slots: dict = {x: i for i, x in enumerate(consts)}
+        _, arity, new, checks, _ = _join_plan(rule.body[seed], slots, seed)
+        seed_slots = len(slots)
+        rest = [k for k in range(len(rule.body)) if k != seed]
         joins = []
         while rest:
-            atom = next((a for a in rest if any(x in slots for x in a.args)), rest[0])
-            rest.remove(atom)
-            joins.append(_join_plan(atom, slots))
+            k = next((k for k in rest if any(x in slots for x in rule.body[k].args)), rest[0])
+            rest.remove(k)
+            *plan, tests, lookup = _join_plan(rule.body[k], slots, k)
+            # Every atom the lookup finds passes its check.
+            joins.append((*plan, tuple(ch for ch in tests if ch != lookup), lookup))
         for pred, _, _, _, lookup in joins:
             if lookup is None:
                 self.scanned.add(pred)
             elif lookup[0] not in self.keyed.get(pred, ()):
                 self.keyed[pred] = (*self.keyed.get(pred, ()), lookup[0])
+        body = picker([slots[k] for k in range(len(rule.body))])
         fallback, pools = dict(rule.var_domains), []
         for var in sorted(rule.variables() - slots.keys()):
             if var not in fallback:
@@ -370,19 +387,25 @@ class _Library:
                 )
             slots[var] = len(slots)
             pools.append(fallback[var])
-        fills = tuple([(a.pred, args_template(a.args, slots)) for a in (rule.head, *rule.body)])
+        head = (rule.head.pred, args_template(rule.head.args, slots))
+        early = not pools and all(slots[v] < seed_slots for v in rule.head.variables())
         guard = (joins[0][0], *joins[0][4]) if joins and joins[0][4] is not None else None
         pattern = (arity, consts, new, checks)
-        return pattern, guard, (place, tuple(joins), tuple(pools), fills, rule.label)
+        return pattern, guard, (place, tuple(joins), tuple(pools), head, body, early, rule.label)
 
 
 _compile = functools.lru_cache(maxsize=8)(_Library)
 
 
 def _extend(
-    bindings: list[tuple], joins: list[tuple], by_pred: dict, by_position: dict
+    bindings: list[tuple], joins: tuple, by_pred: dict, by_position: dict, arglist: list
 ) -> list[tuple]:
-    """The bindings that also match each of ``joins`` against the known atoms' arguments."""
+    """The bindings that also match each of ``joins`` against the known atoms.
+
+    The index holds atom ids and ``arglist`` their arguments; each match
+    extends its binding with the values of the join's new variables and the
+    matched atom's id.
+    """
 
     for pred, arity, new, checks, lookup in joins:
         extended = []
@@ -391,11 +414,12 @@ def _extend(
                 pool = by_pred.get(pred, ())
             else:
                 pool = by_position.get((pred, lookup[0], b[lookup[1]]), ())
-            for fa in pool:
+            for i in pool:
+                fa = arglist[i]
                 if len(fa) != arity:
                     continue
-                nb = b + tuple([fa[pos] for pos in new])
-                if all(fa[pos] == nb[c] for pos, c in checks):
+                nb = (*b, *[fa[pos] for pos in new], i)
+                if not checks or all(fa[pos] == nb[c] for pos, c in checks):
                     extended.append(nb)
         bindings = extended
         if not bindings:
@@ -434,16 +458,17 @@ def ground_static_rules(
     """The instances of the library ``rules`` that fire, by semi-naive evaluation.
 
     Atoms are interned to ids in the saturation's table, the facts first,
-    so a fact keeps its object and is known from the start. Every fact is
-    indexed before any seed runs; then the facts, in order, and each atom
-    that becomes known are processed once. Processing an atom counts down
-    the rules of ``ground`` (exploit and app rules) that wait for it, and
-    runs its predicate's seeds: a rule of ``rules`` is seeded from each body
-    atom whose predicate a rule of ``rules`` or ``ground`` heads, and from
-    its first body atom when its body holds none. The rest of the body
-    joins against the indexed atoms, and each binding fills the rule's
-    templates into an instance whose body holds, so its head becomes known
-    in turn. Each ground rule counts its distinct body atoms and fires when
+    so a fact keeps its object and is known from the start. One pass over
+    the facts interns, marks and indexes each before any seed runs; then
+    the facts, in order, and each atom that becomes known are processed
+    once. Processing an atom counts down the rules of ``ground`` (exploit
+    and app rules) that wait for it, and runs its predicate's seeds: a rule
+    of ``rules`` is seeded from each body atom whose predicate a rule of
+    ``rules`` or ``ground`` heads, and from its first body atom when its
+    body holds none. The rest of the body joins against the indexed atoms'
+    ids, and each binding carries the ids of the body atoms it matched, the
+    instance's body, and fills only the rule's head, which becomes known in
+    turn. Each ground rule counts its distinct body atoms and fires when
     the count reaches zero. An instance is built when the last of its
     seeded body atoms is processed, and the seeds that pass run in
     ``rules`` order, so each ``(head, body)`` is built once, by the first
@@ -462,11 +487,38 @@ def ground_static_rules(
     sat = SaturationResult()
     ids, preds, arglist, objects, state = sat.ids, sat.preds, sat.args, sat.objects, sat.state
     rows = sat.rows
-    keyed, scanned = library.keyed, library.scanned
-    dispatch = library.seeds
-    fact_ids = list(dict.fromkeys(sat.intern(facts)))
-    for i in fact_ids:
-        state[i] = GIVEN
+    dispatch, plans = library.seeds, library.index
+
+    # Known atoms' ids, where a seed's join looks them up.
+    by_pred: dict[str, list[int]] = {}
+    by_position: dict[tuple, list[int]] = {}
+
+    def index(i: int, pred: str, fa: tuple[str, ...]) -> None:
+        scan, positions = plans[pred]
+        if scan:
+            by_pred.setdefault(pred, []).append(i)
+        for pos in positions:
+            if pos < len(fa):
+                by_position.setdefault((pred, pos, fa[pos]), []).append(i)
+
+    # The facts in one pass: each distinct fact is interned with its
+    # object, marked given and indexed, before any seed runs.
+    fact_ids = []
+    for atom in facts:
+        pred, fa = atom.pred, atom.args
+        table = ids.get(pred)
+        if table is None:
+            table = ids[pred] = {}
+        if fa in table:
+            continue
+        i = table[fa] = len(preds)
+        preds.append(pred)
+        arglist.append(fa)
+        objects.append(atom)
+        state.append(GIVEN)
+        fact_ids.append(i)
+        if pred in plans:
+            index(i, pred, fa)
     flat = iter(sat.intern([a for rule in ground for a in (rule.head, *rule.body)]))
     ground_rows = [(rule.label, next(flat), tuple(islice(flat, len(rule.body)))) for rule in ground]
     for pred in library.filled:
@@ -494,54 +546,54 @@ def ground_static_rules(
             if not counts[k]:
                 fire(ground_rows[k])
 
-    # Known atoms' arguments, where a seed's join looks them up.
-    by_pred: dict[str, list[tuple[str, ...]]] = {}
-    by_position: dict[tuple, list[tuple[str, ...]]] = {}
-
-    def index(pred: str, fa: tuple[str, ...]) -> None:
-        if pred in scanned:
-            by_pred.setdefault(pred, []).append(fa)
-        for pos in keyed.get(pred, ()):
-            if pos < len(fa):
-                by_position.setdefault((pred, pos, fa[pos]), []).append(fa)
+    def intern_head(pred: str, args: tuple[str, ...]) -> int:
+        table = ids[pred]
+        i = table.get(args)
+        if i is None:
+            i = table[args] = len(preds)
+            preds.append(pred)
+            arglist.append(args)
+            objects.append(None)
+            state.append(0)
+        return i
 
     # Each seed's pooled values, every combination of them; [()] for most.
     combos = {p: list(product(*[domains.get(name, []) for name in p])) for p in library.pools}
-    # Each instance's row by its atom ids, head first, in the order built.
-    instances: dict[tuple[int, ...], Row] = {}
+    # Each instance's row by its head and body ids, in the order built.
+    instances: dict[tuple[int, tuple[int, ...]], Row] = {}
 
     def emit(seed: tuple, b: tuple) -> None:
-        """Join the rest of ``seed`` from its binding ``b`` and record each new instance."""
+        """Join the rest of ``seed`` from its binding ``b`` and record each new instance.
 
-        _, rest, pools, fills, label = seed
-        for b in _extend([b], rest, by_pred, by_position) if rest else (b,):
-            for combo in combos[pools]:
-                values = b + combo
-                key = []
-                for pred, fill in fills:
-                    args = fill(values)
-                    table = ids[pred]
-                    i = table.get(args)
-                    if i is None:
-                        i = table[args] = len(preds)
-                        preds.append(pred)
-                        arglist.append(args)
-                        objects.append(None)
-                        state.append(0)
-                    key.append(i)
-                key = tuple(key)
+        The body's ids come from the join; only the head is filled.
+        """
+
+        _, rest, pools, (hpred, hfill), body_of, early, label = seed
+        bindings = _extend([b], rest, by_pred, by_position, arglist) if rest else (b,)
+        if early and bindings:
+            head = intern_head(hpred, hfill(b))
+            for nb in bindings:
+                key = (head, body_of(nb))
                 if key not in instances:
-                    row = instances[key] = (label, key[0], key[1:])
+                    row = instances[key] = (label, *key)
+                    fire(row)
+            return
+        for nb in bindings:
+            body = body_of(nb)
+            for combo in combos[pools]:
+                key = (intern_head(hpred, hfill(nb + combo)), body)
+                if key not in instances:
+                    row = instances[key] = (label, *key)
                     fire(row)
 
-    def run_seeds(fa: tuple[str, ...], patterns: list[tuple]) -> None:
-        """Run the seeds of ``patterns`` that the atom with arguments ``fa`` binds."""
+    def run_seeds(i: int, fa: tuple[str, ...], patterns: list[tuple]) -> None:
+        """Run the seeds of ``patterns`` that atom ``i``, with arguments ``fa``, binds."""
 
         passed = []
         for arity, consts, new, checks, guards in patterns:
             if len(fa) != arity:
                 continue
-            b = consts + tuple([fa[pos] for pos in new])
+            b = (*consts, *[fa[pos] for pos in new], i)
             if checks and not all(fa[pos] == b[c] for pos, c in checks):
                 continue
             for guard, seeds in guards:
@@ -556,23 +608,22 @@ def ground_static_rules(
             emit(s, b)
 
     for i in fact_ids:
-        index(preds[i], arglist[i])
-    for i in fact_ids:
         if i in watchers:
             count_down(i)
         # Most facts (types, wiring, vulnerabilities) start no seed: skip the call.
         patterns = dispatch.get(preds[i])
         if patterns:
-            run_seeds(arglist[i], patterns)
+            run_seeds(i, arglist[i], patterns)
     while queue:
         i = queue.pop()
         pred, fa = preds[i], arglist[i]
-        index(pred, fa)
+        if pred in plans:
+            index(i, pred, fa)
         if i in watchers:
             count_down(i)
         patterns = dispatch.get(pred)
         if patterns:
-            run_seeds(fa, patterns)
+            run_seeds(i, fa, patterns)
 
     return Grounding(sat, list(instances.values()))
 

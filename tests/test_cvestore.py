@@ -20,7 +20,9 @@ from iotgraph.cvestore import (
     CveStore,
     StoreError,
     _english_description,
+    NOISE_TOKENS,
     _record_from_item,
+    keyword_set,
     query_tokens,
     tokenize,
 )
@@ -171,6 +173,25 @@ def test_search_names_matches_every_record_scanned_in_python(store, names):
     for name, records_found in zip(names, found):
         assert by_keywords.setdefault(frozenset(query_tokens(name)), records_found) is records_found
     assert len({id(r) for f in found for r in f}) == len({r.cve_id for f in found for r in f})
+
+
+# Any text, and text built from name words, digits, separators and
+# characters that change under lower() (the Kelvin sign becomes "k", dotted
+# capital I becomes "i" and a combining dot).
+name_texts = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from((*NAME_WORDS, "42", "x2", "2x", "\u212a", "\u0130", "é", "-", " ")))
+    .map("".join),
+)
+
+
+@settings(max_examples=300)
+@given(name_texts)
+def test_keyword_set_is_the_set_of_the_query_tokens(name):
+    assert keyword_set(name) == frozenset(query_tokens(name))
+    # The ordered keywords: the name's tokens, less noise words and digit-only tokens.
+    expected = [t for t in tokenize(name) if t not in NOISE_TOKENS and not t.isdigit()]
+    assert query_tokens(name) == expected
 
 
 def test_open_existing_requires_file(tmp_path):

@@ -648,13 +648,13 @@ def test_library_is_compiled_once_per_distinct_rule_list(store):
 
 
 def _compiled_form(library):
-    """A deep copy of ``library``'s compiled form, with each seed's fill
-    templates by identity: a copied ``itemgetter`` compares unequal to its
-    original."""
+    """A deep copy of ``library``'s compiled form, with each seed's head
+    template and body pick by identity: a copied ``itemgetter`` compares
+    unequal to its original."""
 
     def by_identity(seed):
-        place, rest, pools, fills, label = seed
-        return place, rest, pools, [(pred, id(fill)) for pred, fill in fills], label
+        place, rest, pools, (pred, fill), body_of, early, label = seed
+        return place, rest, pools, (pred, id(fill)), id(body_of), early, label
 
     seeds = {
         pred: [
@@ -663,7 +663,7 @@ def _compiled_form(library):
         ]
         for pred, by_pattern in library.seeds.items()
     }
-    fixed = ("keyed", "scanned", "filled", "pools")
+    fixed = ("keyed", "scanned", "filled", "pools", "index")
     return copy.deepcopy({"seeds": seeds, **{name: getattr(library, name) for name in fixed}})
 
 
@@ -848,15 +848,18 @@ def test_seeded_joins_look_up_bound_atoms_first(library):
     for by_pattern in compiled.seeds.values():
         for _, consts, new, _, guards in by_pattern:
             for seed in (seed for _, group in guards for seed in group):
-                rest, bound = seed[1], len(consts) + len(new)
+                # Each joined atom binds its new variables, then its id.
+                rest, bound = seed[1], len(consts) + len(new) + 1
                 for k, (_, _, binds, _, lookup) in enumerate(rest):
                     if lookup is None:
                         scans += 1
                         # Slots are numbered in the order the join binds them,
                         # after the constants.
-                        for pred, _, _, checks, _ in rest[k:]:
+                        # A join's lookup is a check it makes by its index.
+                        for pred, _, _, checks, looked_up in rest[k:]:
+                            checks = (*checks, looked_up) if looked_up else checks
                             assert not any(c < bound for _, c in checks), (seed[-1], pred)
-                    bound += len(binds)
+                    bound += len(binds) + 1
     assert scans
 
 
@@ -869,8 +872,8 @@ def _counting_extend(counts):
 
     real = rules._extend
 
-    def extend(bindings, joins, by_pred, by_position):
-        want = real(bindings, joins, by_pred, by_position)
+    def extend(bindings, joins, by_pred, by_position, arglist):
+        want = real(bindings, joins, by_pred, by_position, arglist)
         for pred, arity, new, checks, lookup in joins:
             extended = []
             for b in bindings:
@@ -879,10 +882,11 @@ def _counting_extend(counts):
                 else:
                     pool = by_position.get((pred, lookup[0], b[lookup[1]]), ())
                 counts["candidates"] += len(pool)
-                for fa in pool:
+                for i in pool:
+                    fa = arglist[i]
                     if len(fa) != arity:
                         continue
-                    nb = b + tuple(fa[pos] for pos in new)
+                    nb = b + tuple(fa[pos] for pos in new) + (i,)
                     if all(fa[pos] == nb[c] for pos, c in checks):
                         extended.append(nb)
             bindings = extended

@@ -39,6 +39,7 @@ import oracles
 from iotgraph.pipeline import (
     analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
 )
+from iotgraph.reasoner import RULE, SaturationResult
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, load_fixture_config
@@ -404,12 +405,46 @@ def test_outputs_count_the_library_instances_without_building_them(name, store, 
     assert program.rules == (*compiled.exploit_rules, *instances, *compiled.app_rules)
 
 
+def _home_config(home):
+    if home == 64:
+        return parse_config(synth_document(64, 1), source="synth")
+    return load_fixture_config(home)
+
+
+@pytest.mark.parametrize("home", ["fig2", "system37", 64])
+def test_rule_nodes_are_views_of_program_rules(home, store):
+    result = analyze(_home_config(home), store)
+    graph = result.graph
+    program_rules = set(result.compiled.program.rules)
+    node_of = {n.atom: n.node_id for n in graph.nodes if n.kind != RULE}
+    rule_nodes = [n for n in graph.nodes if n.kind == RULE]
+    assert rule_nodes
+    for n in rule_nodes:
+        rule = n.rule
+        assert rule in program_rules
+        assert n.text == (rule.label or rule.head.render())
+        assert graph.parents[n.node_id] == tuple(dict.fromkeys(node_of[a] for a in rule.body))
+        # Built on the first read, then kept.
+        assert n.rule is rule
+
+
+@pytest.mark.parametrize("name", ["fig2", "system37"])
+def test_outputs_build_no_rule_for_a_graph_node(name, store, tmp_path, monkeypatch):
+    built = []
+    real = SaturationResult.rule
+    monkeypatch.setattr(SaturationResult, "rule", lambda self, row: built.append(row) or real(self, row))
+    result = analyze(load_fixture_config(name), store)
+    write_outputs(result, tmp_path)
+    render_summary(result)
+    assert built == []
+    rule_nodes = [n for n in result.graph.nodes if n.kind == RULE]
+    assert rule_nodes and all(n.rule is not None for n in rule_nodes)
+    assert len(built) == len(rule_nodes)
+
+
 @pytest.mark.parametrize("home", ["fig2", 64])
 def test_exploit_rules_share_the_vulnerability_fact_objects(home, store):
-    if home == "fig2":
-        cfg = load_fixture_config("fig2")
-    else:
-        cfg = parse_config(synth_document(home, 1), source="synth")
+    cfg = _home_config(home)
     models = build_models(cfg, scan_devices(cfg, store))
     compiled = compile_system(cfg, models, [])
     facts = compiled.program.facts[compiled.vul_start :]

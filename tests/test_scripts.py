@@ -46,6 +46,7 @@ def test_run_scaling_prints_one_row_per_size(capsys):
     assert [row["devices"] for row in summary["rows"]] == [40, 80]
     assert all(set(row["stages_s"]) == set(script.STAGES) for row in summary["rows"])
     assert all(row["write_s"] > 0 for row in summary["rows"])
+    assert all(row["best_ref"] > 0 for row in summary["rows"])
     assert all(row["gc_s"] >= 0 for row in summary["rows"])
     assert all(row["tracked_objects"] > 0 for row in summary["rows"])
 
