@@ -45,8 +45,9 @@ SIZE_TOKENS = frozenset({"mini", "small", "large", "big"})
 NOISE_TOKENS = GENERIC_TOKENS | COLOR_TOKENS | SIZE_TOKENS
 
 _WORD = re.compile(r"[a-z0-9]+")
-# A ``_WORD`` token with a letter in it: digit-only tokens never match.
-_KEYWORD = re.compile(r"[a-z0-9]*[a-z][a-z0-9]*")
+# A ``_WORD`` token with a letter in it: digit-only tokens never match. A
+# match starts only where a token does, so a run of digits costs linear time.
+_KEYWORD = re.compile(r"(?<![a-z0-9])[a-z0-9]*[a-z][a-z0-9]*")
 _CVE_ID = re.compile(r"CVE-([0-9]{4})-[0-9]+")
 
 _IMPACT_LEVELS = ("none", "low", "high")

@@ -246,11 +246,12 @@ class SaturationResult:
     id: ``ids[pred][args]`` is its id, and ``preds``, ``args``, ``objects``
     and ``state`` hold, by id, its predicate, its arguments, its ``Atom``
     once there is one, and whether it is known: a fact (``GIVEN``) or
-    derived (``DERIVED``); no fact is derived. ``rows`` holds each firing
-    as ``(label, head id, body ids)``, once per rule of the program whose
-    body holds, and ``rows_by_head()`` indexes it by head. A firing is
-    recorded even when its head was already known, because each firing is
-    a separate AND node (another way in for the OR above it).
+    derived (``DERIVED``); no fact is derived. ``add`` alone writes a new
+    id into these columns. ``rows`` holds each firing as ``(label, head id,
+    body ids)``, once per rule of the program whose body holds, and
+    ``rows_by_head()`` indexes it by head. A firing is recorded even when
+    its head was already known, because each firing is a separate AND node
+    (another way in for the OR above it).
 
     ``derived`` and ``fired`` give the derived atoms and the firings as
     ``Atom``s and ``HornRule``s, built on first read. ``atom(id)`` gives one
@@ -266,10 +267,23 @@ class SaturationResult:
         self.state = bytearray()
         self.rows: list[Row] = []
 
-    def intern(self, atoms: Iterable[Atom]) -> list[int]:
-        """The ids of ``atoms``; a new atom takes the next id and keeps its object."""
+    def add(
+        self, pred: str, args: tuple[str, ...], atom: Atom | None = None, state: int = 0
+    ) -> int:
+        """The next id, given to an atom that ``ids[pred]`` does not hold yet."""
 
-        ids, preds, arglist, objects = self.ids, self.preds, self.args, self.objects
+        i = self.ids[pred][args] = len(self.preds)
+        self.preds.append(pred)
+        self.args.append(args)
+        self.objects.append(atom)
+        self.state.append(state)
+        return i
+
+    def intern(self, atoms: Iterable[Atom], state: int = 0) -> list[int]:
+        """The ids of ``atoms``; a new atom takes the next id, keeps its
+        object and starts in ``state``."""
+
+        ids, add = self.ids, self.add
         out = []
         for atom in atoms:
             pred, args = atom.pred, atom.args
@@ -278,11 +292,7 @@ class SaturationResult:
                 table = ids[pred] = {}
             i = table.get(args)
             if i is None:
-                i = table[args] = len(preds)
-                preds.append(pred)
-                arglist.append(args)
-                objects.append(atom)
-                self.state.append(0)
+                i = add(pred, args, atom, state)
             out.append(i)
         return out
 

@@ -7,16 +7,16 @@ dependencies, attacker capabilities over actuators/sensors/voice), which are
 written with variables. ``ground_static_rules`` evaluates the library
 semi-naively over the facts and the ground rules, on integer atom ids: it
 interns each ground atom once, in one table of predicate and arguments, and
-records each firing as a row of label, head id and body ids. The facts go
-in in one pass, interned, marked given and indexed before any seed runs,
-and a rule is seeded only from its body atoms of predicates that some
-library or ground rule heads, or from its first body atom when its body
-holds none; facts and derived atoms run one seed table. Each seed joins the
-rest of its body bound-first, so the work grows with the home, and the join
-hands over the ids of the atoms it matched: an instance's body is never
-filled or looked up again, and only its head is interned. The same loop is
-the program's one saturation: its rows are the least model the attack
-graph is sliced from. The compiled program is the ground rules plus the
+records each firing as a row of label, head id and body ids. The facts are
+interned first, marked given, and indexed before any seed runs, and a rule
+is seeded only from its body atoms of predicates that some library or
+ground rule heads, or from its first body atom when its body holds none;
+facts and derived atoms run one seed table. Each seed joins the rest of its
+body bound-first, so the work grows with the home, and the join hands over
+the ids of the atoms it matched: an instance's body is never filled or
+looked up again, and only its head is interned. The same loop is the
+program's one saturation: its rows are the least model the attack graph is
+sliced from. The compiled program is the ground rules plus the
 library instances that fire, which ``CompiledSystem.program`` builds as
 ``HornRule``s on first read; nothing in ``analyze`` or the writers reads
 it. The library is built once per process and compiled once per set of
@@ -317,8 +317,7 @@ class _Library:
     """
 
     def __init__(self, rules: tuple[HornRule, ...], derivable: frozenset[str]) -> None:
-        self.keyed: dict[str, tuple[int, ...]] = {}
-        self.scanned: set[str] = set()
+        self.index: dict[str, tuple[bool, tuple[int, ...]]] = {}
         patterns: dict[str, dict[tuple, dict]] = {}
         pools: dict[tuple[str, ...], None] = {}
         places = count()
@@ -335,10 +334,6 @@ class _Library:
         }
         self.pools = tuple(pools)
         self.filled = tuple(dict.fromkeys(r.head.pred for r in rules))
-        self.index = {
-            pred: (pred in self.scanned, self.keyed.get(pred, ()))
-            for pred in (*self.scanned, *self.keyed)
-        }
 
     def _seed(self, rule: HornRule, seed: int, place: int) -> tuple:
         """``rule`` joined from body atom ``seed``, then the rest bound-first.
@@ -355,15 +350,12 @@ class _Library:
         seeds fail (on the device's type); and the seed: its place, the rest
         of its join, the rule's pools, the head's predicate and fill
         template over the seed's slots, the pick of the body's ids in body
-        order, whether the head reads only the seed atom's slots (and the
-        rule pools nothing), so it is filled once per seed binding, and the
-        label. Registers the join's lookups in ``keyed`` and ``scanned``.
+        order, and the label. Enters the join's lookups in ``index``.
         """
 
         consts = tuple(dict.fromkeys(x for a in rule.body for x in a.args if not is_variable(x)))
         slots: dict = {x: i for i, x in enumerate(consts)}
         _, arity, new, checks, _ = _join_plan(rule.body[seed], slots, seed)
-        seed_slots = len(slots)
         rest = [k for k in range(len(rule.body)) if k != seed]
         joins = []
         while rest:
@@ -373,10 +365,12 @@ class _Library:
             # Every atom the lookup finds passes its check.
             joins.append((*plan, tuple(ch for ch in tests if ch != lookup), lookup))
         for pred, _, _, _, lookup in joins:
+            scan, positions = self.index.get(pred, (False, ()))
             if lookup is None:
-                self.scanned.add(pred)
-            elif lookup[0] not in self.keyed.get(pred, ()):
-                self.keyed[pred] = (*self.keyed.get(pred, ()), lookup[0])
+                scan = True
+            elif lookup[0] not in positions:
+                positions = (*positions, lookup[0])
+            self.index[pred] = (scan, positions)
         body = picker([slots[k] for k in range(len(rule.body))])
         fallback, pools = dict(rule.var_domains), []
         for var in sorted(rule.variables() - slots.keys()):
@@ -388,10 +382,9 @@ class _Library:
             slots[var] = len(slots)
             pools.append(fallback[var])
         head = (rule.head.pred, args_template(rule.head.args, slots))
-        early = not pools and all(slots[v] < seed_slots for v in rule.head.variables())
         guard = (joins[0][0], *joins[0][4]) if joins and joins[0][4] is not None else None
         pattern = (arity, consts, new, checks)
-        return pattern, guard, (place, tuple(joins), tuple(pools), head, body, early, rule.label)
+        return pattern, guard, (place, tuple(joins), tuple(pools), head, body, rule.label)
 
 
 _compile = functools.lru_cache(maxsize=8)(_Library)
@@ -458,21 +451,20 @@ def ground_static_rules(
     """The instances of the library ``rules`` that fire, by semi-naive evaluation.
 
     Atoms are interned to ids in the saturation's table, the facts first,
-    so a fact keeps its object and is known from the start. One pass over
-    the facts interns, marks and indexes each before any seed runs; then
-    the facts, in order, and each atom that becomes known are processed
-    once. Processing an atom counts down the rules of ``ground`` (exploit
-    and app rules) that wait for it, and runs its predicate's seeds: a rule
-    of ``rules`` is seeded from each body atom whose predicate a rule of
-    ``rules`` or ``ground`` heads, and from its first body atom when its
-    body holds none. The rest of the body joins against the indexed atoms'
-    ids, and each binding carries the ids of the body atoms it matched, the
-    instance's body, and fills only the rule's head, which becomes known in
-    turn. Each ground rule counts its distinct body atoms and fires when
-    the count reaches zero. An instance is built when the last of its
-    seeded body atoms is processed, and the seeds that pass run in
-    ``rules`` order, so each ``(head, body)`` is built once, by the first
-    rule that gives it.
+    so a fact keeps its object and is known from the start, and the facts
+    are indexed before any seed runs. Then the facts, in order, and each
+    atom that becomes known are processed once. Processing an atom counts
+    down the rules of ``ground`` (exploit and app rules) that wait for it,
+    and runs its predicate's seeds: a rule of ``rules`` is seeded from each
+    body atom whose predicate a rule of ``rules`` or ``ground`` heads, and
+    from its first body atom when its body holds none. The rest of the body
+    joins against the indexed atoms' ids, and each binding carries the ids
+    of the body atoms it matched, the instance's body, and fills only the
+    rule's head, which becomes known in turn. Each ground rule counts its
+    distinct body atoms and fires when the count reaches zero. An instance
+    is built when the last of its seeded body atoms is processed, and the
+    seeds that pass run in ``rules`` order, so each ``(head, body)`` is
+    built once, by the first rule that gives it.
 
     ``rules`` is compiled once per distinct list and set of derivable
     predicates (``_Library``) and no call changes it; pools are read from
@@ -485,8 +477,7 @@ def ground_static_rules(
     rules = tuple(rules)
     library = _compile(rules, frozenset([r.head.pred for r in (*rules, *ground)]))
     sat = SaturationResult()
-    ids, preds, arglist, objects, state = sat.ids, sat.preds, sat.args, sat.objects, sat.state
-    rows = sat.rows
+    ids, preds, arglist, state, rows = sat.ids, sat.preds, sat.args, sat.state, sat.rows
     dispatch, plans = library.seeds, library.index
 
     # Known atoms' ids, where a seed's join looks them up.
@@ -501,24 +492,13 @@ def ground_static_rules(
             if pos < len(fa):
                 by_position.setdefault((pred, pos, fa[pos]), []).append(i)
 
-    # The facts in one pass: each distinct fact is interned with its
-    # object, marked given and indexed, before any seed runs.
-    fact_ids = []
-    for atom in facts:
-        pred, fa = atom.pred, atom.args
-        table = ids.get(pred)
-        if table is None:
-            table = ids[pred] = {}
-        if fa in table:
-            continue
-        i = table[fa] = len(preds)
-        preds.append(pred)
-        arglist.append(fa)
-        objects.append(atom)
-        state.append(GIVEN)
-        fact_ids.append(i)
-        if pred in plans:
-            index(i, pred, fa)
+    # The distinct facts take the first ids, in order, marked given, and
+    # are indexed before any seed runs.
+    sat.intern(facts, GIVEN)
+    fact_ids = range(len(preds))
+    for i in fact_ids:
+        if preds[i] in plans:
+            index(i, preds[i], arglist[i])
     flat = iter(sat.intern([a for rule in ground for a in (rule.head, *rule.body)]))
     ground_rows = [(rule.label, next(flat), tuple(islice(flat, len(rule.body)))) for rule in ground]
     for pred in library.filled:
@@ -547,15 +527,8 @@ def ground_static_rules(
                 fire(ground_rows[k])
 
     def intern_head(pred: str, args: tuple[str, ...]) -> int:
-        table = ids[pred]
-        i = table.get(args)
-        if i is None:
-            i = table[args] = len(preds)
-            preds.append(pred)
-            arglist.append(args)
-            objects.append(None)
-            state.append(0)
-        return i
+        i = ids[pred].get(args)
+        return sat.add(pred, args) if i is None else i
 
     # Each seed's pooled values, every combination of them; [()] for most.
     combos = {p: list(product(*[domains.get(name, []) for name in p])) for p in library.pools}
@@ -568,16 +541,8 @@ def ground_static_rules(
         The body's ids come from the join; only the head is filled.
         """
 
-        _, rest, pools, (hpred, hfill), body_of, early, label = seed
+        _, rest, pools, (hpred, hfill), body_of, label = seed
         bindings = _extend([b], rest, by_pred, by_position, arglist) if rest else (b,)
-        if early and bindings:
-            head = intern_head(hpred, hfill(b))
-            for nb in bindings:
-                key = (head, body_of(nb))
-                if key not in instances:
-                    row = instances[key] = (label, *key)
-                    fire(row)
-            return
         for nb in bindings:
             body = body_of(nb)
             for combo in combos[pools]:

@@ -20,6 +20,7 @@ from iotgraph.cvestore import (
     CveStore,
     StoreError,
     _english_description,
+    _KEYWORD,
     NOISE_TOKENS,
     _record_from_item,
     keyword_set,
@@ -192,6 +193,19 @@ def test_keyword_set_is_the_set_of_the_query_tokens(name):
     # The ordered keywords: the name's tokens, less noise words and digit-only tokens.
     expected = [t for t in tokenize(name) if t not in NOISE_TOKENS and not t.isdigit()]
     assert query_tokens(name) == expected
+
+
+def test_a_long_run_of_digits_is_read_in_linear_time(store):
+    # A keyword match starts only where a token does. Tried at every digit of
+    # a run with no letter after it, each try would scan the rest of the run:
+    # the name below would then take some 20 s per read instead of
+    # milliseconds.
+    text = "a1b 22c 33"
+    assert [k for k in range(len(text)) if _KEYWORD.match(text, k)] == [0, 4]
+    name = "cam " + "7" * 50_000
+    assert query_tokens(name) == ["cam"]
+    assert keyword_set(name) == {"cam"}
+    assert store.search_names([name]) == [tuple(store.search("cam"))]
 
 
 def test_open_existing_requires_file(tmp_path):

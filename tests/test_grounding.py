@@ -653,8 +653,8 @@ def _compiled_form(library):
     unequal to its original."""
 
     def by_identity(seed):
-        place, rest, pools, (pred, fill), body_of, early, label = seed
-        return place, rest, pools, (pred, id(fill)), id(body_of), early, label
+        place, rest, pools, (pred, fill), body_of, label = seed
+        return place, rest, pools, (pred, id(fill)), id(body_of), label
 
     seeds = {
         pred: [
@@ -663,7 +663,7 @@ def _compiled_form(library):
         ]
         for pred, by_pattern in library.seeds.items()
     }
-    fixed = ("keyed", "scanned", "filled", "pools", "index")
+    fixed = ("filled", "pools", "index")
     return copy.deepcopy({"seeds": seeds, **{name: getattr(library, name) for name in fixed}})
 
 
@@ -789,7 +789,7 @@ def test_library_is_seeded_from_derivable_predicates(home, store, monkeypatch):
         if not any(atom.pred in derivable for atom in rule.body)
     }
     assert compiled.seeds.keys() == seeded
-    assert not compiled.keyed.keys() & set(UNREAD), compiled.keyed
+    assert not compiled.index.keys() & set(UNREAD), compiled.index
 
 
 def test_seeds_compiled_by_a_later_call_are_indexed():
