@@ -72,16 +72,9 @@ def tokenize(text: str) -> list[str]:
     return list(seen)
 
 
-def query_tokens(device_name: str) -> list[str]:
-    """Search keywords for a device name, in order, without duplicates: its
-    tokens with a letter in them, with noise words removed."""
-
-    tokens = dict.fromkeys(_KEYWORD.findall(device_name.lower()))
-    return [t for t in tokens if t not in NOISE_TOKENS]
-
-
 def keyword_set(device_name: str) -> frozenset[str]:
-    """The set of ``query_tokens(device_name)``, without building the list."""
+    """Search keywords for a device name: its tokens with a letter in them,
+    with noise words removed."""
 
     return frozenset(_KEYWORD.findall(device_name.lower())) - NOISE_TOKENS
 

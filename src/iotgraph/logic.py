@@ -258,10 +258,6 @@ _set_head, _set_body, _set_label, _set_domains = _slot_setters(
 )
 
 
-def render_fact(atom: Atom) -> str:
-    return atom.render() + "."
-
-
 _ATOM_TEXT = re.compile(rf"^\s*({_IDENT})\s*(?:\((.*)\))?\s*\.?\s*$", re.S)
 
 

@@ -616,11 +616,13 @@ class CompiledSystem:
 
     ``facts`` holds the configuration facts in blocks of ``block_sizes``
     facts, then the attacker facts, then the vulnerability facts from
-    ``vul_start``. ``grounding`` evaluates ``library`` over the facts,
-    ``exploit_rules`` (the exploit models' own rules) and ``app_rules`` (the
-    bound apps' own). The program's rules are ``exploit_rules``, the library
-    instances that fire, and ``app_rules``: ``program`` builds the instances
-    on first read, and ``rule_count`` counts without them.
+    ``vul_start``. ``grounding`` evaluates the library, ``static_library()``,
+    over the facts, ``exploit_rules`` (the exploit models' own rules) and
+    ``app_rules`` (the bound apps' own). The program's rules are
+    ``exploit_rules``, the library instances that fire, and ``app_rules``:
+    ``program`` builds the instances on first read, and ``rule_count``
+    counts without them. ``render_program`` prints the library itself, with
+    its variables, from ``static_library()``.
     """
 
     facts: tuple[Atom, ...]
@@ -628,7 +630,6 @@ class CompiledSystem:
     app_rules: tuple[HornRule, ...]
     grounding: Grounding
     goals: tuple[Atom, ...]
-    library: tuple[HornRule, ...]
     block_sizes: tuple[int, ...]
     vul_start: int
 
@@ -661,9 +662,8 @@ def compile_system(
     app_rules = tuple(rule for bound in bound_apps for rule in bound.rules)
 
     alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
-    library = static_library()
     grounding = ground_static_rules(
-        library, facts, {"commands": alphabet}, exploit_rules + app_rules
+        static_library(), facts, {"commands": alphabet}, exploit_rules + app_rules
     )
 
     return CompiledSystem(
@@ -672,7 +672,6 @@ def compile_system(
         app_rules=app_rules,
         grounding=grounding,
         goals=tuple(dict.fromkeys((*config.goals, *extra_goals))),
-        library=library,
         block_sizes=tuple(map(len, blocks)),
         vul_start=len(config_facts) + len(atk_facts),
     )
@@ -693,7 +692,7 @@ def render_program(compiled: CompiledSystem) -> str:
     rule_sections = (
         ("exploit rule schemas (reference)", "", build_exploit_schemas()),
         ("attack rules instantiated from CVEs", "", compiled.exploit_rules),
-        ("propagation, dependency, voice, and capability rules", "", compiled.library),
+        ("propagation, dependency, voice, and capability rules", "", static_library()),
         ("app rules", "app: ", compiled.app_rules),
     )
     fact_sections = (

@@ -14,7 +14,7 @@ import pytest
 
 from iotgraph import cli
 from iotgraph.cli import build_parser, main
-from iotgraph.cvestore import CveStore, query_tokens, tokenize
+from iotgraph.cvestore import CveStore, keyword_set, tokenize
 from iotgraph.model import ConfigError
 from iotgraph.pipeline import analyze
 
@@ -124,7 +124,7 @@ def test_scan_lists_every_name_from_one_store_round_trip(store_path, capsys, cap
         records = [(set(tokenize(r.description)), r) for r in store.all_records()]
     expected = []
     for name in names:
-        keywords = query_tokens(name)
+        keywords = keyword_set(name)
         hits = [r for tokens, r in records if keywords and tokens.issuperset(keywords)]
         expected.append(f"{name}: {len(hits)} match(es)")
         expected += [f"  {r.cve_id} [{r.attack_vector}] {r.description[:90]}" for r in hits]

@@ -24,7 +24,6 @@ from iotgraph.cvestore import (
     NOISE_TOKENS,
     _record_from_item,
     keyword_set,
-    query_tokens,
     tokenize,
 )
 
@@ -154,7 +153,7 @@ def test_search_names_matches_every_record_scanned_in_python(store, names):
     records = [(set(tokenize(r.description)), r) for r in store.all_records()]
     expected = []
     for name in names:
-        keywords = query_tokens(name)
+        keywords = keyword_set(name)
         hits = (r for tokens, r in records if keywords and tokens.issuperset(keywords))
         expected.append(tuple(sorted(hits, key=lambda r: r.cve_id)))
     warnings = Warnings()
@@ -166,13 +165,13 @@ def test_search_names_matches_every_record_scanned_in_python(store, names):
         logger.removeHandler(warnings)
     assert found == expected
     assert warnings.messages == [
-        f"device name {name!r} has no searchable keywords" for name in names if not query_tokens(name)
+        f"device name {name!r} has no searchable keywords" for name in names if not keyword_set(name)
     ]
     assert [list(f) for f in found] == [store.search(name) for name in names]
     # Names with the same keyword set share one tuple, and each record is one object.
     by_keywords = {}
     for name, records_found in zip(names, found):
-        assert by_keywords.setdefault(frozenset(query_tokens(name)), records_found) is records_found
+        assert by_keywords.setdefault(keyword_set(name), records_found) is records_found
     assert len({id(r) for f in found for r in f}) == len({r.cve_id for f in found for r in f})
 
 
@@ -188,11 +187,9 @@ name_texts = st.one_of(
 
 @settings(max_examples=300)
 @given(name_texts)
-def test_keyword_set_is_the_set_of_the_query_tokens(name):
-    assert keyword_set(name) == frozenset(query_tokens(name))
-    # The ordered keywords: the name's tokens, less noise words and digit-only tokens.
-    expected = [t for t in tokenize(name) if t not in NOISE_TOKENS and not t.isdigit()]
-    assert query_tokens(name) == expected
+def test_keyword_set_is_the_name_tokens_less_noise_and_digits(name):
+    expected = {t for t in tokenize(name) if t not in NOISE_TOKENS and not t.isdigit()}
+    assert keyword_set(name) == expected
 
 
 def test_a_long_run_of_digits_is_read_in_linear_time(store):
@@ -203,7 +200,6 @@ def test_a_long_run_of_digits_is_read_in_linear_time(store):
     text = "a1b 22c 33"
     assert [k for k in range(len(text)) if _KEYWORD.match(text, k)] == [0, 4]
     name = "cam " + "7" * 50_000
-    assert query_tokens(name) == ["cam"]
     assert keyword_set(name) == {"cam"}
     assert store.search_names([name]) == [tuple(store.search("cam"))]
 

@@ -11,7 +11,6 @@ from iotgraph.logic import (
     LogicProgram,
     parse_atom,
     render_arg,
-    render_fact,
 )
 from iotgraph.rules import saturate
 
@@ -122,10 +121,6 @@ def test_program_rejects_fact_that_is_not_ground():
         saturate(LogicProgram(facts=(Atom("on", ("D",)),), rules=()))
     with pytest.raises(LogicError, match="fact is not ground"):
         saturate(LogicProgram(facts=(Atom("vulProperty", ("CVE-2019-1", "dos(D)")),), rules=()))
-
-
-def test_render_fact_appends_period():
-    assert render_fact(Atom("wifi", ("wifi1",))) == "wifi(wifi1)."
 
 
 def test_program_holds_facts_and_rules():

@@ -11,7 +11,7 @@ import pytest
 
 import oracles
 from iotgraph import exploits, metrics, pipeline
-from iotgraph.cvestore import CveStore, query_tokens, tokenize
+from iotgraph.cvestore import CveStore, keyword_set, tokenize
 from iotgraph.exploits import models_for
 from iotgraph.logic import LogicProgram, parse_atom
 from iotgraph.model import ConfigError, SystemConfig, parse_config
@@ -347,7 +347,7 @@ def reference_scan_devices(config, store):
     ]
     findings = []
     for d in config.devices:
-        keywords = query_tokens(d.name)
+        keywords = keyword_set(d.name)
         hits = tuple(r for tokens, r in records if keywords and tokens.issuperset(keywords))
         if hits:
             findings.append(DeviceFinding(device=d.atom, records=hits))
@@ -489,7 +489,7 @@ def test_scan_searches_each_keyword_tuple_once(store, caplog):
     assert len(statements) == 2
     assert all(s.startswith("SELECT") for s in statements)
 
-    keys = {d.atom: frozenset(query_tokens(d.name)) for d in config.devices}
+    keys = {d.atom: keyword_set(d.name) for d in config.devices}
     assert len({id(f.records) for f in findings}) == len({keys[f.device] for f in findings})
     assert len({keys[f.device] for f in findings}) < len(findings)
     empty = [d.name for d in config.devices if not keys[d.atom]]
@@ -502,7 +502,7 @@ def test_scan_binds_one_parameter_for_any_number_of_keywords(store):
     # More distinct name tokens than SQLite's old limit of 999 bound variables.
     names = [f"Hue Bridge Unit{i} Rev{i % 7}" for i in range(1000)]
     config = with_devices(synth_document(64, 1), names)
-    tokens = {t for d in config.devices for t in query_tokens(d.name)}
+    tokens = {t for d in config.devices for t in keyword_set(d.name)}
     assert len(tokens) > 999
     findings = scan_devices(config, store)
     assert findings == reference_scan_devices(config, store)

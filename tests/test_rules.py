@@ -33,6 +33,7 @@ from iotgraph.rules import (
     ground_static_rules,
     render_program,
     render_system_facts,
+    static_library,
 )
 
 import oracles
@@ -370,7 +371,7 @@ def test_render_program_prints_the_library_once_with_variables():
     ) in text
     # The instances that fired are in the program, not in the file.
     assert "attackerDeviceControl(" + "yale" not in text
-    assert compiled.library and all(rule.variables() for rule in compiled.library)
+    assert static_library() and all(rule.variables() for rule in static_library())
 
 
 def test_compile_system_dedupes_exploit_rules(store):
@@ -480,7 +481,7 @@ def test_program_rules_are_the_models_and_apps_own(home, store):
 # The program file as it was assembled before each rule became one f-string
 # and each fact block one join: every atom through ``render_arg`` (here the
 # oracle's), every rule through a helper that joins its pools generator, and
-# every fact through ``render_fact`` (here ``_kept_fact``).
+# every fact through its own helper (here ``_kept_fact``).
 
 
 def _kept_atom(atom: Atom) -> str:
@@ -512,7 +513,7 @@ def _kept_render_program(compiled) -> str:
     rule_sections = (
         ("exploit rule schemas (reference)", "", build_exploit_schemas()),
         ("attack rules instantiated from CVEs", "", compiled.exploit_rules),
-        ("propagation, dependency, voice, and capability rules", "", compiled.library),
+        ("propagation, dependency, voice, and capability rules", "", static_library()),
         ("app rules", "app: ", compiled.app_rules),
     )
     fact_sections = (
