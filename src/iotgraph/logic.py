@@ -306,7 +306,7 @@ def parse_atom(text: str) -> Atom:
 
 @dataclass(frozen=True)
 class LogicProgram:
-    """Ground facts plus rules; ``rules.saturate`` checks that the facts are ground."""
+    """Ground facts plus rules; ``reasoner.saturate`` checks that the facts are ground."""
 
     facts: tuple[Atom, ...]
     rules: tuple[HornRule, ...]

@@ -63,11 +63,11 @@ from .logic import Atom
 from .metrics import GoalResult
 from .model import SystemConfig
 from .reasoner import AttackGraph, build_attack_graph, default_goals
-from .rules import CompiledSystem, compile_system, render_program
 # Not called here: ``analyze`` takes its saturation from ``compile_system``,
 # whose evaluator ``saturate`` runs with no library. It stays a name of this
 # module, which perfbench/tracer.py wraps.
-from .rules import saturate  # noqa: F401
+from .reasoner import saturate  # noqa: F401
+from .rules import CompiledSystem, compile_system, render_program
 
 log = logging.getLogger(__name__)
 
@@ -306,8 +306,14 @@ def _json_text(value: object, indent: str = "\n") -> str:
 
 
 def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str = "dot") -> list[Path]:
-    """Write program, graph, metrics report, and run manifest files."""
+    """Write program, graph, metrics report, and run manifest files.
 
+    ``graph_format`` is ``"dot"`` (``attack_graph.dot``) or ``"text"``
+    (``attack_graph.txt``).
+    """
+
+    if graph_format not in ("dot", "text"):
+        raise ValueError(f"graph_format must be 'dot' or 'text', not {graph_format!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []

@@ -1,39 +1,33 @@
 """The least model of a ground Horn program, and the attack graph sliced from it.
 
-A ``SaturationResult`` is the least model with the rule firings that reach
-it, over integer atom ids: one table interns each ground atom, and each
-firing is a row of label, head id and body ids. Its ``Atom`` and
-``HornRule`` views are built on first read. This module computes no
-saturation: the evaluator in ``rules`` fills it, for ``analyze`` as it
-grounds the library (``rules.ground_static_rules``) and for a bare program
-through ``rules.saturate``. ``build_attack_graph`` only slices the rows it
-is handed, and builds atoms for the slice's nodes only; a rule node keeps
-its row and builds its ``HornRule`` (``Node.rule``) on first read.
+``ground_static_rules`` evaluates facts, ground rules and a library of rules
+written with variables to their least model, semi-naively on integer atom
+ids, and keeps the library instances that fire (``Grounding``); ``saturate``
+runs it with no library. The model and the firings that reach it are a
+``SaturationResult``, which ``build_attack_graph`` slices.
 
 The graph is tripartite. Primitive facts are boxes with no incoming edges,
 rule firings are AND nodes (every body atom must hold), and derived atoms
 are OR nodes (any one firing suffices). Node ids are assigned in a pinned
 order so identical inputs always serialize identically: facts sorted by
-clause text, then rule firings, then derived atoms.
-
-Where no goal is configured, ``default_goals`` takes every derived attacker
-privilege: the head of each effect in ``exploits.EFFECTS`` but denial of
-service. A goal is reachable exactly when it has a node: the slice starts
-from every goal the saturation reached, so ``goal_nodes`` holds those goals
-and no others. Edges are given as ``parents``; the graph inverts them once, in node
-order, into ``children`` for the metrics that walk forward, and condenses
-them once into ``schedule``, the evaluation order of the graph metrics.
+clause text, then rule firings, then derived atoms. A goal is reachable
+exactly when it has a node: the slice starts from every goal the saturation
+reached, so ``goal_nodes`` holds those goals and no others. Edges are given
+as ``parents``; the graph inverts them once, in node order, into
+``children`` for the metrics that walk forward, and condenses them once
+into ``schedule``, the evaluation order of the graph metrics.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import count, islice, product
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .exploits import EFFECTS
-from .logic import Atom, HornRule
+from .logic import Atom, HornRule, LogicError, LogicProgram, args_template, is_variable, picker
 
 FACT = "fact"
 RULE = "rule"
@@ -248,10 +242,9 @@ class SaturationResult:
     once there is one, and whether it is known: a fact (``GIVEN``) or
     derived (``DERIVED``); no fact is derived. ``add`` alone writes a new
     id into these columns. ``rows`` holds each firing as ``(label, head id,
-    body ids)``, once per rule of the program whose body holds, and
-    ``rows_by_head()`` indexes it by head. A firing is recorded even when
-    its head was already known, because each firing is a separate AND node
-    (another way in for the OR above it).
+    body ids)``, once per rule of the program whose body holds. A firing is
+    recorded even when its head was already known, because each firing is
+    a separate AND node (another way in for the OR above it).
 
     ``derived`` and ``fired`` give the derived atoms and the firings as
     ``Atom``s and ``HornRule``s, built on first read. ``atom(id)`` gives one
@@ -326,6 +319,328 @@ class SaturationResult:
         return [self.rule(row) for row in self.rows]
 
 
+def _join_plan(atom: Atom, slots: dict, key: int) -> tuple:
+    """How a body atom joins against known atoms, giving its new variables slots.
+
+    ``slots`` already holds the atom's constants. A known atom of the right
+    arity matches when each checked position holds the slot value its check
+    names; the slots of the atom's new variables take the atom's values at
+    their first positions, and one more slot, entered under ``key``, takes
+    the atom's id. The lookup key is the first check whose slot is bound
+    before the atom is joined.
+    """
+
+    bound_before = len(slots)
+    new, checks = [], []
+    for pos, arg in enumerate(atom.args):
+        if arg in slots:
+            checks.append((pos, slots[arg]))
+        else:
+            slots[arg] = len(slots)
+            new.append(pos)
+    slots[key] = len(slots)
+    lookup = next((ch for ch in checks if ch[1] < bound_before), None)
+    return atom.pred, len(atom.args), tuple(new), tuple(checks), lookup
+
+
+class _Library:
+    """A rule list compiled for evaluation with the predicates that can be derived.
+
+    ``derivable`` holds every predicate some rule of the evaluation heads. A
+    rule is seeded from each body atom of a derivable predicate, and from
+    its first body atom when its body holds none: atoms of the other
+    predicates are all facts, indexed before any seed runs, so a join
+    started later finds them. ``seeds`` gives each seeded predicate its
+    seeds, each the rule joined from one body atom (``_seed``): grouped by
+    pattern, so an atom is bound once per pattern, then by guard, so a
+    binding tests each guard once; their places in rule order order the
+    seeds that pass. Facts and derived atoms both run ``seeds``. ``pools``
+    holds the seeds' distinct pool names and ``filled`` the predicates of
+    their heads, the only atoms an instance fills. ``index`` gives each
+    predicate that a seed's join looks up whether the join scans it whole
+    and the positions it is looked up at; no other predicate is indexed.
+    Nothing here changes after construction.
+    """
+
+    def __init__(self, rules: tuple[HornRule, ...], derivable: frozenset[str]) -> None:
+        self.index: dict[str, tuple[bool, tuple[int, ...]]] = {}
+        patterns: dict[str, dict[tuple, dict]] = {}
+        pools: dict[tuple[str, ...], None] = {}
+        places = count()
+        for rule in rules:
+            starts = [pos for pos, a in enumerate(rule.body) if a.pred in derivable] or [0]
+            for pos in starts:
+                pattern, guard, seed = self._seed(rule, pos, next(places))
+                pools[seed[2]] = None
+                by_guard = patterns.setdefault(rule.body[pos].pred, {}).setdefault(pattern, {})
+                by_guard.setdefault(guard, []).append(seed)
+        self.seeds = {
+            pred: [(*p, [*guards.items()]) for p, guards in by_pattern.items()]
+            for pred, by_pattern in patterns.items()
+        }
+        self.pools = tuple(pools)
+        self.filled = tuple(dict.fromkeys(r.head.pred for r in rules))
+
+    def _seed(self, rule: HornRule, seed: int, place: int) -> tuple:
+        """``rule`` joined from body atom ``seed``, then the rest bound-first.
+
+        The distinct constants of the body take the first slots, so every
+        value a check, lookup or guard reads is a slot value. Next in the
+        join comes the first remaining body atom with an argument in a slot,
+        else the first remaining one, so the join looks atoms up by a known
+        value wherever the body allows. The seed's slots are the constants,
+        then for each atom of its join the variables it binds and its id,
+        then the pooled variables, sorted. Gives the seed's pattern (arity,
+        the constants that start each binding, new slots, checks); its
+        guard, the key of the first lookup after it, where most library
+        seeds fail (on the device's type); and the seed: its place, the rest
+        of its join, the rule's pools, the head's predicate and fill
+        template over the seed's slots, the pick of the body's ids in body
+        order, and the label. Enters the join's lookups in ``index``.
+        """
+
+        consts = tuple(dict.fromkeys(x for a in rule.body for x in a.args if not is_variable(x)))
+        slots: dict = {x: i for i, x in enumerate(consts)}
+        _, arity, new, checks, _ = _join_plan(rule.body[seed], slots, seed)
+        rest = [k for k in range(len(rule.body)) if k != seed]
+        joins = []
+        while rest:
+            k = next((k for k in rest if any(x in slots for x in rule.body[k].args)), rest[0])
+            rest.remove(k)
+            *plan, tests, lookup = _join_plan(rule.body[k], slots, k)
+            # Every atom the lookup finds passes its check.
+            joins.append((*plan, tuple(ch for ch in tests if ch != lookup), lookup))
+        for pred, _, _, _, lookup in joins:
+            scan, positions = self.index.get(pred, (False, ()))
+            if lookup is None:
+                scan = True
+            elif lookup[0] not in positions:
+                positions = (*positions, lookup[0])
+            self.index[pred] = (scan, positions)
+        body = picker([slots[k] for k in range(len(rule.body))])
+        fallback, pools = dict(rule.var_domains), []
+        for var in sorted(rule.variables() - slots.keys()):
+            if var not in fallback:
+                raise LogicError(
+                    f"rule {rule.label!r}: variable {var} has neither a fact "
+                    f"binding nor a fallback domain"
+                )
+            slots[var] = len(slots)
+            pools.append(fallback[var])
+        head = (rule.head.pred, args_template(rule.head.args, slots))
+        guard = (joins[0][0], *joins[0][4]) if joins and joins[0][4] is not None else None
+        pattern = (arity, consts, new, checks)
+        return pattern, guard, (place, tuple(joins), tuple(pools), head, body, rule.label)
+
+
+_compile = lru_cache(maxsize=8)(_Library)
+
+
+def _extend(
+    bindings: list[tuple], joins: tuple, by_pred: dict, by_position: dict, arglist: list
+) -> list[tuple]:
+    """The bindings that also match each of ``joins`` against the known atoms.
+
+    The index holds atom ids and ``arglist`` their arguments; each match
+    extends its binding with the values of the join's new variables and the
+    matched atom's id.
+    """
+
+    for pred, arity, new, checks, lookup in joins:
+        extended = []
+        for b in bindings:
+            if lookup is None:
+                pool = by_pred.get(pred, ())
+            else:
+                pool = by_position.get((pred, lookup[0], b[lookup[1]]), ())
+            for i in pool:
+                fa = arglist[i]
+                if len(fa) != arity:
+                    continue
+                nb = (*b, *[fa[pos] for pos in new], i)
+                if not checks or all(fa[pos] == nb[c] for pos, c in checks):
+                    extended.append(nb)
+        bindings = extended
+        if not bindings:
+            break
+    return bindings
+
+
+@dataclass
+class Grounding:
+    """One evaluation: its saturation, and the library instances among its rows.
+
+    ``instance_rows`` holds the instances' rows in the order built. ``len()``
+    counts them; iterating gives them as ``HornRule``s, built on first read.
+    """
+
+    saturation: SaturationResult
+    instance_rows: list[Row]
+
+    def __len__(self) -> int:
+        return len(self.instance_rows)
+
+    def __iter__(self) -> Iterator[HornRule]:
+        return iter(self.instances)
+
+    @cached_property
+    def instances(self) -> tuple[HornRule, ...]:
+        return tuple(map(self.saturation.rule, self.instance_rows))
+
+
+def ground_static_rules(
+    rules: Sequence[HornRule],
+    facts: Sequence[Atom],
+    domains: dict[str, list[str]],
+    ground: Sequence[HornRule] = (),
+) -> Grounding:
+    """The instances of the library ``rules`` that fire, by semi-naive evaluation.
+
+    Atoms are interned to ids in the saturation's table, the facts first,
+    so a fact keeps its object and is known from the start, and the facts
+    are indexed before any seed runs. Then the facts, in order, and each
+    atom that becomes known are processed once. Processing an atom counts
+    down the rules of ``ground`` that wait for it, each firing when its
+    count of distinct body atoms reaches zero, and runs its predicate's
+    seeds (``_Library``). A seed joins the rest of its rule's body against
+    the indexed atoms' ids, each binding carrying the ids of the atoms it
+    matched, and fills only the rule's head, which becomes known in turn.
+    An instance is built when the last of its seeded body atoms is
+    processed, and the seeds that pass run in ``rules`` order, so each
+    ``(head, body)`` is built once, by the first rule that gives it. Every
+    atom that becomes known and is not a fact is derived.
+
+    ``rules`` is compiled once per distinct list and set of derivable
+    predicates (``_compile``); pools are read from ``domains`` on each call.
+    """
+
+    rules = tuple(rules)
+    library = _compile(rules, frozenset([r.head.pred for r in (*rules, *ground)]))
+    sat = SaturationResult()
+    ids, preds, arglist, state, rows = sat.ids, sat.preds, sat.args, sat.state, sat.rows
+    dispatch, plans = library.seeds, library.index
+
+    # Known atoms' ids, where a seed's join looks them up.
+    by_pred: dict[str, list[int]] = {}
+    by_position: dict[tuple, list[int]] = {}
+
+    def index(i: int, pred: str, fa: tuple[str, ...]) -> None:
+        scan, positions = plans[pred]
+        if scan:
+            by_pred.setdefault(pred, []).append(i)
+        for pos in positions:
+            if pos < len(fa):
+                by_position.setdefault((pred, pos, fa[pos]), []).append(i)
+
+    sat.intern(facts, GIVEN)
+    fact_ids = range(len(preds))
+    for i in fact_ids:
+        if preds[i] in plans:
+            index(i, preds[i], arglist[i])
+    flat = iter(sat.intern([a for rule in ground for a in (rule.head, *rule.body)]))
+    ground_rows = [(rule.label, next(flat), tuple(islice(flat, len(rule.body)))) for rule in ground]
+    for pred in library.filled:
+        ids.setdefault(pred, {})
+    queue: list[int] = []
+
+    def fire(row: Row) -> None:
+        head = row[1]
+        rows.append(row)
+        if not state[head]:
+            state[head] = DERIVED
+            queue.append(head)
+
+    counts: list[int] = []
+    watchers: dict[int, list[int]] = {}
+    for k, (_, _, body) in enumerate(ground_rows):
+        distinct = set(body)
+        counts.append(len(distinct))
+        for a in distinct:
+            watchers.setdefault(a, []).append(k)
+
+    def count_down(i: int) -> None:
+        for k in watchers.pop(i):
+            counts[k] -= 1
+            if not counts[k]:
+                fire(ground_rows[k])
+
+    def intern_head(pred: str, args: tuple[str, ...]) -> int:
+        i = ids[pred].get(args)
+        return sat.add(pred, args) if i is None else i
+
+    # Each seed's pooled values, every combination of them; [()] for most.
+    combos = {p: list(product(*[domains.get(name, []) for name in p])) for p in library.pools}
+    # Each instance's row by its head and body ids, in the order built.
+    instances: dict[tuple[int, tuple[int, ...]], Row] = {}
+
+    def emit(seed: tuple, b: tuple) -> None:
+        """Join the rest of ``seed`` from its binding ``b`` and record each new instance."""
+
+        _, rest, pools, (hpred, hfill), body_of, label = seed
+        bindings = _extend([b], rest, by_pred, by_position, arglist) if rest else (b,)
+        for nb in bindings:
+            body = body_of(nb)
+            for combo in combos[pools]:
+                key = (intern_head(hpred, hfill(nb + combo)), body)
+                if key not in instances:
+                    row = instances[key] = (label, *key)
+                    fire(row)
+
+    def run_seeds(i: int, fa: tuple[str, ...], patterns: list[tuple]) -> None:
+        """Run the seeds of ``patterns`` that atom ``i``, with arguments ``fa``, binds."""
+
+        passed = []
+        for arity, consts, new, checks, guards in patterns:
+            if len(fa) != arity:
+                continue
+            b = (*consts, *[fa[pos] for pos in new], i)
+            if checks and not all(fa[pos] == b[c] for pos, c in checks):
+                continue
+            for guard, seeds in guards:
+                if guard is not None:
+                    gpred, pos, slot = guard
+                    if (gpred, pos, b[slot]) not in by_position:
+                        continue
+                passed += [(s, b) for s in seeds]
+        # Seeds lead with their places, which are distinct: only places compare.
+        passed.sort()
+        for s, b in passed:
+            emit(s, b)
+
+    for i in fact_ids:
+        if i in watchers:
+            count_down(i)
+        # Most facts (types, wiring, vulnerabilities) start no seed: skip the call.
+        patterns = dispatch.get(preds[i])
+        if patterns:
+            run_seeds(i, arglist[i], patterns)
+    while queue:
+        i = queue.pop()
+        pred, fa = preds[i], arglist[i]
+        if pred in plans:
+            index(i, pred, fa)
+        if i in watchers:
+            count_down(i)
+        patterns = dispatch.get(pred)
+        if patterns:
+            run_seeds(i, fa, patterns)
+
+    return Grounding(sat, list(instances.values()))
+
+
+def saturate(program: LogicProgram) -> SaturationResult:
+    """The least model of a ground program: the evaluator run with no library.
+
+    The one entry point for a program built elsewhere, so the one place its
+    facts are checked ground.
+    """
+
+    for fact in program.facts:
+        if not fact.is_ground():
+            raise LogicError(f"fact is not ground: {fact.render()}")
+    return ground_static_rules([], program.facts, {}, program.rules).saturation
+
+
 def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> AttackGraph:
     """Backward-slice the saturation's rows from the reachable goals.
 
@@ -333,8 +648,7 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
     Every atom the slice meets is in the model, so an atom is a fact
     exactly when it is not derived. The slice works on ids: each needed
     atom's text is rendered once, the nodes sort by those texts, and atoms
-    are built only for the slice's nodes. A rule node builds its rule from
-    its row on first read.
+    are built only for the slice's nodes.
     """
 
     rows, by_head, state = result.rows, result.rows_by_head(), result.state

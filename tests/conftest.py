@@ -1,15 +1,22 @@
 from __future__ import annotations
 
 import json
+import sys
 from collections.abc import Iterator
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from iotgraph.cvestore import CveStore
 from iotgraph.model import SystemConfig, parse_config
 
-from perfbench.feed import synth_feed
+# ``perfbench`` sits at the repository root, which only ``python -m pytest``
+# run from there puts on ``sys.path``; put it there for any runner and
+# directory, as ``scripts/run_scaling.py`` does.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from perfbench.feed import synth_feed  # noqa: E402
 
 FIXTURES = resources.files("iotgraph") / "fixtures"
 FEED_PATH = FIXTURES / "mini_feed.json"

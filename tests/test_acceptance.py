@@ -30,8 +30,8 @@ from iotgraph.metrics import (
     shortest_trace,
 )
 from iotgraph.pipeline import analyze
-from iotgraph.reasoner import DERIVATION, RULE, build_attack_graph
-from iotgraph.rules import render_system_facts, saturate
+from iotgraph.reasoner import DERIVATION, RULE, build_attack_graph, saturate
+from iotgraph.rules import render_system_facts
 from iotgraph.synth import synthesize
 
 from conftest import load_fixture_config

@@ -24,11 +24,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from iotgraph import logic, pipeline, rules
+from iotgraph import logic, pipeline, reasoner, rules
 from iotgraph.logic import Atom, HornRule, LogicError, LogicProgram
 from iotgraph.model import parse_config
 from iotgraph.pipeline import analyze, bind_apps, build_models, scan_devices
-from iotgraph.rules import saturate
+from iotgraph.reasoner import saturate
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
@@ -186,7 +186,7 @@ def test_analyze_saturates_once_in_the_grounder(store, monkeypatch):
 
         monkeypatch.setattr(owner, name, counting)
 
-    counted(rules, "saturate")
+    counted(reasoner, "saturate")
     counted(pipeline, "saturate")
     counted(rules, "ground_static_rules")
     result = analyze(load_fixture_config("system37"), store)
@@ -411,7 +411,7 @@ def join_inputs(draw):
 def test_join_shapes_match_earlier_grounder(inputs, commands):
     facts, ground = inputs
     domains = {"devices": ["d1", "d2"], "commands": commands}
-    fired = rules.ground_static_rules(list(JOIN_RULES), facts, domains, ground)
+    fired = reasoner.ground_static_rules(list(JOIN_RULES), facts, domains, ground)
     got = fired.saturation
     want_fired, want_derived = oracles.fired_library_instances(JOIN_RULES, facts, ground, domains)
     assert _fired_set(fired) == want_fired
@@ -431,7 +431,7 @@ def _assert_split_grounding(library, facts, ground, domains):
     """The grounder on these inputs fires what the earlier grounder fires, and
     its saturation is the naive least model of the facts and the firings."""
 
-    grounding = rules.ground_static_rules(library, facts, domains, ground)
+    grounding = reasoner.ground_static_rules(library, facts, domains, ground)
     want_fired, want_derived = oracles.fired_library_instances(library, facts, ground, domains)
     assert _fired_set(grounding) == want_fired
     assert len(grounding) == len(want_fired)
@@ -455,7 +455,7 @@ def _evaluation_inputs(config, store):
 @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), rnd=st.randoms(use_true_random=False))
 def test_fact_order_does_not_change_the_grounding(n, seed, rnd, store):
     facts, ground, domains = _evaluation_inputs(synthesize(n, seed=seed), store)
-    in_order = rules.ground_static_rules(rules.static_library(), facts, domains, ground)
+    in_order = reasoner.ground_static_rules(rules.static_library(), facts, domains, ground)
     shuffled = rnd.sample(facts, len(facts))
     got = _assert_split_grounding(rules.static_library(), shuffled, ground, domains)
     assert _fired_set(got) == _fired_set(in_order)
@@ -581,7 +581,7 @@ def test_shared_instance_keeps_the_first_rules_label(seed):
     else:
         ground = [HornRule(Atom("attackerRoot", ("s1",)), (Atom("attackerOnInternet"),), label="g")]
     for order in itertools.permutations(library):
-        fired = rules.ground_static_rules(order, facts, {}, ground)
+        fired = reasoner.ground_static_rules(order, facts, {}, ground)
         # Each instance once, in the order of the first rule that gives it,
         # with that rule's label.
         want = {}
@@ -604,43 +604,43 @@ def test_unbound_variable_fails_as_before():
     # A failed compile is not kept: the same list fails again.
     for _ in range(2):
         with pytest.raises(LogicError) as new:
-            rules.ground_static_rules([rule], facts, {})
+            reasoner.ground_static_rules([rule], facts, {})
     with pytest.raises(LogicError) as old:
         oracles.ground_static_rules([rule], facts, {})
     assert str(new.value) == str(old.value)
     # The evaluator checks each seed of a rule when it compiles it, before
     # any join; the earlier grounder only checked a rule that had a binding.
     with pytest.raises(LogicError):
-        rules.ground_static_rules([rule], [], {})
+        reasoner.ground_static_rules([rule], [], {})
     assert oracles.ground_static_rules([rule], [], {}) == []
 
 
 def test_library_is_compiled_once_per_distinct_rule_list(store):
-    rules._compile.cache_clear()
+    reasoner._compile.cache_clear()
     config = load_fixture_config("system37")
     analyze(config, store)
     analyze(config, store)
-    assert rules._compile.cache_info()[:2] == (1, 1)  # hits, misses
+    assert reasoner._compile.cache_info()[:2] == (1, 1)  # hits, misses
 
     # An equal list with the same derivable predicates finds the form already
     # compiled; a relabelled rule makes another list, and a ground rule with
     # another head another derivable set, each with its own compiled form.
-    rules._compile.cache_clear()
+    reasoner._compile.cache_clear()
     library = list(rules.static_library())
     facts = [Atom("attackerOnInternet"), Atom("inNetwork", ("cam1", "wifi1"))]
     ground = [HornRule(Atom("attackerRoot", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
-    fired = rules.ground_static_rules(list(library), facts, {}, ground)
-    assert rules.ground_static_rules(list(library), facts, {}, ground).instance_rows == (
+    fired = reasoner.ground_static_rules(list(library), facts, {}, ground)
+    assert reasoner.ground_static_rules(list(library), facts, {}, ground).instance_rows == (
         fired.instance_rows
     )
-    assert rules._compile.cache_info()[:2] == (1, 1)
+    assert reasoner._compile.cache_info()[:2] == (1, 1)
     joins = library[1]
     library[1] = HornRule(joins.head, joins.body, label="relabelled")
-    relabelled = rules.ground_static_rules(library, facts, {}, ground)
-    assert rules._compile.cache_info()[:2] == (1, 2)
+    relabelled = reasoner.ground_static_rules(library, facts, {}, ground)
+    assert reasoner._compile.cache_info()[:2] == (1, 2)
     dos = [*ground, HornRule(Atom("dos", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
-    rules.ground_static_rules(library, facts, {}, dos)
-    assert rules._compile.cache_info()[:2] == (1, 3)
+    reasoner.ground_static_rules(library, facts, {}, dos)
+    assert reasoner._compile.cache_info()[:2] == (1, 3)
     assert joins.label in {r.label for r in fired}
     assert {r.label for r in relabelled} == {r.label for r in fired} - {joins.label} | {"relabelled"}
     for got, rules_ in ((fired, rules.static_library()), (relabelled, library)):
@@ -680,9 +680,9 @@ def test_compiled_library_is_fixed(store, monkeypatch):
     # evaluations, and a repeated analysis finds each in the cache. Their
     # derivable predicates hold the heads of the exploit and app rules too:
     # fig2's exploit rules head attackerRoot, which no library rule heads.
-    rules._compile.cache_clear()
+    reasoner._compile.cache_clear()
     calls, built = [], {}
-    real = rules._compile
+    real = reasoner._compile
 
     def recording(library, derivable):
         compiled = real(library, derivable)
@@ -692,7 +692,7 @@ def test_compiled_library_is_fixed(store, monkeypatch):
             built[id(compiled)] = (_compiled_form(compiled), bound)
         return compiled
 
-    monkeypatch.setattr(rules, "_compile", recording)
+    monkeypatch.setattr(reasoner, "_compile", recording)
     configs = [load_fixture_config(name) for name in ("system37", "fig2")]
     for config in configs:
         result = analyze(config, store)
@@ -709,8 +709,8 @@ def test_compiled_library_is_fixed(store, monkeypatch):
     assert "unread" not in body_preds
     ground = [HornRule(Atom("unread", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
     facts = [Atom("attackerOnInternet")]
-    assert not rules.ground_static_rules(rules.static_library(), facts, {}, ground)
-    assert not rules.ground_static_rules(rules.static_library(), facts, {})
+    assert not reasoner.ground_static_rules(rules.static_library(), facts, {}, ground)
+    assert not reasoner.ground_static_rules(rules.static_library(), facts, {})
     calls.clear()
     for config in configs:
         analyze(config, store)
@@ -730,7 +730,7 @@ def test_facts_seed_through_one_table():
 
     library = rules.static_library()
     heads = _heads(library)
-    compiled = rules._Library(library, heads)
+    compiled = reasoner._Library(library, heads)
     body_preds = {atom.pred for rule in library for atom in rule.body}
     base = {"attackerRoot", "attackerRadioAdjacent", "dos"}
     assert compiled.seeds.keys() == (heads & body_preds) | base
@@ -755,8 +755,8 @@ def test_facts_seed_through_one_table():
         Atom("attackerOnInternet"), Atom("camera", ("cam1",)), Atom("inNetwork", ("cam1", "wifi1"))
     ]
     root = Atom("attackerRoot", ("cam1",))
-    given = rules.ground_static_rules(library, [*facts, root], {}, [])
-    derived = rules.ground_static_rules(
+    given = reasoner.ground_static_rules(library, [*facts, root], {}, [])
+    derived = reasoner.ground_static_rules(
         library, facts, {}, [HornRule(root, (Atom("attackerOnInternet"),), "g")]
     )
     assert _fired_set(given) == _fired_set(derived)
@@ -771,14 +771,14 @@ UNREAD = ("on", "off", "attackerRoot", "attackerDeviceControl", "attackerEventAc
 @pytest.mark.parametrize("home", [("system37", None), (60, 7)], ids=_home_id)
 def test_library_is_seeded_from_derivable_predicates(home, store, monkeypatch):
     calls = []
-    real = rules._compile
+    real = reasoner._compile
 
     def recording(library, derivable):
         compiled = real(library, derivable)
         calls.append((library, derivable, compiled))
         return compiled
 
-    monkeypatch.setattr(rules, "_compile", recording)
+    monkeypatch.setattr(reasoner, "_compile", recording)
     analyze(_config(home), store)
     [(library, derivable, compiled)] = calls
     assert _heads(library) <= derivable
@@ -806,8 +806,8 @@ def test_seeds_compiled_by_a_later_call_are_indexed():
     ]
     facts = [Atom("attackerOnInternet"), Atom("inNetwork", ("cam1", "wifi1"))]
     ground = [HornRule(Atom("attackerInNetwork", ("wifi1",)), (Atom("attackerOnInternet"),), "g")]
-    assert not rules.ground_static_rules(library, facts, {})
-    fired = rules.ground_static_rules(library, facts, {}, ground)
+    assert not reasoner.ground_static_rules(library, facts, {})
+    fired = reasoner.ground_static_rules(library, facts, {}, ground)
     assert [r.head.render() for r in fired] == ["reached(cam1)"]
 
 
@@ -830,7 +830,7 @@ def test_predicate_at_two_arities_joins_on_keyed_positions():
     facts = [Atom("link", args) for args in links] + [Atom("attackerOnInternet")]
     facts.append(Atom("attackerRoot", ("c",)))
     ground = [HornRule(Atom("attackerRoot", ("a",)), (Atom("attackerOnInternet"),), "g")]
-    fired = rules.ground_static_rules(library, facts, {}, ground)
+    fired = reasoner.ground_static_rules(library, facts, {}, ground)
     assert _fired_set(fired) == oracles.fired_library_instances(library, facts, ground, {})[0]
     assert sorted(r.head.render() for r in fired) == ["back(b)", "back(c)", "hop(a)", "hop(b)"]
 
@@ -843,7 +843,7 @@ def test_seeded_joins_look_up_bound_atoms_first(library):
 
     # Every predicate derivable: each body atom of each rule is a seed.
     preds = {atom.pred for rule in library for atom in (rule.head, *rule.body)}
-    compiled = rules._Library(tuple(library), frozenset(preds))
+    compiled = reasoner._Library(tuple(library), frozenset(preds))
     scans = 0
     for by_pattern in compiled.seeds.values():
         for _, consts, new, _, guards in by_pattern:
@@ -864,13 +864,13 @@ def test_seeded_joins_look_up_bound_atoms_first(library):
 
 
 def _counting_extend(counts):
-    """``rules._extend``, adding the candidates each join scans to ``counts``.
+    """``reasoner._extend``, adding the candidates each join scans to ``counts``.
 
     Its loop is copied here to count, and its bindings are checked against
     the real one's.
     """
 
-    real = rules._extend
+    real = reasoner._extend
 
     def extend(bindings, joins, by_pred, by_position, arglist):
         want = real(bindings, joins, by_pred, by_position, arglist)
@@ -903,7 +903,7 @@ def test_join_candidates_grow_linearly_with_the_home(dense4_store, monkeypatch):
     # attackerCommandInjection atom, so doubling the home more than tripled
     # the candidates.
     counts = Counter()
-    monkeypatch.setattr(rules, "_extend", _counting_extend(counts))
+    monkeypatch.setattr(reasoner, "_extend", _counting_extend(counts))
     scanned = {}
     for devices in (320, 640):
         config = synthesize(devices, seed=1)

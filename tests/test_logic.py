@@ -12,7 +12,7 @@ from iotgraph.logic import (
     parse_atom,
     render_arg,
 )
-from iotgraph.rules import saturate
+from iotgraph.reasoner import saturate
 
 lower_names = st.from_regex(r"[a-z][a-zA-Z0-9_]{0,8}", fullmatch=True)
 upper_names = st.from_regex(r"[A-Z][a-zA-Z0-9_]{0,8}", fullmatch=True)

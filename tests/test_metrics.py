@@ -22,8 +22,9 @@ from iotgraph.metrics import (
     render_report,
     shortest_trace,
 )
-from iotgraph.reasoner import DERIVATION, FACT, RULE, AttackGraph, Node, build_attack_graph
-from iotgraph.rules import saturate
+from iotgraph.reasoner import (
+    DERIVATION, FACT, RULE, AttackGraph, Node, build_attack_graph, saturate
+)
 
 from oracles import minimal_subset
 

@@ -24,7 +24,7 @@ from iotgraph.pipeline import (
     scan_devices,
     write_outputs,
 )
-from iotgraph.rules import saturate
+from iotgraph.reasoner import saturate
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
@@ -281,6 +281,14 @@ def test_write_outputs_text_format(fig2_result, tmp_path):
     assert "attack_graph.dot" not in names
     text = (tmp_path / "attack_graph.txt").read_text()
     assert "goal unlock(yaleDoorlock): reachable" in text
+
+
+@pytest.mark.parametrize("graph_format", ["svg", "DOT", ""])
+def test_write_outputs_refuses_other_formats_before_writing(fig2_result, tmp_path, graph_format):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="graph_format"):
+        write_outputs(fig2_result, out, graph_format=graph_format)
+    assert not out.exists()
 
 
 def test_render_summary_one_line_per_goal(fig2_result):

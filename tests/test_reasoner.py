@@ -17,8 +17,8 @@ from iotgraph.reasoner import (
     Node,
     build_attack_graph,
     default_goals,
+    saturate,
 )
-from iotgraph.rules import saturate
 
 
 def atom(text: str) -> Atom:

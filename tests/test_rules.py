@@ -30,7 +30,6 @@ from iotgraph.rules import (
     build_propagation_rules,
     compile_system,
     config_fact_blocks,
-    ground_static_rules,
     render_program,
     render_system_facts,
     static_library,
@@ -40,7 +39,7 @@ import oracles
 from iotgraph.pipeline import (
     analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
 )
-from iotgraph.reasoner import RULE, SaturationResult
+from iotgraph.reasoner import RULE, SaturationResult, ground_static_rules
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, load_fixture_config
