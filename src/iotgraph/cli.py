@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 reachable goal under --fail-on-reachable, 2 bad
 configuration or arguments, 3 missing CVE store, 4 ingest or analysis
-stage failure.
+stage failure, or an output file that cannot be written. Output files are
+UTF-8 whatever the locale.
 """
 
 from __future__ import annotations
@@ -203,15 +204,21 @@ def _emit(text: str, out: Path | None) -> None:
     if out is None:
         print(text, end="")
         return
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(text)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        out.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write outputs to {out}: {exc}", EXIT_STAGE) from exc
     print(f"wrote {out}")
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     out = _out_path(args.out, directory=True)
     result = _run_analysis(args)
-    written = write_outputs(result, out, graph_format=args.format)
+    try:
+        written = write_outputs(result, out, graph_format=args.format)
+    except OSError as exc:
+        raise CliError(f"cannot write outputs to {out}: {exc}", EXIT_STAGE) from exc
     print(render_summary(result))
     for path in written:
         print(f"wrote {path}")

@@ -306,7 +306,7 @@ def _json_text(value: object, indent: str = "\n") -> str:
 
 
 def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str = "dot") -> list[Path]:
-    """Write program, graph, metrics report, and run manifest files.
+    """Write program, graph, metrics report, and run manifest files, in UTF-8.
 
     ``graph_format`` is ``"dot"`` (``attack_graph.dot``) or ``"text"``
     (``attack_graph.txt``).
@@ -318,27 +318,21 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str
     out.mkdir(parents=True, exist_ok=True)
     written = []
 
-    program_path = out / "program.pl"
-    program_path.write_text(render_program(result.compiled))
-    written.append(program_path)
+    def write(name: str, text: str) -> None:
+        path = out / name
+        path.write_text(text, encoding="utf-8")
+        written.append(path)
 
-    json_path = out / "attack_graph.json"
-    json_path.write_text(result.graph.to_json())
-    written.append(json_path)
-
+    write("program.pl", render_program(result.compiled))
+    write("attack_graph.json", result.graph.to_json())
     if graph_format == "dot":
-        graph_path = out / "attack_graph.dot"
-        graph_path.write_text(result.graph.to_dot())
+        write("attack_graph.dot", result.graph.to_dot())
     else:
-        graph_path = out / "attack_graph.txt"
-        graph_path.write_text(result.graph.to_text())
-    written.append(graph_path)
-
-    report_path = out / "metrics_report.txt"
-    report_path.write_text(
-        metrics_mod.render_report(result.graph, result.evidence, result.goal_results)
+        write("attack_graph.txt", result.graph.to_text())
+    write(
+        "metrics_report.txt",
+        metrics_mod.render_report(result.graph, result.evidence, result.goal_results),
     )
-    written.append(report_path)
 
     manifest = {
         "devices": len(result.config.devices),
@@ -363,9 +357,7 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str
         ],
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }
-    manifest_path = out / "run_manifest.json"
-    manifest_path.write_text(_json_text(manifest) + "\n")
-    written.append(manifest_path)
+    write("run_manifest.json", _json_text(manifest) + "\n")
     return written
 
 

@@ -20,10 +20,10 @@ into ``schedule``, the evaluation order of the graph metrics.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import count, islice, product
+from itertools import count, product
 from json.encoder import encode_basestring_ascii as _json_str
 
 from .exploits import EFFECTS
@@ -240,11 +240,12 @@ class SaturationResult:
     id: ``ids[pred][args]`` is its id, and ``preds``, ``args``, ``objects``
     and ``state`` hold, by id, its predicate, its arguments, its ``Atom``
     once there is one, and whether it is known: a fact (``GIVEN``) or
-    derived (``DERIVED``); no fact is derived. ``add`` alone writes a new
-    id into these columns. ``rows`` holds each firing as ``(label, head id,
-    body ids)``, once per rule of the program whose body holds. A firing is
-    recorded even when its head was already known, because each firing is
-    a separate AND node (another way in for the OR above it).
+    derived (``DERIVED``); no fact is derived. ``intern`` is the table's one
+    way in, and the only writer of these columns. ``rows`` holds each firing
+    as ``(label, head id, body ids)``, once per rule of the program whose
+    body holds. A firing is recorded even when its head was already known,
+    because each firing is a separate AND node (another way in for the OR
+    above it).
 
     ``derived`` and ``fired`` give the derived atoms and the firings as
     ``Atom``s and ``HornRule``s, built on first read. ``atom(id)`` gives one
@@ -260,34 +261,23 @@ class SaturationResult:
         self.state = bytearray()
         self.rows: list[Row] = []
 
-    def add(
+    def intern(
         self, pred: str, args: tuple[str, ...], atom: Atom | None = None, state: int = 0
     ) -> int:
-        """The next id, given to an atom that ``ids[pred]`` does not hold yet."""
+        """The id of ``pred(args)``. A known atom keeps its id, object and
+        state; a new one takes the next id, ``atom`` as its object and ``state``."""
 
-        i = self.ids[pred][args] = len(self.preds)
-        self.preds.append(pred)
-        self.args.append(args)
-        self.objects.append(atom)
-        self.state.append(state)
+        table = self.ids.get(pred)
+        if table is None:
+            table = self.ids[pred] = {}
+        i = table.get(args)
+        if i is None:
+            i = table[args] = len(self.preds)
+            self.preds.append(pred)
+            self.args.append(args)
+            self.objects.append(atom)
+            self.state.append(state)
         return i
-
-    def intern(self, atoms: Iterable[Atom], state: int = 0) -> list[int]:
-        """The ids of ``atoms``; a new atom takes the next id, keeps its
-        object and starts in ``state``."""
-
-        ids, add = self.ids, self.add
-        out = []
-        for atom in atoms:
-            pred, args = atom.pred, atom.args
-            table = ids.get(pred)
-            if table is None:
-                table = ids[pred] = {}
-            i = table.get(args)
-            if i is None:
-                i = add(pred, args, atom, state)
-            out.append(i)
-        return out
 
     def atom(self, i: int) -> Atom:
         atom = self.objects[i]
@@ -297,14 +287,6 @@ class SaturationResult:
 
     def derived_ids(self) -> list[int]:
         return [i for i, state in enumerate(self.state) if state == DERIVED]
-
-    def rows_by_head(self) -> dict[int, list[int]]:
-        """The row numbers of each head's firings, built anew on each call."""
-
-        by_head: dict[int, list[int]] = {}
-        for k, (_, head, _) in enumerate(self.rows):
-            by_head.setdefault(head, []).append(k)
-        return by_head
 
     def rule(self, row: Row) -> HornRule:
         label, head, body = row
@@ -355,8 +337,7 @@ class _Library:
     pattern, so an atom is bound once per pattern, then by guard, so a
     binding tests each guard once; their places in rule order order the
     seeds that pass. Facts and derived atoms both run ``seeds``. ``pools``
-    holds the seeds' distinct pool names and ``filled`` the predicates of
-    their heads, the only atoms an instance fills. ``index`` gives each
+    holds the seeds' distinct pool names. ``index`` gives each
     predicate that a seed's join looks up whether the join scans it whole
     and the positions it is looked up at; no other predicate is indexed.
     Nothing here changes after construction.
@@ -379,7 +360,6 @@ class _Library:
             for pred, by_pattern in patterns.items()
         }
         self.pools = tuple(pools)
-        self.filled = tuple(dict.fromkeys(r.head.pred for r in rules))
 
     def _seed(self, rule: HornRule, seed: int, place: int) -> tuple:
         """``rule`` joined from body atom ``seed``, then the rest bound-first.
@@ -468,10 +448,9 @@ def _extend(
 
 @dataclass
 class Grounding:
-    """One evaluation: its saturation, and the library instances among its rows.
-
-    ``instance_rows`` holds the instances' rows in the order built. ``len()``
-    counts them; iterating gives them as ``HornRule``s, built on first read.
+    """One evaluation: its saturation, and the rows of the library instances
+    among its firings, in the order built. ``len()`` counts them;
+    ``saturation.rule`` builds one as a ``HornRule``.
     """
 
     saturation: SaturationResult
@@ -479,13 +458,6 @@ class Grounding:
 
     def __len__(self) -> int:
         return len(self.instance_rows)
-
-    def __iter__(self) -> Iterator[HornRule]:
-        return iter(self.instances)
-
-    @cached_property
-    def instances(self) -> tuple[HornRule, ...]:
-        return tuple(map(self.saturation.rule, self.instance_rows))
 
 
 def ground_static_rules(
@@ -517,7 +489,7 @@ def ground_static_rules(
     rules = tuple(rules)
     library = _compile(rules, frozenset([r.head.pred for r in (*rules, *ground)]))
     sat = SaturationResult()
-    ids, preds, arglist, state, rows = sat.ids, sat.preds, sat.args, sat.state, sat.rows
+    intern, preds, arglist, state, rows = sat.intern, sat.preds, sat.args, sat.state, sat.rows
     dispatch, plans = library.seeds, library.index
 
     # Known atoms' ids, where a seed's join looks them up.
@@ -532,15 +504,16 @@ def ground_static_rules(
             if pos < len(fa):
                 by_position.setdefault((pred, pos, fa[pos]), []).append(i)
 
-    sat.intern(facts, GIVEN)
+    for a in facts:
+        intern(a.pred, a.args, a, GIVEN)
     fact_ids = range(len(preds))
     for i in fact_ids:
         if preds[i] in plans:
             index(i, preds[i], arglist[i])
-    flat = iter(sat.intern([a for rule in ground for a in (rule.head, *rule.body)]))
-    ground_rows = [(rule.label, next(flat), tuple(islice(flat, len(rule.body)))) for rule in ground]
-    for pred in library.filled:
-        ids.setdefault(pred, {})
+    ground_rows = []
+    for rule in ground:
+        head, *body = [intern(a.pred, a.args, a) for a in (rule.head, *rule.body)]
+        ground_rows.append((rule.label, head, tuple(body)))
     queue: list[int] = []
 
     def fire(row: Row) -> None:
@@ -564,10 +537,6 @@ def ground_static_rules(
             if not counts[k]:
                 fire(ground_rows[k])
 
-    def intern_head(pred: str, args: tuple[str, ...]) -> int:
-        i = ids[pred].get(args)
-        return sat.add(pred, args) if i is None else i
-
     # Each seed's pooled values, every combination of them; [()] for most.
     combos = {p: list(product(*[domains.get(name, []) for name in p])) for p in library.pools}
     # Each instance's row by its head and body ids, in the order built.
@@ -581,7 +550,7 @@ def ground_static_rules(
         for nb in bindings:
             body = body_of(nb)
             for combo in combos[pools]:
-                key = (intern_head(hpred, hfill(nb + combo)), body)
+                key = (intern(hpred, hfill(nb + combo)), body)
                 if key not in instances:
                     row = instances[key] = (label, *key)
                     fire(row)
@@ -651,7 +620,10 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
     are built only for the slice's nodes.
     """
 
-    rows, by_head, state = result.rows, result.rows_by_head(), result.state
+    rows, state = result.rows, result.state
+    by_head: dict[int, list[int]] = {}
+    for k, (_, head, _) in enumerate(rows):
+        by_head.setdefault(head, []).append(k)
 
     goal_ids = {}
     for g in goals:

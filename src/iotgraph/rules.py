@@ -82,12 +82,6 @@ def _render_blocks(blocks: Sequence[Sequence[Atom]]) -> str:
     return "\n\n".join(["\n".join([f"{a.render()}." for a in block]) for block in blocks])
 
 
-def render_system_facts(config: SystemConfig) -> str:
-    """Device and network facts as clause text, one blank line per block."""
-
-    return _render_blocks(config_fact_blocks(config)) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Static rule libraries
 
@@ -276,7 +270,9 @@ class CompiledSystem:
 
     @functools.cached_property
     def program(self) -> LogicProgram:
-        rules = (*self.exploit_rules, *self.grounding, *self.app_rules)
+        grounding = self.grounding
+        instances = map(grounding.saturation.rule, grounding.instance_rows)
+        rules = (*self.exploit_rules, *instances, *self.app_rules)
         return LogicProgram(facts=self.facts, rules=rules)
 
 

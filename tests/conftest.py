@@ -10,6 +10,7 @@ import pytest
 
 from iotgraph.cvestore import CveStore
 from iotgraph.model import SystemConfig, parse_config
+from iotgraph.rules import compile_system, render_program
 
 # ``perfbench`` sits at the repository root, which only ``python -m pytest``
 # run from there puts on ``sys.path``; put it there for any runner and
@@ -28,6 +29,15 @@ SYNTH_HOMES = ((12, 1), (60, 7), (60, 20260816), (200, 3))
 def load_fixture_config(name: str) -> SystemConfig:
     doc = json.loads((FIXTURES / f"{name}.json").read_text())
     return parse_config(doc, source=name)
+
+
+def config_facts_text(config: SystemConfig) -> str:
+    """The configuration-facts section of ``program.pl`` for ``config``
+    compiled with no exploit model or app: one blank line between blocks."""
+
+    program = render_program(compile_system(config, [], []))
+    section = program.split("% ==== facts: system configuration ====\n")[1]
+    return section.split("\n\n% ==== ")[0] + "\n"
 
 
 @pytest.fixture(scope="session")

@@ -31,10 +31,9 @@ from iotgraph.metrics import (
 )
 from iotgraph.pipeline import analyze
 from iotgraph.reasoner import DERIVATION, RULE, build_attack_graph, saturate
-from iotgraph.rules import render_system_facts
 from iotgraph.synth import synthesize
 
-from conftest import load_fixture_config
+from conftest import config_facts_text, load_fixture_config
 from oracles import (
     count_attack_traces,
     evidence_universe,
@@ -66,7 +65,7 @@ def report(capsys, k: int, ok: bool, description: str) -> None:
 def test_criterion_01_config_to_facts(capsys):
     t0 = time.perf_counter()
     cfg = load_fixture_config("listing10")
-    text = render_system_facts(cfg)
+    text = config_facts_text(cfg)
     elapsed = time.perf_counter() - t0
     ok = text == TWO_DEVICE_FACTS and elapsed < 1.0
     report(capsys, 1, ok, f"two-device config renders the exact fact block in {elapsed:.3f}s")

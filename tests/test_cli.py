@@ -751,6 +751,68 @@ def test_out_file_makes_missing_parent_directories(store_path, tmp_path, capsys,
     assert out.read_text() == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["analyze", "compile", "synth"])
+def test_failed_output_write_exits_4(store_path, tmp_path, capsys, monkeypatch, command):
+    real = pathlib.Path.write_text
+
+    def disk_full(path, *args, **kwargs):
+        if path.name in ("attack_graph.json", "out.txt"):
+            raise OSError(28, "No space left on device")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", disk_full)
+    out = tmp_path / ("run" if command == "analyze" else "out.txt")
+    if command == "synth":
+        argv = ["synth", "--devices", "10"]
+    else:
+        argv = [command, "--store", store_path, "--config", fixture_path("fig2")]
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.err == (
+        f"error: cannot write outputs to {out}: [Errno 28] No space left on device\n"
+    )
+    assert "wrote" not in captured.out
+
+
+def test_outputs_are_utf8_whatever_the_locale(store_path, tmp_path):
+    doc = json.loads(pathlib.Path(fixture_path("hall_light")).read_text())
+    doc["apps"][0]["App name"] = "K\u00fcche Licht \u2600"
+    config = tmp_path / "home.json"
+    config.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    base = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    base.pop("IOTGRAPH_STORE", None)
+    locales = {
+        "ascii": {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"},
+        "utf8": {"PYTHONUTF8": "1"},
+    }
+    written = {}
+    for name, locale in locales.items():
+        out = tmp_path / name
+        for command, target in (("analyze", "run"), ("compile", "program.pl")):
+            argv = [command, "--store", store_path, "--config", str(config)]
+            proc = subprocess.run(
+                [sys.executable, "-m", "iotgraph.cli", *argv, "--out", str(out / target)],
+                capture_output=True,
+                env={**base, **locale},
+                timeout=120,
+            )
+            assert (name, command, proc.returncode, proc.stderr) == (name, command, 0, b"")
+        files = {
+            p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()
+        }
+        # The manifest's timings differ from run to run.
+        manifest = json.loads(files.pop("run/run_manifest.json"))
+        assert manifest.pop("timings")
+        written[name] = files, manifest
+    assert written["ascii"] == written["utf8"]
+    files, manifest = written["utf8"]
+    assert len(files) == 5
+    assert "K\u00fcche Licht \u2600".encode() in files["program.pl"]
+    assert manifest["apps_bound"] == ["K\u00fcche Licht \u2600"]
+
+
 def test_analyze_fail_on_reachable(store_path, tmp_path, capsys):
     code = main(
         [

@@ -66,8 +66,14 @@ def _analyze_recording_evaluation(home, store, monkeypatch):
     return result, calls[0]
 
 
-def _fired_set(instances):
-    return {(rule.head, rule.body, rule.label) for rule in instances}
+def _instances(grounding):
+    """The library instances of ``grounding`` as ``HornRule``s, in the order built."""
+
+    return [grounding.saturation.rule(row) for row in grounding.instance_rows]
+
+
+def _fired_set(grounding):
+    return {(rule.head, rule.body, rule.label) for rule in _instances(grounding)}
 
 
 def _assert_one_object_per_atom(atoms, facts=()):
@@ -92,11 +98,6 @@ def _assert_least_model(got, facts, program_rules):
     assert got.derived == model - set(facts)
     want = [rule for rule in program_rules if all(a in model for a in rule.body)]
     assert Counter(_firings(got.fired)) == Counter(_firings(want))
-    # The index names each firing once, under its own head.
-    by_head = got.rows_by_head()
-    assert sorted(k for ks in by_head.values() for k in ks) == list(range(len(got.fired)))
-    for head, ks in by_head.items():
-        assert all(got.fired[k].head == got.atom(head) for k in ks)
 
 
 def _known(sat):
@@ -239,9 +240,10 @@ def test_grounding_fills_templates_and_interns_atoms(home, store, monkeypatch):
     # exploit and app rules are the models' and apps' own, with their own
     # objects (test_rules.py).
     compiled = result.compiled
-    atoms = [atom for rule in compiled.grounding.instances for atom in (rule.head, *rule.body)]
+    instances = _instances(compiled.grounding)
+    atoms = [atom for rule in instances for atom in (rule.head, *rule.body)]
     _assert_one_object_per_atom(atoms, compiled.facts)
-    assert set(fired) <= set(compiled.program.rules)
+    assert set(_instances(fired)) <= set(compiled.program.rules)
 
 
 # Join shapes the static libraries do not have: a lookup on a later
@@ -411,11 +413,11 @@ def join_inputs(draw):
 def test_join_shapes_match_earlier_grounder(inputs, commands):
     facts, ground = inputs
     domains = {"devices": ["d1", "d2"], "commands": commands}
-    fired = reasoner.ground_static_rules(list(JOIN_RULES), facts, domains, ground)
-    got = fired.saturation
+    grounding = reasoner.ground_static_rules(list(JOIN_RULES), facts, domains, ground)
+    got, fired = grounding.saturation, _instances(grounding)
     want_fired, want_derived = oracles.fired_library_instances(JOIN_RULES, facts, ground, domains)
-    assert _fired_set(fired) == want_fired
-    assert len(fired) == len(want_fired)
+    assert _fired_set(grounding) == want_fired
+    assert len(grounding) == len(want_fired)
     assert oracles.least_model(facts, [*ground, *fired]) - set(facts) == want_derived
     _assert_least_model(got, facts, [*ground, *fired])
     _assert_one_object_per_atom(atom for rule in fired for atom in (rule.head, *rule.body))
@@ -435,7 +437,7 @@ def _assert_split_grounding(library, facts, ground, domains):
     want_fired, want_derived = oracles.fired_library_instances(library, facts, ground, domains)
     assert _fired_set(grounding) == want_fired
     assert len(grounding) == len(want_fired)
-    _assert_least_model(grounding.saturation, facts, [*ground, *grounding])
+    _assert_least_model(grounding.saturation, facts, [*ground, *_instances(grounding)])
     assert grounding.saturation.derived == want_derived
     return grounding
 
@@ -491,7 +493,7 @@ def test_facts_of_derived_predicates_seed_the_library(n, seed, with_ground, data
 def test_rule_over_base_facts_only_fires():
     facts = [Atom("wifi", ("wifi1",)), Atom("attackerRadioAdjacent", ("wifi1",))]
     fired = _assert_split_grounding(rules.static_library(), facts, [], {})
-    assert [(r.label, r.head.render()) for r in fired] == [
+    assert [(r.label, r.head.render()) for r in _instances(fired)] == [
         ("radio range grants physical adjacency", "attackerAdjacentPhysically(wifi1)")
     ]
 
@@ -588,7 +590,10 @@ def test_shared_instance_keeps_the_first_rules_label(seed):
         for rule in order:
             if GIVES[rule.label] is not None:
                 want.setdefault(GIVES[rule.label], rule.label)
-        got = [((r.head.render(), tuple(a.render() for a in r.body)), r.label) for r in fired]
+        got = [
+            ((r.head.render(), tuple(a.render() for a in r.body)), r.label)
+            for r in _instances(fired)
+        ]
         assert got == list(want.items())
         assert _fired_set(fired) == oracles.fired_library_instances(order, facts, ground, {})[0]
 
@@ -641,8 +646,9 @@ def test_library_is_compiled_once_per_distinct_rule_list(store):
     dos = [*ground, HornRule(Atom("dos", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
     reasoner.ground_static_rules(library, facts, {}, dos)
     assert reasoner._compile.cache_info()[:2] == (1, 3)
-    assert joins.label in {r.label for r in fired}
-    assert {r.label for r in relabelled} == {r.label for r in fired} - {joins.label} | {"relabelled"}
+    labels = {r.label for r in _instances(fired)}
+    assert joins.label in labels
+    assert {r.label for r in _instances(relabelled)} == labels - {joins.label} | {"relabelled"}
     for got, rules_ in ((fired, rules.static_library()), (relabelled, library)):
         assert _fired_set(got) == oracles.fired_library_instances(rules_, facts, ground, {})[0]
 
@@ -663,7 +669,7 @@ def _compiled_form(library):
         ]
         for pred, by_pattern in library.seeds.items()
     }
-    fixed = ("filled", "pools", "index")
+    fixed = ("pools", "index")
     return copy.deepcopy({"seeds": seeds, **{name: getattr(library, name) for name in fixed}})
 
 
@@ -760,7 +766,7 @@ def test_facts_seed_through_one_table():
         library, facts, {}, [HornRule(root, (Atom("attackerOnInternet"),), "g")]
     )
     assert _fired_set(given) == _fired_set(derived)
-    assert "rooted device joins its networks" in {r.label for r in given}
+    assert "rooted device joins its networks" in {r.label for r in _instances(given)}
 
 
 # Predicates that no join of a seed of a derivable predicate looks up: only
@@ -808,7 +814,7 @@ def test_seeds_compiled_by_a_later_call_are_indexed():
     ground = [HornRule(Atom("attackerInNetwork", ("wifi1",)), (Atom("attackerOnInternet"),), "g")]
     assert not reasoner.ground_static_rules(library, facts, {})
     fired = reasoner.ground_static_rules(library, facts, {}, ground)
-    assert [r.head.render() for r in fired] == ["reached(cam1)"]
+    assert [r.head.render() for r in _instances(fired)] == ["reached(cam1)"]
 
 
 def test_predicate_at_two_arities_joins_on_keyed_positions():
@@ -832,7 +838,9 @@ def test_predicate_at_two_arities_joins_on_keyed_positions():
     ground = [HornRule(Atom("attackerRoot", ("a",)), (Atom("attackerOnInternet"),), "g")]
     fired = reasoner.ground_static_rules(library, facts, {}, ground)
     assert _fired_set(fired) == oracles.fired_library_instances(library, facts, ground, {})[0]
-    assert sorted(r.head.render() for r in fired) == ["back(b)", "back(c)", "hop(a)", "hop(b)"]
+    assert sorted(r.head.render() for r in _instances(fired)) == [
+        "back(b)", "back(c)", "hop(a)", "hop(b)"
+    ]
 
 
 @pytest.mark.parametrize("library", [rules.static_library(), JOIN_RULES], ids=["static", "join"])

@@ -10,11 +10,14 @@ from iotgraph.exploits import EFFECTS
 from iotgraph.logic import Atom, HornRule, LogicProgram
 from iotgraph.reasoner import (
     DERIVATION,
+    DERIVED,
     FACT,
+    GIVEN,
     PRIVILEGES,
     RULE,
     AttackGraph,
     Node,
+    SaturationResult,
     build_attack_graph,
     default_goals,
     saturate,
@@ -70,7 +73,41 @@ def test_saturate_records_firing_for_already_derived_head():
     result = saturate(program)
     assert result.derived == {atom("g(x)")}
     assert len(result.fired) == 2
-    assert len(result.rows_by_head()[result.ids["g"][("x",)]]) == 2
+    # Each firing is its own way into the derived atom.
+    graph = build_attack_graph(result, (atom("g(x)"),))
+    assert len(graph.parents[graph.goal_nodes[atom("g(x)")]]) == 2
+
+
+def test_intern_keeps_a_known_atoms_id_object_and_state():
+    table = SaturationResult()
+    first = atom("a(x)")
+    assert table.intern("a", ("x",), first) == 0
+    # A predicate met for the first time needs no table made beforehand.
+    assert table.intern("b", ("x", "y"), state=DERIVED) == 1
+    assert table.intern("a", ("y",)) == 2
+    # A later call, even one that says the atom is a fact, changes nothing.
+    again = atom("a(x)")
+    assert table.intern("a", ("x",), again, GIVEN) == 0
+    assert table.intern("b", ("x", "y"), atom("b(x, y)"), GIVEN) == 1
+    assert table.objects[0] is first
+    assert table.objects[1] is None
+    assert list(table.state) == [0, DERIVED, 0]
+    assert table.preds == ["a", "b", "a"]
+    assert table.args == [("x",), ("x", "y"), ("y",)]
+    assert table.ids == {"a": {("x",): 0, ("y",): 2}, "b": {("x", "y"): 1}}
+    # The atom it was given is the one it reads back; one without is built once.
+    assert table.atom(0) is first
+    assert table.atom(1) == atom("b(x, y)")
+    assert table.atom(1) is table.atom(1)
+
+
+def test_intern_gives_a_new_atom_the_next_id():
+    table = SaturationResult()
+    for args in [("x",), ("y",), ("z",)]:
+        n = len(table.preds)
+        assert table.intern("c", args, state=GIVEN) == n
+        assert table.preds[n:] == ["c"] and table.args[n:] == [args]
+    assert list(table.state) == [GIVEN] * 3
 
 
 def test_graph_node_order_is_pinned():

@@ -31,7 +31,6 @@ from iotgraph.rules import (
     compile_system,
     config_fact_blocks,
     render_program,
-    render_system_facts,
     static_library,
 )
 
@@ -42,7 +41,14 @@ from iotgraph.pipeline import (
 from iotgraph.reasoner import RULE, SaturationResult, ground_static_rules
 from iotgraph.synth import synth_document, synthesize
 
-from conftest import FIXTURE_NAMES, load_fixture_config
+from conftest import FIXTURE_NAMES, config_facts_text, load_fixture_config
+
+
+def ground_instances(*args):
+    """The library instances ``ground_static_rules(*args)`` builds, as ``HornRule``s."""
+
+    grounding = ground_static_rules(*args)
+    return [grounding.saturation.rule(row) for row in grounding.instance_rows]
 
 
 def facts_and_domains(cfg):
@@ -64,7 +70,7 @@ zigbee(zigbee1).
 
 def test_system_facts_for_two_device_home_byte_exact():
     cfg = load_fixture_config("listing10")
-    assert render_system_facts(cfg) == TWO_DEVICE_FACTS
+    assert config_facts_text(cfg) == TWO_DEVICE_FACTS
 
 
 def test_device_block_includes_wiring_facts():
@@ -84,7 +90,7 @@ def test_device_block_includes_wiring_facts():
         },
         source="test",
     )
-    text = render_system_facts(cfg)
+    text = config_facts_text(cfg)
     assert "physicallyExposed(wallOutlet)." in text
     assert "plugInto(deskLamp, wallOutlet)." in text
     assert "lockedBy(frontDoorOpener, frontLock)." in text
@@ -184,7 +190,7 @@ def test_ground_static_rules_joins_config_facts():
         (Atom("inNetwork", ("D", "N")), Atom("wifi", ("N",))),
         label="wifi members",
     )
-    grounded = ground_static_rules([rule], facts, domains)
+    grounded = ground_instances([rule], facts, domains)
     rendered = {g.head.render() for g in grounded}
     assert rendered == {"probe(dLinkRouter, wifi1)", "probe(smartthingsHub, wifi1)"}
 
@@ -198,7 +204,7 @@ def test_ground_static_rules_uses_domain_fallback():
         label="every command is played",
         var_domains=(("Cmd", "commands"),),
     )
-    grounded = ground_static_rules([rule], facts, {"commands": ["openUp", "lightsOff"]})
+    grounded = ground_instances([rule], facts, {"commands": ["openUp", "lightsOff"]})
     assert [g.head.render() for g in grounded] == ["voiceCommand(openUp)", "voiceCommand(lightsOff)"]
     assert not ground_static_rules([rule], facts, {"commands": []})
 
@@ -211,7 +217,7 @@ def test_ground_static_rules_builds_only_instances_that_fire():
     exploit = HornRule(
         Atom("attackerRoot", ("dLinkRouter",)), (Atom("attackerOnInternet"),), label="exploit"
     )
-    fired = ground_static_rules(build_propagation_rules(), facts, domains, [exploit])
+    fired = ground_instances(build_propagation_rules(), facts, domains, [exploit])
     rendered = {(g.label, g.head.render()) for g in fired}
     assert ("root grants device control", "attackerDeviceControl(dLinkRouter)") in rendered
     assert ("rooted device joins its networks", "attackerInNetwork(wifi1)") in rendered
@@ -219,7 +225,7 @@ def test_ground_static_rules_builds_only_instances_that_fire():
         "network membership grants logical adjacency", "attackerAdjacentLogically(wifi1)"
     ) in rendered
     assert not any("smartthingsHub" in head for _, head in rendered)
-    unexploited = ground_static_rules(build_propagation_rules(), facts, domains)
+    unexploited = ground_instances(build_propagation_rules(), facts, domains)
     assert {g.label for g in unexploited} == {"radio range grants physical adjacency"}
 
 
@@ -257,7 +263,7 @@ def test_capability_rules_split_locked_and_lock_free_openers():
         for d in cfg.devices
     ]
     rules = build_capability_rules()
-    grounded = ground_static_rules(rules, facts, domains, exploits)
+    grounded = ground_instances(rules, facts, domains, exploits)
     free = [g for g in grounded if g.head.render() == "open(garageOpener)"]
     locked = [g for g in grounded if g.head.render() == "open(frontDoorOpener)"]
     free_bodies = {tuple(a.render() for a in g.body) for g in free}
@@ -392,16 +398,16 @@ def test_outputs_count_the_library_instances_without_building_them(name, store, 
     compiled = result.compiled
     write_outputs(result, tmp_path)
     summary = render_summary(result)
-    # Neither the program nor the instances were built on the way.
+    # The program, and with it the instances, was not built on the way.
     assert "program" not in vars(compiled)
-    assert "instances" not in vars(compiled.grounding)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     program = compiled.program
     assert len(compiled.grounding) > 0
     assert manifest["rules"] == compiled.rule_count == len(program.rules)
     assert manifest["facts"] == len(program.facts)
     assert f"program: {len(program.facts)} facts, {len(program.rules)} rules;" in summary
-    instances = compiled.grounding.instances
+    grounding = compiled.grounding
+    instances = [grounding.saturation.rule(row) for row in grounding.instance_rows]
     assert program.rules == (*compiled.exploit_rules, *instances, *compiled.app_rules)
 
 
