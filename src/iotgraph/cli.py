@@ -21,7 +21,7 @@ from .exploits import parse_overrides
 from .logic import Atom, LogicError
 from .model import ConfigError, SystemConfig, parse_config, parse_goal
 from .pipeline import analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
-from .rules import compile_system, render_program
+from .rules import compile_system, config_facts, render_program
 from .synth import render_synth
 
 log = logging.getLogger(__name__)
@@ -118,17 +118,19 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _models(args: argparse.Namespace) -> tuple[SystemConfig, tuple[Atom, ...], list]:
-    """A command's config, ``--goals`` and the exploit models of the CVEs
-    found on it."""
+def _models(args: argparse.Namespace) -> tuple:
+    """A command's config, ``--goals``, atom table, fact block sizes
+    (``rules.config_facts``) and the exploit models of the CVEs found on it."""
 
     config, goals, overrides, store = _inputs(args)
+    table, blocks = config_facts(config)
     with store:
-        return config, goals, build_models(config, scan_devices(config, store), overrides)
+        findings = scan_devices(config, store)
+    return config, goals, table, blocks, build_models(config, findings, table, overrides)
 
 
 def cmd_model(args: argparse.Namespace) -> int:
-    _, _, models = _models(args)
+    *_, models = _models(args)
     for m in models:
         print(
             f"{m.cve_id} @ {m.device}: precondition={m.precondition} effect={m.effect} "
@@ -166,10 +168,10 @@ def cmd_extract_apps(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     out = _out_path(args.out) if args.out else None
-    config, goals, models = _models(args)
+    config, goals, table, blocks, models = _models(args)
     bound, _skipped = bind_apps(config)
     try:
-        compiled = compile_system(config, models, bound, extra_goals=goals)
+        compiled = compile_system(config, table, blocks, models, bound, goals)
     except (LogicError, ConfigError) as exc:
         raise CliError(f"compile failed: {exc}", EXIT_STAGE) from exc
     _emit(render_program(compiled), out)

@@ -123,6 +123,15 @@ def render_arg(arg: str) -> str:
     return "'" + arg.replace("'", "\\'") + "'"
 
 
+def render_atom(pred: str, args: tuple[str, ...]) -> str:
+    """The clause text of ``pred(args)``."""
+
+    if not args:
+        return pred
+    texts = [a if a.isidentifier() and a.isascii() and a[0] != "_" else render_arg(a) for a in args]
+    return f"{pred}({', '.join(texts)})"
+
+
 @dataclass(frozen=True, slots=True)
 class Atom:
     """A predicate applied to zero or more constant or variable arguments."""
@@ -144,14 +153,15 @@ class Atom:
         return self._hash
 
     @classmethod
-    def instance(cls, pred: str, args: tuple[str, ...]) -> "Atom":
-        """An atom over a checked predicate name, built without checking it again."""
+    def instance(cls, pred: str, args: tuple[str, ...], text: str | None = None) -> "Atom":
+        """An atom over a checked predicate name, built without checking it
+        again, with its text if it is already rendered."""
 
         atom = _new(cls)
         _set_pred(atom, pred)
         _set_args(atom, args)
         _set_hash(atom, hash((pred, args)))
-        _set_text(atom, None)
+        _set_text(atom, text)
         return atom
 
     def is_ground(self) -> bool:
@@ -173,14 +183,7 @@ class Atom:
 
     def render(self) -> str:
         if self._text is None:
-            text = self.pred
-            if self.args:
-                args = [
-                    a if a.isidentifier() and a.isascii() and a[0] != "_" else render_arg(a)
-                    for a in self.args
-                ]
-                text = f"{text}({', '.join(args)})"
-            _set_text(self, text)
+            _set_text(self, render_atom(self.pred, self.args))
         return self._text
 
     def __str__(self) -> str:  # pragma: no cover - convenience

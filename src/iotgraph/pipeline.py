@@ -7,6 +7,8 @@ exploit models, parse and bind app descriptions, compile the Horn program
 the one fixpoint that also saturates the program), slice the attack graph
 from that saturation, and evaluate metrics per goal.
 
+One atom table runs from classification to the graph;
+``reasoner.SaturationResult`` gives the order in which the stages fill it.
 ``analyze`` computes every result once and holds it in ``AnalysisResult``;
 ``write_outputs`` and ``render_summary`` only render what it holds.
 
@@ -53,6 +55,7 @@ from . import metrics as metrics_mod
 from .apps import AppBindError, AppParseError, BoundApp, bind_app, parse_app_description
 from .cvestore import CveRecord, CveStore
 from .exploits import (
+    EFFECTS,
     ExploitModel,
     classify_effect,
     classify_precondition,
@@ -62,12 +65,12 @@ from .exploits import (
 from .logic import Atom
 from .metrics import GoalResult
 from .model import SystemConfig
-from .reasoner import AttackGraph, build_attack_graph, default_goals
+from .reasoner import AttackGraph, SaturationResult, build_attack_graph
 # Not called here: ``analyze`` takes its saturation from ``compile_system``,
 # whose evaluator ``saturate`` runs with no library. It stays a name of this
 # module, which perfbench/tracer.py wraps.
 from .reasoner import saturate  # noqa: F401
-from .rules import CompiledSystem, compile_system, render_program
+from .rules import CompiledSystem, compile_system, config_facts, render_program
 
 log = logging.getLogger(__name__)
 
@@ -116,9 +119,11 @@ def scan_devices(config: SystemConfig, store: CveStore) -> list[DeviceFinding]:
 def build_models(
     config: SystemConfig,
     findings: list[DeviceFinding],
+    table: SaturationResult,
     overrides: dict[str, dict[str, str]] | None = None,
 ) -> list[ExploitModel]:
-    """Exploit models for every CVE found on a device, in finding order.
+    """Exploit models for every CVE found on a device, in finding order,
+    their atoms interned into ``table`` (``exploits.models_for``).
 
     ``overrides`` is an overrides document (see ``parse_overrides``); a
     malformed one raises ``ConfigError``. A CVE's precondition depends only
@@ -126,7 +131,7 @@ def build_models(
     and its effect only on the record and the override, so each (record,
     protocols) pair is classified for its precondition once per call, each
     record for its effect once, and a classifier runs only for a kind the
-    override leaves open. Every model's atoms come from one table.
+    override leaves open.
     """
 
     networks = config.network_index()
@@ -135,7 +140,6 @@ def build_models(
     # Keyed by CVE id, as overrides are: the store holds one record per id.
     preconditions: dict[tuple[str, tuple[str, ...]], str] = {}
     effects: dict[str, str] = {}
-    atoms: dict[tuple[str, tuple[str, ...]], Atom] = {}
     out: list[ExploitModel] = []
     for finding in findings:
         device = devices[finding.device]
@@ -152,7 +156,7 @@ def build_models(
                 if cve_id not in effects:
                     effects[cve_id] = classify_effect(record)
                 effect = effects[cve_id]
-            out.extend(models_for(device, record, protocols, (pre, effect), atoms))
+            out.extend(models_for(device, record, protocols, (pre, effect), table))
     found = {record.cve_id for finding in findings for record in finding.records}
     for cve_id in sorted(chosen.keys() - found):
         log.warning("override for %s matches no CVE found on a device; ignored", cve_id)
@@ -171,6 +175,18 @@ def bind_apps(config: SystemConfig) -> tuple[list[BoundApp], list[tuple[str, str
             log.warning("skipping app %r: %s", app.name, exc)
             skipped.append((app.name, str(exc)))
     return bound, skipped
+
+
+# The attacker privileges: the head of every exploit effect but denial of service.
+PRIVILEGES = frozenset(head.pred for kind, (_, head) in EFFECTS.items() if kind != "dos")
+
+
+def default_goals(result: SaturationResult) -> tuple[Atom, ...]:
+    """When no goals are configured: every derived attacker privilege."""
+
+    picked = [i for i in result.derived_ids() if result.preds[i] in PRIVILEGES]
+    picked.sort(key=result.texts(picked).__getitem__)
+    return tuple(map(result.atom, picked))
 
 
 # The ``analyze`` calls running now, and whether the collector was enabled
@@ -232,11 +248,12 @@ def analyze(
         with stage("scan"):
             findings = scan_devices(config, store)
         with stage("classify"):
-            models = build_models(config, findings, overrides)
+            table, blocks = config_facts(config)
+            models = build_models(config, findings, table, overrides)
         with stage("apps"):
             bound, skipped = bind_apps(config)
         with stage("compile"):
-            compiled = compile_system(config, models, bound, extra_goals=extra_goals)
+            compiled = compile_system(config, table, blocks, models, bound, extra_goals)
         with stage("reason"):
             sat = compiled.grounding.saturation
             goals = compiled.goals or default_goals(sat)
@@ -309,31 +326,15 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str
     """Write program, graph, metrics report, and run manifest files, in UTF-8.
 
     ``graph_format`` is ``"dot"`` (``attack_graph.dot``) or ``"text"``
-    (``attack_graph.txt``).
+    (``attack_graph.txt``). A file that replaces an earlier one is written
+    under a temporary name in ``out_dir`` and renamed into place only once
+    every file is written; on a failure every file written is removed, so
+    ``out_dir`` holds what it held before.
     """
 
     if graph_format not in ("dot", "text"):
         raise ValueError(f"graph_format must be 'dot' or 'text', not {graph_format!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    def write(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
-    write("program.pl", render_program(result.compiled))
-    write("attack_graph.json", result.graph.to_json())
-    if graph_format == "dot":
-        write("attack_graph.dot", result.graph.to_dot())
-    else:
-        write("attack_graph.txt", result.graph.to_text())
-    write(
-        "metrics_report.txt",
-        metrics_mod.render_report(result.graph, result.evidence, result.goal_results),
-    )
-
+    out, graph = Path(out_dir), result.graph
     manifest = {
         "devices": len(result.config.devices),
         "networks": len(result.config.networks),
@@ -342,9 +343,9 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str
         "exploit_models": len(result.models),
         "apps_bound": [b.app.name for b in result.bound_apps],
         "apps_skipped": [{"app": name, "reason": reason} for name, reason in result.skipped_apps],
-        "facts": len(result.compiled.facts),
+        "facts": len(result.compiled.fact_ids),
         "rules": result.compiled.rule_count,
-        "graph_nodes": len(result.graph.nodes),
+        "graph_nodes": len(graph.nodes),
         "goals": [
             {
                 "goal": r.goal.render(),
@@ -357,8 +358,37 @@ def write_outputs(result: AnalysisResult, out_dir: str | Path, graph_format: str
         ],
         "timings": {k: round(v, 6) for k, v in result.timings.items()},
     }
-    write("run_manifest.json", _json_text(manifest) + "\n")
-    return written
+    if graph_format == "dot":
+        graph_file = ("attack_graph.dot", graph.to_dot)
+    else:
+        graph_file = ("attack_graph.txt", graph.to_text)
+    files = (
+        ("program.pl", lambda: render_program(result.compiled)),
+        ("attack_graph.json", graph.to_json),
+        graph_file,
+        (
+            "metrics_report.txt",
+            lambda: metrics_mod.render_report(graph, result.evidence, result.goal_results),
+        ),
+        ("run_manifest.json", lambda: _json_text(manifest) + "\n"),
+    )
+    out.mkdir(parents=True, exist_ok=True)
+    # Each file's (path written, final path).
+    written: list[tuple[Path, Path]] = []
+    try:
+        for name, render in files:
+            final = out / name
+            path = out / f".{name}.tmp" if final.exists() else final
+            written.append((path, final))
+            path.write_text(render(), encoding="utf-8")
+    except BaseException:
+        for path, _ in written:
+            path.unlink(missing_ok=True)
+        raise
+    for path, final in written:
+        if path != final:
+            path.replace(final)
+    return [final for _, final in written]
 
 
 def render_summary(result: AnalysisResult) -> str:
@@ -369,7 +399,7 @@ def render_summary(result: AnalysisResult) -> str:
         f"cves: {sum(len(f.records) for f in result.findings)} on {len(result.findings)} devices, "
         f"apps bound: {len(result.bound_apps)}"
         + (f" (skipped {len(result.skipped_apps)})" if result.skipped_apps else ""),
-        f"program: {len(result.compiled.facts)} facts, "
+        f"program: {len(result.compiled.fact_ids)} facts, "
         f"{result.compiled.rule_count} rules; graph: {len(result.graph.nodes)} nodes",
     ]
     for r in result.goal_results:

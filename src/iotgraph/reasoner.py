@@ -20,14 +20,14 @@ into ``schedule``, the evaluation order of the graph metrics.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import count, product
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .exploits import EFFECTS
 from .logic import Atom, HornRule, LogicError, LogicProgram, args_template, is_variable, picker
+from .logic import render_atom
 
 FACT = "fact"
 RULE = "rule"
@@ -236,16 +236,25 @@ GIVEN, DERIVED = 1, 2
 class SaturationResult:
     """A program's least model and the firings that derive it, over interned atoms.
 
-    Each distinct atom the evaluation meets is interned once, to an integer
-    id: ``ids[pred][args]`` is its id, and ``preds``, ``args``, ``objects``
-    and ``state`` hold, by id, its predicate, its arguments, its ``Atom``
-    once there is one, and whether it is known: a fact (``GIVEN``) or
-    derived (``DERIVED``); no fact is derived. ``intern`` is the table's one
-    way in, and the only writer of these columns. ``rows`` holds each firing
-    as ``(label, head id, body ids)``, once per rule of the program whose
-    body holds. A firing is recorded even when its head was already known,
-    because each firing is a separate AND node (another way in for the OR
-    above it).
+    Each distinct atom is interned once, to an integer id: ``ids[pred][args]``
+    is its id, and ``preds``, ``args``, ``objects`` and ``state`` hold, by
+    id, its predicate, its arguments, its ``Atom`` once there is one, and
+    whether it is known: a fact (``GIVEN``) or derived (``DERIVED``); no
+    fact is derived. ``intern`` is the table's one way in, and the only
+    writer of these columns; ``row`` interns a rule's atoms through it.
+
+    ``pipeline.analyze`` fills one table in this order: the configuration
+    and attacker facts (``rules.config_facts``), the exploit rules' atoms
+    and vulnerability facts (``exploits.models_for``), the app rules' atoms
+    (``rules.compile_system``), then each atom the evaluation derives. An
+    atom met again keeps its first id: an exploit atom that is a fact is
+    that fact. ``saturate`` interns a program given as ``Atom``s.
+
+    ``rows`` holds each firing as ``(label, head id, body ids)``, once per
+    rule of the program whose body holds. A firing is recorded even when
+    its head was already known, because each firing is a separate AND node
+    (another way in for the OR above it). ``texts`` renders an atom's text
+    on the first call that asks for it, and keeps it for ``atom``.
 
     ``derived`` and ``fired`` give the derived atoms and the firings as
     ``Atom``s and ``HornRule``s, built on first read. ``atom(id)`` gives one
@@ -260,6 +269,7 @@ class SaturationResult:
         self.objects: list[Atom | None] = []
         self.state = bytearray()
         self.rows: list[Row] = []
+        self._texts: dict[int, str] = {}
 
     def intern(
         self, pred: str, args: tuple[str, ...], atom: Atom | None = None, state: int = 0
@@ -279,10 +289,26 @@ class SaturationResult:
             self.state.append(state)
         return i
 
+    def row(self, rule: HornRule) -> Row:
+        """``rule`` as a row, its atoms interned head first with their objects."""
+
+        head, *body = [self.intern(a.pred, a.args, a) for a in (rule.head, *rule.body)]
+        return rule.label, head, tuple(body)
+
+    def texts(self, ids: Iterable[int]) -> dict[int, str]:
+        """The atoms' texts by id, each of ``ids`` rendered."""
+
+        texts, preds, args = self._texts, self.preds, self.args
+        for i in ids:
+            if i not in texts:
+                texts[i] = render_atom(preds[i], args[i])
+        return texts
+
     def atom(self, i: int) -> Atom:
         atom = self.objects[i]
         if atom is None:
-            atom = self.objects[i] = Atom.instance(self.preds[i], self.args[i])
+            atom = Atom.instance(self.preds[i], self.args[i], self._texts.get(i))
+            self.objects[i] = atom
         return atom
 
     def derived_ids(self) -> list[int]:
@@ -462,16 +488,18 @@ class Grounding:
 
 def ground_static_rules(
     rules: Sequence[HornRule],
-    facts: Sequence[Atom],
+    table: SaturationResult,
+    facts: Sequence[int],
     domains: dict[str, list[str]],
-    ground: Sequence[HornRule] = (),
+    ground: Sequence[Row] = (),
 ) -> Grounding:
     """The instances of the library ``rules`` that fire, by semi-naive evaluation.
 
-    Atoms are interned to ids in the saturation's table, the facts first,
-    so a fact keeps its object and is known from the start, and the facts
-    are indexed before any seed runs. Then the facts, in order, and each
-    atom that becomes known are processed once. Processing an atom counts
+    ``table`` already holds the atoms of ``facts`` (distinct ids, ``GIVEN``)
+    and of the ``ground`` rows; it becomes the saturation, and each atom
+    the evaluation derives is interned into it. The facts are indexed
+    before any seed runs. Then the facts, in order, and each atom that
+    becomes known are processed once. Processing an atom counts
     down the rules of ``ground`` that wait for it, each firing when its
     count of distinct body atoms reaches zero, and runs its predicate's
     seeds (``_Library``). A seed joins the rest of its rule's body against
@@ -487,9 +515,10 @@ def ground_static_rules(
     """
 
     rules = tuple(rules)
-    library = _compile(rules, frozenset([r.head.pred for r in (*rules, *ground)]))
-    sat = SaturationResult()
-    intern, preds, arglist, state, rows = sat.intern, sat.preds, sat.args, sat.state, sat.rows
+    intern, preds, arglist, state = table.intern, table.preds, table.args, table.state
+    rows = table.rows
+    heads = [r.head.pred for r in rules] + [preds[row[1]] for row in ground]
+    library = _compile(rules, frozenset(heads))
     dispatch, plans = library.seeds, library.index
 
     # Known atoms' ids, where a seed's join looks them up.
@@ -504,16 +533,9 @@ def ground_static_rules(
             if pos < len(fa):
                 by_position.setdefault((pred, pos, fa[pos]), []).append(i)
 
-    for a in facts:
-        intern(a.pred, a.args, a, GIVEN)
-    fact_ids = range(len(preds))
-    for i in fact_ids:
+    for i in facts:
         if preds[i] in plans:
             index(i, preds[i], arglist[i])
-    ground_rows = []
-    for rule in ground:
-        head, *body = [intern(a.pred, a.args, a) for a in (rule.head, *rule.body)]
-        ground_rows.append((rule.label, head, tuple(body)))
     queue: list[int] = []
 
     def fire(row: Row) -> None:
@@ -525,7 +547,7 @@ def ground_static_rules(
 
     counts: list[int] = []
     watchers: dict[int, list[int]] = {}
-    for k, (_, _, body) in enumerate(ground_rows):
+    for k, (_, _, body) in enumerate(ground):
         distinct = set(body)
         counts.append(len(distinct))
         for a in distinct:
@@ -535,7 +557,7 @@ def ground_static_rules(
         for k in watchers.pop(i):
             counts[k] -= 1
             if not counts[k]:
-                fire(ground_rows[k])
+                fire(ground[k])
 
     # Each seed's pooled values, every combination of them; [()] for most.
     combos = {p: list(product(*[domains.get(name, []) for name in p])) for p in library.pools}
@@ -576,7 +598,7 @@ def ground_static_rules(
         for s, b in passed:
             emit(s, b)
 
-    for i in fact_ids:
+    for i in facts:
         if i in watchers:
             count_down(i)
         # Most facts (types, wiring, vulnerabilities) start no seed: skip the call.
@@ -594,20 +616,24 @@ def ground_static_rules(
         if patterns:
             run_seeds(i, fa, patterns)
 
-    return Grounding(sat, list(instances.values()))
+    return Grounding(table, list(instances.values()))
 
 
 def saturate(program: LogicProgram) -> SaturationResult:
     """The least model of a ground program: the evaluator run with no library.
 
-    The one entry point for a program built elsewhere, so the one place its
-    facts are checked ground.
+    The one entry point for a program of ``Atom``s and ``HornRule``s, so the
+    one place such a program is interned and its facts are checked ground.
     """
 
+    table = SaturationResult()
+    facts = {}
     for fact in program.facts:
         if not fact.is_ground():
             raise LogicError(f"fact is not ground: {fact.render()}")
-    return ground_static_rules([], program.facts, {}, program.rules).saturation
+        facts[table.intern(fact.pred, fact.args, fact, GIVEN)] = None
+    rows = [table.row(rule) for rule in program.rules]
+    return ground_static_rules([], table, list(facts), {}, rows).saturation
 
 
 def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> AttackGraph:
@@ -615,9 +641,9 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
 
     Only facts and firings that feed some goal make it into the graph.
     Every atom the slice meets is in the model, so an atom is a fact
-    exactly when it is not derived. The slice works on ids: each needed
-    atom's text is rendered once, the nodes sort by those texts, and atoms
-    are built only for the slice's nodes.
+    exactly when it is not derived. The slice works on ids: the nodes sort
+    by the needed atoms' texts (``SaturationResult.texts``), and atoms are
+    built only for the slice's nodes.
     """
 
     rows, state = result.rows, result.state
@@ -647,7 +673,7 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
                     stack.append(b)
 
     atom = result.atom
-    text = {i: atom(i).render() for i in needed}
+    text = result.texts(needed)
     by_text = text.__getitem__
     derived_atoms = sorted([i for i in needed if state[i] == DERIVED], key=by_text)
     primitive_atoms = sorted([i for i in needed if state[i] != DERIVED], key=by_text)
@@ -682,16 +708,3 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
         goals=tuple(goals),
         goal_nodes={g: node_of[i] for g, i in goal_ids.items()},
     )
-
-
-# The attacker privileges: the head of every exploit effect but denial of service.
-PRIVILEGES = frozenset(head.pred for kind, (_, head) in EFFECTS.items() if kind != "dos")
-
-
-def default_goals(result: SaturationResult) -> tuple[Atom, ...]:
-    """When no goals are configured: every derived attacker privilege."""
-
-    preds = result.preds
-    picked = [result.atom(i) for i in result.derived_ids() if preds[i] in PRIVILEGES]
-    picked.sort(key=Atom.render)
-    return tuple(picked)

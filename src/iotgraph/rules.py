@@ -4,28 +4,31 @@ Three ingredients meet here: facts translated from the system configuration,
 exploit rules instantiated from classified CVEs and app rules, both ground,
 and the static rule libraries (attacker privilege propagation, physical
 dependencies, attacker capabilities over actuators/sensors/voice), which are
-written with variables. ``compile_system`` evaluates the library over the
-facts and the ground rules (``reasoner.ground_static_rules``); the compiled
-program is the ground rules plus the library instances that fire, which
-``CompiledSystem.program`` builds as ``HornRule``s on first read, and
-nothing in ``analyze`` or the writers reads it. The voice rules' ``Cmd``,
-which no body atom binds, ranges over the commands the apps listen for.
+written with variables. ``config_facts`` opens the atom table with the
+facts, ``exploits.models_for`` adds the exploit rules and ``compile_system``
+the app rules (``reasoner.SaturationResult`` gives the order), then
+evaluates the library over them (``reasoner.ground_static_rules``). The
+compiled program, the ground rules plus the library instances that fire, is
+held as ids; ``CompiledSystem.program`` builds it as ``Atom``s and
+``HornRule``s on first read, and nothing in ``analyze`` or the writers reads
+it. The voice rules' ``Cmd``, which no body atom binds, ranges over the
+commands the apps listen for.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .apps import BoundApp
 from .exploits import EFFECTS, PRECONDITIONS, ExploitModel
-from .logic import Atom, HornRule, LogicProgram, parse_atom
-from .model import (
-    DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, DeviceSpec, SystemConfig
-)
+from .logic import Atom, HornRule, LogicProgram, parse_atom, render_atom
+from .model import DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, SystemConfig
+from .reasoner import GIVEN, Row, SaturationResult
 # Called by this module's name, which perfbench/tracer.py wraps.
 from .reasoner import Grounding, ground_static_rules
+
 
 def _var(name: str) -> str:
     return name[0].upper() + name[1:]
@@ -35,51 +38,47 @@ def _var(name: str) -> str:
 # Configuration facts
 
 
-def device_fact_block(d: DeviceSpec) -> list[Atom]:
-    # Every predicate is a fixed name or a DEVICE_TYPES predicate, so the
-    # facts are built without checking the name again.
-    block = [Atom.instance(d.info.predicate, (d.atom,))]
-    for net in d.networks:
-        block.append(Atom.instance("inNetwork", (d.atom, net)))
-    if d.physically_exposed:
-        block.append(Atom.instance("physicallyExposed", (d.atom,)))
-    if d.plugs_into:
-        block.append(Atom.instance("plugInto", (d.atom, d.plugs_into)))
-    if d.locked_by:
-        block.append(Atom.instance("lockedBy", (d.atom, d.locked_by)))
-    elif d.device_type in OPENER_TYPES:
-        block.append(Atom.instance("lockFree", (d.atom,)))
-    if d.supplied_by:
-        block.append(Atom.instance("suppliedBy", (d.atom, d.supplied_by)))
-    return block
+def config_facts(config: SystemConfig) -> tuple[SaturationResult, tuple[int, ...]]:
+    """A new atom table holding the configuration and attacker facts as
+    ``GIVEN`` ids, in ``program.pl`` order, and the sizes of its fact blocks:
+    one per device, one for the networks if there are any, then the
+    attacker facts. No ``Atom`` is built.
+    """
 
-
-def network_fact_block(config: SystemConfig) -> list[Atom]:
-    # ``parse_config`` admits only PROTOCOLS names.
-    return [Atom.instance(n.protocol, (n.atom,)) for n in config.networks]
-
-
-def config_fact_blocks(config: SystemConfig) -> list[list[Atom]]:
-    blocks = [device_fact_block(d) for d in config.devices]
-    net_block = network_fact_block(config)
-    if net_block:
-        blocks.append(net_block)
-    return blocks
-
-
-def attacker_facts(config: SystemConfig) -> list[Atom]:
-    out = []
-    if config.attacker.has_internet:
-        out.append(Atom.instance("attackerOnInternet", ()))
-    for net in config.attacker.radio_adjacent:
-        out.append(Atom.instance("attackerRadioAdjacent", (net,)))
-    for dev in config.attacker.physical_access:
-        out.append(Atom.instance("attackerPhysicalAccess", (dev,)))
-    return out
-
-
-def _render_blocks(blocks: Sequence[Sequence[Atom]]) -> str:
-    return "\n\n".join(["\n".join([f"{a.render()}." for a in block]) for block in blocks])
+    # Every predicate is a fixed name, a DEVICE_TYPES predicate or (as
+    # ``parse_config`` admits) a PROTOCOLS name.
+    table = SaturationResult()
+    intern, preds, sizes = table.intern, table.preds, []
+    for d in config.devices:
+        start, atom = len(preds), d.atom
+        intern(d.info.predicate, (atom,), None, GIVEN)
+        for net in d.networks:
+            intern("inNetwork", (atom, net), None, GIVEN)
+        if d.physically_exposed:
+            intern("physicallyExposed", (atom,), None, GIVEN)
+        if d.plugs_into:
+            intern("plugInto", (atom, d.plugs_into), None, GIVEN)
+        if d.locked_by:
+            intern("lockedBy", (atom, d.locked_by), None, GIVEN)
+        elif d.device_type in OPENER_TYPES:
+            intern("lockFree", (atom,), None, GIVEN)
+        if d.supplied_by:
+            intern("suppliedBy", (atom, d.supplied_by), None, GIVEN)
+        sizes.append(len(preds) - start)
+    if config.networks:
+        start = len(preds)
+        for n in config.networks:
+            intern(n.protocol, (n.atom,), None, GIVEN)
+        sizes.append(len(preds) - start)
+    start, attacker = len(preds), config.attacker
+    if attacker.has_internet:
+        intern("attackerOnInternet", (), None, GIVEN)
+    for net in attacker.radio_adjacent:
+        intern("attackerRadioAdjacent", (net,), None, GIVEN)
+    for dev in attacker.physical_access:
+        intern("attackerPhysicalAccess", (dev,), None, GIVEN)
+    sizes.append(len(preds) - start)
+    return table, tuple(sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -243,70 +242,70 @@ def static_library() -> tuple[HornRule, ...]:
 
 @dataclass
 class CompiledSystem:
-    """The compiled program and goals, in the parts ``program.pl`` prints.
+    """The compiled program and goals, as ids in the grounding's table.
 
-    ``facts`` holds the configuration facts in blocks of ``block_sizes``
-    facts, then the attacker facts, then the vulnerability facts from
-    ``vul_start``. ``grounding`` evaluates the library, ``static_library()``,
-    over the facts, ``exploit_rules`` (the exploit models' own rules) and
-    ``app_rules`` (the bound apps' own). The program's rules are
-    ``exploit_rules``, the library instances that fire, and ``app_rules``:
-    ``program`` builds the instances on first read, and ``rule_count``
-    counts without them. ``render_program`` prints the library itself, with
-    its variables, from ``static_library()``.
+    ``fact_ids`` lists the facts in ``program.pl`` order: the configuration
+    and attacker facts in blocks of ``block_sizes`` facts (the attacker
+    facts last), then the vulnerability facts. ``grounding`` evaluates the
+    library, ``static_library()``, over the facts, ``exploit_rows`` (the
+    exploit models' own rows) and ``app_rows`` (the bound apps' rules). The
+    program's rules are those rows and the library instances that fire:
+    ``program`` builds them as ``HornRule``s, and the facts as ``Atom``s, on
+    first read, and ``rule_count`` counts without them. ``render_program``
+    prints the library itself, with its variables, from ``static_library()``.
     """
 
-    facts: tuple[Atom, ...]
-    exploit_rules: tuple[HornRule, ...]
-    app_rules: tuple[HornRule, ...]
+    fact_ids: list[int]
+    exploit_rows: tuple[Row, ...]
+    app_rows: tuple[Row, ...]
     grounding: Grounding
     goals: tuple[Atom, ...]
     block_sizes: tuple[int, ...]
-    vul_start: int
 
     @property
     def rule_count(self) -> int:
-        return len(self.exploit_rules) + len(self.grounding) + len(self.app_rules)
+        return len(self.exploit_rows) + len(self.grounding) + len(self.app_rows)
 
     @functools.cached_property
     def program(self) -> LogicProgram:
         grounding = self.grounding
-        instances = map(grounding.saturation.rule, grounding.instance_rows)
-        rules = (*self.exploit_rules, *instances, *self.app_rules)
-        return LogicProgram(facts=self.facts, rules=rules)
+        table = grounding.saturation
+        rows = (*self.exploit_rows, *grounding.instance_rows, *self.app_rows)
+        return LogicProgram(tuple(map(table.atom, self.fact_ids)), tuple(map(table.rule, rows)))
 
 
 def compile_system(
     config: SystemConfig,
+    table: SaturationResult,
+    block_sizes: tuple[int, ...],
     models: list[ExploitModel],
     bound_apps: list[BoundApp],
     extra_goals: tuple[Atom, ...] = (),
 ) -> CompiledSystem:
-    """Compile the deployment and evaluate its library (``reasoner.ground_static_rules``)."""
+    """Compile the deployment and evaluate its library (``reasoner.ground_static_rules``).
 
-    blocks = config_fact_blocks(config)
-    config_facts = [a for block in blocks for a in block]
-    atk_facts = attacker_facts(config)
-    vul_facts = list(dict.fromkeys(fact for model in models for fact in model.facts))
-    facts = (*config_facts, *atk_facts, *vul_facts)
-    # Rules with one head and body are equal: the body's vulExists names the
+    ``table`` holds the configuration and attacker facts (``config_facts``,
+    which gave ``block_sizes``) and the models' atoms; the bound apps'
+    rules are interned into it here, and the evaluation extends it.
+    """
+
+    # Every atom known before the evaluation is a fact, in the order entered.
+    facts = [i for i, known in enumerate(table.state) if known == GIVEN]
+    # Rows with one head and body are equal: the body's vulExists names the
     # CVE and the device that make up the label.
-    exploit_rules = tuple(dict.fromkeys(model.rule for model in models))
-    app_rules = tuple(rule for bound in bound_apps for rule in bound.rules)
-
+    exploit_rows = tuple(dict.fromkeys([model.row for model in models]))
+    app_rows = tuple([table.row(rule) for bound in bound_apps for rule in bound.rules])
     alphabet = list(dict.fromkeys(cmd for bound in bound_apps for cmd in bound.voice_commands))
     grounding = ground_static_rules(
-        static_library(), facts, {"commands": alphabet}, exploit_rules + app_rules
+        static_library(), table, facts, {"commands": alphabet}, exploit_rows + app_rows
     )
-
     return CompiledSystem(
-        facts=facts,
-        exploit_rules=exploit_rules,
-        app_rules=app_rules,
+        fact_ids=facts,
+        exploit_rows=exploit_rows,
+        app_rows=app_rows,
         grounding=grounding,
         goals=tuple(dict.fromkeys((*config.goals, *extra_goals))),
-        block_sizes=tuple(map(len, blocks)),
-        vul_start=len(config_facts) + len(atk_facts),
+        block_sizes=block_sizes,
     )
 
 
@@ -315,31 +314,36 @@ def _pools(rule: HornRule) -> str:
 
 
 def render_program(compiled: CompiledSystem) -> str:
-    """Readable clause file: schemas, exploit rules, the library, app rules, facts, goals."""
+    """Readable clause file: schemas, exploit rules, the library, app rules, facts, goals.
 
-    facts = compiled.facts
-    blocks, start = [], 0
-    for size in compiled.block_sizes:
-        blocks.append(facts[start : start + size])
-        start += size
-    rule_sections = (
-        ("exploit rule schemas (reference)", "", build_exploit_schemas()),
-        ("attack rules instantiated from CVEs", "", compiled.exploit_rules),
-        ("propagation, dependency, voice, and capability rules", "", static_library()),
-        ("app rules", "app: ", compiled.app_rules),
-    )
-    fact_sections = (
-        ("facts: attacker", facts[start : compiled.vul_start]),
-        ("facts: vulnerabilities", facts[compiled.vul_start :]),
-        ("attack goals", [Atom("attackGoal", (goal.render(),)) for goal in compiled.goals]),
-    )
-    parts = []
-    for title, tag, group in rule_sections:
-        texts = [
-            f"% {tag}{r.label}{_pools(r) if r.var_domains else ''}\n{r.render()}" for r in group
+    Facts and ground rules are printed from their ids, each atom's text
+    rendered once (``SaturationResult.texts``).
+    """
+
+    ids, ground = compiled.fact_ids, (*compiled.exploit_rows, *compiled.app_rows)
+    text = compiled.grounding.saturation.texts(chain(ids, *[(h, *b) for _, h, b in ground]))
+    facts = [f"{text[i]}." for i in ids]
+    starts = list(accumulate(compiled.block_sizes, initial=0))
+    *config, attacker = [facts[a:b] for a, b in zip(starts, starts[1:])]
+    sep = ",\n    "
+
+    def rows(tag: str, group: tuple[Row, ...]) -> list[str]:
+        return [
+            f"% {tag}{label}\n{text[head]} :-\n    {sep.join([text[b] for b in body])}."
+            for label, head, body in group
         ]
-        parts.append("\n".join([f"% ==== {title} ====", *texts]))
-    parts.append(f"% ==== facts: system configuration ====\n{_render_blocks(blocks)}")
-    for title, group in fact_sections:
-        parts.append("\n".join([f"% ==== {title} ====", *[f"{a.render()}." for a in group]]))
-    return "\n\n".join(parts) + "\n"
+
+    def library(rules: tuple[HornRule, ...]) -> list[str]:
+        return [f"% {r.label}{_pools(r)}\n{r.render()}" for r in rules]
+
+    sections = (
+        ("exploit rule schemas (reference)", library(build_exploit_schemas())),
+        ("attack rules instantiated from CVEs", rows("", compiled.exploit_rows)),
+        ("propagation, dependency, voice, and capability rules", library(static_library())),
+        ("app rules", rows("app: ", compiled.app_rows)),
+        ("facts: system configuration", ["\n\n".join(["\n".join(block) for block in config])]),
+        ("facts: attacker", attacker),
+        ("facts: vulnerabilities", facts[starts[-1] :]),
+        ("attack goals", [f"{render_atom('attackGoal', (g.render(),))}." for g in compiled.goals]),
+    )
+    return "\n\n".join(["\n".join([f"% ==== {t} ====", *texts]) for t, texts in sections]) + "\n"

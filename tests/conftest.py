@@ -10,7 +10,7 @@ import pytest
 
 from iotgraph.cvestore import CveStore
 from iotgraph.model import SystemConfig, parse_config
-from iotgraph.rules import compile_system, render_program
+from iotgraph.rules import render_program
 
 # ``perfbench`` sits at the repository root, which only ``python -m pytest``
 # run from there puts on ``sys.path``; put it there for any runner and
@@ -18,6 +18,8 @@ from iotgraph.rules import compile_system, render_program
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench.feed import synth_feed  # noqa: E402
+
+import tables  # noqa: E402
 
 FIXTURES = resources.files("iotgraph") / "fixtures"
 FEED_PATH = FIXTURES / "mini_feed.json"
@@ -35,7 +37,7 @@ def config_facts_text(config: SystemConfig) -> str:
     """The configuration-facts section of ``program.pl`` for ``config``
     compiled with no exploit model or app: one blank line between blocks."""
 
-    program = render_program(compile_system(config, [], []))
+    program = render_program(tables.compile_config(config))
     section = program.split("% ==== facts: system configuration ====\n")[1]
     return section.split("\n\n% ==== ")[0] + "\n"
 

@@ -775,6 +775,38 @@ def test_failed_output_write_exits_4(store_path, tmp_path, capsys, monkeypatch, 
     assert "wrote" not in captured.out
 
 
+def test_failed_output_write_keeps_the_earlier_outputs(store_path, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "run"
+    argv = ["analyze", "--store", store_path, "--out", str(out), "--config"]
+    assert main(argv + [fixture_path("fig2")]) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(earlier) == 5
+    capsys.readouterr()
+    real, calls = pathlib.Path.write_text, []
+
+    def second_fails(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", second_fails)
+    assert main(argv + [fixture_path("system28")]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: cannot write outputs to {out}: [Errno 28] No space left on device\n"
+    )
+    assert "wrote" not in captured.out
+    # The first file was written, under a temporary name, and then removed.
+    assert calls[0].name == ".program.pl.tmp" and not calls[0].exists()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+    # Into a new directory, the files are written in place and removed.
+    calls.clear()
+    fresh = tmp_path / "fresh"
+    assert main([*argv[:-2], str(fresh), "--config", fixture_path("system28")]) == 4
+    assert calls[0] == fresh / "program.pl" and not any(fresh.iterdir())
+
+
 def test_outputs_are_utf8_whatever_the_locale(store_path, tmp_path):
     doc = json.loads(pathlib.Path(fixture_path("hall_light")).read_text())
     doc["apps"][0]["App name"] = "K\u00fcche Licht \u2600"

@@ -27,10 +27,11 @@ import oracles
 from iotgraph import logic, pipeline, reasoner, rules
 from iotgraph.logic import Atom, HornRule, LogicError, LogicProgram
 from iotgraph.model import parse_config
-from iotgraph.pipeline import analyze, bind_apps, build_models, scan_devices
+from iotgraph.pipeline import analyze, bind_apps, scan_devices
 from iotgraph.reasoner import saturate
 from iotgraph.synth import synth_document, synthesize
 
+import tables
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
 
 HOMES = [(name, None) for name in FIXTURE_NAMES] + list(SYNTH_HOMES)
@@ -49,15 +50,15 @@ def _home_id(home):
 
 
 def _analyze_recording_evaluation(home, store, monkeypatch):
-    """Analyse ``home`` and return the result, the evaluator's arguments and
-    the instances it returned."""
+    """Analyse ``home`` and return the result, the evaluator's arguments (as
+    ``tables.evaluation_atoms`` reads them) and the instances it returned."""
 
     calls = []
     real = rules.ground_static_rules
 
     def recording(*args, **kwargs):
         fired = real(*args, **kwargs)
-        calls.append((args, fired))
+        calls.append((tables.evaluation_atoms(args), fired))
         return fired
 
     monkeypatch.setattr(rules, "ground_static_rules", recording)
@@ -113,9 +114,8 @@ def _firings(fired):
 def _compile_saturating(config, store):
     """The compiled system of ``config`` and the saturation its grounding recorded."""
 
-    models = build_models(config, scan_devices(config, store))
     bound, _ = bind_apps(config)
-    compiled = rules.compile_system(config, models, bound)
+    compiled = tables.compile_config(config, scan_devices(config, store), bound)
     return compiled, compiled.grounding.saturation
 
 
@@ -197,7 +197,7 @@ def test_analyze_saturates_once_in_the_grounder(store, monkeypatch):
 
 @pytest.mark.parametrize("home", HOMES, ids=_home_id)
 def test_ground_rules_match_earlier_grounder(home, store, monkeypatch):
-    result, ((library, facts, domains, ground, *_), fired) = _analyze_recording_evaluation(
+    result, ((library, facts, domains, ground), fired) = _analyze_recording_evaluation(
         home, store, monkeypatch
     )
     assert fired
@@ -235,14 +235,13 @@ def test_grounding_fills_templates_and_interns_atoms(home, store, monkeypatch):
     result, (_, fired) = _analyze_recording_evaluation(home, store, monkeypatch)
     assert fired
     assert substitutions == []
-    # The library instances are built over the evaluation's table: one
-    # object per distinct atom, the fact's where the atom is a fact. The
-    # exploit and app rules are the models' and apps' own, with their own
-    # objects (test_rules.py).
+    # Every rule of the program, exploit, library instance or app, is built
+    # over the one table: one object per distinct atom, the fact's where the
+    # atom is a fact.
     compiled = result.compiled
-    instances = _instances(compiled.grounding)
-    atoms = [atom for rule in instances for atom in (rule.head, *rule.body)]
-    _assert_one_object_per_atom(atoms, compiled.facts)
+    program = compiled.program
+    atoms = [atom for rule in program.rules for atom in (rule.head, *rule.body)]
+    _assert_one_object_per_atom(atoms, program.facts)
     assert set(_instances(fired)) <= set(compiled.program.rules)
 
 
@@ -413,7 +412,7 @@ def join_inputs(draw):
 def test_join_shapes_match_earlier_grounder(inputs, commands):
     facts, ground = inputs
     domains = {"devices": ["d1", "d2"], "commands": commands}
-    grounding = reasoner.ground_static_rules(list(JOIN_RULES), facts, domains, ground)
+    grounding = tables.ground(list(JOIN_RULES), facts, domains, ground)
     got, fired = grounding.saturation, _instances(grounding)
     want_fired, want_derived = oracles.fired_library_instances(JOIN_RULES, facts, ground, domains)
     assert _fired_set(grounding) == want_fired
@@ -433,7 +432,7 @@ def _assert_split_grounding(library, facts, ground, domains):
     """The grounder on these inputs fires what the earlier grounder fires, and
     its saturation is the naive least model of the facts and the firings."""
 
-    grounding = reasoner.ground_static_rules(library, facts, domains, ground)
+    grounding = tables.ground(library, facts, domains, ground)
     want_fired, want_derived = oracles.fired_library_instances(library, facts, ground, domains)
     assert _fired_set(grounding) == want_fired
     assert len(grounding) == len(want_fired)
@@ -445,19 +444,19 @@ def _assert_split_grounding(library, facts, ground, domains):
 def _evaluation_inputs(config, store):
     """The facts, ground rules and pools ``compile_system`` evaluates the library over."""
 
-    models = build_models(config, scan_devices(config, store))
     bound, _ = bind_apps(config)
-    compiled = rules.compile_system(config, models, bound)
+    compiled = tables.compile_config(config, scan_devices(config, store), bound)
     alphabet = list(dict.fromkeys(cmd for b in bound for cmd in b.voice_commands))
-    ground = [*compiled.exploit_rules, *compiled.app_rules]
-    return list(compiled.facts), ground, {"commands": alphabet}
+    rule = compiled.grounding.saturation.rule
+    ground = [rule(row) for row in (*compiled.exploit_rows, *compiled.app_rows)]
+    return list(compiled.program.facts), ground, {"commands": alphabet}
 
 
 @settings(max_examples=10, deadline=None)
 @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1), rnd=st.randoms(use_true_random=False))
 def test_fact_order_does_not_change_the_grounding(n, seed, rnd, store):
     facts, ground, domains = _evaluation_inputs(synthesize(n, seed=seed), store)
-    in_order = reasoner.ground_static_rules(rules.static_library(), facts, domains, ground)
+    in_order = tables.ground(rules.static_library(), facts, domains, ground)
     shuffled = rnd.sample(facts, len(facts))
     got = _assert_split_grounding(rules.static_library(), shuffled, ground, domains)
     assert _fired_set(got) == _fired_set(in_order)
@@ -583,7 +582,7 @@ def test_shared_instance_keeps_the_first_rules_label(seed):
     else:
         ground = [HornRule(Atom("attackerRoot", ("s1",)), (Atom("attackerOnInternet"),), label="g")]
     for order in itertools.permutations(library):
-        fired = reasoner.ground_static_rules(order, facts, {}, ground)
+        fired = tables.ground(order, facts, {}, ground)
         # Each instance once, in the order of the first rule that gives it,
         # with that rule's label.
         want = {}
@@ -609,14 +608,14 @@ def test_unbound_variable_fails_as_before():
     # A failed compile is not kept: the same list fails again.
     for _ in range(2):
         with pytest.raises(LogicError) as new:
-            reasoner.ground_static_rules([rule], facts, {})
+            tables.ground([rule], facts, {})
     with pytest.raises(LogicError) as old:
         oracles.ground_static_rules([rule], facts, {})
     assert str(new.value) == str(old.value)
     # The evaluator checks each seed of a rule when it compiles it, before
     # any join; the earlier grounder only checked a rule that had a binding.
     with pytest.raises(LogicError):
-        reasoner.ground_static_rules([rule], [], {})
+        tables.ground([rule], [], {})
     assert oracles.ground_static_rules([rule], [], {}) == []
 
 
@@ -634,17 +633,17 @@ def test_library_is_compiled_once_per_distinct_rule_list(store):
     library = list(rules.static_library())
     facts = [Atom("attackerOnInternet"), Atom("inNetwork", ("cam1", "wifi1"))]
     ground = [HornRule(Atom("attackerRoot", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
-    fired = reasoner.ground_static_rules(list(library), facts, {}, ground)
-    assert reasoner.ground_static_rules(list(library), facts, {}, ground).instance_rows == (
+    fired = tables.ground(list(library), facts, {}, ground)
+    assert tables.ground(list(library), facts, {}, ground).instance_rows == (
         fired.instance_rows
     )
     assert reasoner._compile.cache_info()[:2] == (1, 1)
     joins = library[1]
     library[1] = HornRule(joins.head, joins.body, label="relabelled")
-    relabelled = reasoner.ground_static_rules(library, facts, {}, ground)
+    relabelled = tables.ground(library, facts, {}, ground)
     assert reasoner._compile.cache_info()[:2] == (1, 2)
     dos = [*ground, HornRule(Atom("dos", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
-    reasoner.ground_static_rules(library, facts, {}, dos)
+    tables.ground(library, facts, {}, dos)
     assert reasoner._compile.cache_info()[:2] == (1, 3)
     labels = {r.label for r in _instances(fired)}
     assert joins.label in labels
@@ -715,8 +714,8 @@ def test_compiled_library_is_fixed(store, monkeypatch):
     assert "unread" not in body_preds
     ground = [HornRule(Atom("unread", ("cam1",)), (Atom("attackerOnInternet"),), "g")]
     facts = [Atom("attackerOnInternet")]
-    assert not reasoner.ground_static_rules(rules.static_library(), facts, {}, ground)
-    assert not reasoner.ground_static_rules(rules.static_library(), facts, {})
+    assert not tables.ground(rules.static_library(), facts, {}, ground)
+    assert not tables.ground(rules.static_library(), facts, {})
     calls.clear()
     for config in configs:
         analyze(config, store)
@@ -761,8 +760,8 @@ def test_facts_seed_through_one_table():
         Atom("attackerOnInternet"), Atom("camera", ("cam1",)), Atom("inNetwork", ("cam1", "wifi1"))
     ]
     root = Atom("attackerRoot", ("cam1",))
-    given = reasoner.ground_static_rules(library, [*facts, root], {}, [])
-    derived = reasoner.ground_static_rules(
+    given = tables.ground(library, [*facts, root], {}, [])
+    derived = tables.ground(
         library, facts, {}, [HornRule(root, (Atom("attackerOnInternet"),), "g")]
     )
     assert _fired_set(given) == _fired_set(derived)
@@ -812,8 +811,8 @@ def test_seeds_compiled_by_a_later_call_are_indexed():
     ]
     facts = [Atom("attackerOnInternet"), Atom("inNetwork", ("cam1", "wifi1"))]
     ground = [HornRule(Atom("attackerInNetwork", ("wifi1",)), (Atom("attackerOnInternet"),), "g")]
-    assert not reasoner.ground_static_rules(library, facts, {})
-    fired = reasoner.ground_static_rules(library, facts, {}, ground)
+    assert not tables.ground(library, facts, {})
+    fired = tables.ground(library, facts, {}, ground)
     assert [r.head.render() for r in _instances(fired)] == ["reached(cam1)"]
 
 
@@ -836,7 +835,7 @@ def test_predicate_at_two_arities_joins_on_keyed_positions():
     facts = [Atom("link", args) for args in links] + [Atom("attackerOnInternet")]
     facts.append(Atom("attackerRoot", ("c",)))
     ground = [HornRule(Atom("attackerRoot", ("a",)), (Atom("attackerOnInternet"),), "g")]
-    fired = reasoner.ground_static_rules(library, facts, {}, ground)
+    fired = tables.ground(library, facts, {}, ground)
     assert _fired_set(fired) == oracles.fired_library_instances(library, facts, ground, {})[0]
     assert sorted(r.head.render() for r in _instances(fired)) == [
         "back(b)", "back(c)", "hop(a)", "hop(b)"
@@ -915,10 +914,10 @@ def test_join_candidates_grow_linearly_with_the_home(dense4_store, monkeypatch):
     scanned = {}
     for devices in (320, 640):
         config = synthesize(devices, seed=1)
-        models = build_models(config, scan_devices(config, dense4_store))
+        table, blocks, models = tables.classify(config, scan_devices(config, dense4_store))
         bound, _ = bind_apps(config)
         counts.clear()
-        rules.compile_system(config, models, bound)
+        rules.compile_system(config, table, blocks, models, bound)
         scanned[devices] = counts["candidates"]
     assert 0 < scanned[320]
     assert scanned[640] <= 2.2 * scanned[320], scanned

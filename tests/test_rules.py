@@ -23,38 +23,34 @@ from iotgraph.model import (
     parse_config,
 )
 from iotgraph.rules import (
-    attacker_facts,
     build_capability_rules,
     build_dependency_rules,
     build_exploit_schemas,
     build_propagation_rules,
     compile_system,
-    config_fact_blocks,
     render_program,
     static_library,
 )
 
 import oracles
-from iotgraph.pipeline import (
-    analyze, bind_apps, build_models, render_summary, scan_devices, write_outputs
-)
-from iotgraph.reasoner import RULE, SaturationResult, ground_static_rules
+from iotgraph.pipeline import analyze, bind_apps, render_summary, scan_devices, write_outputs
+from iotgraph.reasoner import GIVEN, RULE, SaturationResult
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, config_facts_text, load_fixture_config
+from tables import classify, compile_config, fact_blocks, ground
 
 
 def ground_instances(*args):
-    """The library instances ``ground_static_rules(*args)`` builds, as ``HornRule``s."""
+    """The library instances ``ground(*args)`` builds, as ``HornRule``s."""
 
-    grounding = ground_static_rules(*args)
+    grounding = ground(*args)
     return [grounding.saturation.rule(row) for row in grounding.instance_rows]
 
 
 def facts_and_domains(cfg):
-    facts = [a for block in config_fact_blocks(cfg) for a in block]
-    facts += attacker_facts(cfg)
-    return facts, {"commands": []}
+    blocks, attacker = fact_blocks(cfg)
+    return [a for block in blocks for a in block] + attacker, {"commands": []}
 
 TWO_DEVICE_FACTS = """router(dLinkRouter).
 inNetwork(dLinkRouter, wifi1).
@@ -137,8 +133,8 @@ def every_config_fact_kind() -> SystemConfig:
 
 def test_config_fact_predicates_are_identifiers():
     cfg = every_config_fact_kind()
-    preds = {a.pred for block in config_fact_blocks(cfg) for a in block}
-    preds |= {a.pred for a in attacker_facts(cfg)}
+    blocks, attacker = fact_blocks(cfg)
+    preds = {a.pred for block in blocks for a in block} | {a.pred for a in attacker}
     assert preds >= {t.predicate for t in DEVICE_TYPES.values()} | set(PROTOCOLS)
     assert {"lockFree", "lockedBy", "attackerOnInternet", "attackerPhysicalAccess"} <= preds
     assert all(logic._IDENTIFIER.match(p) for p in preds)
@@ -147,7 +143,7 @@ def test_config_fact_predicates_are_identifiers():
 @pytest.mark.parametrize("name", [*FIXTURE_NAMES, "every kind"])
 def test_config_facts_equal_checked_atoms(name):
     cfg = every_config_fact_kind() if name == "every kind" else load_fixture_config(name)
-    blocks, attacker = config_fact_blocks(cfg), attacker_facts(cfg)
+    blocks, attacker = fact_blocks(cfg)
     expected_blocks, expected_attacker = checked_fact_blocks(cfg)
     assert (blocks, attacker) == (expected_blocks, expected_attacker)
     atoms = [a for block in blocks for a in block] + attacker
@@ -206,7 +202,7 @@ def test_ground_static_rules_uses_domain_fallback():
     )
     grounded = ground_instances([rule], facts, {"commands": ["openUp", "lightsOff"]})
     assert [g.head.render() for g in grounded] == ["voiceCommand(openUp)", "voiceCommand(lightsOff)"]
-    assert not ground_static_rules([rule], facts, {"commands": []})
+    assert not ground([rule], facts, {"commands": []})
 
 
 def test_ground_static_rules_builds_only_instances_that_fire():
@@ -238,7 +234,7 @@ def test_ground_static_rules_rejects_unbound_variable():
         label="unbindable",
     )
     with pytest.raises(LogicError, match="variable X has neither"):
-        ground_static_rules([rule], facts, domains)
+        ground([rule], facts, domains)
 
 
 def test_capability_rules_split_locked_and_lock_free_openers():
@@ -318,18 +314,16 @@ def test_dependency_heads_are_what_app_triggers_need():
 
 def compile_fig2(store_like=None):
     cfg = load_fixture_config("fig2")
-    models = []
-    nets = {n.atom: n for n in cfg.networks}
     bound = []
     for app in cfg.apps:
         bound.append(bind_app(app, parse_app_description(app.description), cfg))
-    return cfg, compile_system(cfg, models, bound)
+    return cfg, compile_config(cfg, bound=bound)
 
 
 def test_compile_system_collects_goals_and_alphabet(store):
     cfg, _ = compile_fig2()
     bound = [bind_app(app, parse_app_description(app.description), cfg) for app in cfg.apps]
-    compiled = compile_system(cfg, build_models(cfg, scan_devices(cfg, store)), bound)
+    compiled = compile_config(cfg, scan_devices(cfg, store), bound)
     assert [g.render() for g in compiled.goals] == ["unlock(yaleDoorlock)"]
     # A controlled emitter plays every command the apps listen for.
     for pred in ("voiceCommand", "speakerHears"):
@@ -345,7 +339,7 @@ def test_compile_and_render_program_look_up_no_device(monkeypatch):
         raise AssertionError(f"device({key!r}) looked up")
 
     monkeypatch.setattr(SystemConfig, "device", device)
-    assert "% ==== attack goals ====" in render_program(compile_system(cfg, [], bound))
+    assert "% ==== attack goals ====" in render_program(compile_config(cfg, bound=bound))
 
 
 def test_render_program_sections_are_labelled():
@@ -381,13 +375,13 @@ def test_render_program_prints_the_library_once_with_variables():
 
 def test_compile_system_dedupes_exploit_rules(store):
     cfg = load_fixture_config("listing10")
-    models = build_models(cfg, scan_devices(cfg, store))
+    table, blocks, models = classify(cfg, scan_devices(cfg, store))
     doubled = models + models
-    compiled = compile_system(cfg, doubled, [])
-    labels = [r.label for r in compiled.exploit_rules]
+    compiled = compile_system(cfg, table, blocks, doubled, [])
+    labels = [label for label, _, _ in compiled.exploit_rows]
     assert labels and all(label.startswith("exploit ") for label in labels)
     assert len(labels) == len(set(labels))
-    vul_facts = compiled.program.facts[compiled.vul_start :]
+    vul_facts = compiled.program.facts[sum(blocks) :]
     assert vul_facts and all(f.pred in ("vulExists", "vulProperty") for f in vul_facts)
     assert len(vul_facts) == len(set(vul_facts))
 
@@ -400,6 +394,10 @@ def test_outputs_count_the_library_instances_without_building_them(name, store, 
     summary = render_summary(result)
     # The program, and with it the instances, was not built on the way.
     assert "program" not in vars(compiled)
+    # Nor a fact's ``Atom`` to count or print it: only the graph's facts have one.
+    sat = compiled.grounding.saturation
+    built = {sat.objects[i] for i in compiled.fact_ids} - {None}
+    assert built and built <= {n.atom for n in result.graph.nodes}
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     program = compiled.program
     assert len(compiled.grounding) > 0
@@ -407,8 +405,8 @@ def test_outputs_count_the_library_instances_without_building_them(name, store, 
     assert manifest["facts"] == len(program.facts)
     assert f"program: {len(program.facts)} facts, {len(program.rules)} rules;" in summary
     grounding = compiled.grounding
-    instances = [grounding.saturation.rule(row) for row in grounding.instance_rows]
-    assert program.rules == (*compiled.exploit_rules, *instances, *compiled.app_rules)
+    rows = (*compiled.exploit_rows, *grounding.instance_rows, *compiled.app_rows)
+    assert program.rules == tuple(map(sat.rule, rows))
 
 
 def _home_config(home):
@@ -451,11 +449,11 @@ def test_outputs_build_no_rule_for_a_graph_node(name, store, tmp_path, monkeypat
 @pytest.mark.parametrize("home", ["fig2", 64])
 def test_exploit_rules_share_the_vulnerability_fact_objects(home, store):
     cfg = _home_config(home)
-    models = build_models(cfg, scan_devices(cfg, store))
-    compiled = compile_system(cfg, models, [])
-    facts = compiled.program.facts[compiled.vul_start :]
+    compiled = compile_config(cfg, scan_devices(cfg, store))
+    program = compiled.program
+    facts = program.facts[sum(compiled.block_sizes) :]
     by_value = {fact: fact for fact in facts}
-    rules = compiled.exploit_rules
+    rules = program.rules[: len(compiled.exploit_rows)]
     assert rules
     for rule in rules:
         vul_atoms = [a for a in rule.body if a.pred in ("vulExists", "vulProperty")]
@@ -470,12 +468,12 @@ def test_program_rules_are_the_models_and_apps_own(home, store):
     compiled = result.compiled
     # Equal rules (one CVE on one device, bound the same way) are kept once,
     # as the first model's.
-    want = list(dict.fromkeys(model.rule for model in result.models))
-    assert want and len(compiled.exploit_rules) == len(want)
-    assert all(got is rule for got, rule in zip(compiled.exploit_rules, want))
+    want = list(dict.fromkeys(model.row for model in result.models))
+    assert want and len(compiled.exploit_rows) == len(want)
+    assert all(got is row for got, row in zip(compiled.exploit_rows, want))
     want = [rule for bound in result.bound_apps for rule in bound.rules]
-    assert want and len(compiled.app_rules) == len(want)
-    assert all(got is rule for got, rule in zip(compiled.app_rules, want))
+    assert want and len(compiled.app_rows) == len(want)
+    assert list(map(compiled.grounding.saturation.rule, compiled.app_rows)) == want
     # The models share one atom table: one object per distinct atom.
     objects = {}
     for model in result.models:
@@ -510,20 +508,24 @@ def _kept_render_blocks(blocks) -> str:
 
 
 def _kept_render_program(compiled) -> str:
-    facts = compiled.facts
+    facts, rules = compiled.program.facts, compiled.program.rules
+    exploit_rules = rules[: len(compiled.exploit_rows)]
+    app_rules = rules[len(rules) - len(compiled.app_rows) :]
+    vul_start = sum(compiled.block_sizes)
     blocks, start = [], 0
-    for size in compiled.block_sizes:
+    # The last block holds the attacker facts.
+    for size in compiled.block_sizes[:-1]:
         blocks.append(facts[start : start + size])
         start += size
     rule_sections = (
         ("exploit rule schemas (reference)", "", build_exploit_schemas()),
-        ("attack rules instantiated from CVEs", "", compiled.exploit_rules),
+        ("attack rules instantiated from CVEs", "", exploit_rules),
         ("propagation, dependency, voice, and capability rules", "", static_library()),
-        ("app rules", "app: ", compiled.app_rules),
+        ("app rules", "app: ", app_rules),
     )
     fact_sections = (
-        ("facts: attacker", facts[start : compiled.vul_start]),
-        ("facts: vulnerabilities", facts[compiled.vul_start :]),
+        ("facts: attacker", facts[start:vul_start]),
+        ("facts: vulnerabilities", facts[vul_start:]),
         ("attack goals", [Atom("attackGoal", (goal.render(),)) for goal in compiled.goals]),
     )
     parts = []
@@ -542,5 +544,38 @@ def test_render_program_matches_the_kept_assembly(feed, devices, seed, request):
     store = request.getfixturevalue("store" if feed == "bundled" else "dense4_store")
     cfg = synthesize(devices, seed)
     bound, _ = bind_apps(cfg)
-    compiled = compile_system(cfg, build_models(cfg, scan_devices(cfg, store)), bound)
+    compiled = compile_config(cfg, scan_devices(cfg, store), bound)
     assert render_program(compiled) == _kept_render_program(compiled)
+
+
+@pytest.mark.parametrize("home", [*FIXTURE_NAMES, "synth80"])
+def test_exploit_atoms_that_are_facts_take_the_fact_ids(home, store):
+    if home == "synth80":
+        cfg = parse_config(synth_document(80, 3), source="synth")
+    else:
+        cfg = load_fixture_config(home)
+    bound, _ = bind_apps(cfg)
+    compiled = compile_config(cfg, scan_devices(cfg, store), bound)
+    sat, program = compiled.grounding.saturation, compiled.program
+    blocks, attacker = checked_fact_blocks(cfg)
+    given = [a for block in blocks for a in block] + attacker
+    # The facts in program.pl order: configuration blocks, attacker facts,
+    # then the vulnerability facts the exploit rules start from.
+    vul = list(dict.fromkeys(i for _, _, body in compiled.exploit_rows for i in body[:2]))
+    assert list(program.facts) == given + [sat.atom(i) for i in vul]
+    text = render_program(compiled)
+    printed = []
+    for title in ("system configuration", "attacker", "vulnerabilities"):
+        section = text.split(f"% ==== facts: {title} ====\n")[1].split("\n\n% ==== ")[0]
+        printed += [line for line in section.split("\n") if line]
+    assert printed == [f"{a.render()}." for a in program.facts]
+    # An exploit rule's atom equal to a configuration or attacker fact is that fact.
+    fact_id = {sat.atom(i): i for i in compiled.fact_ids}
+    config_facts = set(given)
+    shared = 0
+    for _, head, body in compiled.exploit_rows:
+        for i in (head, *body):
+            if sat.atom(i) in config_facts:
+                assert i == fact_id[sat.atom(i)] and sat.state[i] == GIVEN
+                shared += 1
+    assert shared
