@@ -14,10 +14,11 @@ collector's seconds during the fastest run (``gc_s``, from
 ``gc.callbacks``; ``analyze`` pauses the collector, so about 0) and the
 objects the collector tracks for that run's result (``tracked_objects``:
 ``gc.get_objects()`` after the run, less the count before it, each counted
-once further collections leave it unchanged), and ``best_ref``, the best
-seconds over the mean of ``perfbench.run.reference()`` timed just before
-and just after the size's timed runs, so sizes timed minutes apart on a
-drifting host compare in the benchmark's units. A collection untracks a tuple
+once further collections leave it unchanged), and ``best_ref`` and
+``write_ref``, the best ``analyze`` and write seconds over the mean of
+``perfbench.run.reference()`` timed just before and just after the size's
+timed ``analyze`` runs, so sizes timed minutes apart on a drifting host
+compare in the benchmark's units. A collection untracks a tuple
 only once the tuples inside it are untracked, one level per collection, and
 the paused collector leaves that work to the collections after the run; a
 single collection would count the tuples it has yet to untrack.
@@ -191,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                     "best_s": best,
                     "best_ref": best / ref_s,
                     "write_s": write,
+                    "write_ref": write / ref_s,
                     "peak_mb": peak / 1e6,
                     "graph_nodes": len(result.graph.nodes),
                     "reachable_goals": sum(1 for r in result.goal_results if r.reachable),

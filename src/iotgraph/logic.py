@@ -115,6 +115,9 @@ def _slot_setters(cls: type, *names: str) -> list[Callable[[object, object], Non
 
 
 def render_arg(arg: str) -> str:
+    """An argument's clause text: bare if it is a variable, a term or an
+    identifier, else single-quoted. The one statement of the quoting rule."""
+
     if arg.isidentifier() and arg.isascii():
         if arg[0] != "_":
             return arg
@@ -123,13 +126,22 @@ def render_arg(arg: str) -> str:
     return "'" + arg.replace("'", "\\'") + "'"
 
 
+def atom_text(pred: str, arg_texts: list[str]) -> str:
+    """The clause text of ``pred`` over its arguments' texts (``render_arg``)."""
+
+    return f"{pred}({', '.join(arg_texts)})" if arg_texts else pred
+
+
+def clause_text(head: str, body: list[str]) -> str:
+    """The clause text of a rule, from the texts of its head and body atoms."""
+
+    return head + " :-\n    " + ",\n    ".join(body) + "."
+
+
 def render_atom(pred: str, args: tuple[str, ...]) -> str:
     """The clause text of ``pred(args)``."""
 
-    if not args:
-        return pred
-    texts = [a if a.isidentifier() and a.isascii() and a[0] != "_" else render_arg(a) for a in args]
-    return f"{pred}({', '.join(texts)})"
+    return atom_text(pred, [render_arg(a) for a in args])
 
 
 @dataclass(frozen=True, slots=True)
@@ -252,8 +264,7 @@ class HornRule:
         return rule
 
     def render(self) -> str:
-        body = ",\n    ".join([atom.render() for atom in self.body])
-        return f"{self.head.render()} :-\n    {body}."
+        return clause_text(self.head.render(), [atom.render() for atom in self.body])
 
 
 _set_head, _set_body, _set_label, _set_domains = _slot_setters(

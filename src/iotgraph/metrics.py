@@ -12,7 +12,9 @@ Four queries, all driven by the AND/OR structure:
   node's tags form an antichain (no mask contains another), the
   minimal-cut-set view of AND/OR attack graphs. AND merges by pairwise
   union, OR by set union, each followed by dropping every mask that
-  contains another.
+  contains another. An AND merge whose sides share no CVE drops nothing:
+  its unions are already an antichain (``merge_ae_and`` says why), so it
+  skips that step and stays exact.
 * ``blast_radii``: for every CVE, the derived conditions for which it alone
   is a minimal way in; ``blast_radius`` looks one CVE up in it.
 * ``patch_set``: a minimum set of CVEs whose removal disconnects a goal,
@@ -98,13 +100,31 @@ def merge_ae_or(a: CatSet, b: CatSet) -> CatSet:
     return minimal_masks(a | b)
 
 
+def _support(tags: CatSet) -> int:
+    """Every CVE bit some mask of ``tags`` holds."""
+
+    out = 0
+    for t in tags:
+        out |= t
+    return out
+
+
 def merge_ae_and(a: CatSet, b: CatSet) -> CatSet:
-    """Joint requirements: one combination from each side, unioned, minimal."""
+    """Joint requirements: one combination from each side, unioned, minimal.
+
+    When no CVE is in a mask of both sides, the pairwise unions are already
+    an antichain, so ``minimal_masks`` is skipped. With ``a`` and ``b``
+    antichains and ``x1 | y1 ⊆ x2 | y2``, disjoint supports give ``x1 ⊆ x2``
+    and ``y1 ⊆ y2``, so ``x1 == x2`` and ``y1 == y2``: no union contains
+    another, and distinct pairs give distinct unions.
+    """
 
     if a == NO_CVE:
         return b
     if b == NO_CVE:
         return a
+    if not _support(a) & _support(b):
+        return frozenset([x | y for x in a for y in b])
     return minimal_masks(x | y for x in a for y in b)
 
 
@@ -176,11 +196,10 @@ def node_depths(graph: AttackGraph) -> dict[int, float]:
     for n in graph.nodes:
         vals[n.node_id] = 0.0 if n.kind == FACT else math.inf
 
+    value = vals.__getitem__
+
     def evaluate(n: Node, ps: tuple[int, ...]) -> float:
-        if n.kind == RULE:
-            best = max(vals[p] for p in ps)
-        else:
-            best = min(vals[p] for p in ps)
+        best = max(map(value, ps)) if n.kind == RULE else min(map(value, ps))
         return min(best + 1.0, vals[n.node_id])
 
     _sweep(graph, vals, evaluate)
@@ -307,7 +326,7 @@ def attack_evidence(graph: AttackGraph) -> Evidence:
     for n in graph.nodes:
         if n.kind != FACT:
             tags[n.node_id] = frozenset()
-        elif n.atom is not None and n.atom.pred == "vulExists":
+        elif n.pred == "vulExists":
             tags[n.node_id] = frozenset({bit.setdefault(n.atom.args[1], 1 << len(bit))})
         else:
             tags[n.node_id] = NO_CVE

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field, replace
-from typing import TypeVar
+from dataclasses import dataclass, field
+from typing import NamedTuple, TypeVar
 
 from .logic import Atom, LogicError, parse_atom
 
@@ -60,8 +60,8 @@ def normalize_name(name: str) -> str:
     tokens = _TOKEN.findall(name)
     if not tokens:
         raise ConfigError(f"name {name!r} has no usable characters")
-    camel = tokens[0] + "".join(t[0].upper() + t[1:] for t in tokens[1:])
-    ident = camel[0].lower() + camel[1:]
+    first = tokens[0]
+    ident = first[0].lower() + first[1:] + "".join([t[0].upper() + t[1:] for t in tokens[1:]])
     if ident[0].isdigit():
         raise ConfigError(f"name {name!r} normalizes to {ident!r}, which starts with a digit")
     return ident
@@ -155,8 +155,14 @@ class NetworkSpec:
     protocol: str
 
 
-@dataclass(frozen=True)
-class DeviceSpec:
+class DeviceSpec(NamedTuple):
+    """One validated device stanza: display name, atom, type, network atoms
+    and the atoms of the devices it is wired to.
+
+    A tuple, so ``parse_config`` builds one per stanza at the cost of a
+    tuple; ``_replace`` gives a copy with some fields changed.
+    """
+
     name: str
     atom: str
     device_type: str
@@ -216,12 +222,16 @@ class SystemConfig:
     apps: tuple[AppSpec, ...] = ()
     attacker: AttackerProfile = field(default_factory=AttackerProfile)
     goals: tuple[Atom, ...] = ()
-    _devices_by_key: dict[str, DeviceSpec] = field(init=False, repr=False, compare=False)
-    _networks_by_key: dict[str, NetworkSpec] = field(init=False, repr=False, compare=False)
+    # The indexes of ``_by_key``: ``parse_config`` hands over those it built
+    # while validating, and any other caller leaves them to be built here.
+    _devices_by_key: dict[str, DeviceSpec] | None = field(default=None, repr=False, compare=False)
+    _networks_by_key: dict[str, NetworkSpec] | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_devices_by_key", _by_key(self.devices))
-        object.__setattr__(self, "_networks_by_key", _by_key(self.networks))
+        if self._devices_by_key is None:
+            object.__setattr__(self, "_devices_by_key", _by_key(self.devices))
+        if self._networks_by_key is None:
+            object.__setattr__(self, "_networks_by_key", _by_key(self.networks))
 
     def device(self, key: str) -> DeviceSpec:
         return _lookup(self._devices_by_key, key, f"unknown device: {key!r}")
@@ -293,13 +303,15 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
 
     atoms: dict[str, str] = {}
 
+    def taken(name: str, what: str, atom: str) -> ConfigError:
+        return ConfigError(
+            f"{source}: {what} {name!r} normalizes to {atom!r}, already taken by {atoms[atom]!r}"
+        )
+
     def claim(name: str, what: str) -> str:
         atom = normalize_name(name)
         if atom in atoms:
-            raise ConfigError(
-                f"{source}: {what} {name!r} normalizes to {atom!r}, "
-                f"already taken by {atoms[atom]!r}"
-            )
+            raise taken(name, what, atom)
         atoms[atom] = name
         return atom
 
@@ -319,8 +331,9 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     # (index in devices, wiring key -> target) for devices with wiring: the
     # targets resolve once every device is known.
     wiring: list[tuple[int, dict[str, object]]] = []
-    # The checks of _string_field and _lookup, inline: a home has thousands
-    # of devices, so a message is formatted only for a check that fails.
+    # One pass per stanza, with the checks of _string_field, _lookup and
+    # claim inline: a home has thousands of devices, so a message is
+    # formatted only for a check that fails.
     for stanza in _list_field(raw, "devices", source):
         if not isinstance(stanza, dict):
             raise ConfigError(f"{source}: device stanza must be an object")
@@ -344,16 +357,23 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
             if spec is None:
                 raise device_error(name, f"unknown network {net!r}")
             net_atoms.append(spec.atom)
-        if len(set(net_atoms)) != len(net_atoms):
+        if len(net_atoms) > 1 and len(set(net_atoms)) != len(net_atoms):
             raise device_error(name, "duplicate network entries")
         exposed = stanza.get("physically_exposed", False)
         if not isinstance(exposed, bool):
             raise device_error(name, "physically_exposed must be a boolean")
-        wired = {key: stanza[key] for key in _WIRING if stanza.get(key) is not None}
-        if wired:
-            wiring.append((len(devices), wired))
-        devices.append(DeviceSpec(name, claim(name, "device"), dtype, tuple(net_atoms), exposed))
+        atom = normalize_name(name)
+        if atom in atoms:
+            raise taken(name, "device", atom)
+        atoms[atom] = name
+        if not _WIRING.keys().isdisjoint(stanza):
+            wired = {key: stanza[key] for key in _WIRING if stanza.get(key) is not None}
+            if wired:
+                wiring.append((len(devices), wired))
+        devices.append(DeviceSpec(name, atom, dtype, tuple(net_atoms), exposed))
 
+    # Names and atoms are claimed once each, so every key of the index
+    # names one device, and a wired device replaces its unwired spec there.
     dev_by_name = _by_key(devices)
     for i, wired in wiring:
         d = devices[i]
@@ -372,7 +392,7 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
             "locked_by" not in resolved or d.device_type in OPENER_TYPES,
             f"{where}: locked_by only applies to openers",
         )
-        devices[i] = replace(d, **resolved)
+        devices[i] = dev_by_name[d.atom] = dev_by_name[d.name] = d._replace(**resolved)
 
     apps: list[AppSpec] = []
     for stanza in _list_field(raw, "apps", source):
@@ -432,4 +452,6 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         apps=tuple(apps),
         attacker=AttackerProfile(has_internet, tuple(radio), tuple(touch)),
         goals=tuple(goals),
+        _devices_by_key=dev_by_name,
+        _networks_by_key=net_by_name,
     )

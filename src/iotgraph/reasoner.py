@@ -26,8 +26,8 @@ from functools import cached_property, lru_cache
 from itertools import count, product
 from json.encoder import encode_basestring_ascii as _json_str
 
-from .logic import Atom, HornRule, LogicError, LogicProgram, args_template, is_variable, picker
-from .logic import render_atom
+from .logic import Atom, HornRule, LogicError, LogicProgram, args_template, atom_text, is_variable
+from .logic import picker, render_arg
 
 FACT = "fact"
 RULE = "rule"
@@ -44,32 +44,48 @@ def _json_list(items: list[str]) -> str:
 
 
 class Node:
-    """One graph node: its id, kind and text, and the atom a fact or
-    derivation node stands for.
+    """One graph node: its id, kind and text, the atom a fact or derivation
+    node stands for, and the rule a rule node stands for.
 
-    A rule node of ``build_attack_graph`` keeps the saturation and its row,
-    and builds ``rule`` from them on first read; nothing in ``analyze`` or
-    the writers reads it.
+    A node of ``build_attack_graph`` keeps the saturation and its place in
+    it, the atom's id or the firing's row, and builds ``atom`` or ``rule``
+    from them on first read. Nothing in ``analyze`` or the writers reads a
+    rule, and they read the atoms of few nodes: ``pred`` gives the
+    predicate without building the atom. A node made with ``atom`` keeps it.
     """
 
-    __slots__ = ("node_id", "kind", "text", "atom", "_rule", "_row", "_source")
+    __slots__ = ("node_id", "kind", "text", "_atom", "_rule", "_source", "_ref")
 
-    def __init__(self, node_id: int, kind: str, text: str, atom: Atom | None = None) -> None:
-        self.node_id, self.kind, self.text, self.atom = node_id, kind, text, atom
-        self._rule = self._row = self._source = None
+    def __init__(
+        self,
+        node_id: int,
+        kind: str,
+        text: str,
+        atom: Atom | None = None,
+        source: "SaturationResult | None" = None,
+        ref: int | Row | None = None,
+    ) -> None:
+        self.node_id, self.kind, self.text = node_id, kind, text
+        self._atom, self._rule, self._source, self._ref = atom, None, source, ref
 
-    @classmethod
-    def firing(cls, node_id: int, text: str, source: "SaturationResult", row: Row) -> "Node":
-        """The rule node of a firing, its rule left to build on first read."""
+    @property
+    def atom(self) -> Atom | None:
+        if self._atom is None and self._source is not None and self.kind != RULE:
+            self._atom = self._source.atom(self._ref)
+        return self._atom
 
-        node = cls(node_id, RULE, text)
-        node._row, node._source = row, source
-        return node
+    @property
+    def pred(self) -> str | None:
+        """The predicate of ``atom``, read without building it."""
+
+        if self._atom is None and self._source is not None and self.kind != RULE:
+            return self._source.preds[self._ref]
+        return None if self._atom is None else self._atom.pred
 
     @property
     def rule(self) -> HornRule | None:
-        if self._rule is None and self._source is not None:
-            self._rule = self._source.rule(self._row)
+        if self._rule is None and self._source is not None and self.kind == RULE:
+            self._rule = self._source.rule(self._ref)
         return self._rule
 
     def __repr__(self) -> str:
@@ -233,6 +249,14 @@ class AttackGraph:
 GIVEN, DERIVED = 1, 2
 
 
+class _ArgTexts(dict):
+    """Arguments' clause texts by argument, each rendered on its first lookup."""
+
+    def __missing__(self, arg: str) -> str:
+        text = self[arg] = render_arg(arg)
+        return text
+
+
 class SaturationResult:
     """A program's least model and the firings that derive it, over interned atoms.
 
@@ -253,8 +277,9 @@ class SaturationResult:
     ``rows`` holds each firing as ``(label, head id, body ids)``, once per
     rule of the program whose body holds. A firing is recorded even when
     its head was already known, because each firing is a separate AND node
-    (another way in for the OR above it). ``texts`` renders an atom's text
-    on the first call that asks for it, and keeps it for ``atom``.
+    (another way in for the OR above it). ``texts`` joins an atom's text on
+    the first call that asks for it from its arguments' texts, each
+    distinct argument rendered once per table, and keeps it for ``atom``.
 
     ``derived`` and ``fired`` give the derived atoms and the firings as
     ``Atom``s and ``HornRule``s, built on first read. ``atom(id)`` gives one
@@ -270,6 +295,7 @@ class SaturationResult:
         self.state = bytearray()
         self.rows: list[Row] = []
         self._texts: dict[int, str] = {}
+        self._arg_texts = _ArgTexts()
 
     def intern(
         self, pred: str, args: tuple[str, ...], atom: Atom | None = None, state: int = 0
@@ -296,12 +322,18 @@ class SaturationResult:
         return rule.label, head, tuple(body)
 
     def texts(self, ids: Iterable[int]) -> dict[int, str]:
-        """The atoms' texts by id, each of ``ids`` rendered."""
+        """The atoms' texts by id, each of ``ids`` rendered.
+
+        Each text equals ``logic.render_atom``'s, joined (``atom_text``)
+        from the texts of the atom's arguments, which are rendered once
+        each per table.
+        """
 
         texts, preds, args = self._texts, self.preds, self.args
+        arg_text = self._arg_texts.__getitem__
         for i in ids:
             if i not in texts:
-                texts[i] = render_atom(preds[i], args[i])
+                texts[i] = atom_text(preds[i], list(map(arg_text, args[i])))
         return texts
 
     def atom(self, i: int) -> Atom:
@@ -642,8 +674,9 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
     Only facts and firings that feed some goal make it into the graph.
     Every atom the slice meets is in the model, so an atom is a fact
     exactly when it is not derived. The slice works on ids: the nodes sort
-    by the needed atoms' texts (``SaturationResult.texts``), and atoms are
-    built only for the slice's nodes.
+    by the needed atoms' texts (``SaturationResult.texts``), and each node
+    keeps the table and its atom's id or its row, so no atom or rule is
+    built here (``Node``).
     """
 
     rows, state = result.rows, result.state
@@ -672,7 +705,6 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
                     needed.add(b)
                     stack.append(b)
 
-    atom = result.atom
     text = result.texts(needed)
     by_text = text.__getitem__
     derived_atoms = sorted([i for i in needed if state[i] == DERIVED], key=by_text)
@@ -685,18 +717,21 @@ def build_attack_graph(result: SaturationResult, goals: tuple[Atom, ...]) -> Att
 
     first_rule = len(primitive_atoms) + 1
     first_derived = first_rule + len(keyed)
-    nodes = [Node(n, FACT, text[i] + ".", atom(i)) for n, i in enumerate(primitive_atoms, 1)]
+    nodes = [
+        Node(n, FACT, text[i] + ".", None, result, i) for n, i in enumerate(primitive_atoms, 1)
+    ]
     node_of = {i: n for n, i in enumerate(primitive_atoms, 1)}
     node_of.update((i, n) for n, i in enumerate(derived_atoms, first_derived))
     parents: dict[int, tuple[int, ...]] = {}
     derivation_parents: dict[int, list[int]] = {}
     for node_id, (label, head_text, _, k) in enumerate(keyed, first_rule):
         _, head, body = row = rows[k]
-        nodes.append(Node.firing(node_id, label or head_text, result, row))
+        nodes.append(Node(node_id, RULE, label or head_text, None, result, row))
         parents[node_id] = tuple(dict.fromkeys([node_of[b] for b in body]))
         derivation_parents.setdefault(node_of[head], []).append(node_id)
     nodes += [
-        Node(n, DERIVATION, text[i], atom(i)) for n, i in enumerate(derived_atoms, first_derived)
+        Node(n, DERIVATION, text[i], None, result, i)
+        for n, i in enumerate(derived_atoms, first_derived)
     ]
     # Firing nodes are numbered in sorted order, so each list ascends.
     for nid, ps in derivation_parents.items():

@@ -23,7 +23,7 @@ from itertools import accumulate, chain
 
 from .apps import BoundApp
 from .exploits import EFFECTS, PRECONDITIONS, ExploitModel
-from .logic import Atom, HornRule, LogicProgram, parse_atom, render_atom
+from .logic import Atom, HornRule, LogicProgram, clause_text, parse_atom, render_atom
 from .model import DEVICE_TYPES, EVENT_ATOMS, OPENER_TYPES, SCALAR_CHANNELS, SystemConfig
 from .reasoner import GIVEN, Row, SaturationResult
 # Called by this module's name, which perfbench/tracer.py wraps.
@@ -313,11 +313,23 @@ def _pools(rule: HornRule) -> str:
     return "".join([f"; {var} ranges over the {domain}" for var, domain in rule.var_domains])
 
 
+@functools.cache
+def _library_texts() -> tuple[str, str]:
+    """The bodies of ``program.pl``'s schema and library sections, the same
+    for every program: rendered once per process, like the rules they print."""
+
+    def library(rules: tuple[HornRule, ...]) -> str:
+        return "\n".join([f"% {r.label}{_pools(r)}\n{r.render()}" for r in rules])
+
+    return library(build_exploit_schemas()), library(static_library())
+
+
 def render_program(compiled: CompiledSystem) -> str:
     """Readable clause file: schemas, exploit rules, the library, app rules, facts, goals.
 
     Facts and ground rules are printed from their ids, each atom's text
-    rendered once (``SaturationResult.texts``).
+    rendered once (``SaturationResult.texts``); the schema and library
+    sections once per process (``_library_texts``).
     """
 
     ids, ground = compiled.fact_ids, (*compiled.exploit_rows, *compiled.app_rows)
@@ -325,21 +337,18 @@ def render_program(compiled: CompiledSystem) -> str:
     facts = [f"{text[i]}." for i in ids]
     starts = list(accumulate(compiled.block_sizes, initial=0))
     *config, attacker = [facts[a:b] for a, b in zip(starts, starts[1:])]
-    sep = ",\n    "
+    schemas, library = _library_texts()
 
     def rows(tag: str, group: tuple[Row, ...]) -> list[str]:
         return [
-            f"% {tag}{label}\n{text[head]} :-\n    {sep.join([text[b] for b in body])}."
+            f"% {tag}{label}\n{clause_text(text[head], [text[b] for b in body])}"
             for label, head, body in group
         ]
 
-    def library(rules: tuple[HornRule, ...]) -> list[str]:
-        return [f"% {r.label}{_pools(r)}\n{r.render()}" for r in rules]
-
     sections = (
-        ("exploit rule schemas (reference)", library(build_exploit_schemas())),
+        ("exploit rule schemas (reference)", [schemas]),
         ("attack rules instantiated from CVEs", rows("", compiled.exploit_rows)),
-        ("propagation, dependency, voice, and capability rules", library(static_library())),
+        ("propagation, dependency, voice, and capability rules", [library]),
         ("app rules", rows("app: ", compiled.app_rows)),
         ("facts: system configuration", ["\n\n".join(["\n".join(block) for block in config])]),
         ("facts: attacker", attacker),

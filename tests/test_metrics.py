@@ -55,6 +55,27 @@ def test_reduced_merges_equal_reduced_full_merges(a, b):
     assert merge_ae_and(a, b) == minimal_subset(x | y for x in a for y in b)
 
 
+@st.composite
+def and_sides(draw):
+    """Two antichains: shifted by 6 the second shares no bit with the first,
+    shifted by 0 or 3 it may share some."""
+
+    a, b = draw(cat_sets), draw(cat_sets)
+    shift = draw(st.sampled_from((0, 3, 6)))
+    return a, frozenset(m << shift for m in b)
+
+
+@given(and_sides())
+@example(sides=(frozenset({0b1}), frozenset({0b10, 0b100})))
+@example(sides=(frozenset({0b11}), frozenset({0b10, 0b100})))
+@example(sides=(frozenset({0b011, 0b101}), frozenset({0b1000, 0b110000})))
+@example(sides=(frozenset(), frozenset({0b1})))
+def test_and_merge_equals_minimal_masks_of_the_unions(sides):
+    # Disjoint sides skip minimal_masks; sides that share bits go through it.
+    a, b = sides
+    assert merge_ae_and(a, b) == minimal_masks(x | y for x in a for y in b)
+
+
 @given(cat_sets)
 def test_or_merge_is_idempotent(a):
     assert merge_ae_or(a, a) == a

@@ -2,13 +2,22 @@ from __future__ import annotations
 
 import json
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
 from iotgraph.exploits import EFFECTS
-from iotgraph.logic import Atom, HornRule, LogicProgram
-from iotgraph.pipeline import PRIVILEGES, default_goals
+from iotgraph.logic import Atom, HornRule, LogicProgram, render_atom
+from iotgraph.model import parse_config
+from iotgraph.pipeline import (
+    PRIVILEGES,
+    analyze,
+    bind_apps,
+    build_models,
+    default_goals,
+    scan_devices,
+)
 from iotgraph.reasoner import (
     DERIVATION,
     DERIVED,
@@ -21,6 +30,10 @@ from iotgraph.reasoner import (
     build_attack_graph,
     saturate,
 )
+from iotgraph.rules import compile_system, config_facts
+from iotgraph.synth import synth_document
+
+from conftest import FIXTURE_NAMES, load_fixture_config
 
 
 def atom(text: str) -> Atom:
@@ -262,3 +275,60 @@ def test_default_goals_pick_attacker_privileges_sorted():
         "attackerInNetwork(wifi1)",
         "attackerRoot(router)",
     ]
+
+
+# Arguments of every shape the quoting rule tells apart: identifiers,
+# variables, terms, CVE ids, "_"-led, non-ASCII, quotes, spaces and empty.
+ODD_ARGS = (
+    "x", "Cmd", "dos(D)", "open(door, Lock)", "CVE-2019-12345", "_hidden", "_",
+    "caf\u00e9", "\u00e9t\u00e9", "it's", "two words", "", "x(", "a'b'c",
+)
+
+
+def _config(home):
+    if home == "synth80":
+        return parse_config(synth_document(80, 3), source="synth")
+    return load_fixture_config(home)
+
+
+@pytest.mark.parametrize("home", [*FIXTURE_NAMES, "synth80"])
+def test_texts_equal_render_atom_for_every_atom(home, store):
+    sat = analyze(_config(home), store).compiled.grounding.saturation
+    for args in [(), *[(a,) for a in ODD_ARGS], ODD_ARGS, ("x", "CVE-2019-12345")]:
+        sat.intern("odd", args)
+    ids = range(len(sat.preds))
+    texts = sat.texts(ids)
+    assert {i: texts[i] for i in ids} == {i: render_atom(sat.preds[i], sat.args[i]) for i in ids}
+
+
+@given(st.lists(st.lists(texts, max_size=3).map(tuple), max_size=6))
+def test_texts_render_arguments_shared_between_atoms_as_render_atom_does(arglists):
+    table = SaturationResult()
+    ids = [table.intern("p", args) for args in arglists]
+    ids += [table.intern("q", args[::-1]) for args in arglists]
+    texts = table.texts(ids)
+    assert [texts[i] for i in ids] == [render_atom(table.preds[i], table.args[i]) for i in ids]
+
+
+def test_graph_nodes_build_their_atoms_on_first_read(fig2_config, store):
+    cfg = fig2_config
+    table, blocks = config_facts(cfg)
+    models = build_models(cfg, scan_devices(cfg, store), table)
+    compiled = compile_system(cfg, table, blocks, models, bind_apps(cfg)[0])
+    sat = compiled.grounding.saturation
+    goals = compiled.goals or default_goals(sat)
+    before = list(sat.objects)
+    graph = build_attack_graph(sat, goals)
+    # No fact or derivation atom is built by the slice itself.
+    assert [o is None for o in sat.objects] == [o is None for o in before]
+    ids = {text: i for i, text in sat.texts(range(len(sat.preds))).items()}
+    assert {n.kind for n in graph.nodes} == {FACT, RULE, DERIVATION}
+    for n in graph.nodes:
+        if n.kind == RULE:
+            assert n.atom is None and n.pred is None
+            continue
+        i = ids[n.text.removesuffix(".") if n.kind == FACT else n.text]
+        assert n.pred == sat.preds[i]
+        assert sat.objects[i] is before[i]
+        assert n.atom == sat.atom(i)
+        assert n.atom is sat.atom(i)

@@ -34,7 +34,7 @@ from iotgraph.rules import (
 
 import oracles
 from iotgraph.pipeline import analyze, bind_apps, render_summary, scan_devices, write_outputs
-from iotgraph.reasoner import GIVEN, RULE, SaturationResult
+from iotgraph.reasoner import FACT, GIVEN, RULE, SaturationResult
 from iotgraph.synth import synth_document, synthesize
 
 from conftest import FIXTURE_NAMES, config_facts_text, load_fixture_config
@@ -394,10 +394,12 @@ def test_outputs_count_the_library_instances_without_building_them(name, store, 
     summary = render_summary(result)
     # The program, and with it the instances, was not built on the way.
     assert "program" not in vars(compiled)
-    # Nor a fact's ``Atom`` to count or print it: only the graph's facts have one.
+    # Nor a fact's ``Atom`` to count or print it: only the graph's facts
+    # whose atoms are read have one, the vulnerabilities the evidence reads.
     sat = compiled.grounding.saturation
     built = {sat.objects[i] for i in compiled.fact_ids} - {None}
-    assert built and built <= {n.atom for n in result.graph.nodes}
+    read = {n.atom for n in result.graph.nodes if n.kind == FACT and n.pred == "vulExists"}
+    assert built <= read
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     program = compiled.program
     assert len(compiled.grounding) > 0

@@ -47,6 +47,9 @@ def test_run_scaling_prints_one_row_per_size(capsys):
     assert all(set(row["stages_s"]) == set(script.STAGES) for row in summary["rows"])
     assert all(row["write_s"] > 0 for row in summary["rows"])
     assert all(row["best_ref"] > 0 for row in summary["rows"])
+    # Both in the units of the same reference time.
+    for row in summary["rows"]:
+        assert row["write_ref"] == pytest.approx(row["write_s"] * row["best_ref"] / row["best_s"])
     assert all(row["gc_s"] >= 0 for row in summary["rows"])
     assert all(row["tracked_objects"] > 0 for row in summary["rows"])
 
