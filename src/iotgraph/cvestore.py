@@ -22,6 +22,7 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import math
 import re
 import sqlite3
 import zlib
@@ -100,6 +101,10 @@ class CveRecord:
             raise StoreError(f"{self.cve_id}: bad attack vector {self.attack_vector!r}")
         for name in ("conf_impact", "integ_impact", "avail_impact"):
             if getattr(self, name) not in _IMPACT_LEVELS:
+                raise StoreError(f"{self.cve_id}: bad {name} {getattr(self, name)!r}")
+        # SQLite stores NaN as NULL, and no CVSS score is infinite.
+        for name in ("impact_score", "exploitability_score"):
+            if not math.isfinite(getattr(self, name)):
                 raise StoreError(f"{self.cve_id}: bad {name} {getattr(self, name)!r}")
 
 

@@ -159,8 +159,10 @@ class DeviceSpec(NamedTuple):
     """One validated device stanza: display name, atom, type, network atoms
     and the atoms of the devices it is wired to.
 
-    A tuple, so ``parse_config`` builds one per stanza at the cost of a
-    tuple; ``_replace`` gives a copy with some fields changed.
+    A ``NamedTuple``, so ``parse_config`` builds one per stanza at the cost
+    of a tuple; ``_replace`` gives a copy with some fields changed. Being a
+    tuple, a spec also compares equal to a plain tuple of the same fields,
+    can be indexed and iterated, and a JSON encoder writes it as a list.
     """
 
     name: str
@@ -222,16 +224,12 @@ class SystemConfig:
     apps: tuple[AppSpec, ...] = ()
     attacker: AttackerProfile = field(default_factory=AttackerProfile)
     goals: tuple[Atom, ...] = ()
-    # The indexes of ``_by_key``: ``parse_config`` hands over those it built
-    # while validating, and any other caller leaves them to be built here.
-    _devices_by_key: dict[str, DeviceSpec] | None = field(default=None, repr=False, compare=False)
-    _networks_by_key: dict[str, NetworkSpec] | None = field(default=None, repr=False, compare=False)
+    _devices_by_key: dict[str, DeviceSpec] = field(init=False, repr=False, compare=False)
+    _networks_by_key: dict[str, NetworkSpec] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self._devices_by_key is None:
-            object.__setattr__(self, "_devices_by_key", _by_key(self.devices))
-        if self._networks_by_key is None:
-            object.__setattr__(self, "_networks_by_key", _by_key(self.networks))
+        object.__setattr__(self, "_devices_by_key", _by_key(self.devices))
+        object.__setattr__(self, "_networks_by_key", _by_key(self.networks))
 
     def device(self, key: str) -> DeviceSpec:
         return _lookup(self._devices_by_key, key, f"unknown device: {key!r}")
@@ -303,15 +301,13 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
 
     atoms: dict[str, str] = {}
 
-    def taken(name: str, what: str, atom: str) -> ConfigError:
-        return ConfigError(
-            f"{source}: {what} {name!r} normalizes to {atom!r}, already taken by {atoms[atom]!r}"
-        )
-
     def claim(name: str, what: str) -> str:
         atom = normalize_name(name)
         if atom in atoms:
-            raise taken(name, what, atom)
+            raise ConfigError(
+                f"{source}: {what} {name!r} normalizes to {atom!r}, "
+                f"already taken by {atoms[atom]!r}"
+            )
         atoms[atom] = name
         return atom
 
@@ -331,9 +327,9 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
     # (index in devices, wiring key -> target) for devices with wiring: the
     # targets resolve once every device is known.
     wiring: list[tuple[int, dict[str, object]]] = []
-    # One pass per stanza, with the checks of _string_field, _lookup and
-    # claim inline: a home has thousands of devices, so a message is
-    # formatted only for a check that fails.
+    # One pass per stanza, with the checks of _string_field and _lookup
+    # inline: a home has thousands of devices, so a message is formatted
+    # only for a check that fails.
     for stanza in _list_field(raw, "devices", source):
         if not isinstance(stanza, dict):
             raise ConfigError(f"{source}: device stanza must be an object")
@@ -362,18 +358,13 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         exposed = stanza.get("physically_exposed", False)
         if not isinstance(exposed, bool):
             raise device_error(name, "physically_exposed must be a boolean")
-        atom = normalize_name(name)
-        if atom in atoms:
-            raise taken(name, "device", atom)
-        atoms[atom] = name
+        atom = claim(name, "device")
         if not _WIRING.keys().isdisjoint(stanza):
             wired = {key: stanza[key] for key in _WIRING if stanza.get(key) is not None}
             if wired:
                 wiring.append((len(devices), wired))
         devices.append(DeviceSpec(name, atom, dtype, tuple(net_atoms), exposed))
 
-    # Names and atoms are claimed once each, so every key of the index
-    # names one device, and a wired device replaces its unwired spec there.
     dev_by_name = _by_key(devices)
     for i, wired in wiring:
         d = devices[i]
@@ -392,7 +383,7 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
             "locked_by" not in resolved or d.device_type in OPENER_TYPES,
             f"{where}: locked_by only applies to openers",
         )
-        devices[i] = dev_by_name[d.atom] = dev_by_name[d.name] = d._replace(**resolved)
+        devices[i] = d._replace(**resolved)
 
     apps: list[AppSpec] = []
     for stanza in _list_field(raw, "apps", source):
@@ -452,6 +443,4 @@ def parse_config(document: str | dict, source: str = "config") -> SystemConfig:
         apps=tuple(apps),
         attacker=AttackerProfile(has_internet, tuple(radio), tuple(touch)),
         goals=tuple(goals),
-        _devices_by_key=dev_by_name,
-        _networks_by_key=net_by_name,
     )

@@ -297,6 +297,9 @@ def test_ingest_rejects_feed_that_is_not_an_object(tmp_path):
         (False, ("cve", "CVE_data_meta", "ID"), "CVE-2021-0002\n"),
         # ``\d`` also matches digits outside ASCII, such as Arabic-Indic ones.
         (False, ("cve", "CVE_data_meta", "ID"), "CVE-\u0662\u0660\u0662\u0661-0002"),
+        # ``float`` reads these strings, but a score must be a finite number.
+        (False, ("impact", "baseMetricV3", "impactScore"), "NaN"),
+        (True, ("impact", "baseMetricV2", "exploitabilityScore"), "-inf"),
     ],
 )
 def test_ingest_skips_mistyped_items_and_keeps_the_rest(tmp_path, v2, path, value):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -105,6 +106,19 @@ def test_config_indexes_are_not_compared():
     assert parse_config(doc) == parse_config(doc)
     assert hash(parse_config(doc)) == hash(parse_config(doc))
     assert "_by_key" not in repr(parse_config(doc))
+
+
+def test_replaced_config_indexes_its_new_devices():
+    cfg = parse_config(minimal_doc())
+    lamp = DeviceSpec("Desk Lamp", "deskLamp", "bulb", ("wifi1",))
+    grown = replace(cfg, devices=cfg.devices + (lamp,))
+    assert grown.device("Desk Lamp") is lamp and grown.device("deskLamp") is lamp
+    shrunk = replace(cfg, devices=cfg.devices[1:])
+    with pytest.raises(ConfigError):
+        shrunk.device("D-Link Router")
+    assert cfg.device("D-Link Router") is cfg.devices[0]
+    with pytest.raises(TypeError):
+        SystemConfig(devices=(), networks=(), _devices_by_key={})
 
 
 def test_parse_config_network_protocols():
